@@ -28,20 +28,10 @@ let exec = ref Executor.sequential
 let float_list xs = Json.List (List.map (fun x -> Json.Float x) xs)
 let int_list xs = Json.List (List.map (fun x -> Json.Int x) xs)
 
-let params ?(tau = 0.2) ?(max_b = 500) ?(max_f = 500) () = { Block_tree.tau; max_b; max_f }
+(* Shared, lazily-built state: D7's mapping sets (memoized by Dataset),
+   document and contexts. *)
 
-(* Shared, lazily-built state: D7's mapping sets, document and contexts. *)
-
-(* lint: allow domain-unsafe — filled by the single driver domain between experiments *)
-let d7_mset_cache : (int, Mapping_set.t) Hashtbl.t = Hashtbl.create 8
-
-let d7_mset h =
-  match Hashtbl.find_opt d7_mset_cache h with
-  | Some s -> s
-  | None ->
-    let s = Dataset.mapping_set ~h Dataset.d7 in
-    Hashtbl.add d7_mset_cache h s;
-    s
+let d7_mset h = Dataset.mapping_set ~h Dataset.d7
 
 let d7_doc =
   lazy (Gen_doc.generate (Matching.source (Dataset.matching Dataset.d7)))
@@ -87,7 +77,7 @@ let fig9a () =
   Harness.row "%6s %18s" "tau" "compression-ratio";
   List.iter
     (fun tau ->
-      let tree = Block_tree.build ~params:(params ~tau ()) mset in
+      let tree = Block_tree.build ~params:{ Block_tree.default_params with tau } mset in
       Harness.row "%6.2f %17.2f%%" tau (100.0 *. Block_tree.compression_ratio tree))
     taus_9ab;
   Harness.note "paper: 14.64%% at tau=0.2, decreasing as tau grows"
@@ -98,7 +88,7 @@ let fig9b () =
   Harness.row "%6s %10s" "tau" "#c-blocks";
   List.iter
     (fun tau ->
-      let tree = Block_tree.build ~params:(params ~tau ()) mset in
+      let tree = Block_tree.build ~params:{ Block_tree.default_params with tau } mset in
       Harness.row "%6.2f %10d" tau (Block_tree.n_blocks tree))
     taus_9ab;
   Harness.note "paper: fast drop until tau~0.1, then slow decline"
@@ -108,7 +98,7 @@ let fig9b () =
 let fig9c () =
   Harness.section "fig9c" "Distribution of c-block sizes (D7, defaults)";
   let mset = d7_mset 100 in
-  let tree = Block_tree.build ~params:(params ()) mset in
+  let tree = Block_tree.build mset in
   let sizes = Block_tree.block_sizes tree in
   let n = List.length sizes in
   let target_n = Schema.size (Mapping_set.target mset) in
@@ -146,7 +136,7 @@ let fig9d () =
       let time h =
         let mset = Dataset.mapping_set ~h d in
         Harness.seconds_per_run ~name:(d.id ^ "-tc")
-          (fun () -> Block_tree.build ~params:(params ()) mset)
+          (fun () -> Block_tree.build mset)
       in
       Harness.row "%-4s %10.2fms %10.2fms" d.id (ms (time 100)) (ms (time 200)))
     Dataset.all;
@@ -164,9 +154,9 @@ let fig9e () =
     (fun max_b ->
       let t =
         Harness.seconds_per_run ~name:"tc-maxb"
-          (fun () -> Block_tree.build ~params:(params ~max_b ()) mset)
+          (fun () -> Block_tree.build ~params:{ Block_tree.default_params with max_b } mset)
       in
-      let tree = Block_tree.build ~params:(params ~max_b ()) mset in
+      let tree = Block_tree.build ~params:{ Block_tree.default_params with max_b } mset in
       Harness.row "%7d %8.2fms %10d" max_b (ms t) (Block_tree.n_blocks tree))
     [ 20; 60; 100; 160; 200; 260; 300 ];
   Harness.note "paper: Tc grows with MAX_B and saturates once all blocks fit (~180)"
@@ -174,7 +164,7 @@ let fig9e () =
 (* ------------------------ Figures 9(f), 10(a) --------------------- *)
 
 let query_times h =
-  let tree = Block_tree.build ~params:(params ()) (d7_mset h) in
+  let tree = Block_tree.build (d7_mset h) in
   let ctx_basic = context h in
   let ctx_tree = context ~tree h in
   List.map
@@ -219,7 +209,7 @@ let fig10b () =
   Harness.row "%6s %10s %10s %8s %8s %8s" "tau" "Tq" "#c-blocks" "shared" "direct" "joins";
   List.iter
     (fun tau ->
-      let tree = Block_tree.build ~params:(params ~tau ()) (d7_mset 100) in
+      let tree = Block_tree.build ~params:{ Block_tree.default_params with tau } (d7_mset 100) in
       let ctx = context ~tree 100 in
       let t =
         Harness.seconds_per_run ~name:"tq-tau" (fun () -> Ptq.query_tree ctx Queries.q10)
@@ -238,7 +228,7 @@ let fig10c () =
   Harness.row "%6s %12s %12s" "|M|" "basic" "block-tree";
   List.iter
     (fun h ->
-      let tree = Block_tree.build ~params:(params ()) (d7_mset h) in
+      let tree = Block_tree.build (d7_mset h) in
       let cb = context h in
       let ct = context ~tree h in
       let tb =
@@ -257,7 +247,7 @@ let fig10d () =
   Harness.section "fig10d" "top-k PTQ: Tq vs k (D7, Q10, |M|=100)";
   Harness.json_param "h" (Json.Int 100);
   Harness.json_param "ks" (int_list [ 10; 20; 30; 40; 50; 60; 70; 80; 90; 100 ]);
-  let tree = Block_tree.build ~params:(params ()) (d7_mset 100) in
+  let tree = Block_tree.build (d7_mset 100) in
   let ctx = context ~tree 100 in
   let normal =
     Harness.seconds_per_run ~name:"tq-normal" (fun () -> Ptq.query_tree ctx Queries.q10)
@@ -402,7 +392,7 @@ let abl_compress () =
   List.iter
     (fun h ->
       let mset = d7_mset h in
-      let tree = Block_tree.build ~params:(params ()) mset in
+      let tree = Block_tree.build mset in
       let naive = Mapping_set.storage_bytes_naive mset in
       let compressed = Block_tree.storage_bytes tree in
       Harness.row "%6d %11db %11db %11.1f%%" h naive compressed
@@ -506,7 +496,7 @@ let abl_update () =
         | Error e -> failwith e
       in
       let mset = Mapping_set.generate ~exec:!exec ~h:100 u in
-      let tree = Block_tree.build ~params:(params ()) mset in
+      let tree = Block_tree.build mset in
       (* How much of the ranking one incremental pass actually redoes. *)
       let reranked_c = Uxsm_obs.Obs.counter "partition.components_reranked" in
       let r0 = Uxsm_obs.Obs.value reranked_c in
@@ -515,8 +505,7 @@ let abl_update () =
       ignore (Block_tree.update ~old:tree mset');
       let t_full =
         Harness.seconds_per_run ~quota:0.5 ~name:(d.id ^ "-full") (fun () ->
-            Block_tree.build ~params:(params ())
-              (Mapping_set.generate ~exec:!exec ~h:100 u'))
+            Block_tree.build (Mapping_set.generate ~exec:!exec ~h:100 u'))
       in
       let t_incr =
         Harness.seconds_per_run ~quota:0.5 ~name:(d.id ^ "-incr") (fun () ->
@@ -546,8 +535,8 @@ let abl_serve () =
   Harness.json_param "requests_per_client" (Json.Int per_client);
   let srv = Server.create ~cache_entries:32 ~exec:!exec () in
   (match
-     Catalog.register (Server.catalog srv) ~name:"demo" ~doc_seed:7
-       (Protocol.From_dataset (Option.get (Dataset.find "D7"), 42))
+     Catalog.register (Server.catalog srv) ~name:"demo" ~doc_seed:Gen_doc.default_seed
+       (Protocol.From_dataset (Dataset.d7, Dataset.default_seed))
    with
   | Ok _ -> ()
   | Error e -> failwith e);
@@ -655,7 +644,9 @@ let abl_plan_choice () =
   List.iter
     (fun (cname, tau) ->
       let tree =
-        Option.map (fun tau -> Block_tree.build ~params:(params ~tau ()) (d7_mset 100)) tau
+        Option.map
+          (fun tau -> Block_tree.build ~params:{ Block_tree.default_params with tau } (d7_mset 100))
+          tau
       in
       let ctx = context ?tree 100 in
       List.iter
@@ -783,6 +774,13 @@ let () =
     | [] -> List.map fst experiments
     | ids -> ids
   in
+  (* Reject unknown ids before anything runs, so a typo appends no run. *)
+  (match List.filter (fun id -> not (List.mem_assoc id experiments)) selected with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown experiment %s (available: %s)\n" (String.concat ", " unknown)
+      (String.concat ", " (List.map fst experiments));
+    exit 2);
   (* Every run appends one machine-readable record; default file keyed by
      the measured revision so baselines of different commits never mix. *)
   let path =
@@ -796,13 +794,6 @@ let () =
     "defaults: |M|=100, tau=0.2, MAX_B=500, MAX_F=500, dataset D7, source doc 3473 nodes\n";
   Printf.printf "executor: %s (--jobs %d)\n%!" (Executor.backend_name !exec) !jobs;
   let t0 = Uxsm_util.Timing.now_mono () in
-  List.iter
-    (fun id ->
-      match List.assoc_opt id experiments with
-      | Some f -> f ()
-      | None ->
-        Printf.printf "unknown experiment %s (available: %s)\n" id
-          (String.concat ", " (List.map fst experiments)))
-    selected;
+  List.iter (fun id -> List.assoc id experiments ()) selected;
   Harness.finalize ~argv ~jobs:!jobs ~executor:(Executor.backend_name !exec) ();
   Printf.printf "\ntotal bench wall time: %.1fs\n" (Uxsm_util.Timing.now_mono () -. t0)

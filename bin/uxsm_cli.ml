@@ -18,6 +18,8 @@ module Standards = Uxsm_workload.Standards
 module Gen_doc = Uxsm_workload.Gen_doc
 module Queries = Uxsm_workload.Queries
 module Loadgen = Uxsm_workload.Loadgen
+module Protocol = Uxsm_server.Protocol
+module Catalog = Uxsm_server.Catalog
 
 let style_conv =
   let parse s =
@@ -35,14 +37,20 @@ let dataset_conv =
   in
   Arg.conv (parse, fun fmt (d : Dataset.t) -> Format.pp_print_string fmt d.id)
 
+let dataset_pos =
+  Arg.(required & pos 0 (some dataset_conv) None & info [] ~docv:"DATASET" ~doc:"D1..D10.")
+
 let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic generation seed.")
+  Arg.(value & opt int Dataset.default_seed
+       & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic generation seed.")
 
 let h_arg =
-  Arg.(value & opt int 100 & info [ "h"; "top-h" ] ~docv:"H" ~doc:"Number of possible mappings to derive.")
+  Arg.(value & opt int Protocol.default_h
+       & info [ "h"; "top-h" ] ~docv:"H" ~doc:"Number of possible mappings to derive.")
 
 let tau_arg =
-  Arg.(value & opt float 0.2 & info [ "tau" ] ~docv:"TAU" ~doc:"c-block confidence threshold.")
+  Arg.(value & opt float Protocol.default_tau
+       & info [ "tau" ] ~docv:"TAU" ~doc:"c-block confidence threshold.")
 
 let jobs_arg =
   let jobs_conv =
@@ -109,12 +117,9 @@ let match_cmd =
           (Schema.path_string target c.target))
       (Matching.correspondences m)
   in
-  let d =
-    Arg.(required & pos 0 (some dataset_conv) None & info [] ~docv:"DATASET" ~doc:"D1..D10.")
-  in
   Cmd.v
     (Cmd.info "match" ~doc:"Run the matcher on a dataset and print the scored correspondences.")
-    Term.(const run $ d $ seed_arg $ jobs_arg)
+    Term.(const run $ dataset_pos $ seed_arg $ jobs_arg)
 
 (* ------------------------------ mappings -------------------------- *)
 
@@ -136,13 +141,6 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
-
-let load_mapping_set path =
-  match Uxsm_mapping.Serialize.mapping_set_of_string (read_file path) with
-  | Ok mset -> mset
-  | Error e ->
-    Printf.eprintf "cannot load mapping set from %s: %s\n" path e;
-    exit 1
 
 let mappings_cmd =
   let run d seed h method_ jobs verbose save =
@@ -170,9 +168,6 @@ let mappings_cmd =
             (Mapping.pairs m))
       (Mapping_set.mappings mset)
   in
-  let d =
-    Arg.(required & pos 0 (some dataset_conv) None & info [] ~docv:"DATASET" ~doc:"D1..D10.")
-  in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every correspondence of every mapping.")
   in
@@ -182,7 +177,7 @@ let mappings_cmd =
   in
   Cmd.v
     (Cmd.info "mappings" ~doc:"Derive the top-h possible mappings of a dataset.")
-    Term.(const run $ d $ seed_arg $ h_arg $ method_arg $ jobs_arg $ verbose $ save)
+    Term.(const run $ dataset_pos $ seed_arg $ h_arg $ method_arg $ jobs_arg $ verbose $ save)
 
 (* ------------------------------ blocktree ------------------------- *)
 
@@ -203,24 +198,50 @@ let blocktree_cmd =
         (Block_tree.all_blocks tree)
     end
   in
-  let d =
-    Arg.(required & pos 0 (some dataset_conv) None & info [] ~docv:"DATASET" ~doc:"D1..D10.")
-  in
   let max_b =
-    Arg.(value & opt int 500 & info [ "max-b" ] ~docv:"N" ~doc:"MAX_B: cap on non-leaf c-blocks.")
+    Arg.(value & opt int Block_tree.default_params.max_b
+         & info [ "max-b" ] ~docv:"N" ~doc:"MAX_B: cap on non-leaf c-blocks.")
   in
   let max_f =
-    Arg.(value & opt int 500 & info [ "max-f" ] ~docv:"N" ~doc:"MAX_F: cap on failed attempts.")
+    Arg.(value & opt int Block_tree.default_params.max_f
+         & info [ "max-f" ] ~docv:"N" ~doc:"MAX_F: cap on failed attempts.")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every c-block.") in
   Cmd.v
     (Cmd.info "blocktree" ~doc:"Build and validate the block tree of a dataset's mapping set.")
-    Term.(const run $ d $ seed_arg $ h_arg $ tau_arg $ max_b $ max_f $ verbose)
+    Term.(const run $ dataset_pos $ seed_arg $ h_arg $ tau_arg $ max_b $ max_f $ verbose)
 
-(* -------------------------------- query --------------------------- *)
+(* ------------------------ catalog-backed corpora ------------------- *)
 
-(* Shared by query/stats: evaluator selection and plan printing. [--basic]
-   predates [--evaluator] and stays as an alias for [--evaluator basic]. *)
+(* [query], [stats], [analyze] and [keyword] assemble their corpus the way
+   the server does: an in-process catalog with the dataset (or a saved
+   mapping set) registered under one name, from which they take mapping
+   set, block tree, document and plan. A catalog error (an unreadable
+   mapping file, a malformed pattern) ends the command with one line on
+   stderr and exit code 1. *)
+let cli_corpus = "cli"
+
+let die msg =
+  Printf.eprintf "uxsm: %s\n" msg;
+  exit 1
+
+let or_die = function Ok x -> x | Error e -> die e
+
+let open_corpus ?mappings ~exec ~seed d =
+  let spec =
+    match mappings with
+    | None -> Protocol.From_dataset (d, seed)
+    | Some path -> (
+      match read_file path with
+      | text -> Protocol.From_mapping_set_text text
+      | exception Sys_error e -> die e)
+  in
+  let cat = Catalog.create ~exec () in
+  ignore (or_die (Catalog.register cat ~name:cli_corpus ~doc_seed:Gen_doc.default_seed spec));
+  cat
+
+(* ---------------------------- query / stats ------------------------ *)
+
 let evaluator_arg =
   let ev_conv = Arg.enum [ ("basic", `Basic); ("tree", `Tree); ("auto", `Auto) ] in
   Arg.(value & opt ev_conv `Auto
@@ -228,44 +249,40 @@ let evaluator_arg =
            ~doc:"Physical evaluator: $(b,basic) (Algorithm 3), $(b,tree) (Algorithm 4), or \
                  $(b,auto) (cost-based choice; the default).")
 
-let plan_flag =
-  Arg.(value & flag & info [ "plan" ] ~doc:"Print the compiled query plan before the answers.")
-
-let force_of ~basic ~evaluator = if basic then `Basic else evaluator
-
-let query_cmd =
-  let run d seed h tau k basic evaluator show_plan from jobs query_str =
+(* One term, two reports: [query] prints the consolidated answers, [stats]
+   the metrics-layer snapshot of the whole run. *)
+let ptq_cmd name ~doc report =
+  let run d seed h tau k evaluator show_plan mappings jobs query_str =
     let exec = Executor.of_jobs jobs in
-    let query =
-      match query_str with
-      | Some s -> Uxsm_twig.Pattern_parser.parse_exn s
-      | None -> Queries.q7
+    if report = `Stats then Uxsm_obs.Obs.reset ();
+    let pattern =
+      Option.value query_str ~default:(Uxsm_twig.Pattern.to_string Queries.q7)
     in
-    let mset =
-      match from with
-      | Some path -> load_mapping_set path
-      | None -> Dataset.mapping_set ~seed ~exec ~h d
-    in
-    let doc = Gen_doc.generate (Mapping_set.source mset) in
-    let tree = Block_tree.build ~params:{ Block_tree.tau; max_b = 500; max_f = 500 } mset in
-    let ctx = Ptq.context ~exec ~tree ~mset ~doc () in
+    let cat = open_corpus ?mappings ~exec ~seed d in
+    (* Mapping set and block tree first, so the timed window covers plan
+       compilation and execution only. *)
+    ignore (or_die (Catalog.prepared cat cli_corpus ~h ~tau));
     let t0 = Uxsm_util.Timing.now_mono () in
-    let plan = Ptq.compile ~force:(force_of ~basic ~evaluator) ?k ctx query in
+    let plan = or_die (Catalog.plan cat cli_corpus ~pattern ~h ~tau ~k ~force:evaluator) in
     let answers = Ptq.execute plan in
     let dt = Uxsm_util.Timing.now_mono () -. t0 in
-    Printf.printf "query: %s\n" (Uxsm_twig.Pattern.to_string query);
+    Printf.printf "query: %s\n"
+      (Uxsm_twig.Pattern.to_string (Uxsm_twig.Pattern_parser.parse_exn pattern));
     if show_plan then print_endline (Uxsm_plan.Plan.describe (Ptq.physical plan));
-    Printf.printf "%d relevant mappings; evaluated in %.4fs\n" (List.length answers) dt;
-    List.iter
-      (fun (bindings, p) ->
-        Printf.printf "p=%.3f  %s\n" p
-          (match bindings with
-          | [] -> "(no match)"
-          | _ -> Printf.sprintf "%d matches" (List.length bindings)))
-      (Ptq.consolidate answers)
-  in
-  let d =
-    Arg.(required & pos 0 (some dataset_conv) None & info [] ~docv:"DATASET" ~doc:"D1..D10.")
+    match report with
+    | `Answers ->
+      Printf.printf "%d relevant mappings; evaluated in %.4fs\n" (List.length answers) dt;
+      List.iter
+        (fun (bindings, p) ->
+          Printf.printf "p=%.3f  %s\n" p
+            (match bindings with
+            | [] -> "(no match)"
+            | _ -> Printf.sprintf "%d matches" (List.length bindings)))
+        (Ptq.consolidate answers)
+    | `Stats ->
+      let module Obs = Uxsm_obs.Obs in
+      Printf.printf "%d relevant mappings\n\n" (List.length answers);
+      Format.printf "%a@." Obs.pp_snapshot (Obs.nonzero (Obs.snapshot ()))
   in
   let query_str =
     Arg.(value & pos 1 (some string) None & info [] ~docv:"QUERY"
@@ -274,68 +291,26 @@ let query_cmd =
   let k =
     Arg.(value & opt (some int) None & info [ "k" ] ~docv:"K" ~doc:"Evaluate as a top-k PTQ.")
   in
-  let basic =
-    Arg.(value & flag & info [ "basic" ] ~doc:"Use Algorithm 3 instead of the block tree.")
+  let show_plan =
+    Arg.(value & flag & info [ "plan" ] ~doc:"Print the compiled query plan before the answers.")
   in
-  let from =
+  let mappings =
     Arg.(value & opt (some string) None & info [ "mappings" ] ~docv:"FILE"
-           ~doc:"Load the mapping set from FILE (see $(b,mappings --save)) instead of generating it.")
+           ~doc:"Take the matching from a saved mapping set (see $(b,mappings --save)) \
+                 instead of running the matcher; the top-$(b,h) mappings are derived \
+                 from it.")
   in
-  Cmd.v
-    (Cmd.info "query" ~doc:"Answer a probabilistic twig query on a dataset.")
-    Term.(const run $ d $ seed_arg $ h_arg $ tau_arg $ k $ basic $ evaluator_arg $ plan_flag
-          $ from $ jobs_arg $ query_str)
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ dataset_pos $ seed_arg $ h_arg $ tau_arg $ k $ evaluator_arg $ show_plan
+          $ mappings $ jobs_arg $ query_str)
 
-(* -------------------------------- stats --------------------------- *)
+let query_cmd = ptq_cmd "query" ~doc:"Answer a probabilistic twig query on a dataset." `Answers
 
 let stats_cmd =
-  let run d seed h tau k basic evaluator show_plan from jobs query_str =
-    let module Obs = Uxsm_obs.Obs in
-    let exec = Executor.of_jobs jobs in
-    Obs.reset ();
-    let query =
-      match query_str with
-      | Some s -> Uxsm_twig.Pattern_parser.parse_exn s
-      | None -> Queries.q7
-    in
-    let mset =
-      match from with
-      | Some path -> load_mapping_set path
-      | None -> Dataset.mapping_set ~seed ~exec ~h d
-    in
-    let doc = Gen_doc.generate (Mapping_set.source mset) in
-    let tree = Block_tree.build ~params:{ Block_tree.tau; max_b = 500; max_f = 500 } mset in
-    let ctx = Ptq.context ~exec ~tree ~mset ~doc () in
-    let plan = Ptq.compile ~force:(force_of ~basic ~evaluator) ?k ctx query in
-    let answers = Ptq.execute plan in
-    Printf.printf "query: %s\n" (Uxsm_twig.Pattern.to_string query);
-    if show_plan then print_endline (Uxsm_plan.Plan.describe (Ptq.physical plan));
-    Printf.printf "%d relevant mappings\n\n" (List.length answers);
-    Format.printf "%a@." Obs.pp_snapshot (Obs.nonzero (Obs.snapshot ()))
-  in
-  let d =
-    Arg.(required & pos 0 (some dataset_conv) None & info [] ~docv:"DATASET" ~doc:"D1..D10.")
-  in
-  let query_str =
-    Arg.(value & pos 1 (some string) None & info [] ~docv:"QUERY"
-           ~doc:"Twig query (Table III syntax); defaults to Q7.")
-  in
-  let k =
-    Arg.(value & opt (some int) None & info [ "k" ] ~docv:"K" ~doc:"Evaluate as a top-k PTQ.")
-  in
-  let basic =
-    Arg.(value & flag & info [ "basic" ] ~doc:"Use Algorithm 3 instead of the block tree.")
-  in
-  let from =
-    Arg.(value & opt (some string) None & info [ "mappings" ] ~docv:"FILE"
-           ~doc:"Load the mapping set from FILE instead of generating it.")
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:"Answer a query like $(b,query), then print the metrics-layer snapshot (counters and \
-             spans of mapping generation, block-tree construction and PTQ evaluation).")
-    Term.(const run $ d $ seed_arg $ h_arg $ tau_arg $ k $ basic $ evaluator_arg $ plan_flag
-          $ from $ jobs_arg $ query_str)
+  ptq_cmd "stats"
+    ~doc:"Answer a query like $(b,query), then print the metrics-layer snapshot (counters and \
+          spans of mapping generation, block-tree construction and PTQ evaluation)."
+    `Stats
 
 (* --------------------------------- doc ---------------------------- *)
 
@@ -424,7 +399,8 @@ let xsd_match_cmd =
 
 let analyze_cmd =
   let run d seed h tau query_str =
-    let mset = Dataset.mapping_set ~seed ~h d in
+    let cat = open_corpus ~exec:Executor.sequential ~seed d in
+    let mset, tree = or_die (Catalog.prepared cat cli_corpus ~h ~tau) in
     let module Metrics = Uxsm_mapping.Metrics in
     Printf.printf "mapping set: |M|=%d, o-ratio=%.3f\n" (Mapping_set.size mset)
       (Mapping_set.average_o_ratio mset);
@@ -436,15 +412,12 @@ let analyze_cmd =
     List.iter
       (fun (a, c) -> Printf.printf "  %d -> %d\n" a c)
       (Metrics.ambiguity_histogram mset);
-    let tree = Block_tree.build ~params:{ Block_tree.tau; max_b = 500; max_f = 500 } mset in
     Printf.printf "block tree: %s\n" (Format.asprintf "%a" Block_tree.pp_stats tree);
     match query_str with
     | None -> ()
     | Some qs ->
-      let q = Uxsm_twig.Pattern_parser.parse_exn qs in
-      let doc = Gen_doc.generate (Mapping_set.source mset) in
-      let ctx = Ptq.context ~tree ~mset ~doc () in
-      let stats, answers = Ptq.explain ctx q in
+      let plan = or_die (Catalog.plan cat cli_corpus ~pattern:qs ~h ~tau ~k:None ~force:`Auto) in
+      let stats, answers = Ptq.explain_plan plan in
       Printf.printf "query %s:\n" qs;
       print_endline (Uxsm_plan.Plan.describe stats.Ptq.plan);
       Printf.printf
@@ -454,9 +427,6 @@ let analyze_cmd =
         stats.Ptq.joins;
       Printf.printf "  distinct answer sets: %d\n" (List.length (Ptq.consolidate answers))
   in
-  let d =
-    Arg.(required & pos 0 (some dataset_conv) None & info [] ~docv:"DATASET" ~doc:"D1..D10.")
-  in
   let query_str =
     Arg.(value & pos 1 (some string) None & info [] ~docv:"QUERY"
            ~doc:"Optional twig query to EXPLAIN.")
@@ -464,16 +434,16 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Report uncertainty metrics of a dataset's mapping set, and optionally EXPLAIN a query.")
-    Term.(const run $ d $ seed_arg $ h_arg $ tau_arg $ query_str)
+    Term.(const run $ dataset_pos $ seed_arg $ h_arg $ tau_arg $ query_str)
 
 (* ------------------------------- keyword -------------------------- *)
 
 let keyword_cmd =
   let run d seed h jobs terms =
     let exec = Executor.of_jobs jobs in
-    let mset = Dataset.mapping_set ~seed ~exec ~h d in
-    let doc = Gen_doc.generate (Mapping_set.source mset) in
-    let tree = Block_tree.build mset in
+    let cat = open_corpus ~exec ~seed d in
+    let mset, tree = or_die (Catalog.prepared cat cli_corpus ~h ~tau:Protocol.default_tau) in
+    let doc = or_die (Catalog.doc cat cli_corpus) in
     let ctx = Ptq.context ~exec ~tree ~mset ~doc () in
     let hits = Uxsm_ptq.Keyword.search ctx terms in
     if hits = [] then print_endline "no interpretation has answers"
@@ -492,15 +462,12 @@ let keyword_cmd =
             hit.Uxsm_ptq.Keyword.answers)
         hits
   in
-  let d =
-    Arg.(required & pos 0 (some dataset_conv) None & info [] ~docv:"DATASET" ~doc:"D1..D10.")
-  in
   let terms =
     Arg.(non_empty & pos_right 0 string [] & info [] ~docv:"TERM" ~doc:"Keywords.")
   in
   Cmd.v
     (Cmd.info "keyword" ~doc:"Keyword search over a dataset's uncertain matching.")
-    Term.(const run $ d $ seed_arg $ h_arg $ jobs_arg $ terms)
+    Term.(const run $ dataset_pos $ seed_arg $ h_arg $ jobs_arg $ terms)
 
 (* ------------------------------- serve ---------------------------- *)
 
@@ -522,11 +489,10 @@ let tcp_conv =
 let serve_cmd =
   let run socket tcp stdio max_queue jobs cache_entries corpora seed =
     let module Server = Uxsm_server.Server in
-    let module Protocol = Uxsm_server.Protocol in
     let srv = Server.create ~cache_entries ~exec:(Executor.of_jobs jobs) () in
     let register (name, d) =
       match
-        Uxsm_server.Catalog.register (Server.catalog srv) ~name ~doc_seed:7
+        Catalog.register (Server.catalog srv) ~name ~doc_seed:Gen_doc.default_seed
           (Protocol.From_dataset (d, seed))
       with
       | Ok _ -> Printf.eprintf "registered corpus %s from dataset %s\n%!" name d.Dataset.id
@@ -724,7 +690,6 @@ let client_cmd =
 
 let update_cmd =
   let module Json = Uxsm_util.Json in
-  let module Protocol = Uxsm_server.Protocol in
   let run socket tcp corpus set remove add_source add_target =
     let delta =
       {

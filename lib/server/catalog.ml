@@ -36,15 +36,11 @@ type plan_key = {
 }
 
 type key =
-  | K_matching of string
-  | K_doc of string
   | K_mset of string * int
   | K_tree of string * int * float
   | K_plan of plan_key
 
 let key_string = function
-  | K_matching c -> Printf.sprintf "matching/%s" c
-  | K_doc c -> Printf.sprintf "doc/%s" c
   | K_mset (c, h) -> Printf.sprintf "mset/%s/h=%d" c h
   | K_tree (c, h, tau) -> Printf.sprintf "tree/%s/h=%d/tau=%g" c h tau
   | K_plan p ->
@@ -56,8 +52,6 @@ let key_string = function
       p.pk_pattern
 
 type artifact =
-  | A_matching of Matching.t
-  | A_doc of Uxsm_xml.Doc.t
   | A_mset of Mapping_set.t
   | A_tree of Mapping_set.t * Block_tree.t
       (** the tree pins its mapping set so a cached tree answers queries
@@ -67,21 +61,22 @@ type artifact =
           (mapping set, block tree, documents), so executions survive the
           eviction of the artifacts it was compiled from *)
 
+(* A registered corpus: its matching (as maintained by updates) and the
+   document generated from its source schema. Both are pinned here, never
+   evicted; the LRU holds only what derives from them. *)
 type entry = {
   spec : Protocol.source_spec;
   doc_seed : int;
   doc_nodes : int option;
-  deltas : Matching.delta list;
-      (* updates applied since registration, in order; an evicted matching
-         rebuilds from the spec and replays these, so eviction-rebuild
-         reproduces the maintained corpus, not the original one *)
+  matching : Matching.t;
+  doc : Uxsm_xml.Doc.t;
 }
 
 (* One shard per corpus. Every cache key names exactly one corpus, so a
-   corpus's artifacts, its spec and the lock that guards their
+   corpus's artifacts, its entry and the lock that guards their
    construction live together: concurrent clients querying different
    corpora touch different shards and never serialize against each other.
-   The spec is an atomic (readable by the corpora listing without the
+   The entry is an atomic (readable by the corpora listing without the
    shard lock); the LRU structure is owned by [sh_lock]. *)
 type shard = {
   sh_lock : Locks.t;
@@ -173,58 +168,27 @@ let entry_locked sh name =
   | Some e -> e
   | None -> failf "unknown corpus %S (register it first)" name
 
-let build_matching t (e : entry) =
-  let base =
-    match e.spec with
-    | Protocol.From_dataset (d, seed) -> Dataset.matching ~seed ~exec:t.exec d
-    | Protocol.From_matching_text text -> (
-      match Serialize.matching_of_string text with
-      | Ok m -> m
-      | Error msg -> failf "bad matching text: %s" msg)
-    | Protocol.From_mapping_set_text text -> (
-      match Serialize.mapping_set_of_string text with
-      | Ok mset -> Mapping_set.matching mset
-      | Error msg -> failf "bad mapping-set text: %s" msg)
-  in
-  List.fold_left
-    (fun m d ->
-      match Matching.apply_delta d m with
-      | Ok m -> m
-      | Error msg -> failf "replaying a stored update failed: %s" msg)
-    base e.deltas
+let build_matching t = function
+  | Protocol.From_dataset (d, seed) -> Dataset.matching ~seed ~exec:t.exec d
+  | Protocol.From_matching_text text -> (
+    match Serialize.matching_of_string text with
+    | Ok m -> m
+    | Error msg -> failf "bad matching text: %s" msg)
+  | Protocol.From_mapping_set_text text -> (
+    match Serialize.mapping_set_of_string text with
+    | Ok mset -> Mapping_set.matching mset
+    | Error msg -> failf "bad mapping-set text: %s" msg)
 
-let matching_locked t sh name =
-  let key = K_matching name in
-  match cache_get sh key with
-  | Some (A_matching m) -> m
-  | _ ->
-    let e = entry_locked sh name in
-    let m = Obs.time s_build (fun () -> build_matching t e) in
-    cache_put sh key (A_matching m);
-    m
-
-let doc_locked t sh name =
-  let key = K_doc name in
-  match cache_get sh key with
-  | Some (A_doc d) -> d
-  | _ ->
-    let e = entry_locked sh name in
-    let source = Matching.source (matching_locked t sh name) in
-    let d =
-      Obs.time s_build (fun () ->
-          match e.doc_nodes with
-          | Some n -> Gen_doc.generate ~seed:e.doc_seed ~target_nodes:n source
-          | None -> Gen_doc.generate ~seed:e.doc_seed source)
-    in
-    cache_put sh key (A_doc d);
-    d
+let generate_doc ~doc_seed ~doc_nodes m =
+  Obs.time s_build (fun () ->
+      Gen_doc.generate ~seed:doc_seed ?target_nodes:doc_nodes (Matching.source m))
 
 let mset_locked t sh name ~h =
   let key = K_mset (name, h) in
   match cache_get sh key with
   | Some (A_mset s) -> s
   | _ ->
-    let m = matching_locked t sh name in
+    let m = (entry_locked sh name).matching in
     let s = Obs.time s_build (fun () -> Mapping_set.generate ~exec:t.exec ~h m) in
     cache_put sh key (A_mset s);
     s
@@ -237,7 +201,7 @@ let tree_locked t sh name ~h ~tau =
     let s = mset_locked t sh name ~h in
     let tr =
       Obs.time s_build (fun () ->
-          Block_tree.build ~params:{ Block_tree.tau; max_b = 500; max_f = 500 } s)
+          Block_tree.build ~params:{ Block_tree.default_params with tau } s)
     in
     cache_put sh key (A_tree (s, tr));
     (s, tr)
@@ -260,7 +224,7 @@ let plan_locked t sh name ~pattern ~h ~tau ~k ~force =
       | Error e -> failf "bad query %S: %s" pattern e
     in
     let mset, tree = tree_locked t sh name ~h ~tau in
-    let doc = doc_locked t sh name in
+    let doc = (entry_locked sh name).doc in
     let ctx = Ptq.context ~exec:t.exec ~tree ~mset ~doc () in
     let p = Obs.time s_build (fun () -> Ptq.compile ~force ?k ctx q) in
     cache_put sh key (A_plan p);
@@ -278,25 +242,19 @@ let with_shard t name f =
   | None -> failf "unknown corpus %S (register it first)" name
   | Some sh -> with_lock sh.sh_lock (fun () -> f sh)
 
+(* Build first, then swap the entry in: a spec that does not build leaves
+   the previous corpus (or no corpus) in place. Replacing a corpus must not
+   leave stale derivations behind; the whole shard cache belongs to it, so
+   the swap clears it. *)
 let register t ~name ~doc_seed ?doc_nodes spec =
   wrap (fun () ->
       let sh = shard_find_or_create t name in
       with_lock sh.sh_lock (fun () ->
-          (* Replacing a spec must not leave stale derivations behind; the
-             whole shard cache belongs to this corpus, so clear it. *)
-          let previous = Atomic.get sh.sh_entry in
-          if previous <> None then Lru.clear sh.sh_cache;
-          Atomic.set sh.sh_entry (Some { spec; doc_seed; doc_nodes; deltas = [] });
-          try
-            let m = matching_locked t sh name in
-            let d = doc_locked t sh name in
-            (m, d)
-          with e ->
-            (* A spec that does not build must not shadow the old corpus
-               (or register at all), nor leave partial derivations cached. *)
-            Lru.clear sh.sh_cache;
-            Atomic.set sh.sh_entry previous;
-            raise e))
+          let matching = Obs.time s_build (fun () -> build_matching t spec) in
+          let doc = generate_doc ~doc_seed ~doc_nodes matching in
+          Lru.clear sh.sh_cache;
+          Atomic.set sh.sh_entry (Some { spec; doc_seed; doc_nodes; matching; doc });
+          (matching, doc)))
 
 type update_stats = {
   u_capacity : int;
@@ -311,26 +269,21 @@ type update_stats = {
 (* Apply a delta to a registered corpus, patching every cached artifact in
    place instead of evicting it. Two phases under the shard lock: a patch
    phase that computes every replacement artifact (raising on a bad delta
-   with the cache untouched), then a non-raising commit phase that swaps
-   the replacements in, appends the delta to the entry (so an eviction
-   rebuild replays it) and drops the corpus' prepared plans — the only
-   artifacts not worth patching, since compilation is cheap next to the
-   derivations and a plan pins its whole stale context. *)
+   with the corpus untouched), then a non-raising commit phase that puts
+   the new matching (and document) into the entry, swaps the patched
+   artifacts in and drops the corpus' prepared plans — the only artifacts
+   not worth patching, since compilation is cheap next to the derivations
+   and a plan pins its whole stale context. *)
 let update t ~name delta =
   wrap (fun () ->
       with_shard t name (fun sh ->
           Obs.time s_update @@ fun () ->
           if Matching.delta_is_empty delta then failf "update %S: empty delta" name;
           let e = entry_locked sh name in
-          let m_old = matching_locked t sh name in
           let m_new =
-            match Matching.apply_delta delta m_old with
+            match Matching.apply_delta delta e.matching with
             | Ok m -> m
             | Error msg -> failf "update %S: %s" name msg
-          in
-          let source_grew =
-            Uxsm_schema.Schema.size (Matching.source m_new)
-            <> Uxsm_schema.Schema.size (Matching.source m_old)
           in
           let keys = Lru.keys sh.sh_cache in
           let patched_msets =
@@ -370,29 +323,25 @@ let update t ~name delta =
           (* The generated document depends only on the source schema (and
              the entry's seed), so it is rebuilt only when the delta grew
              that schema. *)
-          let doc' =
-            if source_grew && List.exists (function K_doc _ -> true | _ -> false) keys then
-              Some
-                (Obs.time s_build (fun () ->
-                     let source = Matching.source m_new in
-                     match e.doc_nodes with
-                     | Some n -> Gen_doc.generate ~seed:e.doc_seed ~target_nodes:n source
-                     | None -> Gen_doc.generate ~seed:e.doc_seed source))
-            else None
+          let doc_rebuilt =
+            Uxsm_schema.Schema.size (Matching.source m_new)
+            <> Uxsm_schema.Schema.size (Matching.source e.matching)
+          in
+          let doc =
+            if doc_rebuilt then generate_doc ~doc_seed:e.doc_seed ~doc_nodes:e.doc_nodes m_new
+            else e.doc
           in
           let plan_keys = List.filter (function K_plan _ -> true | _ -> false) keys in
           (* Commit. *)
-          Atomic.set sh.sh_entry (Some { e with deltas = e.deltas @ [ delta ] });
-          cache_put sh (K_matching name) (A_matching m_new);
+          Atomic.set sh.sh_entry (Some { e with matching = m_new; doc });
           List.iter (fun (_, key, s') -> cache_put sh key (A_mset s')) patched_msets;
           List.iter (fun (key, s', tr') -> cache_put sh key (A_tree (s', tr'))) patched_trees;
-          (match doc' with Some d -> cache_put sh (K_doc name) (A_doc d) | None -> ());
           List.iter (fun k -> Lru.remove sh.sh_cache k) plan_keys;
           Obs.incr c_updates;
           Obs.add c_upd_msets (List.length patched_msets);
           Obs.add c_upd_trees (List.length patched_trees);
           Obs.add c_upd_plans (List.length plan_keys);
-          if doc' <> None then Obs.incr c_upd_docs;
+          if doc_rebuilt then Obs.incr c_upd_docs;
           {
             u_capacity = Matching.capacity m_new;
             u_source_elements = Uxsm_schema.Schema.size (Matching.source m_new);
@@ -400,7 +349,7 @@ let update t ~name delta =
             u_msets_patched = List.length patched_msets;
             u_trees_patched = List.length patched_trees;
             u_plans_invalidated = List.length plan_keys;
-            u_doc_rebuilt = doc' <> None;
+            u_doc_rebuilt = doc_rebuilt;
           }))
 
 let corpora t =
@@ -412,8 +361,8 @@ let corpora t =
       Option.map (fun e -> (name, spec_description e.spec)) (Atomic.get sh.sh_entry))
     (shards_sorted t)
 
-let matching t name = wrap (fun () -> with_shard t name (fun sh -> matching_locked t sh name))
-let doc t name = wrap (fun () -> with_shard t name (fun sh -> doc_locked t sh name))
+let matching t name = wrap (fun () -> with_shard t name (fun sh -> (entry_locked sh name).matching))
+let doc t name = wrap (fun () -> with_shard t name (fun sh -> (entry_locked sh name).doc))
 
 let mapping_set t name ~h =
   wrap (fun () -> with_shard t name (fun sh -> mset_locked t sh name ~h))

@@ -1,18 +1,22 @@
 (** The server's prepared-artifact catalog: named corpora plus one shared
-    LRU cache of everything derived from them.
+    LRU cache of everything derived from them. It is the one place a
+    corpus is assembled: the server and the CLI's [query], [stats],
+    [analyze] and [keyword] commands all go through it.
 
     A corpus is registered from a {!Protocol.source_spec} (a Table II
-    dataset, serialized matching text, or serialized mapping-set text) and
-    is stored as that cheap spec; every derived artifact — the scored
-    matching, the generated source document, each top-h mapping set, each
-    (h, τ) block tree — lives in the LRU under a structured {!key}, so the
-    expensive pipeline runs once per key and repeat queries are served from
-    cache. An evicted artifact is rebuilt deterministically from the spec
-    on next use (same seed, same algorithms), so eviction affects latency,
-    never answers.
+    dataset, serialized matching text, or serialized mapping-set text).
+    Registration builds the corpus: its scored matching and the document
+    generated from its source schema. Both are pinned in the corpus entry
+    for as long as the corpus is registered — never evicted. Everything
+    derived from them — each top-h mapping set, each (h, τ) block tree,
+    each compiled plan — lives in the LRU under a structured {!key}, so the
+    expensive pipeline runs once per key and repeat queries are served
+    from cache. An evicted artifact is rebuilt deterministically from the
+    entry's matching on next use (same algorithms), so eviction affects
+    latency, never answers.
 
     {b Concurrency: per-corpus shards.} The catalog is sharded by corpus:
-    each corpus owns a shard holding its spec, its own LRU (capacity
+    each corpus owns a shard holding its entry, its own LRU (capacity
     [cache_entries] {e per corpus}) and its own mutex. Every cache key
     names exactly one corpus, so concurrent clients querying different
     corpora build and hit cache in parallel; requests for the same corpus
@@ -20,7 +24,7 @@
     loser waits). The global lock guards only the name → shard map and is
     never held across a build, so lock acquisition never nests and cannot
     deadlock. Monitoring reads ({!cache_stats}, {!cache_length},
-    {!corpora}) use atomic counters/spec cells and stay responsive while a
+    {!corpora}) use atomic counters/entry cells and stay responsive while a
     shard is mid-build; {!cache_keys} briefly takes each shard lock. *)
 
 type plan_key = {
@@ -34,8 +38,6 @@ type plan_key = {
 }
 
 type key =
-  | K_matching of string  (** corpus name *)
-  | K_doc of string
   | K_mset of string * int  (** corpus, h *)
   | K_tree of string * int * float  (** corpus, h, τ *)
   | K_plan of plan_key  (** compiled query plan *)
@@ -63,9 +65,10 @@ val register :
   ?doc_nodes:int ->
   Protocol.source_spec ->
   (Uxsm_mapping.Matching.t * Uxsm_xml.Doc.t, string) result
-(** Validate the spec by building (and caching) its matching and document.
-    Re-registering a name replaces the spec and invalidates every cached
-    artifact of that corpus. *)
+(** Build the spec's matching and document and pin them as the corpus.
+    Re-registering a name replaces the corpus and invalidates every cached
+    artifact of it; a spec that does not build ([Error]) leaves the
+    previous corpus, if any, in place. *)
 
 val corpora : t -> (string * string) list
 (** Registered corpora as [(name, spec description)], sorted by name. *)
@@ -90,9 +93,9 @@ val update :
     dirty subtrees rebuilt), and the generated document is regenerated
     only when the delta grew the source schema. Prepared plans of the
     corpus are dropped rather than patched — compilation is cheap and a
-    plan pins its entire stale context. The delta is appended to the
-    corpus entry, so an artifact evicted later rebuilds to the maintained
-    state (spec + replay), never the original one.
+    plan pins its entire stale context. The patched matching and document
+    replace the corpus entry's, so an artifact evicted later rebuilds to
+    the maintained state, never the original one.
 
     Runs entirely under the corpus' shard lock with compute-then-commit
     discipline: a rejected delta ([Error]) leaves the corpus and its cache
@@ -100,9 +103,11 @@ val update :
     serialized against an update. *)
 
 val matching : t -> string -> (Uxsm_mapping.Matching.t, string) result
-(** [Error] when the corpus is unknown or its spec no longer builds. *)
+(** The corpus' matching, as maintained by {!update}s. [Error] when the
+    corpus is unknown. *)
 
 val doc : t -> string -> (Uxsm_xml.Doc.t, string) result
+(** The corpus' generated source document. *)
 
 val mapping_set : t -> string -> h:int -> (Uxsm_mapping.Mapping_set.t, string) result
 
@@ -113,7 +118,8 @@ val prepared :
   tau:float ->
   (Uxsm_mapping.Mapping_set.t * Uxsm_blocktree.Block_tree.t, string) result
 (** The full pipeline product for one (corpus, h, τ): the top-h mapping set
-    and its block tree (built with the CLI's MAX_B = MAX_F = 500). *)
+    and its block tree (built with {!Uxsm_blocktree.Block_tree.default_params}'s
+    MAX_B and MAX_F). *)
 
 val plan :
   t ->

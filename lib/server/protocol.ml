@@ -37,8 +37,7 @@ type envelope = {
 }
 
 let default_h = 100
-let default_tau = 0.2
-let default_doc_seed = 7
+let default_tau = Uxsm_blocktree.Block_tree.default_params.tau
 
 let op_name = function
   | Ping -> "ping"
@@ -115,7 +114,7 @@ let register_of j =
           (fun id ->
             match Dataset.find id with
             | Some d ->
-              let seed = Option.value ~default:42 (int_opt op "seed" j) in
+              let seed = Option.value ~default:Dataset.default_seed (int_opt op "seed" j) in
               From_dataset (d, seed)
             | None -> failf "%s: unknown dataset %S (D1..D10)" op id)
           (str_opt op "dataset" j);
@@ -129,7 +128,8 @@ let register_of j =
       {
         name;
         spec;
-        doc_seed = Option.value ~default:default_doc_seed (int_opt op "doc_seed" j);
+        doc_seed =
+          Option.value ~default:Uxsm_workload.Gen_doc.default_seed (int_opt op "doc_seed" j);
         doc_nodes = positive op "doc_nodes" (int_opt op "doc_nodes" j);
       }
   | [] -> failf "%s: need one of \"dataset\", \"matching\", \"mapping_set\"" op

@@ -82,7 +82,8 @@ val default_h : int
 (** 100 — the paper's default [|M|]. *)
 
 val default_tau : float
-(** 0.2 — the paper's default confidence threshold. *)
+(** 0.2 — the paper's default confidence threshold
+    ({!Uxsm_blocktree.Block_tree.default_params}'s τ). *)
 
 val op_name : request -> string
 (** The wire name: ["ping"], ["register"], ["match"], ["mappings"],

@@ -46,7 +46,9 @@ let matching_cache : (string * int, Uxsm_mapping.Matching.t) Hashtbl.t = Hashtbl
 (* [exec] is deliberately absent from the cache keys below: every backend
    produces bit-identical results (see Uxsm_exec.Executor), so a hit cached
    under one backend is a valid answer under any other. *)
-let matching ?(seed = 42) ?(exec = Uxsm_exec.Executor.sequential) d =
+let default_seed = 42
+
+let matching ?(seed = default_seed) ?(exec = Uxsm_exec.Executor.sequential) d =
   Uxsm_util.Locks.with_lock matching_lock @@ fun () ->
   match Hashtbl.find_opt matching_cache (d.id, seed) with
   | Some m -> m
@@ -66,7 +68,7 @@ let mset_lock =
 let mset_cache : (string * int * int * bool, Uxsm_mapping.Mapping_set.t) Hashtbl.t =
   Hashtbl.create 16
 
-let mapping_set ?(seed = 42) ?(method_ = Uxsm_mapping.Mapping_set.Partitioned)
+let mapping_set ?(seed = default_seed) ?(method_ = Uxsm_mapping.Mapping_set.Partitioned)
     ?(exec = Uxsm_exec.Executor.sequential) ~h d =
   let key = (d.id, seed, h, method_ = Uxsm_mapping.Mapping_set.Partitioned) in
   Uxsm_util.Locks.with_lock mset_lock @@ fun () ->

@@ -22,6 +22,10 @@ val find : string -> t option
 val d7 : t
 (** The paper's default analysis dataset (XCBL → Apertum, capacity 226). *)
 
+val default_seed : int
+(** 42 — the schema-generation seed of every dataset unless a caller picks
+    another. *)
+
 val matching : ?seed:int -> ?exec:Uxsm_exec.Executor.t -> t -> Uxsm_mapping.Matching.t
 (** Generate the dataset's matching (memoized per [(id, seed)] — schema
     generation is cheap but XCBL-sized matcher runs are not). [exec]

@@ -44,7 +44,9 @@ let plan_copies schema target =
     repeatables;
   extra
 
-let generate ?(seed = 7) ?(target_nodes = 3473) schema =
+let default_seed = 7
+
+let generate ?(seed = default_seed) ?(target_nodes = 3473) schema =
   let prng = Prng.create seed in
   let extra = plan_copies schema target_nodes in
   let rec instantiate e =

@@ -8,9 +8,13 @@
     label heuristics (cities for [City], person names for [Name], numbers
     for ids/quantities/prices, ...), deterministically from the seed. *)
 
+val default_seed : int
+(** 7 — the seed of every generated source document unless a caller (a
+    [register] request's ["doc_seed"]) picks another. *)
+
 val generate :
   ?seed:int -> ?target_nodes:int -> Uxsm_schema.Schema.t -> Uxsm_xml.Doc.t
-(** [generate schema] — default [seed 7], [target_nodes 3473]. When the
+(** [generate schema] — default seed {!default_seed}, [target_nodes 3473]. When the
     schema has no repeatable elements, or the target is below the schema
     size, the single-instance document is returned. *)
 

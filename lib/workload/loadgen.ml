@@ -128,7 +128,7 @@ module Profile = struct
       {
         c_name = str "name" j;
         c_dataset = str "dataset" j;
-        c_seed = opt ~default:42 Json.to_int "an integer" "seed" j;
+        c_seed = opt ~default:Dataset.default_seed Json.to_int "an integer" "seed" j;
       }
     in
     if String.trim c.c_name = "" then failf "corpus name must be non-empty";

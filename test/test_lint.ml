@@ -4,6 +4,7 @@
    temporary files. *)
 
 module Lint = Uxsm_lint_core.Lint_core
+module Lint_locks = Uxsm_lint_core.Lint_locks
 module Json = Uxsm_util.Json
 
 (* Fixture annotations are assembled at runtime: the repo's own lint pass
@@ -343,6 +344,44 @@ let test_catalog_corpora_sorted () =
     [ "alpha"; "midway"; "zeta" ]
     (List.map fst (Uxsm_server.Catalog.corpora cat))
 
+(* ------------------------- lock analysis ------------------------- *)
+
+(* A bare name bound by a local [let] or a parameter is that local value,
+   not the same-file top-level function it shadows. Read as calls, the
+   shadowed [matching] and [doc] below would acquire the rank-14 map lock
+   and re-acquire the rank-20 shard lock while the shard lock is held. *)
+let test_locks_shadowing () =
+  let fixture register =
+    [
+      ( "lib/fake/cat.ml",
+        String.concat "\n"
+          ([
+             "module Locks = Uxsm_util.Locks";
+             "let map_lock = Locks.create ~name:\"fake.map\" ~rank:14";
+             "let shard_lock = Locks.create ~name:\"fake.shard\" ~rank:20";
+             "let matching () = Locks.with_lock map_lock (fun () -> 1)";
+             "let doc () = Locks.with_lock shard_lock (fun () -> 2)";
+           ]
+          @ register) );
+    ]
+  in
+  check_rules "shadowing let and parameter are local values" []
+    (Lint_locks.analyze_sources
+       (fixture
+          [
+            "let register doc =";
+            "  Locks.with_lock shard_lock (fun () ->";
+            "      let matching = doc + 1 in";
+            "      matching)";
+          ]));
+  check_rules "the unshadowed calls are still flagged" [ "lock-order"; "lock-order" ]
+    (Lint_locks.analyze_sources
+       (fixture
+          [
+            "let register () =";
+            "  Locks.with_lock shard_lock (fun () -> matching () + doc ())";
+          ]))
+
 let test_aggregate_distribution_sorted () =
   let ctx = Ptq_helpers.fig_ctx () in
   let q = Uxsm_twig.Pattern_parser.parse_exn "ORDER/SP" in
@@ -377,6 +416,7 @@ let suite =
     Alcotest.test_case "parse error is a finding" `Quick test_parse_error;
     Alcotest.test_case "baseline grandfathers findings" `Quick test_baseline;
     Alcotest.test_case "json report and summary" `Quick test_json_report;
+    Alcotest.test_case "locks: shadowed names resolve locally" `Quick test_locks_shadowing;
     Alcotest.test_case "regression: consolidate order-stable" `Quick
       test_consolidate_order_stable;
     Alcotest.test_case "regression: marginals order-stable" `Quick

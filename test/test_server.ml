@@ -453,13 +453,14 @@ let test_query_amortization () =
   | None -> Alcotest.fail "stats carries no cache section")
 
 let test_cache_eviction_rebuilds () =
-  (* A capacity-2 cache cannot hold matching + doc + mset + tree + plan at
-     once, so artifacts are rebuilt after eviction — answers stay
-     identical, only the work repeats. A repeated identical query executes
-     its cached plan (which pins its own context), so a *different* plan
-     key is what forces the evicted artifacts to rebuild. *)
+  (* A capacity-1 cache cannot hold mset + tree + plan at once (matching
+     and document live in the corpus entry, outside the LRU), so artifacts
+     are rebuilt after eviction — answers stay identical, only the work
+     repeats. A repeated identical query executes its cached plan (which
+     pins its own context), so a *different* plan key is what forces the
+     evicted artifacts to rebuild. *)
   Obs.reset ();
-  let srv = Server.create ~cache_entries:2 () in
+  let srv = Server.create ~cache_entries:1 () in
   assert_ok "register" (response_of_line srv (register_line "fig3"));
   let q = {|{"op":"query","corpus":"fig3","query":"ORDER//ICN","h":5}|} in
   let r1 = Server.handle_line srv q in
@@ -479,7 +480,7 @@ let test_cache_eviction_rebuilds () =
   let stats = response_of_line srv {|{"op":"stats"}|} in
   (match Json.member "cache" stats with
   | Some cache ->
-    Alcotest.(check int) "population bounded" 2 (int_member "entries" cache);
+    Alcotest.(check int) "population bounded" 1 (int_member "entries" cache);
     Alcotest.(check bool) "evictions happened" true (int_member "evictions" cache > 0)
   | None -> Alcotest.fail "stats carries no cache section");
   Alcotest.(check bool) "tree rebuilt after eviction" true
@@ -557,9 +558,9 @@ let test_update_with_schema_growth () =
     (Server.handle_line srv2 q) (Server.handle_line srv q)
 
 let test_update_survives_eviction () =
-  (* A capacity-2 cache evicts the patched artifacts; the rebuild replays
-     the stored delta, so answers keep matching a server that never
-     evicted anything. *)
+  (* A capacity-2 cache evicts the patched artifacts; the rebuild starts
+     from the corpus entry's updated matching, so answers keep matching a
+     server that never evicted anything. *)
   let srv = Server.create ~cache_entries:2 () in
   let big = Server.create ~cache_entries:16 () in
   List.iter

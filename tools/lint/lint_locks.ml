@@ -406,8 +406,34 @@ type wstate = {
   env : env;
   node : node;  (* events accumulate here *)
   mutable held : held;
+  mutable bound : string list;  (* names bound by enclosing lets, parameters, patterns *)
   sub_count : int ref;  (* per-file lambda sub-node counter *)
 }
+
+(* The value names a pattern binds. *)
+let pat_vars p =
+  let acc = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      pat =
+        (fun self p ->
+          (match p.ppat_desc with
+          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) -> acc := txt :: !acc
+          | _ -> ());
+          Ast_iterator.default_iterator.pat self p);
+    }
+  in
+  it.pat it p;
+  !acc
+
+(* Resolve a path at a use site. A bare name bound by an enclosing let,
+   parameter or pattern is a local value, never a same-file top-level
+   binding it happens to shadow. *)
+let resolve_at st p =
+  match p with
+  | [ v ] when List.mem v st.bound -> None
+  | _ -> resolve_node st.env ~file:st.node.nd_file p
 
 let key_of_lock_expr e =
   match (strip e).pexp_desc with
@@ -496,10 +522,19 @@ let rec walk st e =
     let f, args = normalize_apply f args in
     handle_apply st f args e.pexp_loc
   | Pexp_ident { txt; _ } -> ident_occurrence st (path_of txt) e.pexp_loc
-  | Pexp_fun (_, default, _, body) ->
+  | Pexp_fun (_, default, pat, body) ->
     Option.iter (walk st) default;
-    walk_confined st body
+    with_bound st (pat_vars pat) (fun () -> walk_confined st body)
   | Pexp_function cases -> List.iter (walk_case st) cases
+  | Pexp_let (rf, vbs, body) ->
+    let names = List.concat_map (fun vb -> pat_vars vb.pvb_pat) vbs in
+    let walk_vbs () = List.iter (fun vb -> walk st vb.pvb_expr) vbs in
+    if rf = Asttypes.Recursive then with_bound st names walk_vbs else walk_vbs ();
+    with_bound st names (fun () -> walk st body)
+  | Pexp_for (pat, lo, hi, _, body) ->
+    walk st lo;
+    walk st hi;
+    with_bound st (pat_vars pat) (fun () -> walk st body)
   | Pexp_newtype (_, body) -> walk_confined st body
   | Pexp_ifthenelse (cond, then_, else_) -> (
     (* [if Locks.try_lock l then A else B]: A holds [l], B does not. *)
@@ -545,9 +580,17 @@ and walk_confined st e =
   walk st e;
   st.held <- base
 
+(* Run [f] with [names] in scope; the scope ends with it. *)
+and with_bound st names f =
+  let outer = st.bound in
+  st.bound <- names @ outer;
+  f ();
+  st.bound <- outer
+
 and walk_case st c =
-  Option.iter (walk st) c.pc_guard;
-  walk_confined st c.pc_rhs
+  with_bound st (pat_vars c.pc_lhs) (fun () ->
+      Option.iter (walk st) c.pc_guard;
+      walk_confined st c.pc_rhs)
 
 and walk_cases st cases =
   let base = st.held in
@@ -555,8 +598,9 @@ and walk_cases st cases =
     List.map
       (fun c ->
         st.held <- base;
-        Option.iter (walk st) c.pc_guard;
-        walk st c.pc_rhs;
+        with_bound st (pat_vars c.pc_lhs) (fun () ->
+            Option.iter (walk st) c.pc_guard;
+            walk st c.pc_rhs);
         st.held)
       cases
   in
@@ -606,7 +650,7 @@ and ident_occurrence st p loc =
   if blocklisted p || blocklisted expanded then
     emit st (Block (String.concat "." expanded, line, col, st.held))
   else
-    match resolve_node st.env ~file:st.node.nd_file expanded with
+    match resolve_at st expanded with
     | Some target when target != st.node -> record_call st target []
     | _ -> (
       match p with
@@ -620,13 +664,14 @@ and walk_callback st ?(extra = []) e =
   let base = st.held in
   st.held <- List.fold_left (fun h (k, l) -> held_add h k l) st.held extra;
   (match (strip e).pexp_desc with
-  | Pexp_fun (_, _, _, body) -> walk st body
+  | Pexp_fun (_, _, pat, body) -> with_bound st (pat_vars pat) (fun () -> walk st body)
   | Pexp_newtype (_, body) -> walk st body
   | Pexp_function cases ->
     List.iter
       (fun c ->
-        Option.iter (walk st) c.pc_guard;
-        walk st c.pc_rhs)
+        with_bound st (pat_vars c.pc_lhs) (fun () ->
+            Option.iter (walk st) c.pc_guard;
+            walk st c.pc_rhs))
       cases
   | _ -> walk st e);
   st.held <- base
@@ -641,7 +686,7 @@ and apply_function_value st ?(extra = []) e =
     st.node.nd_pinvokes <- (v, held) :: st.node.nd_pinvokes
   | Some p -> (
     let p = expand_alias st.env st.node.nd_file p in
-    match resolve_node st.env ~file:st.node.nd_file p with
+    match resolve_at st p with
     | Some target ->
       st.node.nd_calls <-
         { c_target = target; c_held = held; c_subs = [] } :: st.node.nd_calls
@@ -669,7 +714,7 @@ and handle_apply st f args loc =
       match List.rev p with
       | "protect" :: "Fun" :: _ -> handle_fun_protect st args
       | _ -> (
-        let target = resolve_node st.env ~file p in
+        let target = resolve_at st p in
         (* Fan-out and blocklist events fire at the call site — except the
            executor's own internal plumbing (map_list delegating to
            map_array), which would double-report every external site. *)
@@ -971,10 +1016,10 @@ let locks_impl_file files =
       && Filename.basename (Filename.dirname f) = "util")
     files
 
-(* Run the whole analysis over [files]. locks.ml (the wrapper's own
-   implementation) contributes its rank constants but is not itself a
-   subject of the lock rules. *)
-let analyze ~files =
+(* Run the whole analysis over [(file, source)] pairs. locks.ml (the
+   wrapper's own implementation) contributes its rank constants but is not
+   itself a subject of the lock rules. *)
+let analyze_sources sources =
   let env =
     {
       structures = Hashtbl.create 64;
@@ -990,18 +1035,18 @@ let analyze ~files =
       findings = [];
     }
   in
-  let locks_ml = locks_impl_file files in
+  let locks_ml = locks_impl_file (List.map fst sources) in
   (match locks_ml with
   | Some f -> (
-    match parse_structure ~file:f (read_file f) with
+    match parse_structure ~file:f (List.assoc f sources) with
     | Some str -> collect_rank_consts env str
     | None -> ())
   | None -> ());
-  let files = List.filter (fun f -> Some f <> locks_ml) files in
+  let sources = List.filter (fun (f, _) -> Some f <> locks_ml) sources in
   (* Pass A: parse; aliases, wrappers, nodes, lock definitions. *)
   List.iter
-    (fun f ->
-      match parse_structure ~file:f (read_file f) with
+    (fun (f, src) ->
+      match parse_structure ~file:f src with
       | None -> ()
       | Some str ->
         Hashtbl.replace env.structures f str;
@@ -1014,7 +1059,7 @@ let analyze ~files =
             (Filename.dirname f)
         | None -> ());
         collect_nodes env f str)
-    files;
+    sources;
   (* lint: allow nondet-iter — per-file fact collection into keyed tables; no order dependence *)
   Hashtbl.iter (fun _ str -> collect_lock_defs env str) env.structures;
   (* Pass B: event extraction per node. *)
@@ -1030,13 +1075,13 @@ let analyze ~files =
             | Ppat_var { txt; _ } -> (
               match Hashtbl.find_opt env.nodes (f, txt) with
               | Some nd ->
-                let st = { env; node = nd; held = []; sub_count = counter } in
+                let st = { env; node = nd; held = []; bound = []; sub_count = counter } in
                 walk st vb.pvb_expr
               | None -> () (* a Locks alias binding *))
             | _ ->
               (* Anonymous top-level effects ([let () = …]) run at init. *)
               let nd = fresh_node env ~file:f ~name:"(init)" ~params:[] in
-              let st = { env; node = nd; held = []; sub_count = counter } in
+              let st = { env; node = nd; held = []; bound = []; sub_count = counter } in
               walk st vb.pvb_expr)
           vbs
       | Pstr_module mb -> scan_module_expr mb.pmb_expr
@@ -1061,3 +1106,5 @@ let analyze ~files =
      (rule, site, message) once. *)
   (* lint: allow poly-compare — findings are records of scalars; structural order is the dedup key *)
   List.sort_uniq compare findings
+
+let analyze ~files = analyze_sources (List.map (fun f -> (f, read_file f)) files)

@@ -29,3 +29,7 @@ val analyze : files:string list -> Lint_core.finding list
     are skipped (the per-file pass already reports [parse-error]).
     Findings are deduplicated and unsuppressed — the driver applies
     annotations. *)
+
+val analyze_sources : (string * string) list -> Lint_core.finding list
+(** {!analyze} over in-memory [(path, source)] pairs instead of files on
+    disk. *)
