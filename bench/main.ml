@@ -214,7 +214,7 @@ let fig10b () =
       let t =
         Harness.seconds_per_run ~name:"tq-tau" (fun () -> Ptq.query_tree ctx Queries.q10)
       in
-      let stats, _ = Ptq.explain ctx Queries.q10 in
+      let stats, _ = Ptq.explain ~force:`Tree ctx Queries.q10 in
       Harness.row "%6.2f %8.2fms %10d %8d %8d %8d" tau (ms t) (Block_tree.n_blocks tree)
         stats.Ptq.shared_evaluations stats.Ptq.direct_evaluations stats.Ptq.joins)
     [ 0.02; 0.12; 0.22; 0.32; 0.42; 0.52; 0.65 ];
@@ -256,7 +256,8 @@ let fig10d () =
   List.iter
     (fun k ->
       let t =
-        Harness.seconds_per_run ~name:"tq-topk" (fun () -> Ptq.query_topk ctx ~k Queries.q10)
+        Harness.seconds_per_run ~name:"tq-topk" (fun () ->
+            Ptq.query_topk ~force:`Tree ctx ~k Queries.q10)
       in
       Harness.row "%6d %8.2fms %8.2fms" k (ms t) (ms normal))
     [ 10; 20; 30; 40; 50; 60; 70; 80; 90; 100 ];

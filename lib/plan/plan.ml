@@ -42,6 +42,7 @@ type t = {
   resolutions : int;
   relevant : int;
   evaluated : int;
+  units : int;
 }
 
 (* ------------------------------- names ----------------------------- *)
@@ -214,6 +215,9 @@ let choose ?tree ?k ?sink ~force ~n_mappings ~pattern ~resolutions ~coverage
     resolutions = Array.length resolutions;
     relevant;
     evaluated = List.length coverage;
+    (* One-mapping units, the literal algorithms' count; [Ptq.compile]
+       lowers it when it groups mappings. *)
+    units = List.fold_left (fun n (_, covered) -> n + List.length covered) 0 coverage;
   }
 
 (* ----------------------------- rendering --------------------------- *)
@@ -229,8 +233,8 @@ let describe t =
        Printf.sprintf "plan: evaluator=%s (%s)" (evaluator_name t.evaluator)
          (reason_name t.reason);
        Printf.sprintf "  cost: %s" cost_line;
-       Printf.sprintf "  cardinalities: resolutions=%d relevant=%d evaluated=%d"
-         t.resolutions t.relevant t.evaluated;
+       Printf.sprintf "  cardinalities: resolutions=%d relevant=%d evaluated=%d units=%d"
+         t.resolutions t.relevant t.evaluated t.units;
      ]
     @ List.map (fun op -> Printf.sprintf "  -> %s" (op_name op)) t.ops)
 
@@ -249,5 +253,6 @@ let to_json t =
       ("resolutions", Json.Int t.resolutions);
       ("relevant", Json.Int t.relevant);
       ("evaluated", Json.Int t.evaluated);
+      ("units", Json.Int t.units);
       ("ops", Json.List (List.map (fun op -> Json.String (op_name op)) t.ops));
     ]

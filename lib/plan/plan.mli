@@ -62,6 +62,12 @@ type t = {
   resolutions : int;  (** schema resolutions of the pattern *)
   relevant : int;  (** mappings surviving the relevance filter *)
   evaluated : int;  (** mappings actually evaluated (after top-k pruning) *)
+  units : int;
+      (** evaluations the [evaluate] stage runs: one per (resolution,
+          evaluation unit) pair. {!choose} counts one-mapping units, so
+          this is the covered (mapping, resolution) pairs;
+          [Uxsm_ptq.Ptq.compile] lowers it when an [`Auto] plan groups
+          mappings that rewrite the query alike. *)
 }
 
 val logical : ?k:int -> ?sink:sink -> unit -> op list

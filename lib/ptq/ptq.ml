@@ -119,22 +119,37 @@ let filter_mappings ctx pattern =
 
 let dedupe_bindings l = List.sort_uniq Binding.compare l
 
-let answers_of_table ctx per_mapping ids =
+(* Answers in coverage (mapping-id) order from per-unit results: [evaluated]
+   pairs each (resolution, leader) with the bindings of that leader's
+   evaluation, and each coverage entry pairs a covered resolution with its
+   unit's leader. Mappings in the same units everywhere share one sorted,
+   deduplicated bindings list. *)
+let answers_of_units ctx evaluated cov =
+  let results = Hashtbl.create 64 in
+  List.iter (fun (u, bindings) -> Hashtbl.replace results u bindings) evaluated;
+  let merged = Hashtbl.create 16 in
   List.map
-    (fun i ->
-      {
-        mapping_id = i;
-        probability = Mapping_set.probability ctx.mset i;
-        bindings =
-          (match Hashtbl.find_opt per_mapping i with
-          | None -> []
-          | Some l -> dedupe_bindings l);
-      })
-    ids
+    (fun (i, covered) ->
+      let bindings =
+        match Hashtbl.find_opt merged covered with
+        | Some b -> b
+        | None ->
+          let b =
+            dedupe_bindings
+              (List.concat_map
+                 (fun u -> Option.value ~default:[] (Hashtbl.find_opt results u))
+                 covered)
+          in
+          Hashtbl.add merged covered b;
+          b
+      in
+      { mapping_id = i; probability = Mapping_set.probability ctx.mset i; bindings })
+    cov
 
 (* Which resolutions (as indices into [res]) each mapping covers, as an
    ascending-id assoc list; mappings covering none are omitted. Both
-   evaluators consume this table, and {!query_topk} computes it exactly once
+   evaluators consume this table (annotated with unit leaders by
+   [with_units]), and {!query_topk} computes it exactly once
    — ranking and restricted evaluation share the same coverage pass. *)
 let coverage_of ctx (res : Resolve.t array) =
   let cov = ref [] in
@@ -148,33 +163,40 @@ let coverage_of ctx (res : Resolve.t array) =
   done;
   !cov
 
-(* Algorithm 3 over a precomputed coverage table. Mappings are independent
-   of each other (the context is read-only during evaluation), so the outer
-   loop fans out on the context's executor; results come back in coverage
-   order, so answers are identical across backends. [cost_hint] is the
-   plan's per-mapping estimate in node-visit units — the executor's cost
-   gate keeps evaluations too small to amortize a pool dispatch
-   sequential. *)
+(* The resolutions that mapping [i]'s own evaluation answers: those where
+   it leads its unit. *)
+let led_by i covered = List.filter_map (fun (r, l) -> if l = i then Some r else None) covered
+
+(* Algorithm 3 over a coverage table annotated with unit leaders: each
+   mapping rewrites and matches the resolutions it leads. Mappings are
+   independent of each other (the context is read-only during evaluation),
+   so the outer loop fans out on the context's executor; results come back
+   in coverage order, so answers are identical across backends. [cost_hint]
+   is the plan's estimate in node-visit units — the executor's cost gate
+   keeps evaluations too small to amortize a pool dispatch sequential. *)
 let query_basic_cov ?cost_hint ctx idx (res : Resolve.t array) cov =
   Obs.time s_basic (fun () ->
-      let per_mapping : (int, Binding.t list) Hashtbl.t = Hashtbl.create 64 in
-      let evaluated =
-        Executor.map_list ?cost_hint ctx.exec
+      let led =
+        List.filter_map
           (fun (i, covered) ->
-            let m = Mapping_set.mapping ctx.mset i in
-            Obs.add c_direct (List.length covered);
-            let bindings =
-              List.concat_map
-                (fun r ->
-                  rewrite_and_match ctx idx 0 res.(r) ~at_top:true
-                    ~lookup:(lookup_of_mapping m))
-                covered
-            in
-            (i, bindings))
+            match led_by i covered with
+            | [] -> None
+            | rs -> Some (i, rs))
           cov
       in
-      List.iter (fun (i, bindings) -> Hashtbl.replace per_mapping i bindings) evaluated;
-      answers_of_table ctx per_mapping (List.map fst cov))
+      let evaluated =
+        Executor.map_list ?cost_hint ctx.exec
+          (fun (i, rs) ->
+            let m = Mapping_set.mapping ctx.mset i in
+            Obs.add c_direct (List.length rs);
+            List.map
+              (fun r ->
+                ( (r, i),
+                  rewrite_and_match ctx idx 0 res.(r) ~at_top:true ~lookup:(lookup_of_mapping m) ))
+              rs)
+          led
+      in
+      answers_of_units ctx (List.concat evaluated) cov)
 
 type stats = {
   resolutions : int;
@@ -304,9 +326,9 @@ let eval_with_tree ctx tree idx resolution ~mids =
   in
   eval 0 ~at_top:true mids
 
-(* Algorithm 4 over a precomputed coverage table: one [eval_with_tree] per
-   resolution, restricted to the mappings that cover it. [cost_hint] is
-   the plan's per-block estimate, gating the fan-out like in
+(* Algorithm 4 over a coverage table annotated with unit leaders: one
+   [eval_with_tree] per resolution, over the leaders of its units.
+   [cost_hint] is the plan's estimate, gating the fan-out like in
    [query_basic_cov]. *)
 let query_tree_cov ?cost_hint ctx idx (res : Resolve.t array) cov =
   let tree =
@@ -315,34 +337,26 @@ let query_tree_cov ?cost_hint ctx idx (res : Resolve.t array) cov =
     | None -> invalid_arg "Ptq.query_tree: context has no block tree"
   in
   Obs.time s_tree (fun () ->
-      let per_mapping : (int, Binding.t list) Hashtbl.t = Hashtbl.create 64 in
       (* Resolutions are independent (tree, mapping set and document are
-         read-only), so they fan out on the executor; the per-mapping merge
-         below runs sequentially in resolution order, reproducing the
-         sequential accumulation exactly. *)
-      let tables =
+         read-only), so they fan out on the executor; results merge in
+         coverage order below, identically for every backend. *)
+      let evaluated =
         Executor.map_array ?cost_hint ctx.exec
           (fun r ->
             let mids =
               List.filter_map
-                (fun (i, covered) -> if List.mem r covered then Some i else None)
+                (fun (i, covered) -> if List.mem (r, i) covered then Some i else None)
                 cov
             in
-            if mids = [] then None else Some (mids, eval_with_tree ctx tree idx res.(r) ~mids))
+            if mids = [] then []
+            else
+              let table = eval_with_tree ctx tree idx res.(r) ~mids in
+              List.map
+                (fun l -> ((r, l), Option.value ~default:[] (Hashtbl.find_opt table l)))
+                mids)
           (Array.init (Array.length res) Fun.id)
       in
-      Array.iter
-        (function
-          | None -> ()
-          | Some (mids, table) ->
-            List.iter
-              (fun i ->
-                let bindings = try Hashtbl.find table i with Not_found -> [] in
-                let prev = try Hashtbl.find per_mapping i with Not_found -> [] in
-                Hashtbl.replace per_mapping i (bindings @ prev))
-              mids)
-        tables;
-      answers_of_table ctx per_mapping (List.map fst cov))
+      answers_of_units ctx (List.concat (Array.to_list evaluated)) cov)
 
 (* ------------------------- plan compilation ------------------------ *)
 
@@ -355,7 +369,9 @@ type plan = {
   p_ctx : context;
   p_idx : indexed;
   p_res : Resolve.t array;
-  p_cov : (int * int list) list;  (* the table handed to the evaluator *)
+  p_cov : (int * (int * int) list) list;
+      (* the table handed to the evaluator: each evaluated mapping with its
+         covered resolutions, each paired with its unit's leader there *)
   p_phys : Plan.t;
 }
 
@@ -377,6 +393,37 @@ let prune_topk ctx ~k cov =
   List.iter (fun (i, _) -> Hashtbl.replace keep_set i ()) keep;
   List.filter (fun (i, _) -> Hashtbl.mem keep_set i) cov
 
+(* Evaluation units. Mappings whose [source_of] agrees on every target
+   element of a resolution rewrite the query identically there: both
+   evaluators read a mapping only through [source_of] on the resolution's
+   elements, and a c-block's correspondences equal its members' on the
+   anchor subtree. So with [group], each resolution's covering mappings are
+   grouped by that projection, and one evaluation by the unit's leader, its
+   lowest id, answers every member. Without it every mapping leads itself:
+   one-mapping units, the paper's literal Algorithms 3 and 4. [cov] is in
+   ascending id order, so the first mapping seen with a projection leads. *)
+let with_units ctx (res : Resolve.t array) ~group cov =
+  let leaders = Array.map (fun _ -> Hashtbl.create 16) res in
+  List.map
+    (fun (i, covered) ->
+      let m = Mapping_set.mapping ctx.mset i in
+      ( i,
+        List.map
+          (fun r ->
+            if not group then (r, i)
+            else
+              let projection = Array.map (Mapping.source_of m) res.(r) in
+              match Hashtbl.find_opt leaders.(r) projection with
+              | Some l -> (r, l)
+              | None ->
+                Hashtbl.add leaders.(r) projection i;
+                (r, i))
+          covered ))
+    cov
+
+let count_units cov =
+  List.fold_left (fun n (i, covered) -> n + List.length (led_by i covered)) 0 cov
+
 let compile ?(force = `Auto) ?k ctx pattern =
   (match k with
   | Some k when k <= 0 -> invalid_arg "Ptq.query_topk: k must be positive"
@@ -395,30 +442,37 @@ let compile ?(force = `Auto) ?k ctx pattern =
     | None -> cov
     | Some k -> prune_topk ctx ~k cov
   in
+  (* The cost model prices the literal algorithms (one-mapping units) even
+     when the plan groups: DESIGN.md §12 says why. *)
   let phys =
     Plan.choose ?tree:ctx.tree ?k ~force ~n_mappings:(Mapping_set.size ctx.mset)
       ~pattern ~resolutions:res ~coverage:cov ~relevant ()
   in
-  { p_ctx = ctx; p_idx = idx; p_res = res; p_cov = cov; p_phys = phys }
+  let cov = with_units ctx res ~group:(force = `Auto) cov in
+  { p_ctx = ctx; p_idx = idx; p_res = res; p_cov = cov;
+    p_phys = { phys with Plan.units = count_units cov } }
 
 let physical p = p.p_phys
 
 let execute p =
   Obs.incr c_queries;
   Obs.incr c_executions;
-  (* The cost model already sized this exact evaluation for the evaluator
-     choice; the same units feed the executor's parallelism gate. *)
+  (* The cost model already sized this evaluation for the evaluator choice,
+     per one-mapping unit; scaled to the units the plan runs, the same
+     estimate feeds the executor's parallelism gate. *)
+  let pairs = List.fold_left (fun n (_, covered) -> n + List.length covered) 0 p.p_cov in
+  let scale c = c *. float_of_int p.p_phys.Plan.units /. float_of_int (max 1 pairs) in
   let cost = p.p_phys.Plan.cost in
   match p.p_phys.Plan.evaluator with
   | Plan.Per_mapping ->
-    query_basic_cov ~cost_hint:cost.Plan.per_mapping p.p_ctx p.p_idx p.p_res p.p_cov
+    query_basic_cov ~cost_hint:(scale cost.Plan.per_mapping) p.p_ctx p.p_idx p.p_res p.p_cov
   | Plan.Per_block ->
     let cost_hint =
       match cost.Plan.per_block with
       | Some c -> c
       | None -> cost.Plan.per_mapping
     in
-    query_tree_cov ~cost_hint p.p_ctx p.p_idx p.p_res p.p_cov
+    query_tree_cov ~cost_hint:(scale cost_hint) p.p_ctx p.p_idx p.p_res p.p_cov
 
 let query ?(force = `Auto) ctx pattern = execute (compile ~force ctx pattern)
 let query_basic ctx pattern = query ~force:`Basic ctx pattern

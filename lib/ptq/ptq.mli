@@ -17,7 +17,12 @@
     statistics picks the physical evaluator (overridable with [~force]),
     and {!execute} replays the evaluate/merge suffix. {!compile} exposes
     the compiled form so callers (the server catalog, the CLI) can cache
-    and re-execute plans without repeating resolution. *)
+    and re-execute plans without repeating resolution.
+
+    Under the default [`Auto] plans the evaluator runs once per
+    {e evaluation unit}, not once per mapping: the mappings that send every
+    target element of a resolution to the same source elements rewrite the
+    query identically, so one evaluation answers them all. *)
 
 type context
 
@@ -74,15 +79,22 @@ val compile :
 (** Resolve the pattern, compute the coverage table (pruned to the [k]
     most probable relevant mappings when [k] is given), and pick the
     physical evaluator — the cost model decides under [`Auto] (the
-    default); [`Basic] / [`Tree] force Algorithm 3 / 4. Raises
+    default); [`Basic] / [`Tree] force Algorithm 3 / 4. An [`Auto] plan
+    then splits the coverage table into evaluation units, one set per
+    resolution: a unit is the mappings whose [Mapping.source_of] agrees on
+    every target element of that resolution, led by its lowest mapping id.
+    Forced plans keep one-mapping units, so they run the paper's literal
+    algorithms. The plan's [units] field counts the evaluations. Raises
     [Invalid_argument] for [~force:`Tree] on a context without a block
     tree, or [k <= 0]. *)
 
 val execute : plan -> answer list
-(** Run the plan's evaluate/merge suffix. Answers in mapping-id order,
-    byte-identical across evaluators and execution backends (tested
-    property). Re-executing a plan repeats no resolution or coverage
-    work. *)
+(** Run the plan's evaluate/merge suffix: the chosen operator evaluates
+    each unit's leader once, every member gets its leader's bindings, and
+    each distinct bindings list is sorted and deduplicated once. Answers in
+    mapping-id order, byte-identical across evaluators, unit groupings and
+    execution backends (tested property). Re-executing a plan repeats no
+    resolution or coverage work. *)
 
 val physical : plan -> Uxsm_plan.Plan.t
 (** The chosen physical plan (evaluator, cost estimates, pipeline). *)
@@ -132,7 +144,8 @@ type stats = {
   shared_evaluations : int;
       (** twig evaluations executed once per block and reused *)
   direct_evaluations : int;
-      (** per-mapping rewrite+match executions (subqueries included) *)
+      (** per-mapping rewrite+match executions (subqueries included); per
+          unit leader under [`Auto] plans *)
   decompositions : int;  (** split_query events (no block at the node) *)
   joins : int;  (** stack-join invocations *)
   plan : Uxsm_plan.Plan.t;  (** the physical plan the run executed *)
@@ -140,7 +153,9 @@ type stats = {
 
 val explain : ?force:Uxsm_plan.Plan.force -> context -> Uxsm_twig.Pattern.t -> stats * answer list
 (** Compile (resolving and covering exactly once), execute, and report
-    what the run did. The answers equal the plain query's. *)
+    what the run did. The answers equal the plain query's. The counts
+    follow the plan: under [`Auto] they count evaluation units, so pass
+    [~force] for the per-mapping counts of Algorithm 3 or 4. *)
 
 val explain_plan : plan -> stats * answer list
 (** {!explain} for an already compiled plan — what the server uses so a

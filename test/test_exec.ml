@@ -351,7 +351,7 @@ let prop_plan_execution_eq_query_basic =
         ]
       in
       let expect = Ptq.query_basic (List.hd ctxs) pattern in
-      let expect_topk = Ptq.query_topk (List.hd ctxs) ~k pattern in
+      let expect_topk = Ptq.execute (Ptq.compile ~force:`Basic ~k (List.hd ctxs) pattern) in
       List.for_all
         (fun ctx ->
           List.for_all

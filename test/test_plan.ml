@@ -109,6 +109,12 @@ let test_describe_and_json () =
       Alcotest.(check bool) (Printf.sprintf "describe mentions %S" needle) true
         (contains text needle))
     [ "evaluator=per_block"; "(cost)"; "-> resolve"; "per_mapping=" ];
+  (* m1 and m2 rewrite //IP//ICN alike, so the auto plan runs four units
+     for five mappings; a forced plan keeps one unit per mapping. *)
+  Alcotest.(check bool) "describe reports units after evaluated" true
+    (contains text "evaluated=5 units=4");
+  let forced = Ptq.physical (Ptq.compile ~force:`Tree ctx (Parser.parse_exn "//IP//ICN")) in
+  Alcotest.(check int) "forced plans keep one-mapping units" 5 forced.Plan.units;
   (* Top-k pruning shows up as its own operator (the choice itself is made
      on the pruned coverage, so the evaluator may differ). *)
   let pruned = Ptq.physical (Ptq.compile ~k:2 ctx (Parser.parse_exn "//IP//ICN")) in
@@ -120,6 +126,8 @@ let test_describe_and_json () =
       (List.assoc_opt "evaluator" fields = Some (Uxsm_util.Json.String "per_block"));
     Alcotest.(check bool) "json carries reason" true
       (List.assoc_opt "reason" fields = Some (Uxsm_util.Json.String "cost"));
+    Alcotest.(check bool) "json carries units" true
+      (List.assoc_opt "units" fields = Some (Uxsm_util.Json.Int 4));
     (match List.assoc_opt "ops" fields with
     | Some (Uxsm_util.Json.List ops) ->
       Alcotest.(check int) "six ops without top-k" 6 (List.length ops)

@@ -193,11 +193,19 @@ let test_explain () =
     (List.for_all2
        (fun (a : Ptq.answer) (b : Ptq.answer) -> a.mapping_id = b.mapping_id && a.bindings = b.bindings)
        answers (Ptq.query_tree ctx q));
-  (* Without a tree, all work is direct. *)
+  (* Without a tree, all work is direct: Algorithm 3 evaluates each of the
+     five mappings. *)
   let ctx_plain = Ptq.context ~mset:Fixtures.fig3_mset ~doc:Fixtures.fig2_doc () in
-  let stats', _ = Ptq.explain ctx_plain q in
+  let stats', basic = Ptq.explain ~force:`Basic ctx_plain q in
   Alcotest.(check int) "no blocks" 0 stats'.Ptq.blocks_used;
-  Alcotest.(check int) "five direct" 5 stats'.Ptq.direct_evaluations
+  Alcotest.(check int) "five direct" 5 stats'.Ptq.direct_evaluations;
+  (* The auto plan groups m1 and m2, which send IP and ICN to the same
+     source elements: four units answer the five mappings alike. *)
+  let stats', auto = Ptq.explain ctx_plain q in
+  Alcotest.(check int) "five relevant (auto)" 5 stats'.Ptq.relevant_mappings;
+  Alcotest.(check int) "four units" 4 stats'.Ptq.plan.Uxsm_plan.Plan.units;
+  Alcotest.(check int) "four direct" 4 stats'.Ptq.direct_evaluations;
+  Alcotest.(check bool) "grouped answers = Algorithm 3's" true (auto = basic)
 
 let prop_explain_consistent =
   QCheck.Test.make ~count:60 ~name:"explain answers = query_tree answers"
