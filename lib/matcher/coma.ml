@@ -1,6 +1,7 @@
 module Schema = Uxsm_schema.Schema
 module Matching = Uxsm_mapping.Matching
 module Executor = Uxsm_exec.Executor
+module Obs = Uxsm_obs.Obs
 
 type strategy =
   | Context
@@ -17,9 +18,8 @@ type config = {
 let default_config strategy =
   { strategy; threshold = 0.55; delta = 0.12; name_weight = 0.55; synonyms = Some (Name_sim.synonyms ()) }
 
-(* Combined score of one pair under a given (possibly memoized)
-   name-similarity function. *)
-let score_with cfg ~name_sim source x target y =
+let pair_score cfg source x target y =
+  let name_sim = Name_sim.combined ?synonyms:cfg.synonyms in
   let name = name_sim (Schema.label source x) (Schema.label target y) in
   let structure =
     match cfg.strategy with
@@ -35,67 +35,124 @@ let score_with cfg ~name_sim source x target y =
   in
   (cfg.name_weight *. name) +. ((1.0 -. cfg.name_weight) *. structure)
 
-let pair_score cfg source x target y =
-  score_with cfg ~name_sim:(Name_sim.combined ?synonyms:cfg.synonyms) source x target y
+(* One schema's elements as label ids of a name table: each structural
+   term reads these arrays instead of labels. Ancestors run nearest first,
+   the order in which Structure_sim folds the split path; since no element
+   name contains '.', the parent chain and the split path agree. *)
+type view = {
+  self : int array;
+  parent : int array;  (* -1 at the root *)
+  ancestors : int array array;
+  children : int array array;
+  leaves : int array array;
+}
 
-(* Scoring an |S| x |T| matrix re-evaluates the same label pairs many times
-   (schemas repeat labels like Contact or City), so name similarities are
-   memoized per distinct label pair for the duration of one run. *)
-let memoized_name_sim cfg =
-  let memo : (string * string, float) Hashtbl.t = Hashtbl.create 4096 in
-  fun a b ->
-    match Hashtbl.find_opt memo (a, b) with
-    | Some v -> v
-    | None ->
-      let v = Name_sim.combined ?synonyms:cfg.synonyms a b in
-      Hashtbl.add memo (a, b) v;
-      v
-
-(* All pair scores (computed once), plus per-element best scores for the
-   both-directions selection. Rows (source elements) score independently on
-   the executor; the selection scan below stays sequential, so the pair
-   list and bests are identical across backends. One memo serves the whole
-   matrix when sequential; parallel rows each get their own ([Hashtbl] is
-   not domain-safe). Scores are pure in the labels, so memo placement never
-   changes a value. *)
-(* One (source, target) pair costs several similarity evaluations (name
-   plus the strategy's structural terms), each walking labels and paths —
-   order tens of node-visit-equivalent units. Sizes the matrix job for
-   the executor's parallelism gate. *)
-let pair_units = 20.0
-
-let score_matrix ?(exec = Executor.sequential) cfg source target =
-  let ns = Schema.size source and nt = Schema.size target in
-  let shared = if Executor.is_parallel exec then None else Some (memoized_name_sim cfg) in
-  let cost_hint = float_of_int (ns * nt) *. pair_units in
-  let rows =
-    (* lint: allow blocking-under-lock — reachable under the catalog shard and Dataset memo locks; the fan-out never blocks on the pool (try_lock or sequential fallback) and scoring is pure compute, so the hold is bounded by the matrix itself *)
-    Executor.map_array ~cost_hint exec
-      (fun x ->
-        let name_sim =
-          match shared with
-          | Some f -> f
-          | None -> memoized_name_sim cfg
-        in
-        Array.init nt (fun y -> score_with cfg ~name_sim source x target y))
-      (Array.init ns Fun.id)
+let view schema id_of =
+  let n = Schema.size schema in
+  let self = Array.init n id_of in
+  let parent =
+    Array.init n (fun e -> Option.fold ~none:(-1) ~some:(Array.get self) (Schema.parent schema e))
   in
-  let best_s = Array.make ns 0.0 and best_t = Array.make nt 0.0 in
-  let pairs = ref [] in
-  for x = 0 to ns - 1 do
-    for y = 0 to nt - 1 do
-      let s = rows.(x).(y) in
-      if s > best_s.(x) then best_s.(x) <- s;
-      if s > best_t.(y) then best_t.(y) <- s;
-      if s >= 0.05 then pairs := (x, y, s) :: !pairs
-    done
-  done;
-  (!pairs, best_s, best_t)
+  let ancestors = Array.make n [||] in
+  (* pre-order: a parent's ancestors are set before its children's *)
+  List.iter
+    (fun e ->
+      Option.iter
+        (fun p -> ancestors.(e) <- Array.append [| self.(p) |] ancestors.(p))
+        (Schema.parent schema e))
+    (Schema.elements schema);
+  let ids es = Array.of_list (List.map (Array.get self) es) in
+  {
+    self;
+    parent;
+    ancestors;
+    children = Array.init n (fun e -> ids (Schema.children schema e));
+    leaves =
+      Array.init n (fun e ->
+          ids (List.filter (Schema.is_leaf schema) (Schema.subtree_elements schema e)));
+  }
 
-let select ~threshold ~delta (pairs, best_s, best_t) =
-  List.filter
-    (fun (x, y, s) -> s >= threshold && s >= best_s.(x) -. delta && s >= best_t.(y) -. delta)
-    pairs
+(* [pair_score], term for term, over the name table. *)
+let interned_score cfg names vs vt x y =
+  let name = Name_table.score names vs.self.(x) vt.self.(y) in
+  let structure =
+    match cfg.strategy with
+    | Context ->
+      let context = Name_table.soft_set_similarity names vs.ancestors.(x) vt.ancestors.(y) in
+      (0.6 *. name) +. (0.4 *. context)
+    | Fragment ->
+      let c = Name_table.soft_set_similarity names vs.children.(x) vt.children.(y) in
+      let l = Name_table.soft_set_similarity names vs.leaves.(x) vt.leaves.(y) in
+      let p =
+        match (vs.parent.(x), vt.parent.(y)) with
+        | -1, -1 -> 1.0
+        | -1, _ | _, -1 -> 0.0
+        | px, py -> Name_table.score names px py
+      in
+      (c +. l +. p) /. 3.0
+  in
+  (cfg.name_weight *. name) +. ((1.0 -. cfg.name_weight) *. structure)
+
+let s_name_table = Obs.span "matcher.name_table"
+let s_rows = Obs.span "matcher.rows"
+let s_select = Obs.span "matcher.select"
+
+(* Each distinct label pair is scored once into the name table, whose
+   label rows fan out on [exec]; the element rows then read that table and
+   the views, at tens of nanoseconds per pair. *)
+let matrix ?(exec = Executor.sequential) cfg source target =
+  let ns = Schema.size source and nt = Schema.size target in
+  let names =
+    Obs.time s_name_table (fun () ->
+        Name_table.create ~exec ?synonyms:cfg.synonyms
+          (Array.init ns (Schema.label source))
+          (Array.init nt (Schema.label target)))
+  in
+  Obs.time s_rows (fun () ->
+      let vs = view source (Name_table.source_id names)
+      and vt = view target (Name_table.target_id names) in
+      Array.init ns (fun x -> Array.init nt (interned_score cfg names vs vt x)))
+
+(* Candidate pairs score at least [candidate_min]; a candidate is in the
+   delta band when it also lies within [delta] of the best score of both
+   its elements. *)
+let candidate_min = 0.05
+
+type scored = {
+  rows : float array array;
+  best_s : float array;
+  best_t : float array;
+}
+
+let scored rows =
+  let best_s = Array.make (Array.length rows) 0.0
+  and best_t = Array.make (Array.length rows.(0)) 0.0 in
+  Array.iteri
+    (fun x row ->
+      Array.iteri
+        (fun y s ->
+          if s > best_s.(x) then best_s.(x) <- s;
+          if s > best_t.(y) then best_t.(y) <- s)
+        row)
+    rows;
+  { rows; best_s; best_t }
+
+let fold_band m ~delta f init =
+  let acc = ref init in
+  Array.iteri
+    (fun x row ->
+      Array.iteri
+        (fun y s ->
+          if s >= candidate_min && s >= m.best_s.(x) -. delta && s >= m.best_t.(y) -. delta then
+            acc := f !acc x y s)
+        row)
+    m.rows;
+  !acc
+
+(* The band's pairs at or above [threshold], by decreasing score, then
+   source and target element. *)
+let select m ~threshold ~delta =
+  fold_band m ~delta (fun acc x y s -> if s >= threshold then (x, y, s) :: acc else acc) []
   |> List.sort (fun (x1, y1, s1) (x2, y2, s2) ->
          match Float.compare s2 s1 with
          | 0 -> compare (x1, y1) (x2, y2)
@@ -116,35 +173,40 @@ let run ?(exec = Executor.sequential) ?config ~source ~target () =
     | Some c -> c
     | None -> default_config Context
   in
-  let matrix = score_matrix ~exec cfg source target in
-  matching_of_pairs ~source ~target (select ~threshold:cfg.threshold ~delta:cfg.delta matrix)
+  let rows = matrix ~exec cfg source target in
+  Obs.time s_select @@ fun () ->
+  matching_of_pairs ~source ~target (select (scored rows) ~threshold:cfg.threshold ~delta:cfg.delta)
 
 let run_with_capacity ?(exec = Executor.sequential) ~strategy ~capacity ~source ~target () =
   if capacity < 0 then invalid_arg "Coma.run_with_capacity";
   let base = default_config strategy in
-  let matrix = score_matrix ~exec base source target in
-  let pairs_at threshold delta = select ~threshold ~delta matrix in
+  let rows = matrix ~exec base source target in
+  Obs.time s_select @@ fun () ->
+  let m = scored rows in
   (* Lower thresholds only add pairs; binary-search the largest threshold
      whose selection still reaches [capacity], then truncate the tail. If
-     even the lowest threshold is short, widen the delta band. *)
+     even the lowest threshold is short, widen the delta band. A probe
+     only counts, so each delta filters its band once and every probe
+     counts scores against that. *)
   let rec with_delta delta tries =
-    let lo = 0.05 in
-    if List.length (pairs_at lo delta) < capacity then
+    let band = Array.of_list (fold_band m ~delta (fun acc _ _ s -> s :: acc) []) in
+    let count threshold = Array.fold_left (fun n s -> if s >= threshold then n + 1 else n) 0 band in
+    let lo = candidate_min in
+    if count lo < capacity then
       if tries = 0 then (lo, delta) else with_delta (delta *. 2.0) (tries - 1)
     else begin
       let rec search lo hi i =
         if i = 0 then lo
         else begin
           let mid = (lo +. hi) /. 2.0 in
-          if List.length (pairs_at mid delta) >= capacity then search mid hi (i - 1)
-          else search lo mid (i - 1)
+          if count mid >= capacity then search mid hi (i - 1) else search lo mid (i - 1)
         end
       in
       (search lo 0.99 20, delta)
     end
   in
   let threshold, delta = with_delta base.delta 6 in
-  let pairs = pairs_at threshold delta in
+  let pairs = select m ~threshold ~delta in
   (* Truncate like COMA selects: every element's best counterpart first
      (rank 1 on either side), then second choices, and so on; score breaks
      ties within a rank. Plain top-score truncation would concentrate the

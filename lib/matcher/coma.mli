@@ -36,7 +36,25 @@ val pair_score :
   Uxsm_schema.Schema.t ->
   Uxsm_schema.Schema.element ->
   float
-(** Combined score of one element pair under the configuration. *)
+(** Combined score of one element pair under the configuration, computed
+    from {!Name_sim.combined} and {!Structure_sim} directly. The per-pair
+    reference that tests compare {!matrix} against; a matcher run never
+    calls it. *)
+
+val matrix :
+  ?exec:Uxsm_exec.Executor.t ->
+  config ->
+  Uxsm_schema.Schema.t ->
+  Uxsm_schema.Schema.t ->
+  float array array
+(** [matrix cfg source target] scores every element pair, one row per
+    source element: [(matrix cfg s t).(x).(y)] is bitwise equal to
+    [pair_score cfg s x t y]. Each distinct label pair is scored once
+    through a {!Name_table}, and the structural terms read per-element
+    label-id arrays (ancestors nearest first, children, subtree leaves,
+    parent) against it. [exec] (default [Sequential]) fans the table's
+    label rows out over its shared read-only token table; the matrix is
+    identical for every backend. *)
 
 val run :
   ?exec:Uxsm_exec.Executor.t ->
@@ -47,10 +65,10 @@ val run :
   Uxsm_mapping.Matching.t
 (** Match two schemas (default config: {!default_config}[ Context]).
 
-    [exec] (default [Sequential]) scores the |S| x |T| matrix row-parallel
-    on a pool of domains; candidate selection stays sequential, so the
-    correspondence list is identical for every backend (a tested
-    property). *)
+    [exec] (default [Sequential]) schedules the {!matrix}; candidate
+    selection stays sequential, so the correspondence list is identical
+    for every backend (a tested property). The [matcher.name_table],
+    [matcher.rows] and [matcher.select] Obs spans time the three stages. *)
 
 val run_with_capacity :
   ?exec:Uxsm_exec.Executor.t ->
@@ -62,4 +80,6 @@ val run_with_capacity :
   Uxsm_mapping.Matching.t
 (** Binary-search the threshold so the matching has (approximately, then
     exactly by truncation of the lowest-scored pairs) [capacity]
-    correspondences — used to reproduce Table II's "Cap." column. *)
+    correspondences — used to reproduce Table II's "Cap." column. Each
+    delta band is filtered once; the search's probes count scores in it,
+    and only the final threshold builds and sorts a pair list. *)

@@ -62,11 +62,12 @@ let build ?config ?(graft_threshold = 0.75) sources =
       let med = !mediated in
       let nm = Schema.size med and ns = Schema.size src in
       (* Best mediated counterpart per source element. *)
+      let scores = Coma.matrix cfg med src in
       let best_score = Array.make ns 0.0 in
       let best_elem = Array.make ns 0 in
       for m_el = 0 to nm - 1 do
         for s_el = 0 to ns - 1 do
-          let score = Coma.pair_score cfg med m_el src s_el in
+          let score = scores.(m_el).(s_el) in
           if score > best_score.(s_el) then begin
             best_score.(s_el) <- score;
             best_elem.(s_el) <- m_el

@@ -1,7 +1,11 @@
 (** Name-based similarity measures, in the style of COMA++'s linguistic
     matchers: edit distance, character trigrams, and token-set similarity
     with synonym and abbreviation support. All similarities are in
-    [\[0, 1\]]. *)
+    [\[0, 1\]].
+
+    These are the per-call reference definitions. A matcher run scores
+    labels through {!Name_table}, which interns them and computes each
+    distinct pair once, bitwise equal to {!combined}. *)
 
 val tokenize : string -> string list
 (** Split an element name into lowercase tokens at underscores, hyphens,
@@ -24,6 +28,11 @@ val synonyms : ?extra:(string * string) list -> unit -> synonyms
 (** A synonym/abbreviation table seeded with common e-commerce vocabulary
     (buyer/customer, seller/supplier/vendor, order/purchase, id/identifier,
     ...) plus [extra] pairs. Symmetric and reflexive. *)
+
+val are_synonyms : synonyms -> string -> string -> bool
+(** [are_synonyms tbl a b]: [a] and [b] are equal or in one synonym class
+    of [tbl]. The table holds lowercase words, as {!tokenize} yields them.
+    Symmetric. *)
 
 val token_similarity : ?synonyms:synonyms -> string -> string -> float
 (** Soft token-set similarity: average over each side's tokens of the best

@@ -2,8 +2,9 @@
     COMA++'s structure-level matchers.
 
     Each measure takes the name-similarity function to use on labels
-    ([name_sim]) so that callers can supply a memoized instance (the
-    matcher scores |S|·|T| pairs and labels repeat heavily). *)
+    ([name_sim]). These are the per-pair reference definitions behind
+    {!Coma.pair_score}; a matcher run evaluates the same terms, fold for
+    fold, over the label ids of a {!Name_table} ({!Coma.matrix}). *)
 
 val path_similarity :
   name_sim:(string -> string -> float) ->

@@ -23,7 +23,24 @@ let spec ?(repeatable = false) name children = { name; repeatable; children }
 
 let rec spec_count (s : spec) = 1 + List.fold_left (fun acc c -> acc + spec_count c) 0 s.children
 
+(* Paths join names with '.': a name containing one would give two
+   elements one path and split into the wrong ancestors. *)
+let rec check_names (s : spec) =
+  if s.name = "" then Error "empty element name"
+  else if String.contains s.name '.' then
+    Error (Printf.sprintf "element name %S contains '.', the path separator" s.name)
+  else
+    List.fold_left
+      (fun acc c ->
+        match acc with
+        | Ok () -> check_names c
+        | Error _ -> acc)
+      (Ok ()) s.children
+
 let of_spec root_spec =
+  (match check_names root_spec with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Schema.of_spec: " ^ msg));
   let n = spec_count root_spec in
   let labels = Array.make n "" in
   let parent = Array.make n (-1) in
@@ -177,7 +194,7 @@ let of_string s =
         | None, rest -> ([], rest)
       in
       match build 0 items with
-      | Some root_node, [] -> Ok (of_spec root_node)
+      | Some root_node, [] -> Result.map (fun () -> of_spec root_node) (check_names root_node)
       | Some _, (_, name, _) :: _ -> Error (Printf.sprintf "dangling element %S after root subtree" name)
       | None, _ -> Error "malformed schema text"
     end

@@ -20,7 +20,14 @@ type spec = {
 
 val spec : ?repeatable:bool -> string -> spec list -> spec
 
+val check_names : spec -> (unit, string) result
+(** [Error] naming the first element, in pre-order, whose name is empty or
+    contains ['.']. Paths join names with ['.'] ({!path_string}), so such a
+    name would give two elements one path, or split into the wrong
+    ancestors. *)
+
 val of_spec : spec -> t
+(** Raises [Invalid_argument] when {!check_names} rejects the spec. *)
 
 val root : t -> element
 val size : t -> int
@@ -47,7 +54,8 @@ val height : t -> int
 (** Longest root-to-leaf path, counted in edges. *)
 
 val path : t -> element -> string list
-(** Root-to-element label path. *)
+(** Root-to-element label path: the labels of the element's ancestors,
+    root first, then its own. *)
 
 val path_string : t -> element -> string
 (** [path t e] joined with ['.'], e.g. ["ORDER.IP.ICN"] — the hash key format
@@ -82,6 +90,7 @@ val pp : Format.formatter -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parse the {!pp} format: each line is an element name indented by two
-    spaces per depth, with an optional ["*"] suffix for repeatable. *)
+    spaces per depth, with an optional ["*"] suffix for repeatable.
+    Names {!check_names} rejects are an [Error]. *)
 
 val to_string : t -> string

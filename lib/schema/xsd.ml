@@ -95,7 +95,8 @@ let of_xsd ?root tree =
             | g :: _ -> g
             | [] -> fail "xs:schema has no global element")
         in
-        Ok (Schema.of_spec (spec_of_element globals ~in_progress:[] chosen))
+        let spec = spec_of_element globals ~in_progress:[] chosen in
+        Result.map (fun () -> Schema.of_spec spec) (Schema.check_names spec)
       with Bad msg -> Error msg)
 
 let of_xsd_string ?root s =

@@ -19,7 +19,9 @@
 val of_xsd : ?root:string -> Uxsm_xml.Tree.t -> (Schema.t, string) result
 (** [of_xsd tree] interprets a parsed [xs:schema] document. The tree of the
     global element named [root] (default: the first global element) becomes
-    the schema. *)
+    the schema. An element name that {!Schema.check_names} rejects (one
+    containing ['.'], which XML allows but schema paths use as separator)
+    is an [Error] naming it. *)
 
 val of_xsd_string : ?root:string -> string -> (Schema.t, string) result
 (** Parse then {!of_xsd}. *)

@@ -67,6 +67,45 @@ let test_xsd_errors () =
   fails
     "<xs:schema xmlns:xs=\"x\"><xs:element name=\"a\"><xs:complexType><xs:sequence><xs:element ref=\"a\"/></xs:sequence></xs:complexType></xs:element></xs:schema>"
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* XML allows '.' in element names, but schema paths use it as separator:
+   "PO.Order.Header" would name both Order.Header and Order/Header. Import
+   and register reject such names with an error that names the element. *)
+let test_dotted_element_names () =
+  let xsd =
+    {|<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="PO"><xs:complexType><xs:sequence>
+    <xs:element name="Order.Header"><xs:complexType><xs:sequence>
+      <xs:element name="City"/>
+    </xs:sequence></xs:complexType></xs:element>
+    <xs:element name="Order"><xs:complexType><xs:sequence>
+      <xs:element name="Header"/>
+    </xs:sequence></xs:complexType></xs:element>
+  </xs:sequence></xs:complexType></xs:element>
+</xs:schema>|}
+  in
+  (match Xsd.of_xsd_string xsd with
+  | Error e ->
+    Alcotest.(check bool) ("XSD error names the element: " ^ e) true (contains e "Order.Header")
+  | Ok _ -> Alcotest.fail "XSD with a dotted element name accepted");
+  let text =
+    "uxsm-matching v1\nsource-schema\n  PO\n    Order.Header\n      City\n    Order\n      Header\n\
+     target-schema\n  T\n    City\ncorrespondences\n  0.5 2 1\n"
+  in
+  let cat = Uxsm_server.Catalog.create ~exec:Uxsm_exec.Executor.sequential () in
+  match
+    Uxsm_server.Catalog.register cat ~name:"dotted" ~doc_seed:1
+      (Uxsm_server.Protocol.From_matching_text text)
+  with
+  | Error e ->
+    Alcotest.(check bool) ("register error: " ^ e) true
+      (contains e "bad matching text" && contains e "Order.Header")
+  | Ok _ -> Alcotest.fail "register accepted a dotted element name"
+
 let prop_xsd_round_trip =
   QCheck.Test.make ~count:100 ~name:"of_xsd (to_xsd s) = s"
     QCheck.(pair (int_range 1 1000000) (int_range 1 40))
@@ -346,6 +385,7 @@ let suite =
   [
     Alcotest.test_case "XSD import" `Quick test_xsd_import;
     Alcotest.test_case "XSD errors" `Quick test_xsd_errors;
+    Alcotest.test_case "dotted element names rejected" `Quick test_dotted_element_names;
     Alcotest.test_case "XSD on standards" `Quick test_xsd_on_standards;
     Alcotest.test_case "XSD data files (xCBL/openTRANS excerpts)" `Quick test_xsd_data_files;
     Alcotest.test_case "join matcher on Figure 2" `Quick test_join_matcher_fig2;

@@ -167,7 +167,143 @@ let test_mediate_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty source list should fail"
 
+(* ------------------- interned scoring = reference -------------------- *)
+
+module Name_table = Uxsm_matcher.Name_table
+module Executor = Uxsm_exec.Executor
+module Prng = Uxsm_util.Prng
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Words from the default synonym table, in assorted cases, so that
+   synonym hits and near-misses both occur. *)
+let synonym_words =
+  [| "order"; "PO"; "Purchase"; "buyer"; "Customer"; "id"; "No"; "Number"; "Qty"; "quantity";
+     "Ship"; "deliver"; "Delivery"; "zip"; "postal"; "EMail"; "mail"; "line"; "ITEM"; "Vendor" |]
+
+(* A random label of length [0, 80], so labels fall on both sides of the
+   63-byte limit of the bit-parallel edit distance: synonym words, letter
+   runs (some one long lowercase token of 58-70 bytes, for the token-level
+   limit), digits, separators and bytes >= 128, truncated to the drawn
+   length. *)
+let random_label prng =
+  let len = Prng.int prng 81 in
+  let buf = Buffer.create len in
+  let letters n ~mixed =
+    for _ = 1 to n do
+      let c = Char.chr (Char.code 'a' + Prng.int prng 26) in
+      Buffer.add_char buf (if mixed && Prng.bool prng then Char.uppercase_ascii c else c)
+    done
+  in
+  while Buffer.length buf < len do
+    match Prng.int prng 7 with
+    | 0 | 1 -> Buffer.add_string buf (Prng.pick prng synonym_words)
+    | 2 -> letters (1 + Prng.int prng 7) ~mixed:true
+    | 3 -> letters (58 + Prng.int prng 13) ~mixed:false
+    | 4 -> Buffer.add_string buf (string_of_int (Prng.int prng 1000))
+    | 5 -> Buffer.add_char buf (Prng.pick prng [| '_'; '-'; ' ' |])
+    | _ -> Buffer.add_char buf (Char.chr (128 + Prng.int prng 128))
+  done;
+  Buffer.sub buf 0 len
+
+(* Labels drawn from a small pool, so that both sides repeat labels. *)
+let random_labels prng pool n = Array.init n (fun _ -> Prng.pick prng pool)
+
+let prop_name_table_exact =
+  QCheck.Test.make ~count:60 ~name:"name table = Name_sim.combined (bitwise)"
+    QCheck.(int_range 1 1000000)
+    (fun seed ->
+      let prng = Prng.create seed in
+      let pool = Array.init (1 + Prng.int prng 10) (fun _ -> random_label prng) in
+      let sources = random_labels prng pool (1 + Prng.int prng 8) in
+      let targets = random_labels prng pool (1 + Prng.int prng 8) in
+      List.for_all
+        (fun synonyms ->
+          let t = Name_table.create ?synonyms sources targets in
+          (* the reference once per distinct label pair: it is slow on long labels *)
+          let reference = Hashtbl.create 64 in
+          let combined a b =
+            match Hashtbl.find_opt reference (a, b) with
+            | Some v -> v
+            | None ->
+              let v = Name_sim.combined ?synonyms a b in
+              Hashtbl.add reference (a, b) v;
+              v
+          in
+          let ok = ref true in
+          Array.iteri
+            (fun i a ->
+              Array.iteri
+                (fun j b ->
+                  let v = Name_table.score t (Name_table.source_id t i) (Name_table.target_id t j) in
+                  if not (same_bits v (combined a b)) then ok := false)
+                targets)
+            sources;
+          !ok)
+        [ Some (Name_sim.synonyms ()); None ])
+
+(* A random tree whose labels come from a small vocabulary, so labels
+   repeat within and across schemas (and among siblings). *)
+let vocabulary =
+  [| "Order"; "PO"; "Buyer"; "CustomerParty"; "City"; "Name"; "ContactName"; "Street_No";
+     "ORDER_LINE"; "Qty"; "e" |]
+
+let random_vocab_schema prng ~n =
+  let budget = ref (n - 1) in
+  let rec grow depth =
+    let kids = ref [] in
+    for _ = 1 to Prng.int prng 4 do
+      if !budget > 0 && depth < 5 then begin
+        decr budget;
+        kids := grow (depth + 1) :: !kids
+      end
+    done;
+    Schema.spec (Prng.pick prng vocabulary) (List.rev !kids)
+  in
+  let kids = ref [] in
+  while !budget > 0 do
+    decr budget;
+    kids := grow 1 :: !kids
+  done;
+  Schema.of_spec (Schema.spec (Prng.pick prng vocabulary) (List.rev !kids))
+
+let prop_matrix_exact =
+  QCheck.Test.make ~count:25
+    ~name:"Coma.matrix = pair_score (bitwise, both strategies and backends)"
+    QCheck.(triple (int_range 1 1000000) (int_range 1 16) (int_range 1 16))
+    (fun (seed, ns, nt) ->
+      let prng = Prng.create seed in
+      let source = random_vocab_schema prng ~n:ns and target = random_vocab_schema prng ~n:nt in
+      List.for_all
+        (fun strategy ->
+          let cfg = Coma.default_config strategy in
+          let reference =
+            Array.init ns (fun x -> Array.init nt (fun y -> Coma.pair_score cfg source x target y))
+          in
+          List.for_all
+            (fun exec ->
+              let m = Coma.matrix ~exec cfg source target in
+              Array.for_all2 (Array.for_all2 same_bits) m reference)
+            [ Executor.sequential; Executor.domains 2 ])
+        [ Coma.Context; Coma.Fragment ])
+
+(* Digests of every Table II matching, recorded before the interned
+   matcher replaced per-pair scoring: any drift in a score's last bit, in
+   selection or in truncation changes one. *)
+let test_dataset_matchings_pinned () =
+  List.iter
+    (fun (id, digest) ->
+      let d = Option.get (Uxsm_workload.Dataset.find id) in
+      let text = Uxsm_mapping.Serialize.matching_to_string (Uxsm_workload.Dataset.matching d) in
+      Alcotest.(check string) id digest (Digest.to_hex (Digest.string text)))
+    [ ("D1", "3a0bb23b532756609c06867df9467711"); ("D2", "79e6466505c023311ff500d7fadfe614");
+      ("D3", "2e4f1cdd4a81cf0c5645c9499034942f"); ("D4", "a748c31c1ab731dc1d6bb6c015ecfc2b");
+      ("D5", "c8da5f885b2d63938bd04572f705eab6"); ("D6", "684458c61b258727652050c79e600bed");
+      ("D7", "4d7ec1d6d4ccf144e233d5eaa820a5e5"); ("D8", "77913d186a2631740c2ecf92d7789d75");
+      ("D9", "c8ab59df4b16f799ad0d4ebe3846789d"); ("D10", "450af7235af2d743a42d0f2759ef7bed") ]
+
 let suite =
+  let q = QCheck_alcotest.to_alcotest in
   [
     Alcotest.test_case "tokenize" `Quick test_tokenize;
     Alcotest.test_case "levenshtein" `Quick test_levenshtein;
@@ -180,4 +316,7 @@ let suite =
     Alcotest.test_case "both-direction delta selection" `Quick test_both_direction_selection;
     Alcotest.test_case "mediated schema bootstrap" `Slow test_mediate;
     Alcotest.test_case "mediate validation" `Quick test_mediate_validation;
+    Alcotest.test_case "D1-D10 matchings pinned" `Quick test_dataset_matchings_pinned;
+    q prop_name_table_exact;
+    q prop_matrix_exact;
   ]

@@ -56,6 +56,28 @@ let test_text_format_errors () =
   fails "a\nb";  (* two roots *)
   fails "a\n   odd_indent"
 
+(* Paths join names with '.', so a name containing one (or an empty name)
+   is rejected at every construction entry point. *)
+let test_element_name_checks () =
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  (match Schema.of_string "PO\n  Order.Header\n    City\n  Order\n    Header\n" with
+  | Error e ->
+    Alcotest.(check bool) ("error names the element: " ^ e) true (contains e "Order.Header")
+  | Ok _ -> Alcotest.fail "dotted name accepted by of_string");
+  let raises spec =
+    match Schema.of_spec spec with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail "of_spec accepted a bad name"
+  in
+  raises (Schema.spec "PO" [ Schema.spec "Order" [ Schema.spec "a.b" [] ] ]);
+  raises (Schema.spec "" [ Schema.spec "c" [] ]);
+  Alcotest.(check bool) "check_names accepts plain names" true
+    (Schema.check_names (Schema.spec "PO" [ Schema.spec "Order_Header-2" [] ]) = Ok ())
+
 let test_repeatable_marker () =
   let s = Schema.of_spec (Schema.spec "a" [ Schema.spec ~repeatable:true "b" [] ]) in
   Alcotest.(check bool) "b repeatable" true (Schema.repeatable s 1);
@@ -95,6 +117,7 @@ let suite =
     Alcotest.test_case "subtree contiguity" `Quick test_subtree_contiguity;
     Alcotest.test_case "text format round trip" `Quick test_text_round_trip;
     Alcotest.test_case "text format errors" `Quick test_text_format_errors;
+    Alcotest.test_case "element names: no '.', not empty" `Quick test_element_name_checks;
     Alcotest.test_case "repeatable marker" `Quick test_repeatable_marker;
     Alcotest.test_case "to_xml_tree id alignment" `Quick test_to_xml_tree_alignment;
     q prop_random_schema_invariants;
