@@ -471,7 +471,7 @@ let abl_update () =
       (* A single-component delta: re-score the first edge of the median
          component in merge order, nudged by 0.25 so the new score stays
          in (0, 1]. The median is the representative placement — the
-         merge-prefix cache replays the fold up to the touched component,
+         cached merge levels replay the fold up to the touched component,
          so earlier placements re-merge more and later ones less. *)
       let x, y, w =
         match List.nth_opt comps (List.length comps / 2) with

@@ -13,7 +13,8 @@ let create ~n_left ~n_right edge_list =
   let check (i, j, w) =
     if i < 0 || i >= n_left then invalid_arg "Bipartite.create: left index out of range";
     if j < 0 || j >= n_right then invalid_arg "Bipartite.create: right index out of range";
-    if w < 0.0 then invalid_arg "Bipartite.create: negative weight";
+    if not (w >= 0.0 && Float.is_finite w) then
+      invalid_arg "Bipartite.create: weight must be finite and non-negative";
     if Hashtbl.mem seen (i, j) then invalid_arg "Bipartite.create: duplicate edge";
     Hashtbl.add seen (i, j) ()
   in

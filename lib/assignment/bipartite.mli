@@ -11,7 +11,8 @@ type t
 val create : n_left:int -> n_right:int -> (int * int * float) list -> t
 (** [create ~n_left ~n_right edges] builds a graph from [(left, right,
     weight)] triples. Raises [Invalid_argument] on out-of-range indices,
-    negative weights, or duplicate [(left, right)] pairs. *)
+    weights that are negative, infinite or NaN, or duplicate
+    [(left, right)] pairs. *)
 
 val n_left : t -> int
 val n_right : t -> int

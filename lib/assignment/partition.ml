@@ -12,6 +12,8 @@ let c_components_reranked = Obs.counter "partition.components_reranked"
 let c_components_reused = Obs.counter "partition.components_reused"
 let s_top = Obs.span "partition.top"
 let s_apply_delta = Obs.span "partition.apply_delta"
+let s_fold = Obs.span "partition.fold"
+let s_materialize = Obs.span "partition.materialize"
 
 type component = {
   lefts : int list;
@@ -61,60 +63,121 @@ let pair_compare (i1, j1) (i2, j2) =
   | 0 -> Int.compare j1 j2
   | c -> c
 
-let merge ~h xs ys =
+(* One step of the merge fold, kept as back-pointers: entry [e] is the
+   [e]-th best combination, scoring [lv_score.(e)], of entry [lv_prev.(e)]
+   of the previous level with solution [lv_local.(e)] of one component's
+   local list. Pair lists are built from these only for the final level
+   (see [materialize]). *)
+type level = {
+  lv_score : float array;
+  lv_prev : int array;
+  lv_local : int array;
+}
+
+(* The top-h pairwise sums of two non-increasing score arrays, walked from
+   (0, 0) with a heap: a popped cell pushes (ix + 1, iy), then (ix, iy + 1),
+   each at most once. Ties pop in the order of that push sequence, so every
+   caller — the fold and [merge] — breaks them alike. A popped cell is at
+   most [h - 1] steps from (0, 0), so no pushed index exceeds [h] and the
+   seen-bitmap needs at most [(h + 1)^2] bits. *)
+let merge_level ~h xs ys =
   Obs.incr c_merges;
-  match (xs, ys) with
-  | [], _ | _, [] -> []
-  | _ ->
-    let xa = Array.of_list xs and ya = Array.of_list ys in
-    let nx = Array.length xa and ny = Array.length ya in
+  let nx = Array.length xs and ny = Array.length ys in
+  let n = if nx = 0 || ny = 0 || h <= 0 then 0 else min h (nx * ny) in
+  let lv = { lv_score = Array.make n 0.0; lv_prev = Array.make n 0; lv_local = Array.make n 0 } in
+  if n > 0 then begin
+    let rows = if h < nx then h + 1 else nx and cols = if h < ny then h + 1 else ny in
+    let seen = Bytes.make (((rows * cols) + 7) / 8) '\000' in
     let heap = Uxsm_util.Fheap.create () in
-    let seen = Hashtbl.create 64 in
     let push ix iy =
-      if ix < nx && iy < ny && not (Hashtbl.mem seen (ix, iy)) then begin
-        Hashtbl.add seen (ix, iy) ();
-        let s = xa.(ix).Murty.score +. ya.(iy).Murty.score in
-        Uxsm_util.Fheap.push heap (-.s) (ix, iy)
+      if ix < nx && iy < ny then begin
+        let k = (ix * cols) + iy in
+        let byte = Bytes.get_uint8 seen (k lsr 3) and bit = 1 lsl (k land 7) in
+        if byte land bit = 0 then begin
+          Bytes.set_uint8 seen (k lsr 3) (byte lor bit);
+          Uxsm_util.Fheap.push heap (-.(xs.(ix) +. ys.(iy))) k
+        end
       end
     in
     push 0 0;
-    let out = ref [] in
-    let count = ref 0 in
-    let rec drain () =
-      if !count < h then
-        match Uxsm_util.Fheap.pop heap with
-        | None -> ()
-        | Some (neg_s, (ix, iy)) ->
-          let combined : Murty.solution =
-            {
-              pairs = List.merge pair_compare xa.(ix).Murty.pairs ya.(iy).Murty.pairs;
-              score = -.neg_s;
-            }
-          in
-          out := combined :: !out;
-          incr count;
-          push (ix + 1) iy;
-          push ix (iy + 1);
-          drain ()
+    for e = 0 to n - 1 do
+      (* Every cell of the nx × ny grid is reachable from (0, 0), so the
+         heap holds a cell until all [n <= nx * ny] have been popped. *)
+      match Uxsm_util.Fheap.pop heap with
+      | None -> assert false
+      | Some (neg_s, k) ->
+        let ix = k / cols and iy = k mod cols in
+        lv.lv_score.(e) <- -.neg_s;
+        lv.lv_prev.(e) <- ix;
+        lv.lv_local.(e) <- iy;
+        push (ix + 1) iy;
+        push ix (iy + 1)
+    done
+  end;
+  lv
+
+let scores_of (sols : Murty.solution array) = Array.map (fun (s : Murty.solution) -> s.score) sols
+
+let merge ~h xs ys =
+  let xa = Array.of_list xs and ya = Array.of_list ys in
+  let lv = merge_level ~h (scores_of xa) (scores_of ya) in
+  List.init (Array.length lv.lv_score) (fun e ->
+      {
+        Murty.pairs =
+          List.merge pair_compare xa.(lv.lv_prev.(e)).Murty.pairs ya.(lv.lv_local.(e)).Murty.pairs;
+        score = lv.lv_score.(e);
+      })
+
+(* Merge one level per local list on top of [prev]'s scores, pushing each
+   onto [acc] (newest first). The fold starts from the single empty
+   solution's scores. *)
+let rec fold_levels ~h prev acc = function
+  | [] -> acc
+  | local :: rest ->
+    let lv = merge_level ~h prev (scores_of local) in
+    fold_levels ~h lv.lv_score (lv :: acc) rest
+
+(* The final level's solutions: follow each entry's back-pointers through
+   every level, gather the chosen local pair lists and sort them. Components
+   share no left node and each local list is sorted by left, so the sort is
+   the nested [List.merge] a fold of [merge] would have built. *)
+let materialize (locals : Murty.solution array array) (levels : level array) =
+  let k = Array.length levels in
+  if k = 0 then [ empty_solution ]
+  else
+    let last = levels.(k - 1) in
+    let rec walk c e acc =
+      if c < 0 then acc
+      else
+        let lv = levels.(c) in
+        walk (c - 1) lv.lv_prev.(e) (locals.(c).(lv.lv_local.(e)).Murty.pairs :: acc)
     in
-    drain ();
-    List.rev !out
+    List.init (Array.length last.lv_score) (fun e ->
+        {
+          Murty.pairs = List.sort pair_compare (List.concat (walk (k - 1) e []));
+          score = last.lv_score.(e);
+        })
+
+let merge_fold ~h locals =
+  let locals = List.map Array.of_list locals in
+  let levels = List.rev (fold_levels ~h [| empty_solution.score |] [] locals) in
+  materialize (Array.of_list locals) (Array.of_list levels)
 
 (* The reusable per-component state. Plain data throughout — no closures —
    so the catalog can own one per cached mapping set and a future session
    could serialize it. [rk_locals] holds, per component in component
    order, the component's ordered edge list (the reuse key) and its local
-   top-h solution list mapped back to global indices. *)
+   top-h solutions mapped back to global indices. *)
 type ranked = {
   rk_h : int;
   rk_order : [ `Index | `Degree ] option;
   rk_graph : Bipartite.t;
-  rk_locals : ((int * int * float) list * Murty.solution list) list;
-  rk_prefixes : Murty.solution list list;
-      (* rk_prefixes nth i = the merge fold over locals 0..i, so the last
-         prefix is rk_merged. The fold is left-associative and
-         order-sensitive, so a delta confined to component k can replay
-         prefix k-1 verbatim and re-merge only the suffix from k on. *)
+  rk_locals : ((int * int * float) list * Murty.solution array) list;
+  rk_levels : level list;
+      (* rk_levels nth i = the merge fold's level over locals 0..i, so the
+         last level's entries are rk_merged. The fold is left-associative
+         and order-sensitive, so a delta confined to component k can keep
+         levels 0..k-1 verbatim and re-merge only the suffix from k on. *)
   rk_merged : Murty.solution list;
 }
 
@@ -144,6 +207,7 @@ let local_top ?order ~h comp =
            Murty.pairs = List.map (fun (i, j) -> (l_back.(i), r_back.(j))) s.pairs;
            score = s.score;
          })
+  |> Array.of_list
 
 (* Rank the components of [g], reusing any component whose ordered edge
    list is found in [cache] (a hit means identical member nodes and
@@ -177,32 +241,30 @@ let rank_components ~exec ~order ~h ~cache ~reuse g =
   (* The merge fold is left-associative, so any leading run of components
      whose keys match [reuse] position by position replays exactly — a
      cache hit on the same key yields the identical local list, hence the
-     identical merge step. Resume the fold from the last surviving
-     prefix. *)
-  let old_locals, old_prefixes = reuse in
-  let rec survive kept olds oldps news =
-    match (olds, oldps, news) with
-    | (ok, _) :: olds', p :: oldps', (nk, _) :: news' when ok = nk ->
-      survive (p :: kept) olds' oldps' news'
+     identical level. Resume the fold from the last surviving level. *)
+  let old_locals, old_levels = reuse in
+  let rec survive kept olds oldls news =
+    match (olds, oldls, news) with
+    | (ok, _) :: olds', lv :: oldls', (nk, _) :: news' when ok = nk ->
+      survive (lv :: kept) olds' oldls' news'
     | _ -> (kept, news)
   in
-  let kept_rev, rest = survive [] old_locals old_prefixes locals in
-  let start = match kept_rev with [] -> [ empty_solution ] | p :: _ -> p in
-  let rec refold acc prefixes = function
-    | [] -> prefixes
-    | (_, local) :: tl ->
-      let acc' = merge ~h acc local in
-      refold acc' (acc' :: prefixes) tl
+  let kept_rev, rest = survive [] old_locals old_levels locals in
+  let start = match kept_rev with [] -> [| empty_solution.score |] | lv :: _ -> lv.lv_score in
+  let levels =
+    Obs.time s_fold (fun () -> List.rev (fold_levels ~h start kept_rev (List.map snd rest)))
   in
-  let prefixes_rev = refold start kept_rev rest in
-  let merged = match prefixes_rev with [] -> [ empty_solution ] | m :: _ -> m in
-  (locals, List.rev prefixes_rev, merged, List.length misses)
+  let merged =
+    Obs.time s_materialize (fun () ->
+        materialize (Array.of_list (List.map snd locals)) (Array.of_list levels))
+  in
+  (locals, levels, merged, List.length misses)
 
 let rank ?(exec = Uxsm_exec.Executor.sequential) ?order ~h g =
   if h <= 0 then invalid_arg "Partition.rank: h must be >= 1";
   Obs.time s_top @@ fun () ->
   let no_reuse = Hashtbl.create 1 in
-  let locals, prefixes, merged, _ =
+  let locals, levels, merged, _ =
     rank_components ~exec ~order ~h ~cache:no_reuse ~reuse:([], []) g
   in
   {
@@ -210,7 +272,7 @@ let rank ?(exec = Uxsm_exec.Executor.sequential) ?order ~h g =
     rk_order = order;
     rk_graph = g;
     rk_locals = locals;
-    rk_prefixes = prefixes;
+    rk_levels = levels;
     rk_merged = merged;
   }
 
@@ -256,10 +318,10 @@ let apply_delta ?(exec = Uxsm_exec.Executor.sequential) d r =
   let g = Bipartite.create ~n_left:d.d_n_left ~n_right:d.d_n_right edges in
   let cache = Hashtbl.create (List.length r.rk_locals) in
   List.iter (fun (key, local) -> Hashtbl.replace cache key local) r.rk_locals;
-  let locals, prefixes, merged, reranked =
+  let locals, levels, merged, reranked =
     rank_components ~exec ~order:r.rk_order ~h:r.rk_h ~cache
-      ~reuse:(r.rk_locals, r.rk_prefixes) g
+      ~reuse:(r.rk_locals, r.rk_levels) g
   in
   Obs.add c_components_reranked reranked;
   Obs.add c_components_reused (List.length locals - reranked);
-  { r with rk_graph = g; rk_locals = locals; rk_prefixes = prefixes; rk_merged = merged }
+  { r with rk_graph = g; rk_locals = locals; rk_levels = levels; rk_merged = merged }

@@ -19,9 +19,20 @@ val components : Bipartite.t -> component list
     order: by smallest left node. *)
 
 val merge : h:int -> Murty.solution list -> Murty.solution list -> Murty.solution list
-(** [merge ~h xs ys] — top-h combinations (concatenated pairs, summed
-    scores) of two non-increasing solution lists, non-increasing. Exposed
-    for testing. *)
+(** [merge ~h xs ys] — top-h combinations of two non-increasing solution
+    lists, non-increasing: each combination's score is [x.score +. y.score]
+    and its pairs are [List.merge] of the two pair lists by (left, right).
+    Ties come out in one fixed heap-walk order, the same one every level of
+    {!rank}'s fold uses (it is computed by the same score merge). Bumps
+    [partition.merges]. Exposed for testing. *)
+
+val merge_fold : h:int -> Murty.solution list list -> Murty.solution list
+(** [merge_fold ~h locals] — the left fold of {!merge} over [locals] from
+    the single empty solution, computed as {!rank} computes it: one level
+    of scores and back-pointers per list, pair lists built only for the
+    final top-h. Equal to the fold of {!merge} (pairs, score bits and
+    order) whenever the lists use disjoint left nodes and keep their pairs
+    sorted by left — true of component rankings. Exposed for testing. *)
 
 val top :
   ?exec:Uxsm_exec.Executor.t ->
@@ -42,8 +53,12 @@ val top :
 
 type ranked
 (** Reusable ranking state: the graph, per-component Murty lists (keyed by
-    the component's ordered edge list) and the merged top-h. Plain data —
-    no closures — so a catalog can own one per cached mapping set. *)
+    the component's ordered edge list), one merge-fold level per component
+    and the merged top-h. A level holds, for each of its (at most [h])
+    entries, the combined score, the entry of the previous level it
+    extends and the local solution it adds — back-pointers, not pair
+    lists; pair lists exist only for the final top-h. Plain data — no
+    closures — so a catalog can own one per cached mapping set. *)
 
 type delta = {
   d_set : (int * int * float) list;
@@ -84,9 +99,10 @@ val apply_delta : ?exec:Uxsm_exec.Executor.t -> delta -> ranked -> ranked
     recompute the component index, re-rank {e only} components whose edge
     list changed (cached lists cover the rest — membership, order and
     weights all equal means the cached ranking is exactly a fresh one),
-    and resume the heap merge from the deepest cached prefix: the fold
-    is left-associative, so a delta confined to component [k] replays
-    prefixes [0..k-1] verbatim and re-merges only from [k] on. Bumps
+    and resume the heap merge from the deepest cached level: the fold is
+    left-associative, so a delta confined to component [k] keeps levels
+    [0..k-1] verbatim and re-merges only the score arrays from [k] on;
+    pair lists are then built for the final top-h alone. Bumps
     [partition.components_reranked] / [partition.components_reused];
     re-ranked components run on [exec] with a [~cost_hint] covering only
     the miss work. The result equals [rank ~h] of the patched graph (a

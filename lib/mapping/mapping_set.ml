@@ -45,7 +45,9 @@ let generate ?(method_ = Partitioned) ?(exec = Uxsm_exec.Executor.sequential) ~h
 let of_mappings u entries =
   if entries = [] then invalid_arg "Mapping_set.of_mappings: empty set";
   List.iter
-    (fun (_, p) -> if p <= 0.0 then invalid_arg "Mapping_set.of_mappings: non-positive probability")
+    (fun (_, p) ->
+      if not (p > 0.0 && Float.is_finite p) then
+        invalid_arg "Mapping_set.of_mappings: probability must be finite and positive")
     entries;
   let entries = List.stable_sort (fun (_, p1) (_, p2) -> Float.compare p2 p1) entries in
   let mappings = Array.of_list (List.map fst entries) in

@@ -25,8 +25,9 @@ val generate :
 
 val of_mappings : Matching.t -> (Mapping.t * float) list -> t
 (** Build from explicit mappings and probabilities (e.g. the paper's
-    Figure 3 running example). Probabilities must be positive; they are
-    normalized to sum to 1. *)
+    Figure 3 running example). Probabilities must be finite and positive
+    (NaN and infinity raise [Invalid_argument]); they are normalized to
+    sum to 1. *)
 
 val ranked : t -> Uxsm_assignment.Partition.ranked option
 (** Component provenance: the reusable per-component ranking state of the
@@ -38,7 +39,7 @@ val update : ?exec:Uxsm_exec.Executor.t -> Matching.t -> t -> t
     [t]'s component provenance: only components of the correspondence
     graph touched by the difference between [t]'s matching and [u'] are
     re-ranked (see {!Uxsm_assignment.Partition.apply_delta}), the heap
-    merge resumes from the deepest cached prefix, and probabilities
+    merge resumes from the deepest cached level, and probabilities
     renormalize over the new scores. The result is identical to a
     from-scratch [generate] (a tested property); a matching that did
     not come from [Matching.apply_delta] on [t]'s matching simply falls

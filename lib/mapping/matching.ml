@@ -24,7 +24,8 @@ let create ~source ~target corrs =
       invalid_arg "Matching.create: source element out of range";
     if c.target < 0 || c.target >= Schema.size target then
       invalid_arg "Matching.create: target element out of range";
-    if c.score <= 0.0 || c.score > 1.0 then
+    (* Written so that NaN fails it: every comparison with NaN is false. *)
+    if not (c.score > 0.0 && c.score <= 1.0) then
       invalid_arg "Matching.create: score must be in (0, 1]";
     if Hashtbl.mem by_pair (c.source, c.target) then
       invalid_arg "Matching.create: duplicate correspondence";
@@ -123,7 +124,7 @@ let apply_delta d t =
     let set =
       List.map
         (fun (sp, tp, w) ->
-          if w <= 0.0 || w > 1.0 then deltaf "score for %s ~ %s must be in (0, 1]" sp tp;
+          if not (w > 0.0 && w <= 1.0) then deltaf "score for %s ~ %s must be in (0, 1]" sp tp;
           (resolve ~side:"source" source sp, resolve ~side:"target" target tp, w))
         d.set_scores
     in

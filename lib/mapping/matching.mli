@@ -15,8 +15,9 @@ type t
 
 val create :
   source:Uxsm_schema.Schema.t -> target:Uxsm_schema.Schema.t -> corr list -> t
-(** Validates element ranges, scores in [(0, 1]], and uniqueness of
-    [(source, target)] pairs; raises [Invalid_argument] otherwise. *)
+(** Validates element ranges, scores in [(0, 1]] (NaN is rejected), and
+    uniqueness of [(source, target)] pairs; raises [Invalid_argument]
+    otherwise. *)
 
 val source : t -> Uxsm_schema.Schema.t
 val target : t -> Uxsm_schema.Schema.t
@@ -70,6 +71,7 @@ val apply_delta : delta -> t -> (t, string) result
     correspondence to it in one step), and rewrite the correspondence
     list in the {!Uxsm_assignment.Bipartite.apply_edge_delta} algebra —
     re-scores keep their position, additions append. [Error] (and no
-    change) on unknown paths, out-of-range scores, removals of absent
+    change) on unknown paths, scores outside [(0, 1]] (NaN included),
+    removals of absent
     correspondences, or element additions that would renumber existing
     elements. *)

@@ -212,7 +212,10 @@ let test_merge_top_h () =
   let merged = Partition.merge ~h:4 a b in
   Alcotest.(check (list (float 1e-9)))
     "top-4 of pairwise sums" [ 9.0; 7.0; 7.0; 5.0 ]
-    (List.map (fun (s : Murty.solution) -> s.score) merged)
+    (List.map (fun (s : Murty.solution) -> s.score) merged);
+  Alcotest.(check (list (float 1e-9)))
+    "an unbounded h yields every combination" [ 9.0; 7.0; 7.0; 5.0; 5.0; 3.0 ]
+    (List.map (fun (s : Murty.solution) -> s.score) (Partition.merge ~h:max_int a b))
 
 let test_empty_graph () =
   let g = Bipartite.create ~n_left:3 ~n_right:2 [] in
@@ -228,6 +231,139 @@ let test_empty_graph () =
 let test_create_validation () =
   let raises f = Alcotest.check_raises "invalid_arg" (Invalid_argument "Bipartite.create: duplicate edge") f in
   raises (fun () -> ignore (Bipartite.create ~n_left:2 ~n_right:2 [ (0, 0, 1.0); (0, 0, 2.0) ]))
+
+(* ------------- the merge fold against the list-merge oracle ------------ *)
+
+(* The heap merge as it was written over solution lists before the fold
+   kept back-pointer levels: every combination's pair list is built with
+   [List.merge]. [Partition.merge] and [Partition.merge_fold] must
+   reproduce it exactly — pairs, score bits and order, ties included. *)
+let oracle_merge ~h xs ys =
+  match (xs, ys) with
+  | [], _ | _, [] -> []
+  | _ ->
+    let xa = Array.of_list xs and ya = Array.of_list ys in
+    let nx = Array.length xa and ny = Array.length ya in
+    let heap = Uxsm_util.Fheap.create () in
+    let seen = Hashtbl.create 64 in
+    let push ix iy =
+      if ix < nx && iy < ny && not (Hashtbl.mem seen (ix, iy)) then begin
+        Hashtbl.add seen (ix, iy) ();
+        let s = xa.(ix).Murty.score +. ya.(iy).Murty.score in
+        Uxsm_util.Fheap.push heap (-.s) (ix, iy)
+      end
+    in
+    push 0 0;
+    let out = ref [] in
+    let count = ref 0 in
+    let rec drain () =
+      if !count < h then
+        match Uxsm_util.Fheap.pop heap with
+        | None -> ()
+        | Some (neg_s, (ix, iy)) ->
+          let combined : Murty.solution =
+            {
+              pairs = List.merge pair_compare xa.(ix).Murty.pairs ya.(iy).Murty.pairs;
+              score = -.neg_s;
+            }
+          in
+          out := combined :: !out;
+          incr count;
+          push (ix + 1) iy;
+          push ix (iy + 1);
+          drain ()
+    in
+    drain ();
+    List.rev !out
+
+let oracle_fold ~h locals =
+  List.fold_left (oracle_merge ~h) [ { Murty.pairs = []; score = 0.0 } ] locals
+
+let same_solutions (a : Murty.solution list) (b : Murty.solution list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Murty.solution) (y : Murty.solution) ->
+         x.pairs = y.pairs && Int64.equal (Int64.bits_of_float x.score) (Int64.bits_of_float y.score))
+       a b
+
+(* Scores from a tiny pool, so equal sums (ties) are common; 0.1 and 0.7
+   are not dyadic, so a changed addition order would change score bits. *)
+let gen_score_list n =
+  let open QCheck.Gen in
+  let pool = [| 1.0; 0.7; 0.5; 0.25; 0.1 |] in
+  map (List.sort (fun a b -> Float.compare b a)) (list_repeat n (map (Array.get pool) (int_bound 4)))
+
+(* Component [c] of [k] owns the left nodes c, c + k, c + 2k, ... (the
+   interleaving real components have); each solution matches a random
+   subset of them, sorted by left. *)
+let gen_component_list ~k c =
+  let open QCheck.Gen in
+  let* n = int_range 1 12 in
+  let* scores = gen_score_list n in
+  flatten_l
+    (List.map
+       (fun score ->
+         let* chosen = list_repeat 4 bool in
+         let* rights = list_repeat 4 (int_bound 9) in
+         let pairs =
+           List.concat
+             (List.mapi (fun t (b, j) -> if b then [ (c + (k * t), j) ] else [])
+                (List.combine chosen rights))
+         in
+         return { Murty.pairs; score })
+       scores)
+
+let print_solution_lists ls =
+  String.concat " | "
+    (List.map
+       (fun l ->
+         String.concat "; "
+           (List.map
+              (fun (s : Murty.solution) ->
+                Printf.sprintf "%g:[%s]" s.score
+                  (String.concat "," (List.map (fun (i, j) -> Printf.sprintf "%d-%d" i j) s.pairs)))
+              l))
+       ls)
+
+let arb_fold_input =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (h, ls) -> Printf.sprintf "h=%d %s" h (print_solution_lists ls))
+    (let* h = int_range 1 30 in
+     let* k = int_range 0 8 in
+     let* ls = flatten_l (List.init k (gen_component_list ~k)) in
+     return (h, ls))
+
+let prop_merge_fold_equals_oracle =
+  QCheck.Test.make ~count:500 ~name:"Partition.merge_fold = left fold of list merges"
+    arb_fold_input (fun (h, ls) -> same_solutions (Partition.merge_fold ~h ls) (oracle_fold ~h ls))
+
+(* [merge] keeps [List.merge]'s contract for any pair lists, sorted or not. *)
+let prop_merge_equals_oracle =
+  let open QCheck.Gen in
+  let gen_list =
+    let* n = int_range 0 10 in
+    let* scores = gen_score_list n in
+    flatten_l
+      (List.map
+         (fun score ->
+           let* pairs = list_size (int_bound 4) (pair (int_bound 9) (int_bound 9)) in
+           return { Murty.pairs; score })
+         scores)
+  in
+  QCheck.Test.make ~count:500 ~name:"Partition.merge = list-merge oracle"
+    (QCheck.make
+       ~print:(fun (h, a, b) -> Printf.sprintf "h=%d %s" h (print_solution_lists [ a; b ]))
+       (triple (int_range 0 30) gen_list gen_list))
+    (fun (h, a, b) -> same_solutions (Partition.merge ~h a b) (oracle_merge ~h a b))
+
+let test_create_rejects_non_finite () =
+  List.iter
+    (fun w ->
+      match Bipartite.create ~n_left:2 ~n_right:2 [ (0, 0, 0.5); (1, 1, w) ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "Bipartite.create accepted weight %h" w)
+    [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; -0.5 ]
 
 (* ------------- incremental ranking (Partition.apply_delta) ------------ *)
 
@@ -350,6 +486,10 @@ let suite =
     Alcotest.test_case "merge top-h" `Quick test_merge_top_h;
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
     Alcotest.test_case "create validation" `Quick test_create_validation;
+    Alcotest.test_case "create rejects NaN and infinite weights" `Quick
+      test_create_rejects_non_finite;
+    q prop_merge_fold_equals_oracle;
+    q prop_merge_equals_oracle;
     q prop_optimal;
     q prop_murty_matches_brute_force;
     q prop_murty_distinct;

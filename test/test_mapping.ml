@@ -371,6 +371,119 @@ let test_update_requires_provenance () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "update without provenance must raise"
 
+(* ---------------------- o-ratio and pinned sets --------------------- *)
+
+(* A random injective mapping over [source] and [target]: each of
+   [candidates] in range is kept with probability 1/2, then random pairs
+   fill in, so two mappings built from one another overlap a lot. *)
+let random_mapping prng ~source ~target candidates =
+  let ns = Schema.size source and nt = Schema.size target in
+  let s_used = Array.make ns false and t_used = Array.make nt false in
+  let pairs = ref [] in
+  let add (x, y) =
+    if x < ns && y < nt && (not s_used.(x)) && not t_used.(y) then begin
+      s_used.(x) <- true;
+      t_used.(y) <- true;
+      pairs := (x, y) :: !pairs
+    end
+  in
+  List.iter (fun p -> if Uxsm_util.Prng.int prng 2 = 0 then add p) candidates;
+  for _ = 1 to ns do
+    add (Uxsm_util.Prng.int prng ns, Uxsm_util.Prng.int prng nt)
+  done;
+  Mapping.of_pairs ~source ~target ~score:1.0 !pairs
+
+(* The reference counts over the first mapping's source-ordered pairs. The
+   two mappings range over schemas of independent sizes, so either one's
+   lookup arrays can be the shorter, and both argument orders are
+   checked. *)
+let prop_inter_size_reference =
+  QCheck.Test.make ~count:500 ~name:"inter_size = source-side reference count"
+    (QCheck.int_range 1 1_000_000) (fun seed ->
+      let prng = Uxsm_util.Prng.create seed in
+      let schema () = Fixtures.random_schema prng ~n:(1 + Uxsm_util.Prng.int prng 12) in
+      let a = random_mapping prng ~source:(schema ()) ~target:(schema ()) [] in
+      let b = random_mapping prng ~source:(schema ()) ~target:(schema ()) (Mapping.pairs a) in
+      let reference m m' =
+        List.length (List.filter (fun p -> List.mem p (Mapping.pairs m')) (Mapping.pairs m))
+      in
+      let i = Mapping.inter_size a b in
+      i = reference a b
+      && Mapping.inter_size b a = reference b a
+      && Float.equal (Mapping.o_ratio a b)
+           (let u = Mapping.size a + Mapping.size b - i in
+            if u = 0 then 1.0 else float_of_int i /. float_of_int u))
+
+(* Digests of [Serialize.mapping_set_to_string] and the bits of
+   [average_o_ratio] for every Table II dataset's top-100 set, recorded
+   before the partition fold kept back-pointer levels. *)
+let generate_pins =
+  [
+    ("D1", "df9c2afb62d14e8d39d5fa53089bb1a9", 0x3fe14c9680a64425L);
+    ("D2", "c0e18a74e7f849c1487ae7f9eddf82ab", 0x3fe94b8c81498f04L);
+    ("D3", "7237e0312535c0fb0c89652ae581205c", 0x3fe23bf69cdb57b3L);
+    ("D4", "9758d2952a6bcf959e151013d85e411f", 0x3fe60f643c059c4aL);
+    ("D5", "37e1cf0763deb507572b5cb38552a674", 0x3fe09c29a69e9687L);
+    ("D6", "d3d957e1cba215db844b6a948041ef7f", 0x3fe7ada2d84e78c4L);
+    ("D7", "82c04e4630053dd5d410766b7dc2a30e", 0x3fed7994897c5540L);
+    ("D8", "2028d431a417870ac67464550875edb8", 0x3feab6f049152990L);
+    ("D9", "f213f87c38e96597f52d31e87cfea742", 0x3fee211a412ad94cL);
+    ("D10", "1d2a0b93bcbbb2049abf3e58472478ff", 0x3fee412cb7405e9bL);
+  ]
+
+let test_generate_pinned () =
+  List.iter
+    (fun (id, digest, o_ratio_bits) ->
+      let d = Option.get (Uxsm_workload.Dataset.find id) in
+      let mset = Mapping_set.generate ~h:100 (Uxsm_workload.Dataset.matching d) in
+      Alcotest.(check string)
+        (id ^ " set digest") digest
+        (Digest.to_hex (Digest.string (Uxsm_mapping.Serialize.mapping_set_to_string mset)));
+      Alcotest.(check int64) (id ^ " o-ratio bits") o_ratio_bits
+        (Int64.bits_of_float (Mapping_set.average_o_ratio mset)))
+    generate_pins
+
+(* ----------------------- non-finite scores ------------------------- *)
+
+let non_finite = [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_non_finite_rejected () =
+  List.iter
+    (fun w ->
+      let shown = Printf.sprintf "%h" w in
+      (match Matching.create ~source ~target [ { Matching.source = 0; target = 0; score = w } ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "Matching.create accepted score %s" shown);
+      (match
+         Matching.apply_delta
+           { Matching.empty_delta with set_scores = [ ("Order.BP", "ORDER.IP", w) ] }
+           Fixtures.fig1_matching
+       with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "apply_delta accepted score %s" shown);
+      match Mapping_set.of_mappings Fixtures.fig1_matching [ (Fixtures.fig3_m1, 0.5); (Fixtures.fig3_m2, w) ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "of_mappings accepted probability %s" shown)
+    non_finite;
+  (* The text format reads scores with [float_of_string_opt], which accepts
+     these spellings; the matching's own check must refuse them. *)
+  let text = Uxsm_mapping.Serialize.matching_to_string Fixtures.fig1_matching in
+  List.iter
+    (fun spelling ->
+      let lines = String.split_on_char '\n' text in
+      let rec rewrite after = function
+        | [] -> []
+        | l :: rest when after -> (
+          match String.split_on_char ' ' (String.trim l) with
+          | [ _; x; y ] -> String.concat " " [ " "; spelling; x; y ] :: rest
+          | _ -> l :: rewrite after rest)
+        | l :: rest -> l :: rewrite (String.trim l = "correspondences") rest
+      in
+      match Uxsm_mapping.Serialize.matching_of_string (String.concat "\n" (rewrite false lines)) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "matching_of_string accepted score %s" spelling)
+    [ "nan"; "-nan"; "inf"; "-inf" ]
+
 let suite =
   [
     Alcotest.test_case "mapping validation" `Quick test_mapping_validation;
@@ -393,4 +506,7 @@ let suite =
       test_update_requires_provenance;
     QCheck_alcotest.to_alcotest prop_update_equals_generate;
     QCheck_alcotest.to_alcotest prop_update_equals_generate_domains;
+    QCheck_alcotest.to_alcotest prop_inter_size_reference;
+    Alcotest.test_case "generate h=100 pinned on D1-D10" `Quick test_generate_pinned;
+    Alcotest.test_case "NaN and infinite scores rejected" `Quick test_non_finite_rejected;
   ]

@@ -1031,6 +1031,101 @@ let test_admission_overload () =
   Alcotest.(check bool) "rejections counted" true
     (Obs.value (Obs.counter "server.overloaded") > 0)
 
+(* ------------------- incremental ranking, pinned ------------------- *)
+
+(* Per-step digests of [Serialize.mapping_set_to_string] for the D7 top-100
+   set under 20 move/restore update pairs, the update pattern of the
+   serving benchmark's update_mix workload: the k-th pair moves the
+   (k * n / 20)-th correspondence 0.05 away from its registered score
+   (rounded to 3 decimals), then restores it. Recorded before the
+   partition fold kept back-pointer levels; each restore must give back
+   the registered set. *)
+let d7_registered = "82c04e4630053dd5d410766b7dc2a30e"
+
+let d7_moved =
+  [
+    "014562d4d875af430616a67f2bfe942f"; "f06889c762f124435e08d6bfd4006584";
+    "0448abf2632f3692330d36867773b94d"; "04b7754d84292b554d0c7fedb966193b";
+    "1923b6e8939d2b128ceb716ca1fa959b"; "30b9047c580122fdabdd5ec1f2022570";
+    "1a25d1450c27f00f4dc5dbd0d66fe701"; "2d28a49905af6ba8d87ba7ab27a7d179";
+    "a25520ea6c8fbd21cd66e213f16b0947"; "f5fcf02f4eb872ca387b2cc40d3392b0";
+    "24ddc2324c894e284922fef5f40fd27e"; "ed6f30958919b054c09020299a469c12";
+    "7cab12eff0badcd50684cad1589841e7"; "f5738077d496e3406c0028405aad066a";
+    "5e9ba8c5256847e282ef2c2ef46db27b"; "daa685d7461eea7d94600dee02d01dc7";
+    "223049b37a15505c4862ec2655b52b5d"; "689efe54a3fc12ea0f88b25128872436";
+    "1d6f7f208cd1b54082de43606e0e66b7"; "6800fb06ce2dedff85c99d0711ea4d76";
+  ]
+
+let test_d7_update_stream_pinned () =
+  let module Matching = Uxsm_mapping.Matching in
+  let module Schema = Uxsm_schema.Schema in
+  let cat = Catalog.create ~exec:Executor.sequential () in
+  (match
+     Catalog.register cat ~name:"d7" ~doc_seed:1 ~doc_nodes:50
+       (Protocol.From_dataset (Uxsm_workload.Dataset.d7, 42))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let digest () =
+    match Catalog.mapping_set cat "d7" ~h:100 with
+    | Ok m -> Digest.to_hex (Digest.string (Serialize.mapping_set_to_string m))
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check string) "registered" d7_registered (digest ());
+  let m = match Catalog.matching cat "d7" with Ok m -> m | Error e -> Alcotest.fail e in
+  let corrs = Array.of_list (Matching.correspondences m) in
+  let n = Array.length corrs in
+  let round3 x = float_of_string (Printf.sprintf "%.3f" x) in
+  List.iteri
+    (fun k moved_digest ->
+      let c = corrs.(k * n / 20) in
+      let sp = Schema.path_string (Matching.source m) c.source
+      and tp = Schema.path_string (Matching.target m) c.target in
+      let step what score expect =
+        match
+          Catalog.update cat ~name:"d7" { Matching.empty_delta with set_scores = [ (sp, tp, score) ] }
+        with
+        | Ok u ->
+          Alcotest.(check int) (Printf.sprintf "pair %d %s patched the set" k what) 1 u.u_msets_patched;
+          Alcotest.(check string) (Printf.sprintf "pair %d %s" k what) expect (digest ())
+        | Error e -> Alcotest.fail e
+      in
+      step "move" (if c.score >= 0.06 then round3 (c.score -. 0.05) else round3 (c.score +. 0.05))
+        moved_digest;
+      step "restore" c.score d7_registered)
+    d7_moved
+
+(* A register whose matching text carries a non-finite score is refused
+   with a structured error, and the corpus already registered under that
+   name keeps answering. *)
+let test_register_rejects_non_finite_scores () =
+  let module Matching = Uxsm_mapping.Matching in
+  let cat = Catalog.create ~exec:Executor.sequential () in
+  let good = Serialize.matching_to_string Fixtures.fig1_matching in
+  (match Catalog.register cat ~name:"c" ~doc_seed:1 (Protocol.From_matching_text good) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let before = Catalog.mapping_set cat "c" ~h:5 |> Result.map Serialize.mapping_set_to_string in
+  let c0 = List.hd (Matching.correspondences Fixtures.fig1_matching) in
+  let first_line = Printf.sprintf "  %.17g %d %d" c0.score c0.source c0.target in
+  List.iter
+    (fun spelling ->
+      let bad =
+        String.concat "\n"
+          (List.map
+             (fun l -> if l = first_line then Printf.sprintf "  %s %d %d" spelling c0.source c0.target else l)
+             (String.split_on_char '\n' good))
+      in
+      Alcotest.(check bool) ("rewrote the first score to " ^ spelling) false (bad = good);
+      (match Catalog.register cat ~name:"c" ~doc_seed:1 (Protocol.From_matching_text bad) with
+      | Error e ->
+        Alcotest.(check bool) ("structured error: " ^ e) true (contains ~needle:"bad matching text" e)
+      | Ok _ -> Alcotest.failf "register accepted score %s" spelling);
+      Alcotest.(check (result string string))
+        ("corpus still answers after " ^ spelling) before
+        (Catalog.mapping_set cat "c" ~h:5 |> Result.map Serialize.mapping_set_to_string))
+    [ "nan"; "-nan"; "inf" ]
+
 let suite =
   [
     Alcotest.test_case "LRU capacity bounds" `Quick test_lru_capacity_bounds;
@@ -1068,4 +1163,8 @@ let suite =
     Alcotest.test_case "graceful drain mid-load" `Quick test_drain_mid_load;
     Alcotest.test_case "bounded admission queue rejects with overloaded" `Quick
       test_admission_overload;
+    Alcotest.test_case "D7 move/restore update stream pinned" `Quick
+      test_d7_update_stream_pinned;
+    Alcotest.test_case "register rejects NaN and infinite scores" `Quick
+      test_register_rejects_non_finite_scores;
   ]
