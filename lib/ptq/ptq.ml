@@ -35,8 +35,14 @@ type context = {
   exec : Executor.t;
 }
 
-let context ?(exec = Executor.sequential) ?tree ~mset ~doc () =
-  let target_doc = Doc.of_tree (Schema.to_xml_tree (Mapping_set.target mset)) in
+let target_index schema = Doc.of_tree (Schema.to_xml_tree schema)
+
+let context ?(exec = Executor.sequential) ?tree ?target_doc ~mset ~doc () =
+  let target_doc =
+    match target_doc with
+    | Some d -> d
+    | None -> target_index (Mapping_set.target mset)
+  in
   { mset; doc; target_doc; tree; exec }
 
 let executor ctx = ctx.exec

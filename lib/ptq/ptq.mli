@@ -26,9 +26,13 @@
 
 type context
 
+val target_index : Uxsm_schema.Schema.t -> Uxsm_xml.Doc.t
+(** A target schema indexed as a document, for query resolution. *)
+
 val context :
   ?exec:Uxsm_exec.Executor.t ->
   ?tree:Uxsm_blocktree.Block_tree.t ->
+  ?target_doc:Uxsm_xml.Doc.t ->
   mset:Uxsm_mapping.Mapping_set.t ->
   doc:Uxsm_xml.Doc.t ->
   unit ->
@@ -36,6 +40,10 @@ val context :
 (** [context ~mset ~doc ()] prepares evaluation state: the indexed target
     schema for query resolution and (optionally) a block tree for
     Algorithm 4. [doc] must conform to the mapping set's source schema.
+
+    [target_doc] is the mapping set's target schema as {!target_index}
+    builds it; a caller that keeps one per schema (the server catalog)
+    passes it to skip re-indexing. Without it, the context builds its own.
 
     [exec] (default [Sequential]) schedules the embarrassingly-parallel
     outer loops of evaluation — per mapping in {!query_basic}, per

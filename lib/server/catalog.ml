@@ -61,15 +61,17 @@ type artifact =
           (mapping set, block tree, documents), so executions survive the
           eviction of the artifacts it was compiled from *)
 
-(* A registered corpus: its matching (as maintained by updates) and the
-   document generated from its source schema. Both are pinned here, never
-   evicted; the LRU holds only what derives from them. *)
+(* A registered corpus: its matching (as maintained by updates), the
+   document generated from its source schema and its target schema indexed
+   for query resolution. All are pinned here, never evicted; the LRU holds
+   only what derives from them. *)
 type entry = {
   spec : Protocol.source_spec;
   doc_seed : int;
   doc_nodes : int option;
   matching : Matching.t;
   doc : Uxsm_xml.Doc.t;
+  target_doc : Uxsm_xml.Doc.t;
 }
 
 (* One shard per corpus. Every cache key names exactly one corpus, so a
@@ -224,8 +226,8 @@ let plan_locked t sh name ~pattern ~h ~tau ~k ~force =
       | Error e -> failf "bad query %S: %s" pattern e
     in
     let mset, tree = tree_locked t sh name ~h ~tau in
-    let doc = (entry_locked sh name).doc in
-    let ctx = Ptq.context ~exec:t.exec ~tree ~mset ~doc () in
+    let e = entry_locked sh name in
+    let ctx = Ptq.context ~exec:t.exec ~tree ~target_doc:e.target_doc ~mset ~doc:e.doc () in
     let p = Obs.time s_build (fun () -> Ptq.compile ~force ?k ctx q) in
     cache_put sh key (A_plan p);
     p
@@ -252,8 +254,10 @@ let register t ~name ~doc_seed ?doc_nodes spec =
       with_lock sh.sh_lock (fun () ->
           let matching = Obs.time s_build (fun () -> build_matching t spec) in
           let doc = generate_doc ~doc_seed ~doc_nodes matching in
+          let target_doc = Ptq.target_index (Matching.target matching) in
           Lru.clear sh.sh_cache;
-          Atomic.set sh.sh_entry (Some { spec; doc_seed; doc_nodes; matching; doc });
+          Atomic.set sh.sh_entry
+            (Some { spec; doc_seed; doc_nodes; matching; doc; target_doc });
           (matching, doc)))
 
 type update_stats = {
@@ -321,19 +325,24 @@ let update t ~name delta =
               keys
           in
           (* The generated document depends only on the source schema (and
-             the entry's seed), so it is rebuilt only when the delta grew
-             that schema. *)
-          let doc_rebuilt =
-            Uxsm_schema.Schema.size (Matching.source m_new)
-            <> Uxsm_schema.Schema.size (Matching.source e.matching)
+             the entry's seed), the target index only on the target schema.
+             Schemas are append-only, so an unchanged size is an unchanged
+             schema: each is rebuilt only when the delta grew its schema. *)
+          let grew side =
+            Uxsm_schema.Schema.size (side m_new) <> Uxsm_schema.Schema.size (side e.matching)
           in
+          let doc_rebuilt = grew Matching.source in
           let doc =
             if doc_rebuilt then generate_doc ~doc_seed:e.doc_seed ~doc_nodes:e.doc_nodes m_new
             else e.doc
           in
+          let target_doc =
+            if grew Matching.target then Ptq.target_index (Matching.target m_new)
+            else e.target_doc
+          in
           let plan_keys = List.filter (function K_plan _ -> true | _ -> false) keys in
           (* Commit. *)
-          Atomic.set sh.sh_entry (Some { e with matching = m_new; doc });
+          Atomic.set sh.sh_entry (Some { e with matching = m_new; doc; target_doc });
           List.iter (fun (_, key, s') -> cache_put sh key (A_mset s')) patched_msets;
           List.iter (fun (key, s', tr') -> cache_put sh key (A_tree (s', tr'))) patched_trees;
           List.iter (fun k -> Lru.remove sh.sh_cache k) plan_keys;

@@ -1,17 +1,33 @@
 type t = int array
 
-let compare = Stdlib.compare
+(* [Stdlib.compare]'s order on int arrays: length first, then entries left
+   to right. *)
+let compare (a : t) (b : t) =
+  let n = Array.length a in
+  let c = Int.compare n (Array.length b) in
+  if c <> 0 then c
+  else
+    let rec go i =
+      if i = n then 0
+      else
+        let c = Int.compare a.(i) b.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+
 let equal a b = compare a b = 0
 let root_node (b : t) = b.(0)
 
 let merge a b =
   let n = Array.length a in
   if Array.length b <> n then invalid_arg "Binding.merge: size mismatch";
-  Array.init n (fun i ->
-      match (a.(i), b.(i)) with
-      | v, -1 -> v
-      | -1, v -> v
-      | _, _ -> invalid_arg "Binding.merge: overlapping bindings")
+  let r = Array.copy a in
+  for i = 0 to n - 1 do
+    let v = b.(i) in
+    if v <> -1 then
+      if r.(i) = -1 then r.(i) <- v else invalid_arg "Binding.merge: overlapping bindings"
+  done;
+  r
 
 let unbound l = Array.make l (-1)
 

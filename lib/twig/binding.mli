@@ -7,6 +7,9 @@ type t = int array
 (** [t.(i)] is the document node bound to pattern node [i]. *)
 
 val compare : t -> t -> int
+(** [Stdlib.compare]'s order on int arrays, without the polymorphic walk:
+    shorter bindings first, then lexicographic by entry. *)
+
 val equal : t -> t -> bool
 
 val root_node : t -> Uxsm_xml.Doc.node

@@ -9,13 +9,7 @@ let matches (p : Pattern.t) doc =
   let rec eval (node : Pattern.node) ~is_root : Binding.t list =
     let q = !counter in
     incr counter;
-    let pool =
-      match node.Pattern.anchor with
-      | Some path -> Doc.nodes_with_path doc path
-      | None ->
-        if Pattern.is_wildcard node then List.init (Doc.size doc) Fun.id
-        else Doc.nodes_with_label doc node.Pattern.label
-    in
+    let pool = Array.to_list (Matcher.pool doc node) in
     let pool =
       if is_root && p.Pattern.axis = Pattern.Child then
         List.filter (fun v -> v = Doc.root doc) pool

@@ -3,8 +3,19 @@
     A match binds every pattern node to a document element such that labels
     and text predicates hold and the structural relationships ([/], [//])
     are satisfied (the paper's Section IV-A definition). The engine is a
-    memoized top-down enumerator over the label-indexed document; it is the
+    memoized top-down enumerator over the document's interned index
+    ({!Uxsm_xml.Doc.path_nodes}, {!Uxsm_xml.Doc.label_nodes}): anchors are
+    compared as path ids, and a step's candidates are the slice of the
+    child's pool inside the bound node's subtree interval. It is the
     [match(d, q_S)] primitive of Algorithms 3–4. *)
+
+val pool : Uxsm_xml.Doc.t -> Pattern.node -> Uxsm_xml.Doc.node array
+(** The document nodes a pattern node's label and anchor admit, ascending:
+    the anchor's path when the node has one (empty when no node has that
+    path, or when the path ends in another label), else the label's nodes,
+    else (an unanchored wildcard) every node. Every engine draws its
+    candidates from here. The array may be the document's own: do not
+    mutate it. *)
 
 val matches : Pattern.t -> Uxsm_xml.Doc.t -> Binding.t list
 (** All matches, in document order of the root binding (then lexicographic).

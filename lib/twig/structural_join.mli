@@ -14,8 +14,8 @@ val node_pairs :
 (** [node_pairs doc ~axis ~left ~right] — all [(a, d)] with [a ∈ left],
     [d ∈ right] and [a] a strict ancestor ([Descendant]) or the parent
     ([Child]) of [d]. Inputs must be sorted ascending (document order);
-    duplicates are allowed and join independently. Output is sorted by
-    descendant, then ancestor. *)
+    duplicates are allowed and join independently. Output is ordered by
+    descendant, then innermost ancestor first. *)
 
 val join_bindings :
   Uxsm_xml.Doc.t ->
@@ -29,4 +29,10 @@ val join_bindings :
     nodes in their respective columns: the result contains
     [Binding.merge l r] for every pair where [l.(left_col)] is an ancestor
     ([Descendant]) or the parent ([Child]) of [r.(right_col)]. This is the
-    binding-level wrapper every twig evaluator shares. *)
+    binding-level wrapper every twig evaluator shares.
+
+    Each side is grouped by its column's node by sorting (ties in reverse
+    input order), and the join walks the distinct nodes. The result is
+    ordered by pair, as {!node_pairs} orders the distinct nodes; within a
+    pair, left bindings outer and right bindings inner, each in reverse
+    input order. *)

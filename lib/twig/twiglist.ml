@@ -2,18 +2,16 @@ module Doc = Uxsm_xml.Doc
 
 (* Indexed pattern, mirroring Matcher's pre-order numbering. *)
 type indexed = {
-  labels : string array;
-  anchors : string option array;
+  pools : Doc.node array array;
   values : string option array;
   attr_preds : (string * string) list array;
   branches : (Pattern.axis * int) array array;
   n : int;
 }
 
-let index (p : Pattern.t) =
+let index (p : Pattern.t) doc =
   let n = Pattern.size p in
-  let labels = Array.make n "" in
-  let anchors = Array.make n None in
+  let pools = Array.make n [||] in
   let values = Array.make n None in
   let attr_preds = Array.make n [] in
   let branches = Array.make n [||] in
@@ -21,8 +19,7 @@ let index (p : Pattern.t) =
   let rec go (node : Pattern.node) =
     let id = !next in
     incr next;
-    labels.(id) <- node.Pattern.label;
-    anchors.(id) <- node.Pattern.anchor;
+    pools.(id) <- Matcher.pool doc node;
     values.(id) <- node.Pattern.value;
     attr_preds.(id) <- node.Pattern.attrs;
     let kids = List.map (fun (a, c) -> (a, go c)) (Pattern.branches node) in
@@ -30,7 +27,7 @@ let index (p : Pattern.t) =
     id
   in
   ignore (go p.Pattern.root);
-  { labels; anchors; values; attr_preds; branches; n }
+  { pools; values; attr_preds; branches; n }
 
 (* One surviving candidate of a query node: the document node plus, per
    query branch, the interval of entries in that branch's list lying inside
@@ -41,16 +38,9 @@ type entry = {
 }
 
 let matches (p : Pattern.t) doc =
-  let idx = index p in
+  let idx = index p doc in
   let candidates qid =
-    let pool =
-      match idx.anchors.(qid) with
-      | Some path -> Doc.nodes_with_path doc path
-      | None ->
-        if String.equal idx.labels.(qid) Pattern.wildcard then
-          List.init (Doc.size doc) Fun.id
-        else Doc.nodes_with_label doc idx.labels.(qid)
-    in
+    let pool = Array.to_list idx.pools.(qid) in
     let pool =
       if qid = 0 && p.Pattern.axis = Pattern.Child then
         List.filter (fun v -> v = Doc.root doc) pool

@@ -2,11 +2,9 @@ module Schema = Uxsm_schema.Schema
 module Prng = Uxsm_util.Prng
 module Tree = Uxsm_xml.Tree
 
-let contains_token label token =
-  List.mem token (Uxsm_matcher.Name_sim.tokenize label)
-
-let leaf_value prng label =
-  let has = contains_token label in
+(* The value heuristic over a label's tokens. *)
+let leaf_value_of_tokens prng tokens =
+  let has token = List.mem token tokens in
   if has "city" then Prng.pick prng Vocab.city_names
   else if has "name" || has "label" then Prng.pick prng Vocab.person_names
   else if has "street" || has "road" then Prng.pick prng Vocab.street_names
@@ -21,6 +19,8 @@ let leaf_value prng label =
       [ "id"; "no"; "number"; "code"; "identifier"; "quantity"; "qty"; "value"; "price"; "cost"; "amount"; "total"; "rate"; "count"; "zip"; "postcode"; "postal" ]
   then string_of_int (1 + Prng.int prng 100000)
   else Prng.pick prng Vocab.words
+
+let leaf_value prng label = leaf_value_of_tokens prng (Uxsm_matcher.Name_sim.tokenize label)
 
 (* Extra copies per repeatable element so that total element nodes come as
    close to [target] as possible: large subtrees first, then 1-node
@@ -49,6 +49,17 @@ let default_seed = 7
 let generate ?(seed = default_seed) ?(target_nodes = 3473) schema =
   let prng = Prng.create seed in
   let extra = plan_copies schema target_nodes in
+  (* Each leaf element's label is tokenized once, however many instances
+     the document has. *)
+  let tokens = Array.make (Schema.size schema) None in
+  let tokens_of e =
+    match tokens.(e) with
+    | Some t -> t
+    | None ->
+      let t = Uxsm_matcher.Name_sim.tokenize (Schema.label schema e) in
+      tokens.(e) <- Some t;
+      t
+  in
   let rec instantiate e =
     let kids =
       List.concat_map
@@ -56,7 +67,7 @@ let generate ?(seed = default_seed) ?(target_nodes = 3473) schema =
         (Schema.children schema e)
     in
     let children =
-      if kids = [] then [ Tree.text (leaf_value prng (Schema.label schema e)) ] else kids
+      if kids = [] then [ Tree.text (leaf_value_of_tokens prng (tokens_of e)) ] else kids
     in
     Tree.element (Schema.label schema e) children
   in

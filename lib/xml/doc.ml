@@ -10,9 +10,36 @@ type t = {
   level : int array;
   text : string array;
   attrs : (string * string) list array;
-  by_label : (string, int list) Hashtbl.t;  (* stored reversed, exposed in order *)
-  by_path : (string, int list) Hashtbl.t;  (* '.'-joined label paths, reversed *)
+  label_ids : (string, int) Hashtbl.t;  (* tag name -> label id *)
+  by_label : int array array;  (* label id -> its nodes, ascending *)
+  path_ids : (string, int) Hashtbl.t;  (* '.'-joined label path -> path id *)
+  path_of : int array;  (* node -> path id *)
+  by_path : int array array;  (* path id -> its nodes, ascending *)
 }
+
+(* The dense id of [key], numbering keys 0, 1, ... in order of first sight. *)
+let intern tbl count key =
+  match Hashtbl.find_opt tbl key with
+  | Some id -> id
+  | None ->
+    let id = !count in
+    Hashtbl.add tbl key id;
+    incr count;
+    id
+
+(* Nodes grouped by id: a counting sort of [ids] (node -> group id), so
+   every group comes out ascending. *)
+let group_nodes ids groups =
+  let counts = Array.make groups 0 in
+  Array.iter (fun g -> counts.(g) <- counts.(g) + 1) ids;
+  let out = Array.map (fun c -> Array.make c 0) counts in
+  let fill = Array.make groups 0 in
+  Array.iteri
+    (fun v g ->
+      out.(g).(fill.(g)) <- v;
+      fill.(g) <- fill.(g) + 1)
+    ids;
+  out
 
 let of_tree root_tree =
   (match root_tree with
@@ -28,8 +55,12 @@ let of_tree root_tree =
   let level = Array.make n 0 in
   let text = Array.make n "" in
   let attrs = Array.make n [] in
-  let by_label = Hashtbl.create 64 in
-  let by_path = Hashtbl.create 64 in
+  let label_ids = Hashtbl.create 64 in
+  let path_ids = Hashtbl.create 64 in
+  let label_of = Array.make n 0 in
+  let path_of = Array.make n 0 in
+  let n_labels = ref 0 in
+  let n_paths = ref 0 in
   let paths = Array.make n "" in
   let next_pre = ref 0 in
   let next_post = ref 0 in
@@ -48,10 +79,8 @@ let of_tree root_tree =
       text.(id) <- Tree.text_content t;
       attrs.(id) <- e.attrs;
       paths.(id) <- (if parent_id < 0 then e.name else paths.(parent_id) ^ "." ^ e.name);
-      let prev = try Hashtbl.find by_label e.name with Not_found -> [] in
-      Hashtbl.replace by_label e.name (id :: prev);
-      let prev_p = try Hashtbl.find by_path paths.(id) with Not_found -> [] in
-      Hashtbl.replace by_path paths.(id) (id :: prev_p);
+      label_of.(id) <- intern label_ids n_labels e.name;
+      path_of.(id) <- intern path_ids n_paths paths.(id);
       let kids = List.filter_map (index id (depth + 1)) e.children in
       children.(id) <- Array.of_list kids;
       sub_end.(id) <- !next_pre - 1;
@@ -60,7 +89,22 @@ let of_tree root_tree =
       Some id
   in
   ignore (index (-1) 0 root_tree);
-  { tree; labels; parent; children; post; sub_end; level; text; attrs; by_label; by_path }
+  {
+    tree;
+    labels;
+    parent;
+    children;
+    post;
+    sub_end;
+    level;
+    text;
+    attrs;
+    label_ids;
+    by_label = group_nodes label_of !n_labels;
+    path_ids;
+    path_of;
+    by_path = group_nodes path_of !n_paths;
+  }
 
 let root _ = 0
 let size t = Array.length t.labels
@@ -76,18 +120,23 @@ let attr t i name = List.assoc_opt name t.attrs.(i)
 let is_ancestor t a b = a < b && t.post.(a) > t.post.(b)
 let is_parent t a b = t.parent.(b) = a
 
-let nodes_with_label t l =
-  match Hashtbl.find_opt t.by_label l with
-  | None -> []
-  | Some ids -> List.rev ids
+let label_nodes t l =
+  match Hashtbl.find_opt t.label_ids l with
+  | None -> [||]
+  | Some id -> t.by_label.(id)
+
+let path_id t i = t.path_of.(i)
+let find_path t p = Hashtbl.find_opt t.path_ids p
+let path_nodes t id = t.by_path.(id)
+let nodes_with_label t l = Array.to_list (label_nodes t l)
 
 let nodes_with_path t p =
-  match Hashtbl.find_opt t.by_path p with
+  match find_path t p with
   | None -> []
-  | Some ids -> List.rev ids
+  | Some id -> Array.to_list t.by_path.(id)
 
 let labels t =
-  Hashtbl.fold (fun l _ acc -> l :: acc) t.by_label [] |> List.sort String.compare
+  Hashtbl.fold (fun l _ acc -> l :: acc) t.label_ids [] |> List.sort String.compare
 
 let subtree t i = t.tree.(i)
 

@@ -55,6 +55,26 @@ val nodes_with_path : t -> string -> node list
     schema, these are exactly the instances of the schema element with that
     path. *)
 
+(** {2 Interned index}
+
+    [of_tree] numbers the distinct root-to-node label paths in order of
+    first occurrence and keeps, per tag name and per path, the array of its
+    nodes in document order. The arrays are the document's own: callers
+    must not mutate them. *)
+
+val label_nodes : t -> string -> node array
+(** [nodes_with_label] as an ascending array; empty for an absent tag. *)
+
+val path_id : t -> node -> int
+(** The id of the node's root-to-node label path: two nodes have the same
+    id exactly when their paths are equal. *)
+
+val find_path : t -> string -> int option
+(** The id of a ['.']-joined label path, if some node has that path. *)
+
+val path_nodes : t -> int -> node array
+(** The nodes with the given path id, ascending. *)
+
 val labels : t -> string list
 (** Distinct tag names occurring in the document, sorted. *)
 

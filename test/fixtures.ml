@@ -101,14 +101,21 @@ let fig2_doc_tree =
 let fig2_doc = Uxsm_xml.Doc.of_tree fig2_doc_tree
 
 (* Deterministic random schema generator for property tests: a tree with
-   [n] elements and bounded fanout. *)
-let random_schema prng ~n =
+   [n] elements and bounded fanout. Names are unique and nothing repeats,
+   unless [repeated]: then names come from a three-letter alphabet (so a
+   label recurs at many paths, nested in itself, and siblings can share a
+   path) and about one element in three is repeatable. *)
+let random_schema ?(repeated = false) prng ~n =
   if n < 1 then invalid_arg "random_schema";
   let next = ref 0 in
   let fresh prefix =
-    incr next;
-    Printf.sprintf "%s%d" prefix !next
+    if repeated then Uxsm_util.Prng.pick prng [| "a"; "b"; "c" |]
+    else begin
+      incr next;
+      Printf.sprintf "%s%d" prefix !next
+    end
   in
+  let repeatable () = repeated && Uxsm_util.Prng.int prng 3 = 0 in
   let budget = ref (n - 1) in
   let rec grow depth =
     let name = fresh "e" in
@@ -120,7 +127,7 @@ let random_schema prng ~n =
         kids := grow (depth + 1) :: !kids
       end
     done;
-    Schema.spec name (List.rev !kids)
+    Schema.spec ~repeatable:(repeatable ()) name (List.rev !kids)
   in
   let root_kids = ref [] in
   let root = fresh "root" in
@@ -182,11 +189,36 @@ let random_doc prng schema =
 
 (* Random twig pattern guaranteed resolvable against [schema]: grown from a
    random element, with structurally consistent Child/Descendant branches
-   and occasional value predicates on leaves. *)
-let random_pattern prng schema =
+   and occasional value predicates on leaves. With [anchored], every node
+   is anchored, as a query rewritten through a mapping is: to its schema
+   element's path, except that about one node in eight gets a path no
+   document node has, or another element's path, with that element's label
+   (as a rewrite through a wrong correspondence would have) or with its
+   own. The other element is often the pattern parent's, whose instances
+   sit right beside the ends of the parent's candidate interval. The
+   unanchored variant draws exactly what it drew before anchors existed. *)
+let random_pattern ?(anchored = false) prng schema =
   let module P = Uxsm_twig.Pattern in
+  let all = Array.of_list (Schema.elements schema) in
+  let other up =
+    match up with
+    | Some p when Uxsm_util.Prng.bool prng -> p
+    | _ -> Uxsm_util.Prng.pick prng all
+  in
+  let anchor_of e up label =
+    let path = Schema.path_string schema in
+    if not anchored then (label, None)
+    else
+      match Uxsm_util.Prng.int prng 24 with
+      | 0 -> (label, Some (path e ^ ".absent"))
+      | 1 ->
+        let o = other up in
+        ((if String.equal label P.wildcard then label else Schema.label schema o), Some (path o))
+      | 2 -> (label, Some (path (other up)))
+      | _ -> (label, Some (path e))
+  in
   let vocab = [| "a"; "b"; "c"; "d"; "e" |] in
-  let rec grow e depth : P.node =
+  let rec grow ?up e depth : P.node =
     let descendants = List.tl (Schema.subtree_elements schema e) in
     let kids = Schema.children schema e in
     let n_branches =
@@ -195,11 +227,11 @@ let random_pattern prng schema =
     let branch _ =
       if kids <> [] && Uxsm_util.Prng.bool prng then begin
         let c = Uxsm_util.Prng.pick prng (Array.of_list kids) in
-        (P.Child, grow c (depth + 1))
+        (P.Child, grow ~up:e c (depth + 1))
       end
       else begin
         let d = Uxsm_util.Prng.pick prng (Array.of_list descendants) in
-        (P.Descendant, grow d (depth + 1))
+        (P.Descendant, grow ~up:e d (depth + 1))
       end
     in
     let branches = List.init n_branches branch in
@@ -212,12 +244,12 @@ let random_pattern prng schema =
       (* occasional wildcard nodes exercise the engines' generic pools *)
       if Uxsm_util.Prng.int prng 8 = 0 then P.wildcard else Schema.label schema e
     in
+    let label, anchor = anchor_of e up label in
     match branches with
-    | [] -> P.node ?value label
-    | [ b ] -> P.node ?value ~next:b label
-    | b :: rest -> P.node ?value ~preds:rest ~next:b label
+    | [] -> P.node ?anchor ?value label
+    | [ b ] -> P.node ?anchor ?value ~next:b label
+    | b :: rest -> P.node ?anchor ?value ~preds:rest ~next:b label
   in
-  let all = Array.of_list (Schema.elements schema) in
   let e = Uxsm_util.Prng.pick prng all in
   let axis = if e = Schema.root schema then P.Child else P.Descendant in
   { P.axis; root = grow e 0 }

@@ -123,6 +123,58 @@ let test_d7_regression_pins () =
   let doc = Gen_doc.generate (Mapping_set.source mset) in
   Alcotest.(check int) "Order.xml node count" 3473 (Uxsm_xml.Doc.size doc)
 
+(* Output pins recorded before the twig layer moved to the document's
+   interned index: one digest over every D7 Table III answer (mapping id,
+   probability bits, bindings) under each evaluator, with and without
+   top-k, through the catalog's compiled plans. *)
+let d7_table3_digest = "f33c5d471a0759d3808157ccd18cca0a"
+
+let test_d7_table3_answers_pinned () =
+  let module Catalog = Uxsm_server.Catalog in
+  let module Protocol = Uxsm_server.Protocol in
+  let module Executor = Uxsm_exec.Executor in
+  let cat = Catalog.create ~exec:Executor.sequential () in
+  (match
+     Catalog.register cat ~name:"d7" ~doc_seed:Gen_doc.default_seed
+       (Protocol.From_dataset (Dataset.d7, Dataset.default_seed))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (id, q) ->
+      let pattern = Uxsm_twig.Pattern.to_string q in
+      List.iter
+        (fun force ->
+          List.iter
+            (fun k ->
+              match
+                Catalog.plan cat "d7" ~pattern ~h:Protocol.default_h ~tau:Protocol.default_tau ~k
+                  ~force
+              with
+              | Error e -> Alcotest.fail e
+              | Ok p ->
+                Printf.bprintf buf "%s %s %s\n" id
+                  (Uxsm_plan.Plan.force_to_string force)
+                  (match k with None -> "all" | Some k -> string_of_int k);
+                List.iter
+                  (fun (a : Ptq.answer) ->
+                    Printf.bprintf buf "%d %Lx" a.mapping_id (Int64.bits_of_float a.probability);
+                    List.iter
+                      (fun (b : Uxsm_twig.Binding.t) ->
+                        Buffer.add_char buf ' ';
+                        Array.iteri
+                          (fun i v -> Printf.bprintf buf (if i = 0 then "%d" else ",%d") v)
+                          b)
+                      a.bindings;
+                    Buffer.add_char buf '\n')
+                  (Ptq.execute p))
+            [ None; Some 10 ])
+        [ `Auto; `Basic; `Tree ])
+    Queries.table3;
+  Alcotest.(check string) "Q1-Q10 x evaluators x {all, k=10}" d7_table3_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "mapping sets: probabilities and order" `Slow test_mapping_set_properties;
@@ -131,4 +183,5 @@ let suite =
     Alcotest.test_case "PTQ pipeline on D4" `Slow test_ptq_pipeline_on_dataset;
     Alcotest.test_case "D7 full stack, ten queries" `Slow test_d7_full_stack;
     Alcotest.test_case "D7 regression pins" `Slow test_d7_regression_pins;
+    Alcotest.test_case "D7 Table III answers pinned" `Slow test_d7_table3_answers_pinned;
   ]

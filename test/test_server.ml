@@ -557,6 +557,53 @@ let test_update_with_schema_growth () =
   Alcotest.(check string) "incremental = from-scratch answers"
     (Server.handle_line srv2 q) (Server.handle_line srv q)
 
+(* The catalog pins its corpus's target schema indexed for resolution and
+   re-indexes it only when an update grows that schema: after such an
+   update, a query naming the new target element answers exactly like a
+   cold register of the updated matching. *)
+let test_update_grows_target_index () =
+  let module Matching = Uxsm_mapping.Matching in
+  let module Schema = Uxsm_schema.Schema in
+  let module Ptq = Uxsm_ptq.Ptq in
+  let ok what = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e in
+  let answers cat pattern =
+    Ptq.execute
+      (ok pattern
+         (Catalog.plan cat "w" ~pattern ~h:5 ~tau:Protocol.default_tau ~k:None ~force:`Auto))
+  in
+  let cat = Catalog.create ~exec:Executor.sequential () in
+  ignore (ok "register" (Catalog.register cat ~name:"w" ~doc_seed:3
+                           (Protocol.From_mapping_set_text fig3_text)));
+  ignore (answers cat "ORDER//ICN");
+  let m = ok "matching" (Catalog.matching cat "w") in
+  let root_path s = Schema.path_string s (Schema.root s) in
+  let sroot = root_path (Matching.source m) and troot = root_path (Matching.target m) in
+  let delta =
+    {
+      Matching.empty_delta with
+      add_source = [ (sroot, "NewSrc") ];
+      add_target = [ (troot, "NewTgt") ];
+      set_scores = [ (sroot ^ ".NewSrc", troot ^ ".NewTgt", 0.9) ];
+    }
+  in
+  ignore (ok "update" (Catalog.update cat ~name:"w" delta));
+  let q = Schema.label (Matching.target m) (Schema.root (Matching.target m)) ^ "/NewTgt" in
+  let warm = answers cat q in
+  let cold_cat = Catalog.create ~exec:Executor.sequential () in
+  let m_new = ok "updated matching" (Catalog.matching cat "w") in
+  ignore
+    (ok "cold register"
+       (Catalog.register cold_cat ~name:"w" ~doc_seed:3
+          (Protocol.From_matching_text (Serialize.matching_to_string m_new))));
+  let cold = answers cold_cat q in
+  let render (a : Ptq.answer) =
+    Printf.sprintf "%d %Lx %s" a.mapping_id (Int64.bits_of_float a.probability)
+      (String.concat " " (List.map (Format.asprintf "%a" Uxsm_twig.Binding.pp) a.bindings))
+  in
+  Alcotest.(check bool) "the new element resolves" true (cold <> []);
+  Alcotest.(check (list string)) "warm update = cold register" (List.map render cold)
+    (List.map render warm)
+
 let test_update_survives_eviction () =
   (* A capacity-2 cache evicts the patched artifacts; the rebuild starts
      from the corpus entry's updated matching, so answers keep matching a
@@ -1142,6 +1189,8 @@ let suite =
     Alcotest.test_case "update patches warm caches (e2e)" `Quick test_update_dispatch;
     Alcotest.test_case "update grows schemas, rebuilds the doc" `Quick
       test_update_with_schema_growth;
+    Alcotest.test_case "update growing the target re-indexes it" `Quick
+      test_update_grows_target_index;
     Alcotest.test_case "updates survive eviction via delta replay" `Quick
       test_update_survives_eviction;
     Alcotest.test_case "stats_reset opens a fresh window" `Quick test_stats_reset;

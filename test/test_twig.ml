@@ -132,6 +132,9 @@ let reference_matches (p : Pattern.t) doc =
     let local i =
       (Pattern.is_wildcard nodes.(i)
       || String.equal (nodes.(i)).Pattern.label (Doc.label doc b.(i)))
+      && (match (nodes.(i)).Pattern.anchor with
+         | None -> true
+         | Some path -> String.equal path (String.concat "." (Doc.path doc b.(i))))
       && (match (nodes.(i)).Pattern.value with
          | None -> true
          | Some v -> String.equal v (Doc.text doc b.(i)))
@@ -204,6 +207,173 @@ let prop_join_vs_nested_loops =
       in
       check Pattern.Child && check Pattern.Descendant)
 
+(* Every engine against the reference, on unanchored patterns and on
+   anchored ones (the only kind PTQ evaluation serves). Half the cases use
+   schemas whose labels recur and whose elements repeat, so a node right
+   outside a subtree often carries the label or path a step asks for. *)
+let prop_engines_vs_reference ~anchored =
+  QCheck.Test.make ~count:1500
+    ~name:
+      (Printf.sprintf "engines agree with exhaustive reference (%s)"
+         (if anchored then "anchored" else "unanchored"))
+    QCheck.(triple (int_range 1 1000000) (int_range 2 7) bool)
+    (fun (seed, n, repeated) ->
+      let prng = Uxsm_util.Prng.create seed in
+      let schema = Fixtures.random_schema ~repeated prng ~n in
+      let doc = Fixtures.random_doc prng schema in
+      let pattern = Fixtures.random_pattern ~anchored prng schema in
+      if Pattern.size pattern > 4 || Doc.size doc > 12 then true
+      else
+        let expect = reference_matches pattern doc in
+        Matcher.matches pattern doc = expect
+        && Uxsm_twig.Join_matcher.matches pattern doc = expect
+        && Uxsm_twig.Twiglist.matches pattern doc = expect)
+
+(* At sizes the reference cannot reach, the engines still agree on
+   anchored patterns. *)
+let prop_engines_agree_anchored =
+  QCheck.Test.make ~count:500 ~name:"engines agree on larger anchored patterns"
+    QCheck.(triple (int_range 1 1000000) (int_range 2 25) bool)
+    (fun (seed, n, repeated) ->
+      let prng = Uxsm_util.Prng.create seed in
+      let schema = Fixtures.random_schema ~repeated prng ~n in
+      let doc = Fixtures.random_doc prng schema in
+      let pattern = Fixtures.random_pattern ~anchored:true prng schema in
+      let m = Matcher.matches pattern doc in
+      Uxsm_twig.Join_matcher.matches pattern doc = m && Uxsm_twig.Twiglist.matches pattern doc = m)
+
+(* r(a(b), a(b)): the first a's interval is [1, 2], the second a follows
+   it at 3. Anchored steps must take their candidates from inside the
+   interval only, not the node itself nor the one right after it. *)
+let test_anchored_slice_bounds () =
+  let open Uxsm_xml.Tree in
+  let doc = Doc.of_tree (element "r" [ element "a" [ leaf "b" "x" ]; element "a" [ leaf "b" "y" ] ]) in
+  let anchored_a next = Pattern.pattern ~axis:Pattern.Descendant (Pattern.node ~anchor:"r.a" ~next "a") in
+  let nested axis = anchored_a (axis, Pattern.node ~anchor:"r.a" "a") in
+  let under_a = anchored_a (Pattern.Descendant, Pattern.node ~anchor:"r.a.b" "b") in
+  let engines p =
+    [ Matcher.matches p doc; Uxsm_twig.Join_matcher.matches p doc; Uxsm_twig.Twiglist.matches p doc ]
+  in
+  List.iter
+    (fun (name, p, expect) ->
+      List.iter
+        (fun got -> Alcotest.(check (list (array int))) name expect got)
+        (engines p))
+    [
+      ("a//a binds nothing", nested Pattern.Descendant, []);
+      ("a/a binds nothing", nested Pattern.Child, []);
+      ("a//b binds each a to its own b", under_a, [ [| 1; 2 |]; [| 3; 4 |] ]);
+    ]
+
+(* Random binding lists for the join: width 4, left bindings own columns 0
+   and 2, right ones 1 and 3; join keys come from a few nodes, so groups
+   repeat. *)
+let prop_array_join_vs_hashtbl_oracle =
+  QCheck.Test.make ~count:300 ~name:"array join = Hashtbl join oracle, order included"
+    QCheck.(pair (int_range 1 1000000) (int_range 3 30))
+    (fun (seed, n) ->
+      let prng = Uxsm_util.Prng.create seed in
+      let schema = Fixtures.random_schema ~repeated:true prng ~n in
+      let doc = Fixtures.random_doc prng schema in
+      let size = Doc.size doc in
+      let keys = Array.init (1 + Uxsm_util.Prng.int prng 6) (fun _ -> Uxsm_util.Prng.int prng size) in
+      let bindings key_col other_col =
+        List.init (Uxsm_util.Prng.int prng 14) (fun _ ->
+            let b = Binding.unbound 4 in
+            b.(key_col) <- Uxsm_util.Prng.pick prng keys;
+            b.(other_col) <- Uxsm_util.Prng.int prng size;
+            b)
+      in
+      let left = bindings 0 2 and right = bindings 1 3 in
+      List.for_all
+        (fun axis ->
+          Structural_join.join_bindings doc ~axis ~left ~left_col:0 ~right ~right_col:1
+          = Join_oracle.join_bindings doc ~axis ~left ~left_col:0 ~right ~right_col:1)
+        [ Pattern.Child; Pattern.Descendant ])
+
+let prop_node_pairs_vs_oracle =
+  QCheck.Test.make ~count:200 ~name:"node_pairs = list-stack oracle, order included"
+    QCheck.(pair (int_range 1 1000000) (int_range 3 30))
+    (fun (seed, n) ->
+      let prng = Uxsm_util.Prng.create seed in
+      let schema = Fixtures.random_schema ~repeated:true prng ~n in
+      let doc = Fixtures.random_doc prng schema in
+      (* Sorted samples with duplicates. *)
+      let sample () =
+        List.concat_map
+          (fun v -> List.init (Uxsm_util.Prng.int prng 3) (fun _ -> v))
+          (List.init (Doc.size doc) Fun.id)
+      in
+      let left = sample () and right = sample () in
+      List.for_all
+        (fun axis ->
+          Structural_join.node_pairs doc ~axis ~left ~right
+          = Join_oracle.node_pairs doc ~axis ~left ~right)
+        [ Pattern.Child; Pattern.Descendant ])
+
+let prop_doc_interned_index =
+  QCheck.Test.make ~count:300 ~name:"path ids and per-label/per-path arrays"
+    QCheck.(pair (int_range 1 1000000) (int_range 1 25))
+    (fun (seed, n) ->
+      let prng = Uxsm_util.Prng.create seed in
+      let doc = Fixtures.random_doc prng (Fixtures.random_schema ~repeated:true prng ~n) in
+      let n = Doc.size doc in
+      let all = List.init n Fun.id in
+      let path v = String.concat "." (Doc.path doc v) in
+      let ascending a =
+        let ok = ref true in
+        for i = 1 to Array.length a - 1 do
+          if a.(i - 1) >= a.(i) then ok := false
+        done;
+        !ok
+      in
+      let ids_exact =
+        List.for_all
+          (fun v ->
+            Doc.find_path doc (path v) = Some (Doc.path_id doc v)
+            && List.for_all
+                 (fun w ->
+                   (Doc.path_id doc v = Doc.path_id doc w) = String.equal (path v) (path w))
+                 all)
+          all
+      in
+      let by_label =
+        List.for_all
+          (fun l ->
+            let a = Doc.label_nodes doc l in
+            ascending a
+            && Array.to_list a = List.filter (fun v -> String.equal (Doc.label doc v) l) all
+            && Doc.nodes_with_label doc l = Array.to_list a)
+          (Doc.labels doc)
+      in
+      let by_path =
+        List.for_all
+          (fun v ->
+            let a = Doc.path_nodes doc (Doc.path_id doc v) in
+            ascending a
+            && Array.to_list a
+               = List.filter (fun w -> Doc.path_id doc w = Doc.path_id doc v) all
+            && Doc.nodes_with_path doc (path v) = Array.to_list a)
+          all
+      in
+      ids_exact && by_label && by_path
+      && Doc.label_nodes doc "zz" = [||]
+      && Doc.find_path doc "a.zz" = None)
+
+let prop_binding_compare_sign =
+  QCheck.Test.make ~count:1000 ~name:"Binding.compare has Stdlib.compare's sign"
+    QCheck.(pair (int_range 1 1000000) bool)
+    (fun (seed, same_length) ->
+      let prng = Uxsm_util.Prng.create seed in
+      let draw len = Array.init len (fun _ -> Uxsm_util.Prng.int prng 4 - 1) in
+      let la = Uxsm_util.Prng.int prng 4 in
+      let lb = if same_length then la else Uxsm_util.Prng.int prng 4 in
+      let a = draw la and b = draw lb in
+      let sign x = Int.compare x 0 in
+      sign (Binding.compare a b) = sign (Stdlib.compare a b)
+      && sign (Binding.compare b a) = sign (Stdlib.compare b a)
+      && Binding.compare a (Array.copy a) = 0)
+
 let prop_parser_round_trip_random =
   QCheck.Test.make ~count:150 ~name:"parse (to_string p) = p"
     QCheck.(pair (int_range 1 1000000) (int_range 2 25))
@@ -226,4 +396,12 @@ let suite =
     q prop_matcher_vs_reference;
     q prop_join_vs_nested_loops;
     q prop_parser_round_trip_random;
+    Alcotest.test_case "anchored steps stay inside the interval" `Quick test_anchored_slice_bounds;
+    q (prop_engines_vs_reference ~anchored:false);
+    q (prop_engines_vs_reference ~anchored:true);
+    q prop_engines_agree_anchored;
+    q prop_array_join_vs_hashtbl_oracle;
+    q prop_node_pairs_vs_oracle;
+    q prop_doc_interned_index;
+    q prop_binding_compare_sign;
   ]

@@ -116,6 +116,28 @@ let test_dataset_capacities () =
         (Uxsm_mapping.Matching.capacity m))
     [ "D1"; "D2"; "D3"; "D4"; "D5" ]
 
+(* Generated documents, pinned by digest of their XML text: the D1-D10
+   source schemas at the default size under document seeds 7 and 42, and
+   D2 at 500 nodes under three onboard-style schema seeds (a fresh corpus
+   seed per registration, the default document seed). *)
+let generated_docs_digest = "5a760ac277225f2faafe8d932f999981"
+
+let test_generated_documents_pinned () =
+  let buf = Buffer.create (1 lsl 20) in
+  let add doc = Buffer.add_string buf (Uxsm_xml.Printer.to_string (Doc.subtree doc (Doc.root doc))) in
+  List.iter
+    (fun (d : Dataset.t) ->
+      let schema = Standards.generate d.Dataset.source in
+      List.iter (fun seed -> add (Gen_doc.generate ~seed schema)) [ 7; 42 ])
+    Dataset.all;
+  let d2 = Option.get (Dataset.find "D2") in
+  List.iter
+    (fun seed ->
+      add (Gen_doc.generate ~target_nodes:500 (Standards.generate ~seed d2.Dataset.source)))
+    [ 1_110_000; 1_110_001; 1_119_999 ];
+  Alcotest.(check string) "digest" generated_docs_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "style sizes match Table II" `Quick test_style_sizes;
@@ -128,4 +150,5 @@ let suite =
     Alcotest.test_case "leaf value heuristics" `Quick test_leaf_value_heuristics;
     Alcotest.test_case "small document fallback" `Quick test_small_document_fallback;
     Alcotest.test_case "small dataset capacities" `Slow test_dataset_capacities;
+    Alcotest.test_case "generated documents pinned" `Slow test_generated_documents_pinned;
   ]
