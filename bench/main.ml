@@ -312,81 +312,6 @@ let fig10f () =
 (* Beyond the paper's figures: each ablation isolates one design choice
    DESIGN.md calls out. *)
 
-let abl_warm () =
-  Harness.section "abl_warm" "ABLATION: Murty warm restart vs cold re-solve (h=50)";
-  Harness.row "%-4s %12s %12s %10s" "ID" "cold" "warm" "speedup";
-  List.iter
-    (fun id ->
-      let d = Option.get (Dataset.find id) in
-      let g = Matching.to_bipartite (Dataset.matching d) in
-      let tc =
-        Harness.seconds_per_run ~quota:0.5 ~name:"cold"
-          (fun () -> Murty.top ~resolve:`Cold ~h:50 g)
-      in
-      let tw =
-        Harness.seconds_per_run ~quota:0.5 ~name:"warm"
-          (fun () -> Murty.top ~resolve:`Warm ~h:50 g)
-      in
-      Harness.row "%-4s %10.2fms %10.2fms %9.1fx" id (ms tc) (ms tw) (tc /. tw))
-    [ "D1"; "D3"; "D4"; "D6" ];
-  Harness.note "the single-augmentation warm restart is what makes plain murty usable at all"
-
-let abl_order () =
-  Harness.section "abl_order" "ABLATION: Murty partition order `Index vs `Degree (h=100)";
-  Harness.row "%-4s %12s %12s" "ID" "`Index" "`Degree";
-  List.iter
-    (fun id ->
-      let d = Option.get (Dataset.find id) in
-      let g = Matching.to_bipartite (Dataset.matching d) in
-      let ti =
-        Harness.seconds_per_run ~quota:0.5 ~name:"index"
-          (fun () -> Murty.top ~order:`Index ~h:100 g)
-      in
-      let td =
-        Harness.seconds_per_run ~quota:0.5 ~name:"degree"
-          (fun () -> Murty.top ~order:`Degree ~h:100 g)
-      in
-      Harness.row "%-4s %10.2fms %10.2fms" id (ms ti) (ms td))
-    [ "D1"; "D3"; "D4"; "D6" ];
-  Harness.note "branching constrained elements first narrows the subproblem tree"
-
-let abl_engine () =
-  Harness.section "abl_engine"
-    "ABLATION: twig engines on rewritten D7 queries (memoized top-down vs join plan)";
-  let mset = d7_mset 100 in
-  let doc = Lazy.force d7_doc in
-  let source = Mapping_set.source mset in
-  let target_doc = Doc.of_tree (Schema.to_xml_tree (Mapping_set.target mset)) in
-  let top_mapping = Mapping_set.mapping mset 0 in
-  Harness.row "%-4s %12s %12s %12s %9s" "Q" "top-down" "join-plan" "twiglist" "matches";
-  List.iter
-    (fun (id, q) ->
-      match Uxsm_ptq.Resolve.against_doc q target_doc with
-      | [] -> Harness.row "%-4s (no resolution)" id
-      | resolution :: _ -> (
-        match
-          Uxsm_ptq.Rewrite.through ~source ~pattern:q ~resolution ~at_top:true
-            ~lookup:(Uxsm_mapping.Mapping.source_of top_mapping)
-        with
-        | None -> Harness.row "%-4s (not rewritable under the top mapping)" id
-        | Some q_s ->
-          let tm =
-            Harness.seconds_per_run ~name:"matcher"
-              (fun () -> Uxsm_twig.Matcher.matches q_s doc)
-          in
-          let tj =
-            Harness.seconds_per_run ~name:"join"
-              (fun () -> Uxsm_twig.Join_matcher.matches q_s doc)
-          in
-          let tl =
-            Harness.seconds_per_run ~name:"twiglist"
-              (fun () -> Uxsm_twig.Twiglist.matches q_s doc)
-          in
-          Harness.row "%-4s %10.3fms %10.3fms %10.3fms %9d" id (ms tm) (ms tj) (ms tl)
-            (Uxsm_twig.Matcher.count q_s doc)))
-    Queries.table3;
-  Harness.note "identical results (tested property); cost profiles differ with selectivity"
-
 let abl_compress () =
   Harness.section "abl_compress" "ABLATION: storage, naive vs block tree, vs |M| (D7)";
   Harness.row "%6s %12s %12s %12s" "|M|" "naive" "block tree" "ratio";
@@ -729,9 +654,6 @@ let experiments =
     ("fig10d", fig10d);
     ("fig10e", fig10e);
     ("fig10f", fig10f);
-    ("abl_warm", abl_warm);
-    ("abl_order", abl_order);
-    ("abl_engine", abl_engine);
     ("abl_compress", abl_compress);
     ("abl_relational", abl_relational);
     ("abl_exec_pool", abl_exec_pool);

@@ -123,13 +123,6 @@ let match_cmd =
 
 (* ------------------------------ mappings -------------------------- *)
 
-let method_arg =
-  let method_conv =
-    Arg.enum [ ("partition", Mapping_set.Partitioned); ("murty", Mapping_set.Murty) ]
-  in
-  Arg.(value & opt method_conv Mapping_set.Partitioned & info [ "method" ] ~docv:"METHOD"
-         ~doc:"Top-h generation algorithm: $(b,partition) (Algorithm 5) or $(b,murty).")
-
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -143,9 +136,9 @@ let read_file path =
   s
 
 let mappings_cmd =
-  let run d seed h method_ jobs verbose save =
+  let run d seed h jobs verbose save =
     let t0 = Uxsm_util.Timing.now_mono () in
-    let mset = Dataset.mapping_set ~seed ~method_ ~exec:(Executor.of_jobs jobs) ~h d in
+    let mset = Dataset.mapping_set ~seed ~exec:(Executor.of_jobs jobs) ~h d in
     Printf.printf "derived %d mappings in %.3fs; average o-ratio %.3f\n"
       (Mapping_set.size mset)
       (Uxsm_util.Timing.now_mono () -. t0)
@@ -177,7 +170,7 @@ let mappings_cmd =
   in
   Cmd.v
     (Cmd.info "mappings" ~doc:"Derive the top-h possible mappings of a dataset.")
-    Term.(const run $ dataset_pos $ seed_arg $ h_arg $ method_arg $ jobs_arg $ verbose $ save)
+    Term.(const run $ dataset_pos $ seed_arg $ h_arg $ jobs_arg $ verbose $ save)
 
 (* ------------------------------ blocktree ------------------------- *)
 

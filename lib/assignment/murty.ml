@@ -41,8 +41,9 @@ let solution_of g node =
   Array.iteri (fun i j -> if j >= 0 then pairs := (i, j) :: !pairs) assignment;
   { pairs = List.rev !pairs; score = node.score }
 
-(* Left nodes whose solution edge is worth excluding, in partition order. *)
-let partition_candidates g order node =
+(* Left nodes whose solution edge is worth excluding, in partition order:
+   fewest remaining alternatives first, ties by index. *)
+let partition_candidates g node =
   let committed = Hashtbl.create 16 in
   List.iter (fun (i, _) -> Hashtbl.replace committed i ()) node.fixed;
   let excluded_keys = Hashtbl.create 16 in
@@ -69,12 +70,9 @@ let partition_candidates g order node =
       if (not is_image) || alt > 0 then candidates := (i, extj, alt) :: !candidates
     end
   done;
-  match order with
-  | `Index -> !candidates
-  | `Degree ->
-    List.stable_sort (fun (_, _, a1) (_, _, a2) -> Int.compare a1 a2) !candidates
+  List.stable_sort (fun (_, _, a1) (_, _, a2) -> Int.compare a1 a2) !candidates
 
-let expand g order resolve node push =
+let expand g node push =
   let cs = Solver.no_constraints g in
   List.iter
     (fun (i, extj) ->
@@ -88,24 +86,13 @@ let expand g order resolve node push =
   let emit (i, extj, _alt) =
     let key = Solver.encode g i extj in
     Hashtbl.replace cs.forbidden key ();
-    let solved =
-      match resolve with
-      | `Warm ->
-        Obs.incr c_augments;
-        let st = Solver.copy node.st in
-        Solver.unmatch st i;
-        if Solver.augment g cs st i then Some st else None
-      | `Cold ->
-        Obs.incr c_solves;
-        let st = Solver.init g in
-        List.iter (fun (fi, fj) -> Solver.force st fi fj) !fixed_prefix;
-        if Solver.solve g cs st then Some st else None
-    in
-    (match solved with
-    | Some st ->
+    Obs.incr c_augments;
+    let st = Solver.copy node.st in
+    Solver.unmatch st i;
+    if Solver.augment g cs st i then begin
       let score = Solver.score g st in
       push { fixed = !fixed_prefix; excluded = (i, extj) :: node.excluded; st; score }
-    | None -> ());
+    end;
     Hashtbl.remove cs.forbidden key;
     (* This solution edge becomes part of the fixed prefix for subsequent
        children (Murty's partitioning). *)
@@ -113,9 +100,9 @@ let expand g order resolve node push =
     cs.committed_l.(i) <- true;
     cs.committed_r.(extj) <- true
   in
-  List.iter emit (partition_candidates g order node)
+  List.iter emit (partition_candidates g node)
 
-let top ?(order = `Degree) ?(resolve = `Warm) ~h g =
+let top ~h g =
   if h <= 0 then []
   else
     Obs.time s_top @@ fun () ->
@@ -155,7 +142,7 @@ let top ?(order = `Degree) ?(resolve = `Warm) ~h g =
       incr delivered;
       if !delivered < h then begin
         Obs.incr c_expansions;
-        expand g order resolve node push;
+        expand g node push;
         trim (h - !delivered)
       end
     done;

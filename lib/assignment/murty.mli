@@ -12,26 +12,15 @@ type solution = {
   score : float;  (** sum of matched edge weights *)
 }
 
-val top :
-  ?order:[ `Index | `Degree ] ->
-  ?resolve:[ `Warm | `Cold ] ->
-  h:int ->
-  Bipartite.t ->
-  solution list
+val top : h:int -> Bipartite.t -> solution list
 (** [top ~h g] returns up to [h] distinct solutions in non-increasing score
     order (fewer when the whole solution space is smaller than [h]).
 
-    [order] controls the order in which a popped solution's edges are used to
-    partition its subproblem: [`Index] is the textbook left-index order;
-    [`Degree] (default) partitions low-alternative left nodes first, which
-    empirically narrows the subproblem tree — our stand-in for the
-    reordering trick of Pascoal et al.
-
-    [resolve] selects how child subproblems are solved: [`Warm] (default)
-    reuses the parent's matching and potentials and runs one augmentation —
-    the "advanced variant" the paper implements; [`Cold] re-solves each
-    subproblem from scratch, the textbook baseline kept for the ablation
-    bench. Results are identical for all option combinations; only running
-    time differs. *)
+    A popped solution's subproblem is partitioned on its left nodes in
+    increasing order of their remaining alternatives (ties by index), which
+    narrows the subproblem tree — our stand-in for the reordering trick of
+    Pascoal et al. Each child subproblem reuses the parent's matching and
+    potentials and runs one augmentation: the "advanced variant" the paper
+    implements. *)
 
 val solutions_equal : solution -> solution -> bool

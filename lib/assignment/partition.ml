@@ -170,7 +170,6 @@ let merge_fold ~h locals =
    top-h solutions mapped back to global indices. *)
 type ranked = {
   rk_h : int;
-  rk_order : [ `Index | `Degree ] option;
   rk_graph : Bipartite.t;
   rk_locals : ((int * int * float) list * Murty.solution array) list;
   rk_levels : level list;
@@ -188,7 +187,7 @@ type delta = {
   d_n_right : int;
 }
 
-let local_top ?order ~h comp =
+let local_top ~h comp =
   (* Re-index the component to a compact bipartite, rank it, and map the
      solutions back to global indices. *)
   let l_of = Hashtbl.create 16 and r_of = Hashtbl.create 16 in
@@ -201,7 +200,7 @@ let local_top ?order ~h comp =
   let sub =
     Bipartite.create ~n_left:(Array.length l_back) ~n_right:(Array.length r_back) edges
   in
-  Murty.top ?order ~h sub
+  Murty.top ~h sub
   |> List.map (fun (s : Murty.solution) ->
          {
            Murty.pairs = List.map (fun (i, j) -> (l_back.(i), r_back.(j))) s.pairs;
@@ -219,7 +218,7 @@ let local_top ?order ~h comp =
    gate: Murty's warm-restart work per component grows with the solutions
    requested and the edges branched over, so h * miss-edges is the job's
    size in rough node-visit-equivalent units. *)
-let rank_components ~exec ~order ~h ~cache ~reuse g =
+let rank_components ~exec ~h ~cache ~reuse g =
   let comps = components g in
   Obs.incr c_runs;
   Obs.add c_components (List.length comps);
@@ -229,7 +228,7 @@ let rank_components ~exec ~order ~h ~cache ~reuse g =
   let miss_edges = List.fold_left (fun acc c -> acc + List.length c.edges) 0 misses in
   let cost_hint = float_of_int h *. float_of_int miss_edges in
   (* lint: allow blocking-under-lock — reachable under Dataset's memo locks; the fan-out never blocks on the pool (try_lock or sequential fallback) and the jobs are pure compute, so the hold is bounded by the ranking work itself *)
-  let fresh = Uxsm_exec.Executor.map_list ~cost_hint exec (local_top ?order ~h) misses in
+  let fresh = Uxsm_exec.Executor.map_list ~cost_hint exec (local_top ~h) misses in
   let rec stitch tagged fresh =
     match (tagged, fresh) with
     | [], [] -> []
@@ -260,16 +259,15 @@ let rank_components ~exec ~order ~h ~cache ~reuse g =
   in
   (locals, levels, merged, List.length misses)
 
-let rank ?(exec = Uxsm_exec.Executor.sequential) ?order ~h g =
+let rank ?(exec = Uxsm_exec.Executor.sequential) ~h g =
   if h <= 0 then invalid_arg "Partition.rank: h must be >= 1";
   Obs.time s_top @@ fun () ->
   let no_reuse = Hashtbl.create 1 in
   let locals, levels, merged, _ =
-    rank_components ~exec ~order ~h ~cache:no_reuse ~reuse:([], []) g
+    rank_components ~exec ~h ~cache:no_reuse ~reuse:([], []) g
   in
   {
     rk_h = h;
-    rk_order = order;
     rk_graph = g;
     rk_locals = locals;
     rk_levels = levels;
@@ -281,8 +279,8 @@ let graph r = r.rk_graph
 let ranked_h r = r.rk_h
 let ranked_components r = List.length r.rk_locals
 
-let top ?(exec = Uxsm_exec.Executor.sequential) ?order ~h g =
-  if h <= 0 then [] else solutions (rank ~exec ?order ~h g)
+let top ?(exec = Uxsm_exec.Executor.sequential) ~h g =
+  if h <= 0 then [] else solutions (rank ~exec ~h g)
 
 let delta_of_graphs ~old g' =
   let old_tbl = Hashtbl.create 64 in
@@ -319,8 +317,7 @@ let apply_delta ?(exec = Uxsm_exec.Executor.sequential) d r =
   let cache = Hashtbl.create (List.length r.rk_locals) in
   List.iter (fun (key, local) -> Hashtbl.replace cache key local) r.rk_locals;
   let locals, levels, merged, reranked =
-    rank_components ~exec ~order:r.rk_order ~h:r.rk_h ~cache
-      ~reuse:(r.rk_locals, r.rk_levels) g
+    rank_components ~exec ~h:r.rk_h ~cache ~reuse:(r.rk_locals, r.rk_levels) g
   in
   Obs.add c_components_reranked reranked;
   Obs.add c_components_reused (List.length locals - reranked);

@@ -36,7 +36,6 @@ val merge_fold : h:int -> Murty.solution list list -> Murty.solution list
 
 val top :
   ?exec:Uxsm_exec.Executor.t ->
-  ?order:[ `Index | `Degree ] ->
   h:int ->
   Bipartite.t ->
   Murty.solution list
@@ -70,7 +69,6 @@ type delta = {
 
 val rank :
   ?exec:Uxsm_exec.Executor.t ->
-  ?order:[ `Index | `Degree ] ->
   h:int ->
   Bipartite.t ->
   ranked

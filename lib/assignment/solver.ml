@@ -142,10 +142,6 @@ let augment g cs st i0 =
     true
   end
 
-let force st i extj =
-  st.match_l.(i) <- extj;
-  st.match_r.(extj) <- i
-
 let unmatch st i =
   let extj = st.match_l.(i) in
   if extj >= 0 then begin

@@ -54,12 +54,6 @@ val augment : Bipartite.t -> constraints -> state -> int -> bool
 val unmatch : state -> int -> unit
 (** Free extended left node [i] (no-op if already free). *)
 
-val force : state -> int -> int -> unit
-(** [force st i extj] records the pair as matched without touching
-    potentials. Safe only for pairs that the constraints also commit
-    (committed nodes are never traversed, so their tightness does not
-    matter); used by cold-start re-solves. *)
-
 val solve : Bipartite.t -> constraints -> state -> bool
 (** Augment every free, non-committed extended left node; [false] on
     infeasibility (state is then partially updated and should be

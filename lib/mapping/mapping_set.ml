@@ -8,39 +8,30 @@ type t = {
   mappings : Mapping.t array;
   probs : float array;
   ranked : Uxsm_assignment.Partition.ranked option;
-      (* component provenance of the Partitioned method; None for Murty
-         and of_mappings sets, which cannot be updated incrementally *)
+      (* component provenance of a generated set; None for of_mappings
+         sets, which cannot be updated incrementally *)
 }
-
-type method_ =
-  | Murty
-  | Partitioned
 
 let normalize scores =
   let total = Array.fold_left ( +. ) 0.0 scores in
   if total <= 0.0 then Array.map (fun _ -> 1.0 /. float_of_int (Array.length scores)) scores
   else Array.map (fun s -> s /. total) scores
 
-let of_solutions ~ranked u solutions =
+let of_ranked u r =
   let source = Matching.source u and target = Matching.target u in
   let mappings =
     Array.of_list
       (List.map
          (fun (s : Uxsm_assignment.Murty.solution) ->
            Mapping.of_pairs ~source ~target ~score:s.score s.pairs)
-         solutions)
+         (Uxsm_assignment.Partition.solutions r))
   in
   let probs = normalize (Array.map Mapping.score mappings) in
-  { matching = u; mappings; probs; ranked }
+  { matching = u; mappings; probs; ranked = Some r }
 
-let generate ?(method_ = Partitioned) ?(exec = Uxsm_exec.Executor.sequential) ~h u =
+let generate ?(exec = Uxsm_exec.Executor.sequential) ~h u =
   if h <= 0 then invalid_arg "Mapping_set.generate: h must be positive";
-  let g = Matching.to_bipartite u in
-  match method_ with
-  | Murty -> of_solutions ~ranked:None u (Uxsm_assignment.Murty.top ~h g)
-  | Partitioned ->
-    let r = Uxsm_assignment.Partition.rank ~exec ~h g in
-    of_solutions ~ranked:(Some r) u (Uxsm_assignment.Partition.solutions r)
+  of_ranked u (Uxsm_assignment.Partition.rank ~exec ~h (Matching.to_bipartite u))
 
 let of_mappings u entries =
   if entries = [] then invalid_arg "Mapping_set.of_mappings: empty set";
@@ -60,8 +51,7 @@ let update ?(exec = Uxsm_exec.Executor.sequential) u' t =
   match t.ranked with
   | None ->
     invalid_arg
-      "Mapping_set.update: set has no component provenance (generate it with the \
-       Partitioned method)"
+      "Mapping_set.update: set has no component provenance (build it with generate)"
   | Some r ->
     Obs.incr c_updates;
     let module Partition = Uxsm_assignment.Partition in
@@ -88,7 +78,7 @@ let update ?(exec = Uxsm_exec.Executor.sequential) u' t =
        arrays on every call, while [Mapping.of_pairs] is a cheap linear
        fill — and a re-score delta shifts most merged scores anyway, so
        the table rarely hit. *)
-    of_solutions ~ranked:(Some r') u' (Partition.solutions r')
+    of_ranked u' r'
 
 let matching t = t.matching
 let source t = Matching.source t.matching

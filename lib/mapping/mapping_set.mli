@@ -3,25 +3,20 @@
     schema matching.
 
     Generation follows Section V: the top-h mappings of the matching's
-    bipartite graph are extracted (either with plain Murty ranking or with
-    the divide-and-conquer partitioning of Algorithm 5), and each mapping's
-    probability is its score normalized over the h scores. *)
+    bipartite graph are extracted with the divide-and-conquer partitioning
+    of Algorithm 5, and each mapping's probability is its score normalized
+    over the h scores. *)
 
 type t
 
-type method_ =
-  | Murty  (** rank the whole bipartite graph *)
-  | Partitioned  (** Algorithm 5: per-component ranking + merge *)
-
-val generate :
-  ?method_:method_ -> ?exec:Uxsm_exec.Executor.t -> h:int -> Matching.t -> t
+val generate : ?exec:Uxsm_exec.Executor.t -> h:int -> Matching.t -> t
 (** [generate ~h u] — the top-h possible mappings of matching [u] (fewer if
-    the space is smaller), probabilities normalized over the set. Default
-    method: [Partitioned]. [exec] (default sequential) parallelizes the
-    per-component ranking of the [Partitioned] method, which sizes the
-    ranking job ([h] times the edge count) for the executor's cost gate —
-    small matchings stay sequential even under [Domains]. The resulting
-    set is identical for every backend and gate decision. *)
+    the space is smaller), probabilities normalized over the set, ranked by
+    {!Uxsm_assignment.Partition.rank}. [exec] (default sequential)
+    parallelizes the per-component ranking, which sizes the ranking job
+    ([h] times the edge count) for the executor's cost gate — small
+    matchings stay sequential even under [Domains]. The resulting set is
+    identical for every backend and gate decision. *)
 
 val of_mappings : Matching.t -> (Mapping.t * float) list -> t
 (** Build from explicit mappings and probabilities (e.g. the paper's
@@ -30,9 +25,9 @@ val of_mappings : Matching.t -> (Mapping.t * float) list -> t
     sum to 1. *)
 
 val ranked : t -> Uxsm_assignment.Partition.ranked option
-(** Component provenance: the reusable per-component ranking state of the
-    [Partitioned] method. [None] for [Murty]-generated and
-    {!of_mappings} sets, which {!update} therefore rejects. *)
+(** Component provenance: the reusable per-component ranking state of a
+    {!generate}d set. [None] for {!of_mappings} sets, which {!update}
+    therefore rejects. *)
 
 val update : ?exec:Uxsm_exec.Executor.t -> Matching.t -> t -> t
 (** [update u' t] — the set [generate ~h u'] computed incrementally from

@@ -81,11 +81,20 @@ let str = req_field Json.to_string_opt "a string"
 let int_opt = opt_field Json.to_int "an integer"
 let float_opt = opt_field Json.to_float "a number"
 
-let positive op name = function
+(* Request sizes are bounded at parse time, so one line cannot ask the
+   dispatcher for unbounded work: h and k up to the largest h of the
+   paper's experiments (Fig. 10(f)), a generated document up to ~29 times
+   the default one. *)
+let max_h = 1000
+let max_k = 1000
+let max_doc_nodes = 100_000
+
+let bounded ~limit op name = function
   | Some n when n < 1 -> failf "%s: field %S must be >= 1" op name
+  | Some n when n > limit -> failf "%s: field %S must be <= %d" op name limit
   | v -> v
 
-let h_of op j = Option.value ~default:default_h (positive op "h" (int_opt op "h" j))
+let h_of op j = Option.value ~default:default_h (bounded ~limit:max_h op "h" (int_opt op "h" j))
 
 let tau_of op j =
   match float_opt op "tau" j with
@@ -130,7 +139,7 @@ let register_of j =
         spec;
         doc_seed =
           Option.value ~default:Uxsm_workload.Gen_doc.default_seed (int_opt op "doc_seed" j);
-        doc_nodes = positive op "doc_nodes" (int_opt op "doc_nodes" j);
+        doc_nodes = bounded ~limit:max_doc_nodes op "doc_nodes" (int_opt op "doc_nodes" j);
       }
   | [] -> failf "%s: need one of \"dataset\", \"matching\", \"mapping_set\"" op
   | _ -> failf "%s: fields \"dataset\", \"matching\", \"mapping_set\" are exclusive" op
@@ -210,7 +219,7 @@ let request_of_json j =
   | "query_topk" ->
     let op = "query_topk" in
     let k =
-      match positive op "k" (int_opt op "k" j) with
+      match bounded ~limit:max_k op "k" (int_opt op "k" j) with
       | Some k -> k
       | None -> failf "%s: missing field \"k\"" op
     in

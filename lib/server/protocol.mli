@@ -106,7 +106,9 @@ type parse_error = {
 
 val parse : Uxsm_util.Json.t -> (envelope, parse_error) result
 (** Decode a request object. Errors name the offending field, e.g.
-    ["register: missing field \"name\""]. *)
+    ["register: missing field \"name\""]. Sizes are bounded here: ["h"]
+    and ["k"] must lie in [[1, 1000]] and ["doc_nodes"] in
+    [[1, 100000]] (["query: field \"h\" must be <= 1000"]). *)
 
 val parse_line : string -> (envelope, parse_error) result
 (** {!parse} composed with JSON parsing of one line. *)

@@ -397,17 +397,44 @@ let write_all fd s =
   in
   go 0
 
-(* Pop every complete (newline-terminated) line out of [buf], leaving a
-   trailing partial line in place. Blank lines are skipped, not answered. *)
-let drain_lines buf =
-  let s = Buffer.contents buf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some i ->
-    Buffer.clear buf;
-    Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-    String.split_on_char '\n' (String.sub s 0 i)
-    |> List.filter (fun l -> String.trim l <> "")
+let max_line_bytes = 16 * 1024 * 1024
+
+(* Per-connection line framing: the partial line read so far, and whether
+   the rest of an over-long line is being dropped. *)
+type framer = {
+  partial : Buffer.t;
+  mutable discarding : bool;
+}
+
+(* Split the [n] bytes just read off [chunk] into lines, scanning only
+   those bytes for '\n'. Complete non-blank lines go to [line], in order;
+   blank lines are skipped, not answered. A line that outgrows
+   [max_line_bytes] calls [overflow] once and is dropped through its
+   newline, so the partial line never holds more than the limit. *)
+let feed fr chunk n ~line ~overflow =
+  let take lo hi =
+    if not fr.discarding then
+      if Buffer.length fr.partial + (hi - lo) > max_line_bytes then begin
+        Buffer.reset fr.partial;
+        fr.discarding <- true;
+        overflow ()
+      end
+      else Buffer.add_subbytes fr.partial chunk lo (hi - lo)
+  in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.get chunk i = '\n' then begin
+      take !start i;
+      if fr.discarding then fr.discarding <- false
+      else begin
+        let l = Buffer.contents fr.partial in
+        Buffer.clear fr.partial;
+        if String.trim l <> "" then line l
+      end;
+      start := i + 1
+    end
+  done;
+  take !start n
 
 (* --------------------- concurrent accept service ------------------- *)
 (* One reader sys-thread per connection parses lines off the socket and
@@ -501,8 +528,16 @@ let admit sv conn line =
   end
 
 let reader sv conn =
-  let pending = Buffer.create 4096 in
+  let fr = { partial = Buffer.create 4096; discarding = false } in
   let chunk = Bytes.create 65536 in
+  let overflow () =
+    Obs.incr c_requests;
+    Obs.incr c_errors;
+    write_response conn
+      (Json.to_string
+         (Protocol.error_response
+            (Printf.sprintf "request line exceeds %d bytes" max_line_bytes)))
+  in
   let rec loop () =
     if not (stopping sv.srv) then
       (* The short select timeout keeps drain responsive while idle. *)
@@ -512,8 +547,7 @@ let reader sv conn =
         let n = Unix.read conn.cn_fd chunk 0 (Bytes.length chunk) in
         if n > 0 then begin
           Obs.add c_bytes_in n;
-          Buffer.add_subbytes pending chunk 0 n;
-          List.iter (admit sv conn) (drain_lines pending);
+          feed fr chunk n ~line:(admit sv conn) ~overflow;
           loop ()
         end
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()

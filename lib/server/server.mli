@@ -26,7 +26,9 @@
       and fans runs of pure requests across the warm domain pool. When
       the queue is full, the reader rejects the line immediately with
       {!Protocol.overloaded_response} (echoing its ["id"]) without
-      executing it. Admitted requests from one connection are answered in
+      executing it. A line longer than {!max_line_bytes} gets one error
+      reply and is dropped through its newline; the connection stays
+      open. Admitted requests from one connection are answered in
       the order they were sent; overload rejections may overtake admitted
       replies — clients correlate by ["id"]. SIGINT/SIGTERM request a
       stop and the service drains: readers retire, every admitted request
@@ -77,6 +79,11 @@ val record_exec_contention : (unit -> 'a) -> 'a
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** Read request lines until EOF or shutdown, replying (and flushing)
     after each line. *)
+
+val max_line_bytes : int
+(** 16 MiB — the longest request line the socket service reads, over 100
+    times the largest mapping-set text a [register] carries in the
+    benchmarks (D10 at h = 100, ~150 KB). *)
 
 (** A listening endpoint for {!serve}. *)
 type endpoint =

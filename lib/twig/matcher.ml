@@ -19,14 +19,15 @@ let anchor_id doc (node : Pattern.node) =
       then id
       else absent)
 
-(* The nodes a pattern node with resolved anchor [a] admits. *)
+(* The nodes a pattern node with resolved anchor [a] admits, ascending:
+   the anchor's path, nothing for an absent anchor, else the label's nodes,
+   else (an unanchored wildcard) every node. The array may be the
+   document's own, so it is never mutated. *)
 let pool_of doc (node : Pattern.node) a =
   if a >= 0 then Doc.path_nodes doc a
   else if a = absent then [||]
   else if Pattern.is_wildcard node then Array.init (Doc.size doc) Fun.id
   else Doc.label_nodes doc node.Pattern.label
-
-let pool doc node = pool_of doc node (anchor_id doc node)
 
 (* The pattern in pre-order arrays, resolved against one document. *)
 type indexed = {
@@ -154,4 +155,3 @@ let matches (p : Pattern.t) doc =
   List.concat_map (enum 0) roots |> List.sort Binding.compare
 
 let count p doc = List.length (matches p doc)
-let exists p doc = matches p doc <> []

@@ -6,16 +6,11 @@
     memoized top-down enumerator over the document's interned index
     ({!Uxsm_xml.Doc.path_nodes}, {!Uxsm_xml.Doc.label_nodes}): anchors are
     compared as path ids, and a step's candidates are the slice of the
-    child's pool inside the bound node's subtree interval. It is the
-    [match(d, q_S)] primitive of Algorithms 3–4. *)
-
-val pool : Uxsm_xml.Doc.t -> Pattern.node -> Uxsm_xml.Doc.node array
-(** The document nodes a pattern node's label and anchor admit, ascending:
-    the anchor's path when the node has one (empty when no node has that
-    path, or when the path ends in another label), else the label's nodes,
-    else (an unanchored wildcard) every node. Every engine draws its
-    candidates from here. The array may be the document's own: do not
-    mutate it. *)
+    child's pool (the nodes of its anchor's path, else of its label)
+    inside the bound node's subtree interval. It is the [match(d, q_S)]
+    primitive of Algorithms 3–4 and the only twig engine: join-plan and
+    holistic (TwigList) engines were measured behind the rewrite path and
+    did not beat it (EXPERIMENTS.md, fig9f). *)
 
 val matches : Pattern.t -> Uxsm_xml.Doc.t -> Binding.t list
 (** All matches, in document order of the root binding (then lexicographic).
@@ -23,6 +18,4 @@ val matches : Pattern.t -> Uxsm_xml.Doc.t -> Binding.t list
     with [Descendant] it binds any element with the right label. *)
 
 val count : Pattern.t -> Uxsm_xml.Doc.t -> int
-(** Number of matches (no binding materialization). *)
-
-val exists : Pattern.t -> Uxsm_xml.Doc.t -> bool
+(** Number of matches. *)

@@ -28,8 +28,8 @@ val join_bindings :
 (** Join two binding sets on a structural relationship between the document
     nodes in their respective columns: the result contains
     [Binding.merge l r] for every pair where [l.(left_col)] is an ancestor
-    ([Descendant]) or the parent ([Child]) of [r.(right_col)]. This is the
-    binding-level wrapper every twig evaluator shares.
+    ([Descendant]) or the parent ([Child]) of [r.(right_col)]. Algorithm 4
+    joins with it wherever no c-block covers a subquery.
 
     Each side is grouped by its column's node by sorting (ties in reverse
     input order), and the join walks the distinct nodes. The result is

@@ -65,16 +65,15 @@ let mset_lock =
   Uxsm_util.Locks.create ~name:"dataset.mset" ~rank:Uxsm_util.Locks.rank_dataset_mset
 
 (* lint: allow domain-unsafe — guarded by mset_lock *)
-let mset_cache : (string * int * int * bool, Uxsm_mapping.Mapping_set.t) Hashtbl.t =
+let mset_cache : (string * int * int, Uxsm_mapping.Mapping_set.t) Hashtbl.t =
   Hashtbl.create 16
 
-let mapping_set ?(seed = default_seed) ?(method_ = Uxsm_mapping.Mapping_set.Partitioned)
-    ?(exec = Uxsm_exec.Executor.sequential) ~h d =
-  let key = (d.id, seed, h, method_ = Uxsm_mapping.Mapping_set.Partitioned) in
+let mapping_set ?(seed = default_seed) ?(exec = Uxsm_exec.Executor.sequential) ~h d =
+  let key = (d.id, seed, h) in
   Uxsm_util.Locks.with_lock mset_lock @@ fun () ->
   match Hashtbl.find_opt mset_cache key with
   | Some s -> s
   | None ->
-    let s = Uxsm_mapping.Mapping_set.generate ~method_ ~exec ~h (matching ~seed ~exec d) in
+    let s = Uxsm_mapping.Mapping_set.generate ~exec ~h (matching ~seed ~exec d) in
     Hashtbl.add mset_cache key s;
     s

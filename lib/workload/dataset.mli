@@ -34,7 +34,6 @@ val matching : ?seed:int -> ?exec:Uxsm_exec.Executor.t -> t -> Uxsm_mapping.Matc
 
 val mapping_set :
   ?seed:int ->
-  ?method_:Uxsm_mapping.Mapping_set.method_ ->
   ?exec:Uxsm_exec.Executor.t ->
   h:int ->
   t ->

@@ -98,20 +98,6 @@ let prop_murty_distinct =
       let keys = List.map (fun (s : Murty.solution) -> s.pairs) got in
       List.length (List.sort_uniq (List.compare pair_compare) keys) = List.length keys)
 
-let prop_murty_cold_equals_warm =
-  QCheck.Test.make ~count:150 ~name:"Murty cold re-solve = warm restart" arb_graph (fun g ->
-      let scores resolve =
-        List.map (fun (s : Murty.solution) -> s.score) (Murty.top ~resolve ~h:20 g)
-      in
-      scores `Cold = scores `Warm)
-
-let prop_murty_order_invariant =
-  QCheck.Test.make ~count:200 ~name:"Murty `Index and `Degree orders agree on scores" arb_graph
-    (fun g ->
-      let a = List.map (fun (s : Murty.solution) -> s.score) (Murty.top ~order:`Index ~h:20 g) in
-      let b = List.map (fun (s : Murty.solution) -> s.score) (Murty.top ~order:`Degree ~h:20 g) in
-      a = b)
-
 let prop_partition_matches_murty =
   QCheck.Test.make ~count:200 ~name:"Partition.top score sequence = Murty.top" arb_graph (fun g ->
       let h = 20 in
@@ -493,8 +479,6 @@ let suite =
     q prop_optimal;
     q prop_murty_matches_brute_force;
     q prop_murty_distinct;
-    q prop_murty_order_invariant;
-    q prop_murty_cold_equals_warm;
     q prop_partition_matches_murty;
     q prop_components_partition_edges;
     Alcotest.test_case "apply_delta reuses untouched components" `Quick

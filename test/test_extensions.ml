@@ -1,6 +1,5 @@
-(* Tests for the extension modules: XSD import/export, the join-based twig
-   engine, aggregates, marginals, keyword search, probabilistic documents,
-   and serialization. *)
+(* Tests for the extension modules: XSD import/export, aggregates,
+   marginals, keyword search, probabilistic documents, and serialization. *)
 
 module Schema = Uxsm_schema.Schema
 module Xsd = Uxsm_schema.Xsd
@@ -8,8 +7,6 @@ module Doc = Uxsm_xml.Doc
 module Prob_doc = Uxsm_xml.Prob_doc
 module Pattern = Uxsm_twig.Pattern
 module Parser = Uxsm_twig.Pattern_parser
-module Matcher = Uxsm_twig.Matcher
-module Join_matcher = Uxsm_twig.Join_matcher
 module Matching = Uxsm_mapping.Matching
 module Mapping_set = Uxsm_mapping.Mapping_set
 module Serialize = Uxsm_mapping.Serialize
@@ -155,33 +152,6 @@ let test_xsd_on_standards () =
   match Xsd.of_xsd_string (Xsd.to_xsd_string s) with
   | Ok s' -> Alcotest.(check bool) "Apertum round trips" true (Schema.equal s s')
   | Error e -> Alcotest.fail e
-
-(* ------------------------- Join matcher --------------------------- *)
-
-let prop_join_matcher_equals_matcher =
-  QCheck.Test.make ~count:200 ~name:"Join_matcher = Matcher on random patterns"
-    QCheck.(pair (int_range 1 1000000) (int_range 2 25))
-    (fun (seed, n) ->
-      let prng = Uxsm_util.Prng.create seed in
-      let schema = Fixtures.random_schema prng ~n in
-      let doc = Fixtures.random_doc prng schema in
-      let pattern = Fixtures.random_pattern prng schema in
-      Join_matcher.matches pattern doc = Matcher.matches pattern doc)
-
-let prop_twiglist_equals_matcher =
-  QCheck.Test.make ~count:200 ~name:"Twiglist = Matcher on random patterns"
-    QCheck.(pair (int_range 1 1000000) (int_range 2 25))
-    (fun (seed, n) ->
-      let prng = Uxsm_util.Prng.create seed in
-      let schema = Fixtures.random_schema prng ~n in
-      let doc = Fixtures.random_doc prng schema in
-      let pattern = Fixtures.random_pattern prng schema in
-      Uxsm_twig.Twiglist.matches pattern doc = Matcher.matches pattern doc)
-
-let test_join_matcher_fig2 () =
-  let q = Parser.parse_exn "Order/BP[./BOC/BCN]/ROC/RCN" in
-  Alcotest.(check int) "same as Matcher" (Matcher.count q Fixtures.fig2_doc)
-    (Join_matcher.count q Fixtures.fig2_doc)
 
 (* ------------------------- Aggregates ----------------------------- *)
 
@@ -388,7 +358,6 @@ let suite =
     Alcotest.test_case "dotted element names rejected" `Quick test_dotted_element_names;
     Alcotest.test_case "XSD on standards" `Quick test_xsd_on_standards;
     Alcotest.test_case "XSD data files (xCBL/openTRANS excerpts)" `Quick test_xsd_data_files;
-    Alcotest.test_case "join matcher on Figure 2" `Quick test_join_matcher_fig2;
     Alcotest.test_case "aggregate COUNT on the intro example" `Quick test_aggregate_count;
     Alcotest.test_case "aggregate SUM/MIN/MAX/AVG" `Quick test_aggregate_sum_min_max;
     Alcotest.test_case "per-match marginals" `Quick test_marginals;
@@ -401,7 +370,5 @@ let suite =
     Alcotest.test_case "mapping set serialization" `Quick test_mapping_set_round_trip;
     Alcotest.test_case "serialization errors" `Quick test_serialize_errors;
     q prop_xsd_round_trip;
-    q prop_join_matcher_equals_matcher;
-    q prop_twiglist_equals_matcher;
     q prop_mapping_set_round_trip_random;
   ]

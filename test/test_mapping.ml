@@ -93,13 +93,7 @@ let test_generate_from_matching () =
     | a :: (b :: _ as rest) -> a >= b -. 1e-12 && non_increasing rest
     | _ -> true
   in
-  Alcotest.(check bool) "probabilities non-increasing" true (non_increasing ps);
-  (* generate with both methods agrees on scores *)
-  let m2 = Mapping_set.generate ~method_:Mapping_set.Murty ~h:10 Fixtures.fig1_matching in
-  let scores s = List.map (fun (m, _) -> Mapping.score m) (Mapping_set.mappings s) in
-  List.iter2
-    (fun a b -> Alcotest.(check (float 1e-9)) "method-independent scores" a b)
-    (scores mset) (scores m2)
+  Alcotest.(check bool) "probabilities non-increasing" true (non_increasing ps)
 
 let test_storage_accounting () =
   let naive = Mapping_set.storage_bytes_naive Fixtures.fig3_mset in

@@ -415,6 +415,32 @@ let test_dispatch_errors_never_crash () =
   assert_error "missing corpus" id_err;
   Alcotest.(check bool) "error echoes id" true (Json.member "id" id_err = Some (Json.Int 42))
 
+(* Request sizes past the protocol's bounds are parse errors naming the
+   field, and the server answers the next request as usual. *)
+let test_request_size_bounds () =
+  ignore (parse_ok {|{"op":"mappings","corpus":"c","h":1000}|});
+  ignore (parse_ok {|{"op":"query_topk","corpus":"c","query":"a","k":1000}|});
+  ignore (parse_ok {|{"op":"register","name":"r","dataset":"D1","doc_nodes":100000}|});
+  let srv = Server.create ~cache_entries:16 () in
+  assert_ok "register" (response_of_line srv (register_line "fig3"));
+  List.iter
+    (fun (field, line) ->
+      let r = response_of_line srv line in
+      assert_error line r;
+      (match Json.member "error" r with
+      | Some (Json.String msg) ->
+        Alcotest.(check bool) (line ^ ": error names the field") true
+          (contains ~needle:(Printf.sprintf "field %S must be <=" field) msg)
+      | _ -> ());
+      assert_ok (line ^ ": next request served")
+        (response_of_line srv {|{"op":"mappings","corpus":"fig3","h":5}|}))
+    [
+      ("h", {|{"op":"mappings","corpus":"fig3","h":100000000}|});
+      ("h", {|{"op":"query","corpus":"fig3","query":"ORDER//ICN","h":1001}|});
+      ("k", {|{"op":"query_topk","corpus":"fig3","query":"ORDER//ICN","k":1001}|});
+      ("doc_nodes", {|{"op":"register","name":"big","dataset":"D1","doc_nodes":100001}|});
+    ]
+
 (* -------------------- end-to-end amortization --------------------- *)
 
 let test_query_amortization () =
@@ -1078,6 +1104,32 @@ let test_admission_overload () =
   Alcotest.(check bool) "rejections counted" true
     (Obs.value (Obs.counter "server.overloaded") > 0)
 
+(* An over-long line is answered with one error and dropped through its
+   newline; the connection stays open, blank lines stay unanswered, and
+   the next request is served. *)
+let test_overlong_line () =
+  let srv, addrs, th = start_server ~corpora:[] [ Server.Tcp ("127.0.0.1", 0) ] in
+  let fd = connect (List.hd addrs) in
+  let oc = Unix.out_channel_of_descr fd in
+  output_string oc (String.make (Server.max_line_bytes + 1) 'x');
+  output_string oc "\n\n";
+  output_string oc {|{"op":"ping","id":"after"}|};
+  output_char oc '\n';
+  flush oc;
+  let ic = Unix.in_channel_of_descr fd in
+  let err = parse_reply "over-long line" (input_line ic) in
+  assert_error "over-long line" err;
+  (match Json.member "error" err with
+  | Some (Json.String msg) ->
+    Alcotest.(check bool) "error says the line is too long" true (contains ~needle:"exceeds" msg)
+  | _ -> ());
+  let pong = parse_reply "ping" (input_line ic) in
+  assert_ok "ping after the over-long line" pong;
+  Alcotest.(check string) "the ping's own reply" {|"after"|} (id_of pong);
+  Unix.close fd;
+  Server.request_stop srv;
+  Thread.join th
+
 (* ------------------- incremental ranking, pinned ------------------- *)
 
 (* Per-step digests of [Serialize.mapping_set_to_string] for the D7 top-100
@@ -1195,6 +1247,7 @@ let suite =
       test_update_survives_eviction;
     Alcotest.test_case "stats_reset opens a fresh window" `Quick test_stats_reset;
     Alcotest.test_case "malformed input never crashes" `Quick test_dispatch_errors_never_crash;
+    Alcotest.test_case "request sizes bounded at parse time" `Quick test_request_size_bounds;
     Alcotest.test_case "identical queries amortize (e2e)" `Quick test_query_amortization;
     Alcotest.test_case "eviction rebuilds, answers unchanged" `Quick test_cache_eviction_rebuilds;
     Alcotest.test_case "evaluator field on query/query_topk" `Quick test_query_evaluator_field;
@@ -1212,6 +1265,7 @@ let suite =
     Alcotest.test_case "graceful drain mid-load" `Quick test_drain_mid_load;
     Alcotest.test_case "bounded admission queue rejects with overloaded" `Quick
       test_admission_overload;
+    Alcotest.test_case "over-long line: one error, connection kept" `Quick test_overlong_line;
     Alcotest.test_case "D7 move/restore update stream pinned" `Quick
       test_d7_update_stream_pinned;
     Alcotest.test_case "register rejects NaN and infinite scores" `Quick

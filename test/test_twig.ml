@@ -1,5 +1,5 @@
 (* Twig substrate tests: pattern parser round-trips, the match engine
-   against an exhaustive reference, and the stack-based structural join
+   against a backtracking reference, and the stack-based structural join
    against nested loops. *)
 
 module Doc = Uxsm_xml.Doc
@@ -66,40 +66,10 @@ let attr_doc =
          element ~attrs:[ ("id", "2") ] "a" [ leaf "b" "t2" ];
        ])
 
-let test_wildcards_and_attrs () =
-  let q = Parser.parse_exn "r/*/b" in
-  Alcotest.(check int) "wildcard step" 2 (Matcher.count q attr_doc);
-  let q2 = Parser.parse_exn "//a[@id=\"2\"]/b" in
-  (match Matcher.matches q2 attr_doc with
-  | [ b ] -> Alcotest.(check string) "attr predicate selects" "t2" (Doc.text attr_doc b.(1))
-  | l -> Alcotest.failf "expected 1 match, got %d" (List.length l));
-  let q3 = Parser.parse_exn "//a[@id=\"1\"][@kind=\"x\"]" in
-  Alcotest.(check int) "conjunction of attrs" 1 (Matcher.count q3 attr_doc);
-  let q4 = Parser.parse_exn "//a[@id=\"1\"][@kind=\"y\"]" in
-  Alcotest.(check int) "failing attr" 0 (Matcher.count q4 attr_doc);
-  let q5 = Parser.parse_exn "//*" in
-  Alcotest.(check int) "bare wildcard binds every element" 5 (Matcher.count q5 attr_doc);
-  (* all engines agree on attr/wildcard patterns *)
-  List.iter
-    (fun qs ->
-      let q = Parser.parse_exn qs in
-      let m = Matcher.matches q attr_doc in
-      Alcotest.(check bool) (qs ^ ": join agrees") true
-        (Uxsm_twig.Join_matcher.matches q attr_doc = m);
-      Alcotest.(check bool) (qs ^ ": twiglist agrees") true
-        (Uxsm_twig.Twiglist.matches q attr_doc = m))
-    [ "r/*/b"; "//a[@id=\"2\"]/b"; "//*"; "r[./*/b]//b" ]
-
-let test_parser_wildcard_attr_round_trip () =
-  List.iter
-    (fun qs ->
-      match Parser.parse qs with
-      | Error e -> Alcotest.failf "parse %s: %s" qs e
-      | Ok p -> Alcotest.(check string) qs qs (Pattern.to_string p))
-    [ "r/*/b"; "//a[@id=\"2\"]/b"; "//*[@k=\"v\"]"; "a[@x=\"1\"][./b]//c" ]
-
-(* Exhaustive reference: try every assignment of pattern nodes to document
-   nodes and keep the consistent ones. Only usable on tiny inputs. *)
+(* Reference matcher: bind the pattern's nodes in pre-order by
+   backtracking. A candidate for a node is any document node that passes
+   its label, anchor, value and attribute checks and its axis to the bound
+   parent (the root: its axis to the document root). No index, no memo. *)
 let reference_matches (p : Pattern.t) doc =
   let nodes = Array.of_list (Pattern.nodes p) in
   let n = Array.length nodes in
@@ -118,46 +88,68 @@ let reference_matches (p : Pattern.t) doc =
       (Pattern.branches node)
   in
   walk p.Pattern.root 0;
-  let ok (b : Binding.t) =
-    let structural i =
-      if i = 0 then
-        match p.Pattern.axis with
-        | Pattern.Child -> b.(0) = Doc.root doc
-        | Pattern.Descendant -> true
-      else
-        match axis.(i) with
-        | Pattern.Child -> Doc.is_parent doc b.(parent.(i)) b.(i)
-        | Pattern.Descendant -> Doc.is_ancestor doc b.(parent.(i)) b.(i)
-    in
-    let local i =
-      (Pattern.is_wildcard nodes.(i)
-      || String.equal (nodes.(i)).Pattern.label (Doc.label doc b.(i)))
-      && (match (nodes.(i)).Pattern.anchor with
-         | None -> true
-         | Some path -> String.equal path (String.concat "." (Doc.path doc b.(i))))
-      && (match (nodes.(i)).Pattern.value with
-         | None -> true
-         | Some v -> String.equal v (Doc.text doc b.(i)))
-      && List.for_all
-           (fun (k, want) -> Doc.attr doc b.(i) k = Some want)
-           (nodes.(i)).Pattern.attrs
-    in
-    List.for_all (fun i -> structural i && local i) (List.init n Fun.id)
+  let b = Array.make n 0 in
+  let structural i v =
+    if i = 0 then
+      match p.Pattern.axis with
+      | Pattern.Child -> v = Doc.root doc
+      | Pattern.Descendant -> true
+    else
+      match axis.(i) with
+      | Pattern.Child -> Doc.is_parent doc b.(parent.(i)) v
+      | Pattern.Descendant -> Doc.is_ancestor doc b.(parent.(i)) v
+  in
+  let local i v =
+    (Pattern.is_wildcard nodes.(i) || String.equal (nodes.(i)).Pattern.label (Doc.label doc v))
+    && (match (nodes.(i)).Pattern.anchor with
+       | None -> true
+       | Some path -> String.equal path (String.concat "." (Doc.path doc v)))
+    && (match (nodes.(i)).Pattern.value with
+       | None -> true
+       | Some want -> String.equal want (Doc.text doc v))
+    && List.for_all (fun (k, want) -> Doc.attr doc v k = Some want) (nodes.(i)).Pattern.attrs
   in
   let out = ref [] in
-  let b = Array.make n 0 in
   let rec assign i =
-    if i = n then begin
-      if ok b then out := Array.copy b :: !out
-    end
+    if i = n then out := Array.copy b :: !out
     else
       for v = 0 to Doc.size doc - 1 do
-        b.(i) <- v;
-        assign (i + 1)
+        if structural i v && local i v then begin
+          b.(i) <- v;
+          assign (i + 1)
+        end
       done
   in
   assign 0;
   List.sort Binding.compare !out
+
+let test_wildcards_and_attrs () =
+  let q = Parser.parse_exn "r/*/b" in
+  Alcotest.(check int) "wildcard step" 2 (Matcher.count q attr_doc);
+  let q2 = Parser.parse_exn "//a[@id=\"2\"]/b" in
+  (match Matcher.matches q2 attr_doc with
+  | [ b ] -> Alcotest.(check string) "attr predicate selects" "t2" (Doc.text attr_doc b.(1))
+  | l -> Alcotest.failf "expected 1 match, got %d" (List.length l));
+  let q3 = Parser.parse_exn "//a[@id=\"1\"][@kind=\"x\"]" in
+  Alcotest.(check int) "conjunction of attrs" 1 (Matcher.count q3 attr_doc);
+  let q4 = Parser.parse_exn "//a[@id=\"1\"][@kind=\"y\"]" in
+  Alcotest.(check int) "failing attr" 0 (Matcher.count q4 attr_doc);
+  let q5 = Parser.parse_exn "//*" in
+  Alcotest.(check int) "bare wildcard binds every element" 5 (Matcher.count q5 attr_doc);
+  List.iter
+    (fun qs ->
+      let q = Parser.parse_exn qs in
+      Alcotest.(check (list (array int))) (qs ^ ": reference agrees")
+        (reference_matches q attr_doc) (Matcher.matches q attr_doc))
+    [ "r/*/b"; "//a[@id=\"2\"]/b"; "//*"; "r[./*/b]//b" ]
+
+let test_parser_wildcard_attr_round_trip () =
+  List.iter
+    (fun qs ->
+      match Parser.parse qs with
+      | Error e -> Alcotest.failf "parse %s: %s" qs e
+      | Ok p -> Alcotest.(check string) qs qs (Pattern.to_string p))
+    [ "r/*/b"; "//a[@id=\"2\"]/b"; "//*[@k=\"v\"]"; "a[@x=\"1\"][./b]//c" ]
 
 let prop_matcher_vs_reference =
   QCheck.Test.make ~count:150 ~name:"matcher agrees with exhaustive reference"
@@ -167,8 +159,7 @@ let prop_matcher_vs_reference =
       let schema = Fixtures.random_schema prng ~n in
       let doc = Fixtures.random_doc prng schema in
       let pattern = Fixtures.random_pattern prng schema in
-      if Pattern.size pattern > 4 || Doc.size doc > 10 then true (* keep reference tractable *)
-      else Matcher.matches pattern doc = reference_matches pattern doc)
+      Matcher.matches pattern doc = reference_matches pattern doc)
 
 let prop_join_vs_nested_loops =
   QCheck.Test.make ~count:150 ~name:"stack join = nested-loop join"
@@ -207,40 +198,23 @@ let prop_join_vs_nested_loops =
       in
       check Pattern.Child && check Pattern.Descendant)
 
-(* Every engine against the reference, on unanchored patterns and on
-   anchored ones (the only kind PTQ evaluation serves). Half the cases use
-   schemas whose labels recur and whose elements repeat, so a node right
-   outside a subtree often carries the label or path a step asks for. *)
+(* The two engines, the indexed matcher and the backtracking reference,
+   on unanchored patterns and on anchored ones (the only kind PTQ
+   evaluation serves). Half the cases use schemas whose labels recur and
+   whose elements repeat, so a node right outside a subtree often carries
+   the label or path a step asks for. *)
 let prop_engines_vs_reference ~anchored =
   QCheck.Test.make ~count:1500
     ~name:
       (Printf.sprintf "engines agree with exhaustive reference (%s)"
          (if anchored then "anchored" else "unanchored"))
-    QCheck.(triple (int_range 1 1000000) (int_range 2 7) bool)
-    (fun (seed, n, repeated) ->
-      let prng = Uxsm_util.Prng.create seed in
-      let schema = Fixtures.random_schema ~repeated prng ~n in
-      let doc = Fixtures.random_doc prng schema in
-      let pattern = Fixtures.random_pattern ~anchored prng schema in
-      if Pattern.size pattern > 4 || Doc.size doc > 12 then true
-      else
-        let expect = reference_matches pattern doc in
-        Matcher.matches pattern doc = expect
-        && Uxsm_twig.Join_matcher.matches pattern doc = expect
-        && Uxsm_twig.Twiglist.matches pattern doc = expect)
-
-(* At sizes the reference cannot reach, the engines still agree on
-   anchored patterns. *)
-let prop_engines_agree_anchored =
-  QCheck.Test.make ~count:500 ~name:"engines agree on larger anchored patterns"
     QCheck.(triple (int_range 1 1000000) (int_range 2 25) bool)
     (fun (seed, n, repeated) ->
       let prng = Uxsm_util.Prng.create seed in
       let schema = Fixtures.random_schema ~repeated prng ~n in
       let doc = Fixtures.random_doc prng schema in
-      let pattern = Fixtures.random_pattern ~anchored:true prng schema in
-      let m = Matcher.matches pattern doc in
-      Uxsm_twig.Join_matcher.matches pattern doc = m && Uxsm_twig.Twiglist.matches pattern doc = m)
+      let pattern = Fixtures.random_pattern ~anchored prng schema in
+      Matcher.matches pattern doc = reference_matches pattern doc)
 
 (* r(a(b), a(b)): the first a's interval is [1, 2], the second a follows
    it at 3. Anchored steps must take their candidates from inside the
@@ -251,14 +225,10 @@ let test_anchored_slice_bounds () =
   let anchored_a next = Pattern.pattern ~axis:Pattern.Descendant (Pattern.node ~anchor:"r.a" ~next "a") in
   let nested axis = anchored_a (axis, Pattern.node ~anchor:"r.a" "a") in
   let under_a = anchored_a (Pattern.Descendant, Pattern.node ~anchor:"r.a.b" "b") in
-  let engines p =
-    [ Matcher.matches p doc; Uxsm_twig.Join_matcher.matches p doc; Uxsm_twig.Twiglist.matches p doc ]
-  in
   List.iter
     (fun (name, p, expect) ->
-      List.iter
-        (fun got -> Alcotest.(check (list (array int))) name expect got)
-        (engines p))
+      Alcotest.(check (list (array int))) (name ^ " (reference)") expect (reference_matches p doc);
+      Alcotest.(check (list (array int))) name expect (Matcher.matches p doc))
     [
       ("a//a binds nothing", nested Pattern.Descendant, []);
       ("a/a binds nothing", nested Pattern.Child, []);
@@ -399,7 +369,6 @@ let suite =
     Alcotest.test_case "anchored steps stay inside the interval" `Quick test_anchored_slice_bounds;
     q (prop_engines_vs_reference ~anchored:false);
     q (prop_engines_vs_reference ~anchored:true);
-    q prop_engines_agree_anchored;
     q prop_array_join_vs_hashtbl_oracle;
     q prop_node_pairs_vs_oracle;
     q prop_doc_interned_index;
