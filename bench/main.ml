@@ -128,6 +128,10 @@ let fig9c () =
 
 (* --------------------------- Figure 9(d) -------------------------- *)
 
+(* Tc is all of Algorithm 1: the block tree's node lists, then the mapping
+   compression of Step 5, which a build leaves to be run on demand. *)
+let build_and_compress ?params mset = Block_tree.compress (Block_tree.build ?params mset)
+
 let fig9d () =
   Harness.section "fig9d" "Block-tree construction time Tc per dataset (|M|=100, 200)";
   Harness.row "%-4s %12s %12s" "ID" "Tc(|M|=100)" "Tc(|M|=200)";
@@ -136,7 +140,7 @@ let fig9d () =
       let time h =
         let mset = Dataset.mapping_set ~h d in
         Harness.seconds_per_run ~name:(d.id ^ "-tc")
-          (fun () -> Block_tree.build mset)
+          (fun () -> build_and_compress mset)
       in
       Harness.row "%-4s %10.2fms %10.2fms" d.id (ms (time 100)) (ms (time 200)))
     Dataset.all;
@@ -154,7 +158,7 @@ let fig9e () =
     (fun max_b ->
       let t =
         Harness.seconds_per_run ~name:"tc-maxb"
-          (fun () -> Block_tree.build ~params:{ Block_tree.default_params with max_b } mset)
+          (fun () -> build_and_compress ~params:{ Block_tree.default_params with max_b } mset)
       in
       let tree = Block_tree.build ~params:{ Block_tree.default_params with max_b } mset in
       Harness.row "%7d %8.2fms %10d" max_b (ms t) (Block_tree.n_blocks tree))

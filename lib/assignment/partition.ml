@@ -66,8 +66,9 @@ let pair_compare (i1, j1) (i2, j2) =
 (* One step of the merge fold, kept as back-pointers: entry [e] is the
    [e]-th best combination, scoring [lv_score.(e)], of entry [lv_prev.(e)]
    of the previous level with solution [lv_local.(e)] of one component's
-   local list. Pair lists are built from these only for the final level
-   (see [materialize]). *)
+   local list. The final level's solutions are read from these on demand,
+   as right→left arrays ([right_to_left]) or as pair lists
+   ([materialize]). *)
 type level = {
   lv_score : float array;
   lv_prev : int array;
@@ -103,15 +104,14 @@ let merge_level ~h xs ys =
     for e = 0 to n - 1 do
       (* Every cell of the nx × ny grid is reachable from (0, 0), so the
          heap holds a cell until all [n <= nx * ny] have been popped. *)
-      match Uxsm_util.Fheap.pop heap with
-      | None -> assert false
-      | Some (neg_s, k) ->
-        let ix = k / cols and iy = k mod cols in
-        lv.lv_score.(e) <- -.neg_s;
-        lv.lv_prev.(e) <- ix;
-        lv.lv_local.(e) <- iy;
-        push (ix + 1) iy;
-        push ix (iy + 1)
+      let neg_s = Uxsm_util.Fheap.min_priority heap in
+      let k = Uxsm_util.Fheap.pop_min heap in
+      let ix = k / cols and iy = k mod cols in
+      lv.lv_score.(e) <- -.neg_s;
+      lv.lv_prev.(e) <- ix;
+      lv.lv_local.(e) <- iy;
+      push (ix + 1) iy;
+      push ix (iy + 1)
     done
   end;
   lv
@@ -137,10 +137,11 @@ let rec fold_levels ~h prev acc = function
     let lv = merge_level ~h prev (scores_of local) in
     fold_levels ~h lv.lv_score (lv :: acc) rest
 
-(* The final level's solutions: follow each entry's back-pointers through
-   every level, gather the chosen local pair lists and sort them. Components
-   share no left node and each local list is sorted by left, so the sort is
-   the nested [List.merge] a fold of [merge] would have built. *)
+(* The final level's solutions as pair lists: follow each entry's
+   back-pointers through every level, gather the chosen local pair lists
+   and sort them. Components share no left node and each local list is
+   sorted by left, so the sort is the nested [List.merge] a fold of [merge]
+   would have built. *)
 let materialize (locals : Murty.solution array array) (levels : level array) =
   let k = Array.length levels in
   if k = 0 then [ empty_solution ]
@@ -171,13 +172,13 @@ let merge_fold ~h locals =
 type ranked = {
   rk_h : int;
   rk_graph : Bipartite.t;
-  rk_locals : ((int * int * float) list * Murty.solution array) list;
-  rk_levels : level list;
-      (* rk_levels nth i = the merge fold's level over locals 0..i, so the
-         last level's entries are rk_merged. The fold is left-associative
-         and order-sensitive, so a delta confined to component k can keep
-         levels 0..k-1 verbatim and re-merge only the suffix from k on. *)
-  rk_merged : Murty.solution list;
+  rk_locals : ((int * int * float) list * Murty.solution array) array;
+  rk_levels : level array;
+      (* rk_levels.(i) = the merge fold's level over locals 0..i, so the
+         last level's entries are the merged top-h. The fold is
+         left-associative and order-sensitive, so a delta confined to
+         component k can keep levels 0..k-1 verbatim and re-merge only the
+         suffix from k on. *)
 }
 
 type delta = {
@@ -236,48 +237,62 @@ let rank_components ~exec ~h ~cache ~reuse g =
     | (c, None) :: rest, local :: fresh' -> (c.edges, local) :: stitch rest fresh'
     | _ -> assert false
   in
-  let locals = stitch tagged fresh in
+  let locals = Array.of_list (stitch tagged fresh) in
   (* The merge fold is left-associative, so any leading run of components
      whose keys match [reuse] position by position replays exactly — a
      cache hit on the same key yields the identical local list, hence the
      identical level. Resume the fold from the last surviving level. *)
   let old_locals, old_levels = reuse in
-  let rec survive kept olds oldls news =
-    match (olds, oldls, news) with
-    | (ok, _) :: olds', lv :: oldls', (nk, _) :: news' when ok = nk ->
-      survive (lv :: kept) olds' oldls' news'
-    | _ -> (kept, news)
+  let n = Array.length locals in
+  let rec survive c =
+    if c < n && c < Array.length old_locals && fst old_locals.(c) = fst locals.(c) then
+      survive (c + 1)
+    else c
   in
-  let kept_rev, rest = survive [] old_locals old_levels locals in
-  let start = match kept_rev with [] -> [| empty_solution.score |] | lv :: _ -> lv.lv_score in
+  let kept = survive 0 in
+  let start = if kept = 0 then [| empty_solution.score |] else old_levels.(kept - 1).lv_score in
   let levels =
-    Obs.time s_fold (fun () -> List.rev (fold_levels ~h start kept_rev (List.map snd rest)))
+    Obs.time s_fold (fun () ->
+        let rest = List.init (n - kept) (fun c -> snd locals.(kept + c)) in
+        Array.append (Array.sub old_levels 0 kept)
+          (Array.of_list (List.rev (fold_levels ~h start [] rest))))
   in
-  let merged =
-    Obs.time s_materialize (fun () ->
-        materialize (Array.of_list (List.map snd locals)) (Array.of_list levels))
-  in
-  (locals, levels, merged, List.length misses)
+  (locals, levels, List.length misses)
 
 let rank ?(exec = Uxsm_exec.Executor.sequential) ~h g =
   if h <= 0 then invalid_arg "Partition.rank: h must be >= 1";
   Obs.time s_top @@ fun () ->
   let no_reuse = Hashtbl.create 1 in
-  let locals, levels, merged, _ =
-    rank_components ~exec ~h ~cache:no_reuse ~reuse:([], []) g
-  in
-  {
-    rk_h = h;
-    rk_graph = g;
-    rk_locals = locals;
-    rk_levels = levels;
-    rk_merged = merged;
-  }
+  let locals, levels, _ = rank_components ~exec ~h ~cache:no_reuse ~reuse:([||], [||]) g in
+  { rk_h = h; rk_graph = g; rk_locals = locals; rk_levels = levels }
 
-let solutions r = r.rk_merged
+let solutions r =
+  Obs.time s_materialize (fun () -> materialize (Array.map snd r.rk_locals) r.rk_levels)
+
+(* Each final solution written straight from the back-pointers: walk its
+   levels from the last down and store every chosen local pair (i, j) as
+   [a.(j) <- i]. Components share no node, so no write overlaps another. *)
+let right_to_left r =
+  Obs.time s_materialize @@ fun () ->
+  let n = Bipartite.n_right r.rk_graph in
+  let k = Array.length r.rk_levels in
+  if k = 0 then [| (empty_solution.score, Array.make n (-1)) |]
+  else
+    let last = r.rk_levels.(k - 1) in
+    Array.init (Array.length last.lv_score) (fun e ->
+        let a = Array.make n (-1) in
+        let entry = ref e in
+        for c = k - 1 downto 0 do
+          let lv = r.rk_levels.(c) in
+          let sol = (snd r.rk_locals.(c)).(lv.lv_local.(!entry)) in
+          List.iter (fun (i, j) -> a.(j) <- i) sol.Murty.pairs;
+          entry := lv.lv_prev.(!entry)
+        done;
+        (last.lv_score.(e), a))
+
 let graph r = r.rk_graph
 let ranked_h r = r.rk_h
-let ranked_components r = List.length r.rk_locals
+let ranked_components r = Array.length r.rk_locals
 
 let top ?(exec = Uxsm_exec.Executor.sequential) ~h g =
   if h <= 0 then [] else solutions (rank ~exec ~h g)
@@ -314,11 +329,11 @@ let apply_delta ?(exec = Uxsm_exec.Executor.sequential) d r =
     Bipartite.apply_edge_delta ~set:d.d_set ~remove:d.d_remove (Bipartite.edges r.rk_graph)
   in
   let g = Bipartite.create ~n_left:d.d_n_left ~n_right:d.d_n_right edges in
-  let cache = Hashtbl.create (List.length r.rk_locals) in
-  List.iter (fun (key, local) -> Hashtbl.replace cache key local) r.rk_locals;
-  let locals, levels, merged, reranked =
+  let cache = Hashtbl.create (Array.length r.rk_locals) in
+  Array.iter (fun (key, local) -> Hashtbl.replace cache key local) r.rk_locals;
+  let locals, levels, reranked =
     rank_components ~exec ~h:r.rk_h ~cache ~reuse:(r.rk_locals, r.rk_levels) g
   in
   Obs.add c_components_reranked reranked;
-  Obs.add c_components_reused (List.length locals - reranked);
-  { r with rk_graph = g; rk_locals = locals; rk_levels = levels; rk_merged = merged }
+  Obs.add c_components_reused (Array.length locals - reranked);
+  { r with rk_graph = g; rk_locals = locals; rk_levels = levels }

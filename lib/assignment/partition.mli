@@ -52,12 +52,13 @@ val top :
 
 type ranked
 (** Reusable ranking state: the graph, per-component Murty lists (keyed by
-    the component's ordered edge list), one merge-fold level per component
-    and the merged top-h. A level holds, for each of its (at most [h])
-    entries, the combined score, the entry of the previous level it
-    extends and the local solution it adds — back-pointers, not pair
-    lists; pair lists exist only for the final top-h. Plain data — no
-    closures — so a catalog can own one per cached mapping set. *)
+    the component's ordered edge list) and one merge-fold level per
+    component. A level holds, for each of its (at most [h]) entries, the
+    combined score, the entry of the previous level it extends and the
+    local solution it adds — back-pointers, not pair lists. The merged
+    top-h is the last level; it is read on demand, by {!right_to_left} or
+    {!solutions}, and never stored. Plain data — no closures — so a
+    catalog can own one per cached mapping set. *)
 
 type delta = {
   d_set : (int * int * float) list;
@@ -76,8 +77,20 @@ val rank :
     later {!apply_delta} calls. [solutions (rank ~h g) = top ~h g] always.
     Raises [Invalid_argument] when [h <= 0]. *)
 
+val right_to_left : ranked -> (float * int array) array
+(** The merged global top-h, non-increasing, each as its score and a
+    fresh right→left array [a] of length [n_right]: [a.(j)] is the left
+    node matched to right node [j], or [-1]. Written straight from the
+    levels' back-pointers, with no pair list built or sorted; the
+    caller owns the arrays. Holds exactly the pairs and scores of
+    {!solutions} (a tested property). Timed by the
+    [partition.materialize] span. *)
+
 val solutions : ranked -> Murty.solution list
-(** The merged global top-h, non-increasing. *)
+(** The merged global top-h, non-increasing, as pair lists sorted by
+    (left, right). Built on demand from the back-pointers on every call
+    (timed by [partition.materialize]); {!top}, tests and the Figure 10
+    benches read it, the mapping layer reads {!right_to_left}. *)
 
 val graph : ranked -> Bipartite.t
 (** The graph this state ranks. *)
@@ -99,8 +112,9 @@ val apply_delta : ?exec:Uxsm_exec.Executor.t -> delta -> ranked -> ranked
     weights all equal means the cached ranking is exactly a fresh one),
     and resume the heap merge from the deepest cached level: the fold is
     left-associative, so a delta confined to component [k] keeps levels
-    [0..k-1] verbatim and re-merges only the score arrays from [k] on;
-    pair lists are then built for the final top-h alone. Bumps
+    [0..k-1] verbatim and re-merges only the score arrays from [k] on.
+    No solution is built here; the caller reads the new top-h through
+    {!right_to_left} or {!solutions}. Bumps
     [partition.components_reranked] / [partition.components_reused];
     re-ranked components run on [exec] with a [~cost_hint] covering only
     the miss work. The result equals [rank ~h] of the patched graph (a

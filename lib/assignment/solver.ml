@@ -95,9 +95,9 @@ let augment g cs st i0 =
      stale potential, so the correct exit minimizes [dist j + pot j], which
      is only known once every reachable node is finalized. *)
   let rec scan () =
-    match Uxsm_util.Fheap.pop heap with
-    | None -> ()
-    | Some (d, extj) ->
+    if not (Uxsm_util.Fheap.is_empty heap) then begin
+      let d = Uxsm_util.Fheap.min_priority heap in
+      let extj = Uxsm_util.Fheap.pop_min heap in
       if visited_r.(extj) then scan ()
       else begin
         visited_r.(extj) <- true;
@@ -111,6 +111,7 @@ let augment g cs st i0 =
           scan ()
         end
       end
+    end
   in
   scan ();
   let found = ref (-1) in

@@ -35,7 +35,6 @@ type t = {
   threshold : int;
   nodes : Block.t list array;
   hash : (string, Schema.element) Hashtbl.t;
-  compressed : compressed_item list array;
   caps_hit : bool;
       (* a MAX_B/MAX_F cap truncated this build; such a tree's node lists
          depend on global construction order, so [update] rebuilds from
@@ -95,23 +94,36 @@ let build_core ~params ~strict_caps ~reuse mset =
 
   (* Group the mappings by their correspondence for target element [y];
      groups of at least [thr] mappings become single-correspondence
-     candidate blocks (the paper's init_block). *)
+     candidate blocks (the paper's init_block). One pass reads every
+     mapping's source for [y] into [src] and counts it per source; a source
+     whose count reaches [thr] qualifies, and its ids are gathered from
+     [src] in ascending order. The counts are zeroed again on the way out,
+     so one |S|-sized array serves the whole build. Blocks come out by
+     ascending source. *)
+  let cnt = Array.make (Schema.size (Mapping_set.source mset)) 0 in
+  let src = Array.make m (-1) in
   let init_block y =
-    let groups : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-    for i = m - 1 downto 0 do
-      match Mapping.source_of (Mapping_set.mapping mset i) y with
-      | None -> ()
-      | Some s ->
-        let prev = try Hashtbl.find groups s with Not_found -> [] in
-        Hashtbl.replace groups s (i :: prev)
+    let qualifying = ref [] in
+    for i = 0 to m - 1 do
+      let s = Mapping.source_at (Mapping_set.mapping mset i) y in
+      src.(i) <- s;
+      if s >= 0 then begin
+        cnt.(s) <- cnt.(s) + 1;
+        if cnt.(s) = thr then qualifying := s :: !qualifying
+      end
     done;
-    Hashtbl.fold
-      (fun s ids acc ->
-        if List.length ids >= thr then
-          Block.create ~anchor:y ~corrs:[ (s, y) ] ~mappings:ids :: acc
-        else acc)
-      groups []
-    |> List.sort (fun (a : Block.t) b -> corr_compare a.corrs.(0) b.corrs.(0))
+    let blocks =
+      List.map
+        (fun s ->
+          let ids = ref [] in
+          for i = m - 1 downto 0 do
+            if src.(i) = s then ids := i :: !ids
+          done;
+          Block.create ~anchor:y ~corrs:[ (s, y) ] ~mappings:!ids)
+        (List.sort Int.compare !qualifying)
+    in
+    Array.iter (fun s -> if s >= 0 then cnt.(s) <- 0) src;
+    blocks
   in
 
   (* Algorithm 2: combine each candidate block of [y] with one c-block per
@@ -205,35 +217,7 @@ let build_core ~params ~strict_caps ~reuse mset =
   in
   ignore (construct (Schema.root target));
 
-  (* Mapping compression (Algorithm 1 Step 5): pre-order over the tree;
-     replace each mapping's correspondences covered by a block with a
-     pointer to that block. Pre-order means the largest (highest-anchored)
-     blocks win. A pure function of the node lists and the mapping set, so
-     the incremental path reruns it wholesale. *)
-  let compressed = Array.make m [] in
-  let covered = Array.make_matrix m (Schema.size target) false in
-  let compress_at y =
-    let claim (b : Block.t) id =
-      let free = Array.for_all (fun (_, t_el) -> not covered.(id).(t_el)) b.corrs in
-      if free then begin
-        Obs.incr c_claims;
-        Array.iter (fun (_, t_el) -> covered.(id).(t_el) <- true) b.corrs;
-        compressed.(id) <- `Block b :: compressed.(id)
-      end
-    in
-    List.iter (fun (b : Block.t) -> Array.iter (claim b) b.mappings) nodes.(y)
-  in
-  List.iter compress_at (Schema.elements target);
-  for id = 0 to m - 1 do
-    let residual =
-      List.filter_map
-        (fun (s, t_el) -> if covered.(id).(t_el) then None else Some (`Corr (s, t_el)))
-        (Mapping.pairs (Mapping_set.mapping mset id))
-    in
-    compressed.(id) <- List.rev compressed.(id) @ residual
-  done;
-
-  { mset; prms = params; threshold = thr; nodes; hash; compressed; caps_hit = !capped }
+  { mset; prms = params; threshold = thr; nodes; hash; caps_hit = !capped }
 
 let no_reuse _ = None
 let build_impl ~params mset = build_core ~params ~strict_caps:false ~reuse:no_reuse mset
@@ -290,11 +274,8 @@ let update ~old mset' =
       let i = ref 0 in
       while (not dirty.(y)) && !i < m do
         if
-          not
-            (Mapping.same_source_at
-               (Mapping_set.mapping old.mset !i)
-               (Mapping_set.mapping mset' !i)
-               y)
+          Mapping.source_at (Mapping_set.mapping old.mset !i) y
+          <> Mapping.source_at (Mapping_set.mapping mset' !i) y
         then dirty.(y) <- true;
         incr i
       done
@@ -346,7 +327,39 @@ let n_blocks t = List.length (all_blocks t)
 
 let block_sizes t = List.map Block.n_corrs (all_blocks t)
 
-let compressed_corrs_of_mapping t i = t.compressed.(i)
+(* Mapping compression (Algorithm 1 Step 5): pre-order over the tree;
+   replace each mapping's correspondences covered by a block with a pointer
+   to that block. Pre-order means the largest (highest-anchored) blocks
+   win. A pure function of the node lists and the mapping set, so it runs
+   only when asked: no query or update reads it. *)
+let compress t =
+  let target = Mapping_set.target t.mset in
+  let m = Mapping_set.size t.mset in
+  let compressed : compressed_item list array = Array.make m [] in
+  let covered = Array.make_matrix m (Schema.size target) false in
+  let compress_at y =
+    let claim (b : Block.t) id =
+      let free = Array.for_all (fun (_, t_el) -> not covered.(id).(t_el)) b.corrs in
+      if free then begin
+        Obs.incr c_claims;
+        Array.iter (fun (_, t_el) -> covered.(id).(t_el) <- true) b.corrs;
+        compressed.(id) <- `Block b :: compressed.(id)
+      end
+    in
+    List.iter (fun (b : Block.t) -> Array.iter (claim b) b.mappings) t.nodes.(y)
+  in
+  List.iter compress_at (Schema.elements target);
+  for id = 0 to m - 1 do
+    let residual =
+      List.filter_map
+        (fun (s, t_el) -> if covered.(id).(t_el) then None else Some (`Corr (s, t_el)))
+        (Mapping.pairs (Mapping_set.mapping t.mset id))
+    in
+    compressed.(id) <- List.rev compressed.(id) @ residual
+  done;
+  compressed
+
+let compressed_corrs_of_mapping t i = (compress t).(i)
 
 (* Cost-model statistics (consumed by Uxsm_plan): block counts and the mean
    mapping-sharing factor f, per node and tree-wide. Both walk the already
@@ -390,9 +403,7 @@ let storage_bytes t =
   let blocks = List.fold_left (fun acc b -> acc + block_bytes b) 0 (all_blocks t) in
   let hash = 16 * Hashtbl.length t.hash in
   let mappings =
-    Array.fold_left
-      (fun acc items -> acc + 8 + (8 * List.length items))
-      0 t.compressed
+    Array.fold_left (fun acc items -> acc + 8 + (8 * List.length items)) 0 (compress t)
   in
   blocks + hash + mappings
 
@@ -435,12 +446,13 @@ let validate t =
         items
       |> List.sort corr_compare
     in
+    let compressed = compress t in
     let check_mapping acc i =
       match acc with
       | Error _ as e -> e
       | Ok () ->
         let original = List.sort corr_compare (Mapping.pairs (Mapping_set.mapping t.mset i)) in
-        if reconstruct t.compressed.(i) = original then Ok ()
+        if reconstruct compressed.(i) = original then Ok ()
         else Error (Printf.sprintf "mapping %d does not decompress to its original form" i)
     in
     List.fold_left check_mapping (Ok ()) (List.init (Mapping_set.size t.mset) Fun.id)

@@ -21,6 +21,25 @@ let of_pairs ~source ~target ~score pairs =
   List.iter add pairs;
   { source_to_target = s2t; target_to_source = t2s; n_pairs = List.length pairs; score }
 
+let of_target_sources ~source ~target ~score t2s =
+  let ns = Schema.size source in
+  if Array.length t2s <> Schema.size target then
+    invalid_arg "Mapping.of_target_sources: array length is not the target size";
+  let s2t = Array.make ns (-1) in
+  let n = ref 0 in
+  Array.iteri
+    (fun y x ->
+      if x <> -1 then begin
+        if x < 0 || x >= ns then invalid_arg "Mapping.of_target_sources: source out of range";
+        if s2t.(x) >= 0 then invalid_arg "Mapping.of_target_sources: source element mapped twice";
+        s2t.(x) <- y;
+        incr n
+      end)
+    t2s;
+  { source_to_target = s2t; target_to_source = t2s; n_pairs = !n; score }
+
+let with_score t score = { t with score }
+
 let score t = t.score
 let size t = t.n_pairs
 
@@ -32,7 +51,7 @@ let pairs t =
   !out
 
 let source_of t y = if t.target_to_source.(y) < 0 then None else Some t.target_to_source.(y)
-let same_source_at a b y = a.target_to_source.(y) = b.target_to_source.(y)
+let source_at t y = t.target_to_source.(y)
 let target_of t x = if t.source_to_target.(x) < 0 then None else Some t.source_to_target.(x)
 
 let covers_targets t ys = List.for_all (fun y -> t.target_to_source.(y) >= 0) ys

@@ -18,6 +18,27 @@ val of_pairs :
     [Invalid_argument] if either side repeats an element or indices are out
     of range. *)
 
+val of_target_sources :
+  source:Uxsm_schema.Schema.t ->
+  target:Uxsm_schema.Schema.t ->
+  score:float ->
+  int array ->
+  t
+(** [of_target_sources ~source ~target ~score a] — the mapping whose
+    target element [y] corresponds to source element [a.(y)], or to
+    nothing when [a.(y) = -1]: the form in which
+    {!Uxsm_assignment.Partition.right_to_left} writes a ranked solution.
+    The mapping takes [a] over as its own target→source array, so the
+    caller must not mutate it afterwards; only the source→target array is
+    allocated. Raises [Invalid_argument] unless [a] has one entry per
+    target element, every entry is [-1] or a source element, and no
+    source element appears twice. *)
+
+val with_score : t -> float -> t
+(** The same correspondences under another score. The result shares
+    both lookup arrays with the original (mappings are immutable), so it
+    allocates one small record. *)
+
 val score : t -> float
 (** Sum of the correspondence scores the mapping was built from. *)
 
@@ -32,12 +53,11 @@ val source_of : t -> Uxsm_schema.Schema.element -> Uxsm_schema.Schema.element op
     [y], if any. This is the lookup direction used by query rewriting and
     the block tree. *)
 
-val same_source_at : t -> t -> Uxsm_schema.Schema.element -> bool
-(** [same_source_at a b y] — whether [a] and [b] choose the same source for
-    target element [y] (or both none). Equivalent to
-    [source_of a y = source_of b y] but allocation-free; the block tree's
-    dirty scan compares every (mapping, target element) slot, so the
-    option boxing would dominate small updates. *)
+val source_at : t -> Uxsm_schema.Schema.element -> int
+(** [source_at m y] — {!source_of} as a plain int, [-1] when [y] has no
+    correspondence. Allocation-free: the block tree's [init_block] and
+    its update's dirty scan read every (mapping, target element) slot,
+    so option boxing would dominate small updates. *)
 
 val target_of : t -> Uxsm_schema.Schema.element -> Uxsm_schema.Schema.element option
 

@@ -12,7 +12,10 @@ type t
 val generate : ?exec:Uxsm_exec.Executor.t -> h:int -> Matching.t -> t
 (** [generate ~h u] — the top-h possible mappings of matching [u] (fewer if
     the space is smaller), probabilities normalized over the set, ranked by
-    {!Uxsm_assignment.Partition.rank}. [exec] (default sequential)
+    {!Uxsm_assignment.Partition.rank}. Each mapping is built from the
+    target→source array {!Uxsm_assignment.Partition.right_to_left}
+    writes, through {!Mapping.of_target_sources} (bumping
+    [mapping_set.mappings_built]). [exec] (default sequential)
     parallelizes the per-component ranking, which sizes the ranking job
     ([h] times the edge count) for the executor's cost gate — small
     matchings stay sequential even under [Domains]. The resulting set is
@@ -35,11 +38,16 @@ val update : ?exec:Uxsm_exec.Executor.t -> Matching.t -> t -> t
     graph touched by the difference between [t]'s matching and [u'] are
     re-ranked (see {!Uxsm_assignment.Partition.apply_delta}), the heap
     merge resumes from the deepest cached level, and probabilities
-    renormalize over the new scores. The result is identical to a
-    from-scratch [generate] (a tested property); a matching that did
-    not come from [Matching.apply_delta] on [t]'s matching simply falls
-    back to a full re-rank. Raises [Invalid_argument] when [t] has no
-    provenance ({!ranked} is [None]). *)
+    renormalize over the new scores. A new mapping whose target→source
+    array equals one of [t]'s mappings reuses that mapping under its new
+    score ({!Mapping.with_score}, sharing its arrays; bumps
+    [mapping_set.mappings_reused]); only the others are built (bumps
+    [mapping_set.mappings_built]). Nothing is reused when [u'] grew a
+    schema. The result is identical to a from-scratch [generate] (a
+    tested property); a matching that did not come from
+    [Matching.apply_delta] on [t]'s matching simply falls back to a full
+    re-rank. Raises [Invalid_argument] when [t] has no provenance
+    ({!ranked} is [None]). *)
 
 val matching : t -> Matching.t
 val source : t -> Uxsm_schema.Schema.t

@@ -371,36 +371,11 @@ let handle_lines t lines =
 
 (* ----------------------------- transports ------------------------- *)
 
-let serve_channels t ic oc =
-  let rec loop () =
-    if not (stopping t) then
-      match input_line ic with
-      | line ->
-        Obs.add c_bytes_in (String.length line + 1);
-        if String.trim line <> "" then begin
-          let resp = handle_line t line in
-          Obs.add c_bytes_out (String.length resp + 1);
-          output_string oc resp;
-          output_char oc '\n';
-          flush oc
-        end;
-        loop ()
-      | exception End_of_file -> ()
-  in
-  loop ()
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    (* lint: allow blocking-under-lock — cn_wlock exists precisely to serialize whole-response writes on one socket; a slow peer stalls only its own connection's writers, never another lock *)
-    if off < n then go (off + Unix.write_substring fd s off (n - off))
-  in
-  go 0
-
 let max_line_bytes = 16 * 1024 * 1024
 
-(* Per-connection line framing: the partial line read so far, and whether
-   the rest of an over-long line is being dropped. *)
+(* Line framing for one input stream (a socket connection or the stdio
+   channel): the partial line read so far, and whether the rest of an
+   over-long line is being dropped. *)
 type framer = {
   partial : Buffer.t;
   mutable discarding : bool;
@@ -435,6 +410,53 @@ let feed fr chunk n ~line ~overflow =
     end
   done;
   take !start n
+
+(* The one reply an over-long line gets, counted as a failed request. *)
+let overlong_response () =
+  Obs.incr c_requests;
+  Obs.incr c_errors;
+  Json.to_string
+    (Protocol.error_response (Printf.sprintf "request line exceeds %d bytes" max_line_bytes))
+
+(* The stdio transport frames its input like the socket reader: chunks
+   scanned for newlines, at most [max_line_bytes] of a partial line held.
+   Lines are answered one at a time, in order; once a [shutdown] was
+   served, nothing after it is answered. *)
+let serve_channels t ic oc =
+  let fr = { partial = Buffer.create 4096; discarding = false } in
+  let chunk = Bytes.create 65536 in
+  let reply resp =
+    if not (stopping t) then begin
+      let resp = resp () in
+      Obs.add c_bytes_out (String.length resp + 1);
+      output_string oc resp;
+      output_char oc '\n';
+      flush oc
+    end
+  in
+  let line l = reply (fun () -> handle_line t l) in
+  let rec loop () =
+    if not (stopping t) then begin
+      let n = input ic chunk 0 (Bytes.length chunk) in
+      if n > 0 then begin
+        Obs.add c_bytes_in n;
+        feed fr chunk n ~line ~overflow:(fun () -> reply overlong_response);
+        loop ()
+      end
+    end
+  in
+  loop ();
+  (* Input may end without a final newline; that last line is a request. *)
+  let last = Buffer.contents fr.partial in
+  if (not fr.discarding) && String.trim last <> "" then line last
+
+let write_all fd s =
+  let n = String.length s in
+  let rec go off =
+    (* lint: allow blocking-under-lock — cn_wlock exists precisely to serialize whole-response writes on one socket; a slow peer stalls only its own connection's writers, never another lock *)
+    if off < n then go (off + Unix.write_substring fd s off (n - off))
+  in
+  go 0
 
 (* --------------------- concurrent accept service ------------------- *)
 (* One reader sys-thread per connection parses lines off the socket and
@@ -530,14 +552,7 @@ let admit sv conn line =
 let reader sv conn =
   let fr = { partial = Buffer.create 4096; discarding = false } in
   let chunk = Bytes.create 65536 in
-  let overflow () =
-    Obs.incr c_requests;
-    Obs.incr c_errors;
-    write_response conn
-      (Json.to_string
-         (Protocol.error_response
-            (Printf.sprintf "request line exceeds %d bytes" max_line_bytes)))
-  in
+  let overflow () = write_response conn (overlong_response ()) in
   let rec loop () =
     if not (stopping sv.srv) then
       (* The short select timeout keeps drain responsive while idle. *)

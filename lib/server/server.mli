@@ -17,7 +17,9 @@
       in request order regardless of backend. A lone request bypasses the
       pool so it keeps its per-request parallelism.
     - {!serve_channels}: the stdio transport (line-delimited JSON both
-      ways, one request at a time).
+      ways, one request at a time). It frames lines like the socket
+      service below, so a line longer than {!max_line_bytes} gets one
+      error reply and is dropped through its newline.
     - {!serve} / {!serve_unix} / {!serve_tcp}: the concurrent socket
       service — any mix of Unix-domain and TCP listeners on one accept
       loop. Each accepted connection gets a reader sys-thread that admits
@@ -78,10 +80,14 @@ val record_exec_contention : (unit -> 'a) -> 'a
 
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** Read request lines until EOF or shutdown, replying (and flushing)
-    after each line. *)
+    after each line. Input is read in chunks and at most
+    {!max_line_bytes} of a line is held; a longer line gets one
+    ["request line exceeds ..."] error. Blank lines are not answered, nor
+    is any line after a served [shutdown]. A last line without its
+    newline is answered at EOF. *)
 
 val max_line_bytes : int
-(** 16 MiB — the longest request line the socket service reads, over 100
+(** 16 MiB — the longest request line either transport reads, over 100
     times the largest mapping-set text a [register] carries in the
     benchmarks (D10 at h = 100, ~150 KB). *)
 

@@ -1,17 +1,19 @@
-type 'a t = {
+(* Priorities and payloads live in two parallel unboxed arrays, so a push
+   or a pop moves ints and floats only and allocates nothing (bar growth). *)
+type t = {
   mutable prio : float array;
-  mutable data : 'a option array;
+  mutable data : int array;
   mutable len : int;
 }
 
-let create () = { prio = Array.make 16 0.0; data = Array.make 16 None; len = 0 }
+let create () = { prio = Array.make 16 0.0; data = Array.make 16 0; len = 0 }
 let is_empty h = h.len = 0
 let size h = h.len
 
 let grow h =
   let cap = Array.length h.prio in
   let prio = Array.make (2 * cap) 0.0 in
-  let data = Array.make (2 * cap) None in
+  let data = Array.make (2 * cap) 0 in
   Array.blit h.prio 0 prio 0 h.len;
   Array.blit h.data 0 data 0 h.len;
   h.prio <- prio;
@@ -46,30 +48,25 @@ let rec sift_down h i =
 let push h prio x =
   if h.len = Array.length h.prio then grow h;
   h.prio.(h.len) <- prio;
-  h.data.(h.len) <- Some x;
+  h.data.(h.len) <- x;
   h.len <- h.len + 1;
   sift_up h (h.len - 1)
 
+let min_priority h = h.prio.(0)
+
+let pop_min h =
+  if h.len = 0 then invalid_arg "Fheap.pop_min: empty heap";
+  let x = h.data.(0) in
+  h.len <- h.len - 1;
+  h.prio.(0) <- h.prio.(h.len);
+  h.data.(0) <- h.data.(h.len);
+  if h.len > 0 then sift_down h 0;
+  x
+
 let pop h =
   if h.len = 0 then None
-  else begin
-    let p = h.prio.(0) in
-    let x =
-      match h.data.(0) with
-      | Some x -> x
-      | None -> assert false
-    in
-    h.len <- h.len - 1;
-    h.prio.(0) <- h.prio.(h.len);
-    h.data.(0) <- h.data.(h.len);
-    h.data.(h.len) <- None;
-    if h.len > 0 then sift_down h 0;
-    Some (p, x)
-  end
-
-let peek h =
-  if h.len = 0 then None
   else
-    match h.data.(0) with
-    | Some x -> Some (h.prio.(0), x)
-    | None -> assert false
+    let p = min_priority h in
+    Some (p, pop_min h)
+
+let peek h = if h.len = 0 then None else Some (h.prio.(0), h.data.(0))

@@ -1,19 +1,29 @@
-(** Mutable binary min-heap with [float] priorities.
+(** Mutable binary min-heap of [int] payloads with [float] priorities.
 
     Used by the Dijkstra augmentation inside the assignment solver and by
     the top-h merge of the partitioning algorithm. Decrease-key is handled
-    by lazy deletion: stale entries are skipped at pop time. *)
+    by lazy deletion: stale entries are skipped at pop time. Both callers
+    pop with {!min_priority} then {!pop_min}, which allocate nothing;
+    {!pop} and {!peek} box their result. Equal priorities pop in an order
+    fixed by the push sequence alone. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val size : 'a t -> int
+val create : unit -> t
+val is_empty : t -> bool
+val size : t -> int
 
-val push : 'a t -> float -> 'a -> unit
+val push : t -> float -> int -> unit
 (** [push h prio x] inserts [x] with priority [prio]. *)
 
-val pop : 'a t -> (float * 'a) option
+val min_priority : t -> float
+(** The minimum priority; unspecified on an empty heap. *)
+
+val pop_min : t -> int
+(** Remove the minimum-priority entry and return its payload. Raises
+    [Invalid_argument] on an empty heap. *)
+
+val pop : t -> (float * int) option
 (** Remove and return the minimum-priority entry. *)
 
-val peek : 'a t -> (float * 'a) option
+val peek : t -> (float * int) option

@@ -40,8 +40,16 @@ let d7 =
 let matching_lock =
   Uxsm_util.Locks.create ~name:"dataset.matching" ~rank:Uxsm_util.Locks.rank_dataset_matching
 
+(* The matching memo keeps the [matching_capacity] most recently used
+   (dataset, seed) pairs, most recent first: 16 holds all ten Table II
+   datasets at one seed, while a long-running server registering fresh
+   seeds (the onboarding workload) no longer keeps every matching it ever
+   computed. A compute leaves its result at the head, so a second call
+   right after the first still hits. *)
+let matching_capacity = 16
+
 (* lint: allow domain-unsafe — guarded by matching_lock *)
-let matching_cache : (string * int, Uxsm_mapping.Matching.t) Hashtbl.t = Hashtbl.create 16
+let matching_cache : ((string * int) * Uxsm_mapping.Matching.t) list ref = ref []
 
 (* [exec] is deliberately absent from the cache keys below: every backend
    produces bit-identical results (see Uxsm_exec.Executor), so a hit cached
@@ -50,16 +58,18 @@ let default_seed = 42
 
 let matching ?(seed = default_seed) ?(exec = Uxsm_exec.Executor.sequential) d =
   Uxsm_util.Locks.with_lock matching_lock @@ fun () ->
-  match Hashtbl.find_opt matching_cache (d.id, seed) with
-  | Some m -> m
-  | None ->
-    let source = Standards.generate ~seed d.source in
-    let target = Standards.generate ~seed d.target in
-    let m =
+  let is_key ((id, s), _) = String.equal id d.id && s = seed in
+  let m =
+    match List.find_opt is_key !matching_cache with
+    | Some (_, m) -> m
+    | None ->
+      let source = Standards.generate ~seed d.source in
+      let target = Standards.generate ~seed d.target in
       Coma.run_with_capacity ~exec ~strategy:d.strategy ~capacity:d.capacity ~source ~target ()
-    in
-    Hashtbl.add matching_cache (d.id, seed) m;
-    m
+  in
+  let rest = List.filter (fun e -> not (is_key e)) !matching_cache in
+  matching_cache := ((d.id, seed), m) :: List.filteri (fun i _ -> i < matching_capacity - 1) rest;
+  m
 
 let mset_lock =
   Uxsm_util.Locks.create ~name:"dataset.mset" ~rank:Uxsm_util.Locks.rank_dataset_mset

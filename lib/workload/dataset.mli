@@ -27,10 +27,15 @@ val default_seed : int
     another. *)
 
 val matching : ?seed:int -> ?exec:Uxsm_exec.Executor.t -> t -> Uxsm_mapping.Matching.t
-(** Generate the dataset's matching (memoized per [(id, seed)] — schema
-    generation is cheap but XCBL-sized matcher runs are not). [exec]
-    (default sequential) parallelizes the matcher's pair scoring; it is not
-    part of the cache key because every backend yields identical results. *)
+(** Generate the dataset's matching, memoized per [(id, seed)] for the
+    {!matching_capacity} most recently used pairs. A call right after a
+    compute of the same pair always hits; an evicted pair is recomputed,
+    to an equal matching (the matcher is deterministic). [exec] (default
+    sequential) parallelizes the matcher's pair scoring; it is not part
+    of the cache key because every backend yields identical results. *)
+
+val matching_capacity : int
+(** 16 — enough for all ten Table II datasets at one seed. *)
 
 val mapping_set :
   ?seed:int ->
@@ -38,5 +43,6 @@ val mapping_set :
   h:int ->
   t ->
   Uxsm_mapping.Mapping_set.t
-(** The dataset's top-h possible mappings (memoized like {!matching},
-    [exec] likewise excluded from the key). *)
+(** The dataset's top-h possible mappings, memoized per [(id, seed, h)]
+    without a bound ([exec] likewise excluded from the key). Only the CLI
+    and the paper benches call it; a server corpus builds its own sets. *)

@@ -236,7 +236,7 @@ let oracle_merge ~h xs ys =
       if ix < nx && iy < ny && not (Hashtbl.mem seen (ix, iy)) then begin
         Hashtbl.add seen (ix, iy) ();
         let s = xa.(ix).Murty.score +. ya.(iy).Murty.score in
-        Uxsm_util.Fheap.push heap (-.s) (ix, iy)
+        Uxsm_util.Fheap.push heap (-.s) ((ix * ny) + iy)
       end
     in
     push 0 0;
@@ -246,7 +246,8 @@ let oracle_merge ~h xs ys =
       if !count < h then
         match Uxsm_util.Fheap.pop heap with
         | None -> ()
-        | Some (neg_s, (ix, iy)) ->
+        | Some (neg_s, k) ->
+          let ix = k / ny and iy = k mod ny in
           let combined : Murty.solution =
             {
               pairs = List.merge pair_compare xa.(ix).Murty.pairs ya.(iy).Murty.pairs;
@@ -462,6 +463,30 @@ let test_apply_delta_reuses_untouched_components () =
   Alcotest.(check bool) "still equal to fresh rank" true
     (Partition.solutions r' = Partition.solutions (Partition.rank ~h:10 (patched_graph g d)))
 
+(* The mapping layer reads the top-h as right→left arrays written from
+   the back-pointers; they must hold exactly [solutions]' pairs, with the
+   same score bits, in the same order. *)
+let prop_right_to_left_equals_solutions =
+  QCheck.Test.make ~count:300 ~name:"Partition.right_to_left = solutions"
+    QCheck.(pair arb_graph (int_range 1 12))
+    (fun (g, h) ->
+      let r = Partition.rank ~h g in
+      let arrays = Array.to_list (Partition.right_to_left r) in
+      let pairs_of a =
+        List.filter_map
+          (fun j -> if a.(j) >= 0 then Some (a.(j), j) else None)
+          (List.init (Array.length a) Fun.id)
+        |> List.sort pair_compare
+      in
+      let sols = Partition.solutions r in
+      List.length sols = List.length arrays
+      && List.for_all2
+           (fun (s : Murty.solution) (score, a) ->
+             Int64.equal (Int64.bits_of_float s.score) (Int64.bits_of_float score)
+             && Array.length a = Bipartite.n_right g
+             && pairs_of a = s.pairs)
+           sols arrays)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -486,4 +511,5 @@ let suite =
     q prop_apply_delta_equals_rank;
     q prop_apply_delta_equals_rank_domains;
     q prop_delta_of_graphs_round_trips;
+    q prop_right_to_left_equals_solutions;
   ]

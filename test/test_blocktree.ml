@@ -254,6 +254,38 @@ let test_update_falls_back_when_capped () =
   let t = Block_tree.build ~params:{ Block_tree.tau = 0.4; max_b = 0; max_f = 500 } Fixtures.fig3_mset in
   Alcotest.(check bool) "cap recorded" true (Block_tree.caps_hit t)
 
+(* The block trees of D1–D10's top-100 sets at the default parameters:
+   storage accounting, the bits of the compression ratio and the block
+   count. Recorded while the compression pass still ran inside every
+   build, so they pin the on-demand pass to the same result. *)
+let dataset_pins =
+  [
+    ("D1", 13480, -4624365383532138684L, 17);
+    ("D2", 37824, -4625405405081714448L, 36);
+    ("D3", 13492, -4620394342434130672L, 19);
+    ("D4", 24848, -4623823815544365944L, 20);
+    ("D5", 13104, -4620441150538805920L, 18);
+    ("D6", 46192, -4624600340558852100L, 37);
+    ("D7", 69544, 4596463025338320148L, 126);
+    ("D8", 26088, 4595824340539789016L, 51);
+    ("D9", 104544, 4593808529346577984L, 146);
+    ("D10", 103016, 4594267296028619456L, 140);
+  ]
+
+let test_dataset_trees_pinned () =
+  let module Dataset = Uxsm_workload.Dataset in
+  List.iter
+    (fun (id, bytes, ratio_bits, n_blocks) ->
+      let d = Option.get (Dataset.find id) in
+      let tree = Block_tree.build (Mapping_set.generate ~h:100 (Dataset.matching d)) in
+      Alcotest.(check int) (id ^ " storage_bytes") bytes (Block_tree.storage_bytes tree);
+      Alcotest.(check int64)
+        (id ^ " compression_ratio bits")
+        ratio_bits
+        (Int64.bits_of_float (Block_tree.compression_ratio tree));
+      Alcotest.(check int) (id ^ " n_blocks") n_blocks (Block_tree.n_blocks tree))
+    dataset_pins
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -274,4 +306,6 @@ let suite =
     Alcotest.test_case "capped trees fall back on update" `Quick
       test_update_falls_back_when_capped;
     q prop_update_equals_build;
+    Alcotest.test_case "D1-D10 h=100 storage, ratio and blocks pinned" `Quick
+      test_dataset_trees_pinned;
   ]

@@ -23,6 +23,34 @@ let test_mapping_validation () =
   fails [ (99, 0) ];
   fails [ (0, 99) ]
 
+let test_of_target_sources () =
+  let n = Schema.size target in
+  let sources_of pairs =
+    let a = Array.make n (-1) in
+    List.iter (fun (x, y) -> a.(y) <- x) pairs;
+    a
+  in
+  let pairs = [ (0, 0); (1, 3) ] in
+  let m = Mapping.of_target_sources ~source ~target ~score:2.5 (sources_of pairs) in
+  Alcotest.(check bool) "same correspondences as of_pairs" true (Mapping.equal m (mk pairs));
+  Alcotest.(check (list (pair int int))) "pairs by source" pairs (Mapping.pairs m);
+  Alcotest.(check int) "size" 2 (Mapping.size m);
+  Alcotest.(check int) "source_at a mapped target" 1 (Mapping.source_at m 3);
+  Alcotest.(check int) "source_at an unmapped target" (-1) (Mapping.source_at m 1);
+  let m' = Mapping.with_score m 7.0 in
+  Alcotest.(check (float 0.0)) "with_score takes the new score" 7.0 (Mapping.score m');
+  Alcotest.(check (float 0.0)) "the original keeps its score" 2.5 (Mapping.score m);
+  Alcotest.(check bool) "with_score keeps the correspondences" true (Mapping.equal m m');
+  let fails what a =
+    match Mapping.of_target_sources ~source ~target ~score:1.0 a with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "expected Invalid_argument: %s" what
+  in
+  fails "array longer than the target" (Array.make (n + 1) (-1));
+  fails "source out of range" (sources_of [ (99, 0) ]);
+  fails "negative source" (sources_of [ (-2, 0) ]);
+  fails "source twice" (sources_of [ (0, 0); (0, 1) ])
+
 let test_mapping_lookups () =
   let m = Fixtures.fig3_m1 in
   Alcotest.(check (option int)) "source_of ICN" (Some Fixtures.s_bcn)
@@ -482,6 +510,7 @@ let suite =
   [
     Alcotest.test_case "mapping validation" `Quick test_mapping_validation;
     Alcotest.test_case "mapping lookups" `Quick test_mapping_lookups;
+    Alcotest.test_case "mapping from a target-source array" `Quick test_of_target_sources;
     Alcotest.test_case "o-ratio" `Quick test_o_ratio;
     Alcotest.test_case "mapping equality" `Quick test_equal;
     Alcotest.test_case "matching validation" `Quick test_matching_validation;

@@ -1130,6 +1130,45 @@ let test_overlong_line () =
   Server.request_stop srv;
   Thread.join th
 
+(* The stdio transport frames lines like the socket reader: an over-long
+   line gets one error and is dropped through its newline, the blank line
+   after it is not answered, and the next request is served. *)
+let test_serve_channels_overlong_line () =
+  let in_path = Filename.temp_file "uxsm_srv" ".in" in
+  let out_path = Filename.temp_file "uxsm_srv" ".out" in
+  let oc = open_out_bin in_path in
+  output_string oc (String.make (Server.max_line_bytes + 1) 'x');
+  output_string oc "\n\n";
+  output_string oc {|{"op":"ping","id":"after"}|};
+  output_char oc '\n';
+  close_out oc;
+  let ic = open_in_bin in_path and oc = open_out_bin out_path in
+  Server.serve_channels (Server.create ()) ic oc;
+  close_in ic;
+  close_out oc;
+  let ic = open_in_bin out_path in
+  let rec slurp acc =
+    match input_line ic with
+    | l -> slurp (l :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let replies = slurp [] in
+  close_in ic;
+  Sys.remove in_path;
+  Sys.remove out_path;
+  match replies with
+  | [ err; pong ] ->
+    let err = parse_reply "over-long line" err in
+    assert_error "over-long line" err;
+    (match Json.member "error" err with
+    | Some (Json.String msg) ->
+      Alcotest.(check bool) "error says the line is too long" true (contains ~needle:"exceeds" msg)
+    | _ -> ());
+    let pong = parse_reply "ping" pong in
+    assert_ok "ping after the over-long line" pong;
+    Alcotest.(check string) "the ping's own reply" {|"after"|} (id_of pong)
+  | _ -> Alcotest.failf "expected two replies, got %d" (List.length replies)
+
 (* ------------------- incremental ranking, pinned ------------------- *)
 
 (* Per-step digests of [Serialize.mapping_set_to_string] for the D7 top-100
@@ -1194,6 +1233,63 @@ let test_d7_update_stream_pinned () =
       step "restore" c.score d7_registered)
     d7_moved
 
+(* The D7 move/restore stream again, with the block tree warm too: each
+   update builds or reuses every one of the 100 mappings, the stream as a
+   whole reuses some (a move that changes a component's best solution can
+   change all 100), and the patched tree validates — on-demand compression
+   included — and accounts the same storage as a fresh build of the
+   patched set. *)
+let test_d7_update_stream_reuses_mappings () =
+  let module Matching = Uxsm_mapping.Matching in
+  let module Schema = Uxsm_schema.Schema in
+  let module Block_tree = Uxsm_blocktree.Block_tree in
+  let cat = Catalog.create ~exec:Executor.sequential () in
+  (match
+     Catalog.register cat ~name:"d7" ~doc_seed:1 ~doc_nodes:50
+       (Protocol.From_dataset (Uxsm_workload.Dataset.d7, 42))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let prepared () =
+    match Catalog.prepared cat "d7" ~h:100 ~tau:Block_tree.default_params.tau with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  ignore (prepared ());
+  let reused = Obs.counter "mapping_set.mappings_reused"
+  and built = Obs.counter "mapping_set.mappings_built" in
+  let m = match Catalog.matching cat "d7" with Ok m -> m | Error e -> Alcotest.fail e in
+  let corrs = Array.of_list (Matching.correspondences m) in
+  let n = Array.length corrs in
+  let round3 x = float_of_string (Printf.sprintf "%.3f" x) in
+  let total_reused = ref 0 in
+  for k = 0 to 19 do
+    let c = corrs.(k * n / 20) in
+    let sp = Schema.path_string (Matching.source m) c.source
+    and tp = Schema.path_string (Matching.target m) c.target in
+    let step what score =
+      let r0 = Obs.value reused and b0 = Obs.value built in
+      (match
+         Catalog.update cat ~name:"d7" { Matching.empty_delta with set_scores = [ (sp, tp, score) ] }
+       with
+      | Ok u -> Alcotest.(check int) (Printf.sprintf "pair %d %s patched the tree" k what) 1 u.u_trees_patched
+      | Error e -> Alcotest.fail e);
+      let r = Obs.value reused - r0 and b = Obs.value built - b0 in
+      Alcotest.(check int) (Printf.sprintf "pair %d %s: reused + built" k what) 100 (r + b);
+      total_reused := !total_reused + r
+    in
+    step "move" (if c.score >= 0.06 then round3 (c.score -. 0.05) else round3 (c.score +. 0.05));
+    step "restore" c.score
+  done;
+  Alcotest.(check bool) "the stream reused mappings" true (!total_reused > 0);
+  let mset, tree = prepared () in
+  (match Block_tree.validate tree with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "storage of the patched tree = a fresh build's"
+    (Block_tree.storage_bytes (Block_tree.build mset))
+    (Block_tree.storage_bytes tree)
+
 (* A register whose matching text carries a non-finite score is refused
    with a structured error, and the corpus already registered under that
    name keeps answering. *)
@@ -1254,6 +1350,8 @@ let suite =
     Alcotest.test_case "explain replies carry the plan" `Quick test_explain_carries_plan;
     Alcotest.test_case "pipelined batches across backends" `Quick test_handle_lines_batching;
     Alcotest.test_case "stdio transport drains on shutdown" `Quick test_serve_channels;
+    Alcotest.test_case "stdio over-long line: one error, next served" `Quick
+      test_serve_channels_overlong_line;
     Alcotest.test_case "overloaded response shape" `Quick test_overloaded_response_shape;
     Alcotest.test_case "catalog shards serve domains concurrently" `Quick
       test_catalog_concurrent_shards;
@@ -1268,6 +1366,8 @@ let suite =
     Alcotest.test_case "over-long line: one error, connection kept" `Quick test_overlong_line;
     Alcotest.test_case "D7 move/restore update stream pinned" `Quick
       test_d7_update_stream_pinned;
+    Alcotest.test_case "D7 move/restore: mappings reused, tree validates" `Quick
+      test_d7_update_stream_reuses_mappings;
     Alcotest.test_case "register rejects NaN and infinite scores" `Quick
       test_register_rejects_non_finite_scores;
   ]

@@ -80,10 +80,10 @@ let prop_heap_sorts =
 let test_heap_peek () =
   let h = Fheap.create () in
   Alcotest.(check bool) "empty" true (Fheap.is_empty h);
-  Fheap.push h 2.0 "b";
-  Fheap.push h 1.0 "a";
+  Fheap.push h 2.0 2;
+  Fheap.push h 1.0 1;
   (match Fheap.peek h with
-  | Some (1.0, "a") -> ()
+  | Some (1.0, 1) -> ()
   | _ -> Alcotest.fail "peek should be the minimum");
   Alcotest.(check int) "size" 2 (Fheap.size h)
 
