@@ -76,7 +76,6 @@ let apply_edge_delta ~set ~remove edge_list =
 
 let n_left t = t.n_left
 let n_right t = t.n_right
-let n_edges t = List.length t.edges
 let edges t = t.edges
 let adj t i = t.adj.(i)
 let radj t j = t.radj.(j)

@@ -16,7 +16,6 @@ val create : n_left:int -> n_right:int -> (int * int * float) list -> t
 
 val n_left : t -> int
 val n_right : t -> int
-val n_edges : t -> int
 
 val edges : t -> (int * int * float) list
 (** All edges, in insertion order. *)

@@ -12,9 +12,6 @@ type solution = {
   score : float;
 }
 
-let solutions_equal a b =
-  Float.equal a.score b.score && a.pairs = b.pairs
-
 type node = {
   fixed : (int * int) list;  (* committed (left, extright) pairs *)
   excluded : (int * int) list;  (* forbidden (left, extright) pairs *)

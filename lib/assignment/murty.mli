@@ -22,5 +22,3 @@ val top : h:int -> Bipartite.t -> solution list
     Pascoal et al. Each child subproblem reuses the parent's matching and
     potentials and runs one augmentation: the "advanced variant" the paper
     implements. *)
-
-val solutions_equal : solution -> solution -> bool

@@ -292,7 +292,6 @@ let right_to_left r =
 
 let graph r = r.rk_graph
 let ranked_h r = r.rk_h
-let ranked_components r = Array.length r.rk_locals
 
 let top ?(exec = Uxsm_exec.Executor.sequential) ~h g =
   if h <= 0 then [] else solutions (rank ~exec ~h g)

@@ -96,7 +96,6 @@ val graph : ranked -> Bipartite.t
 (** The graph this state ranks. *)
 
 val ranked_h : ranked -> int
-val ranked_components : ranked -> int
 
 val delta_of_graphs : old:Bipartite.t -> Bipartite.t -> delta
 (** The delta that rewrites [old]'s edge list into the new graph's, in the

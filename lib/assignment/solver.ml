@@ -22,7 +22,6 @@ type constraints = {
 }
 
 let n_side g = Bipartite.n_left g + Bipartite.n_right g
-let image_of g i = Bipartite.n_right g + i
 let encode g i extj = (i * n_side g) + extj
 
 let no_constraints g =

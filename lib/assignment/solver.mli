@@ -35,9 +35,6 @@ val encode : Bipartite.t -> int -> int -> int
 (** [encode g i extj] is the hash key for the edge from extended left [i] to
     extended right [extj]. *)
 
-val image_of : Bipartite.t -> int -> int
-(** Extended-right index of the image node [s'_i] of source [i]. *)
-
 val no_constraints : Bipartite.t -> constraints
 (** Fresh, empty constraints (nothing forbidden, nothing committed). *)
 

@@ -317,7 +317,6 @@ let mapping_set t = t.mset
 let params t = t.prms
 let threshold t = t.threshold
 let blocks_at t y = t.nodes.(y)
-let has_blocks t y = t.nodes.(y) <> []
 let lookup_path t p = Hashtbl.find_opt t.hash p
 
 let all_blocks t =

@@ -58,8 +58,6 @@ val threshold : t -> int
 val blocks_at : t -> Uxsm_schema.Schema.element -> Block.t list
 (** C-blocks anchored at a target element (the node's linked list). *)
 
-val has_blocks : t -> Uxsm_schema.Schema.element -> bool
-
 val lookup_path : t -> string -> Uxsm_schema.Schema.element option
 (** The hash table [H]: ['.']-joined target path → block-tree node, present
     only for nodes holding at least one c-block. *)

@@ -51,26 +51,6 @@ let ambiguity_histogram mset =
   Hashtbl.fold (fun a c acc -> (a, c) :: acc) counts []
   |> List.sort (fun (a1, _) (a2, _) -> Int.compare a1 a2)
 
-let consensus mset =
-  List.filter_map
-    (fun y ->
-      let support = Hashtbl.create 8 in
-      for i = 0 to Mapping_set.size mset - 1 do
-        match Mapping.source_of (Mapping_set.mapping mset i) y with
-        | Some x ->
-          let prev = try Hashtbl.find support x with Not_found -> 0.0 in
-          Hashtbl.replace support x (prev +. Mapping_set.probability mset i)
-        | None -> ()
-      done;
-      Hashtbl.fold
-        (fun x p best ->
-          match best with
-          | Some (bx, bp) when bp > p || (Float.equal bp p && bx < x) -> best
-          | _ -> Some (x, p))
-        support None
-      |> Option.map (fun (x, p) -> (y, x, p)))
-    (mapped_targets mset)
-
 let expected_mapping_size mset =
   let total = ref 0.0 in
   for i = 0 to Mapping_set.size mset - 1 do

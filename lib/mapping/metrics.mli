@@ -1,10 +1,8 @@
 (** Uncertainty metrics over a set of possible mappings.
 
     Quantifies {e how} uncertain a schema matching is, beyond the paper's
-    o-ratio: distribution entropy, per-target ambiguity, and the consensus
-    mapping with its support. Useful for deciding whether human feedback is
-    worth asking for (the paper's introduction: "a possible way is to
-    consult domain experts") and for reporting in the CLI. *)
+    o-ratio: distribution entropy, per-target ambiguity and the expected
+    mapping size, as [uxsm analyze] reports them. *)
 
 val entropy : Mapping_set.t -> float
 (** Shannon entropy (bits) of the mapping probability distribution; 0 when
@@ -16,17 +14,11 @@ val normalized_entropy : Mapping_set.t -> float
 val target_ambiguity : Mapping_set.t -> Uxsm_schema.Schema.element -> int
 (** Number of distinct choices the mappings make for a target element:
     distinct corresponding source elements, plus one if some mapping leaves
-    it unmapped. 1 means consensus; larger means contested. *)
+    it unmapped. 1 means every mapping agrees; larger means contested. *)
 
 val ambiguity_histogram : Mapping_set.t -> (int * int) list
 (** [(ambiguity, how many target elements)] pairs, ascending, over target
     elements mapped by at least one mapping. *)
-
-val consensus : Mapping_set.t -> (Uxsm_schema.Schema.element * Uxsm_schema.Schema.element * float) list
-(** Per target element (that at least one mapping maps): the most probable
-    source choice and its support (total probability of the mappings
-    agreeing on it). The "pick the majority" baseline the paper argues can
-    lose information. *)
 
 val expected_mapping_size : Mapping_set.t -> float
 (** Probability-weighted mean number of correspondences per mapping. *)

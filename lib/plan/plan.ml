@@ -16,8 +16,6 @@ type evaluator = Per_mapping | Per_block
 
 type force = [ `Auto | `Basic | `Tree ]
 
-type sink = Answers | Consolidate | Marginals | Aggregate
-
 type op =
   | Resolve
   | Coverage
@@ -25,7 +23,7 @@ type op =
   | Topk_prune of int
   | Evaluate of evaluator option
   | Ordered_merge
-  | Sink of sink
+  | Sink
 
 type cost = {
   per_mapping : float;
@@ -68,12 +66,6 @@ let force_to_string = function
   | `Tree -> "tree"
   | `Auto -> "auto"
 
-let sink_name = function
-  | Answers -> "answers"
-  | Consolidate -> "consolidate"
-  | Marginals -> "marginals"
-  | Aggregate -> "aggregate"
-
 let reason_name = function
   | Forced -> "forced"
   | No_tree -> "no_tree"
@@ -87,14 +79,14 @@ let op_name = function
   | Evaluate None -> "evaluate"
   | Evaluate (Some e) -> Printf.sprintf "evaluate[%s]" (evaluator_name e)
   | Ordered_merge -> "ordered_merge"
-  | Sink s -> Printf.sprintf "sink[%s]" (sink_name s)
+  | Sink -> "sink[answers]"
 
-let ops_of ?k ?(sink = Answers) evaluator =
+let ops_of ?k evaluator =
   [ Resolve; Coverage; Relevance_filter ]
   @ (match k with None -> [] | Some k -> [ Topk_prune k ])
-  @ [ Evaluate evaluator; Ordered_merge; Sink sink ]
+  @ [ Evaluate evaluator; Ordered_merge; Sink ]
 
-let logical ?k ?sink () = ops_of ?k ?sink None
+let logical ?k () = ops_of ?k None
 
 (* ----------------------------- cost model -------------------------- *)
 
@@ -186,7 +178,7 @@ let estimate ?tree ~n_mappings ~pattern ~resolutions ~coverage () =
   in
   { per_mapping; per_block }
 
-let choose ?tree ?k ?sink ~force ~n_mappings ~pattern ~resolutions ~coverage
+let choose ?tree ?k ~force ~n_mappings ~pattern ~resolutions ~coverage
     ~relevant () =
   (match (force, tree) with
   | `Tree, None ->
@@ -208,7 +200,7 @@ let choose ?tree ?k ?sink ~force ~n_mappings ~pattern ~resolutions ~coverage
   | Cost_based, Per_block -> Obs.incr c_auto_per_block
   | Cost_based, Per_mapping -> Obs.incr c_auto_per_mapping);
   {
-    ops = ops_of ?k ?sink (Some evaluator);
+    ops = ops_of ?k (Some evaluator);
     evaluator;
     reason;
     cost;

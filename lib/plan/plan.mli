@@ -27,9 +27,6 @@ type force = [ `Auto | `Basic | `Tree ]
     {!Per_block}, [`Auto] lets the cost model decide. The names match the
     CLI/wire vocabulary ([--evaluator basic|tree|auto]). *)
 
-(** What consumes the merged answers. *)
-type sink = Answers | Consolidate | Marginals | Aggregate
-
 (** One logical stage. [Evaluate None] is the unresolved logical stage;
     compilation replaces it with [Evaluate (Some e)]. *)
 type op =
@@ -39,7 +36,7 @@ type op =
   | Topk_prune of int  (** keep the k most probable relevant mappings *)
   | Evaluate of evaluator option
   | Ordered_merge  (** merge per-mapping results in mapping-id order *)
-  | Sink of sink
+  | Sink  (** hand the merged answers to the caller *)
 
 type cost = {
   per_mapping : float;  (** estimated Algorithm 3 cost *)
@@ -70,10 +67,9 @@ type t = {
           mappings that rewrite the query alike. *)
 }
 
-val logical : ?k:int -> ?sink:sink -> unit -> op list
+val logical : ?k:int -> unit -> op list
 (** The logical pipeline before evaluator selection: [Evaluate None], with
-    a [Topk_prune] stage iff [k] is given. [sink] defaults to
-    {!Answers}. *)
+    a [Topk_prune] stage iff [k] is given. *)
 
 val estimate :
   ?tree:Uxsm_blocktree.Block_tree.t ->
@@ -96,7 +92,6 @@ val estimate :
 val choose :
   ?tree:Uxsm_blocktree.Block_tree.t ->
   ?k:int ->
-  ?sink:sink ->
   force:force ->
   n_mappings:int ->
   pattern:Uxsm_twig.Pattern.t ->
@@ -133,5 +128,4 @@ val force_of_string : string -> force option
 val force_to_string : force -> string
 
 val op_name : op -> string
-val sink_name : sink -> string
 val reason_name : reason -> string

@@ -48,7 +48,6 @@ let context ?(exec = Executor.sequential) ?tree ?target_doc ~mset ~doc () =
 let executor ctx = ctx.exec
 
 let mapping_set ctx = ctx.mset
-let source_doc ctx = ctx.doc
 
 type answer = {
   mapping_id : int;
@@ -484,22 +483,6 @@ let query ?(force = `Auto) ctx pattern = execute (compile ~force ctx pattern)
 let query_basic ctx pattern = query ~force:`Basic ctx pattern
 let query_tree ctx pattern = query ~force:`Tree ctx pattern
 let query_topk ?(force = `Auto) ctx ~k pattern = execute (compile ~force ~k ctx pattern)
-
-let marginals answers =
-  let tbl : (Binding.t, float) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          let prev = try Hashtbl.find tbl b with Not_found -> 0.0 in
-          Hashtbl.replace tbl b (prev +. a.probability))
-        a.bindings)
-    answers;
-  Hashtbl.fold (fun b p acc -> (b, p) :: acc) tbl []
-  |> List.sort (fun (b1, p1) (b2, p2) ->
-         match Float.compare p2 p1 with
-         | 0 -> Binding.compare b1 b2
-         | c -> c)
 
 let consolidate answers =
   let tbl : (Binding.t list, float) Hashtbl.t = Hashtbl.create 16 in

@@ -56,9 +56,6 @@ val executor : context -> Uxsm_exec.Executor.t
 
 val mapping_set : context -> Uxsm_mapping.Mapping_set.t
 
-val source_doc : context -> Uxsm_xml.Doc.t
-(** The document the context evaluates queries on. *)
-
 type answer = {
   mapping_id : int;  (** index into the mapping set *)
   probability : float;  (** [p_i] *)
@@ -125,12 +122,6 @@ val query : ?force:Uxsm_plan.Plan.force -> context -> Uxsm_twig.Pattern.t -> ans
 (** One-shot [compile] + {!execute}. Under the default [`Auto] the cost
     model picks the evaluator per query; all choices return identical
     answers. *)
-
-val marginals : answer list -> (Uxsm_twig.Binding.t * float) list
-(** Per-match marginal probabilities: each distinct document match with the
-    total probability of the mappings whose answer set contains it, sorted
-    by decreasing probability. (The consolidated view groups whole answer
-    {e sets}; this groups individual matches.) *)
 
 val consolidate : answer list -> (Uxsm_twig.Binding.t list * float) list
 (** Merge answers with identical match sets, summing probabilities — the

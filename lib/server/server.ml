@@ -768,8 +768,6 @@ let serve ?(max_queue = 256) ?ready t endpoints =
         !conns;
       Atomic.set t.gauges.g_queue_depth 0)
 
-let serve_unix ?max_queue t ~socket_path = serve ?max_queue t [ Unix_socket socket_path ]
-
 let serve_tcp ?max_queue ?ready t ~host ~port =
   let ready =
     Option.map

@@ -20,7 +20,7 @@
       ways, one request at a time). It frames lines like the socket
       service below, so a line longer than {!max_line_bytes} gets one
       error reply and is dropped through its newline.
-    - {!serve} / {!serve_unix} / {!serve_tcp}: the concurrent socket
+    - {!serve} / {!serve_tcp}: the concurrent socket
       service — any mix of Unix-domain and TCP listeners on one accept
       loop. Each accepted connection gets a reader sys-thread that admits
       complete lines into one {e bounded} dispatch queue shared by all
@@ -107,9 +107,6 @@ val serve : ?max_queue:int -> ?ready:(Unix.sockaddr list -> unit) -> t -> endpoi
 
     @raise Invalid_argument on an empty endpoint list or non-positive
     [max_queue]. *)
-
-val serve_unix : ?max_queue:int -> t -> socket_path:string -> unit
-(** [serve] on a single Unix-domain socket. *)
 
 val serve_tcp : ?max_queue:int -> ?ready:(int -> unit) -> t -> host:string -> port:int -> unit
 (** [serve] on a single TCP listener; [ready] receives the bound port. *)

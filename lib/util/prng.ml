@@ -51,14 +51,6 @@ let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t (Array.length arr))
 
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
 let sample_without_replacement t k n =
   if k < 0 || k > n then invalid_arg "Prng.sample_without_replacement";
   (* Floyd's algorithm: k iterations, set of size <= k. *)

@@ -40,9 +40,6 @@ val gaussian : t -> mu:float -> sigma:float -> float
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] draws [k] distinct ints from
     [\[0, n)], in increasing order. Requires [0 <= k <= n]. *)

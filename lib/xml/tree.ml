@@ -40,6 +40,3 @@ let rec equal a b =
     && List.for_all2 equal x.children y.children
   | Text _, Element _ | Element _, Text _ -> false
 
-let rec map_names f = function
-  | Text s -> Text s
-  | Element e -> Element { e with name = f e.name; children = List.map (map_names f) e.children }

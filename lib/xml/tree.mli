@@ -34,5 +34,3 @@ val text_content : t -> string
 val equal : t -> t -> bool
 (** Structural equality (attribute order significant). *)
 
-val map_names : (string -> string) -> t -> t
-(** Rename every element via the given function. *)

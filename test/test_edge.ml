@@ -94,16 +94,6 @@ let test_gen_doc_multiple_repeatables () =
   let doc = Uxsm_workload.Gen_doc.generate ~target_nodes:50 schema in
   Alcotest.(check int) "exact node count" 50 (Doc.size doc)
 
-let test_aggregate_no_relevant () =
-  (* A query naming an element no mapping covers: no relevant mappings. *)
-  let ctx = Ptq_helpers.fig_ctx () in
-  let q = Parser.parse_exn "ORDER/SP" in
-  (* only m3 maps SP; a query on SP with unmatched child is unmatchable *)
-  let r = Uxsm_ptq.Aggregate.count ctx (Parser.parse_exn "ORDER/SP/SCN/SCN") in
-  ignore q;
-  Alcotest.(check int) "empty distribution" 0 (List.length r.Uxsm_ptq.Aggregate.distribution);
-  Alcotest.(check (option (float 0.0))) "no expectation" None r.Uxsm_ptq.Aggregate.expected
-
 let test_schema_single_element () =
   let s = Schema.of_spec (Schema.spec "only" []) in
   Alcotest.(check int) "size 1" 1 (Schema.size s);
@@ -121,6 +111,5 @@ let suite =
     Alcotest.test_case "printer attrs + self-closing" `Quick test_printer_attrs_and_self_closing;
     Alcotest.test_case "doc attribute access" `Quick test_doc_attr_access;
     Alcotest.test_case "doc generator with two repeatables" `Quick test_gen_doc_multiple_repeatables;
-    Alcotest.test_case "aggregate with nothing relevant" `Quick test_aggregate_no_relevant;
     Alcotest.test_case "single-element schema" `Quick test_schema_single_element;
   ]

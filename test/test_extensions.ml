@@ -1,20 +1,15 @@
-(* Tests for the extension modules: XSD import/export, aggregates,
-   marginals, keyword search, probabilistic documents, and serialization. *)
+(* Tests for the extension modules: XSD import/export, keyword search and
+   serialization. *)
 
 module Schema = Uxsm_schema.Schema
 module Xsd = Uxsm_schema.Xsd
-module Doc = Uxsm_xml.Doc
-module Prob_doc = Uxsm_xml.Prob_doc
 module Pattern = Uxsm_twig.Pattern
-module Parser = Uxsm_twig.Pattern_parser
 module Matching = Uxsm_mapping.Matching
 module Mapping_set = Uxsm_mapping.Mapping_set
 module Serialize = Uxsm_mapping.Serialize
 module Block_tree = Uxsm_blocktree.Block_tree
 module Ptq = Uxsm_ptq.Ptq
-module Aggregate = Uxsm_ptq.Aggregate
 module Keyword = Uxsm_ptq.Keyword
-module Ptq_prob = Uxsm_ptq.Ptq_prob
 
 (* ----------------------------- XSD ------------------------------- *)
 
@@ -153,76 +148,13 @@ let test_xsd_on_standards () =
   | Ok s' -> Alcotest.(check bool) "Apertum round trips" true (Schema.equal s s')
   | Error e -> Alcotest.fail e
 
-(* ------------------------- Aggregates ----------------------------- *)
+(* ------------------------ Keyword search -------------------------- *)
 
 let fig_ctx () =
   let tree =
     Block_tree.build ~params:{ Block_tree.tau = 0.4; max_b = 500; max_f = 500 } Fixtures.fig3_mset
   in
   Ptq.context ~tree ~mset:Fixtures.fig3_mset ~doc:Fixtures.fig2_doc ()
-
-let test_aggregate_count () =
-  let ctx = fig_ctx () in
-  let q = Parser.parse_exn "//IP//ICN" in
-  let r = Aggregate.count ctx q in
-  (* m1,m2,m4,m5 -> 1 match; m3 -> 0 matches. *)
-  Alcotest.(check int) "two values" 2 (List.length r.Aggregate.distribution);
-  let prob_of v = try List.assoc v r.Aggregate.distribution with Not_found -> 0.0 in
-  Alcotest.(check (float 1e-9)) "P(count=1)" 0.8 (prob_of 1.0);
-  Alcotest.(check (float 1e-9)) "P(count=0)" 0.2 (prob_of 0.0);
-  Alcotest.(check (float 1e-9)) "no undefined" 0.0 r.Aggregate.undefined_mass;
-  match r.Aggregate.expected with
-  | Some e -> Alcotest.(check (float 1e-9)) "E[count]" 0.8 e
-  | None -> Alcotest.fail "expected should be defined"
-
-let numeric_doc =
-  let open Uxsm_xml.Tree in
-  Doc.of_tree
-    (element "Order"
-       [
-         element "BP"
-           [
-             element "BOC" [ leaf "BCN" "10" ];
-             element "ROC" [ leaf "RCN" "20" ];
-             element "OOC" [ leaf "OCN" "30" ];
-           ];
-         element "SP" [];
-       ])
-
-let test_aggregate_sum_min_max () =
-  let ctx = Ptq.context ~mset:Fixtures.fig3_mset ~doc:numeric_doc () in
-  let q = Parser.parse_exn "//IP//ICN" in
-  (* node 1 = ICN; values per mapping: m1/m2 -> 10, m4 -> 20, m5 -> 30,
-     m3 -> none. *)
-  let s = Aggregate.sum ctx ~node:1 q in
-  let prob_of (r : Aggregate.t) v = try List.assoc v r.Aggregate.distribution with Not_found -> 0.0 in
-  Alcotest.(check (float 1e-9)) "P(sum=10)" 0.4 (prob_of s 10.0);
-  Alcotest.(check (float 1e-9)) "P(sum=0)" 0.2 (prob_of s 0.0);
-  let mn = Aggregate.minimum ctx ~node:1 q in
-  Alcotest.(check (float 1e-9)) "min undefined for m3" 0.2 mn.Aggregate.undefined_mass;
-  (match mn.Aggregate.expected with
-  | Some e -> Alcotest.(check (float 1e-9)) "E[min] over defined" 17.5 e
-  | None -> Alcotest.fail "min expected defined");
-  let mx = Aggregate.maximum ctx ~node:1 q in
-  Alcotest.(check (float 1e-9)) "P(max=30)" 0.2 (prob_of mx 30.0);
-  let avg = Aggregate.average ctx ~node:1 q in
-  Alcotest.(check (float 1e-9)) "avg = min here" 17.5 (Option.get avg.Aggregate.expected)
-
-(* -------------------------- Marginals ----------------------------- *)
-
-let test_marginals () =
-  let ctx = fig_ctx () in
-  let q = Parser.parse_exn "//IP//ICN" in
-  let ms = Ptq.marginals (Ptq.query_tree ctx q) in
-  (* Cathy's binding appears in m1+m2 (0.4); Bob and Alice in one each. *)
-  Alcotest.(check int) "three distinct matches" 3 (List.length ms);
-  match ms with
-  | (_, p) :: rest ->
-    Alcotest.(check (float 1e-9)) "top marginal 0.4" 0.4 p;
-    List.iter (fun (_, p') -> Alcotest.(check (float 1e-9)) "others 0.2" 0.2 p') rest
-  | [] -> Alcotest.fail "no marginals"
-
-(* ------------------------ Keyword search -------------------------- *)
 
 let test_keyword_candidates_and_lca () =
   let t = Fixtures.fig1_target in
@@ -241,64 +173,39 @@ let test_keyword_search () =
   let empty = Keyword.search ctx [ "nonexistent_term" ] in
   Alcotest.(check int) "unknown keyword: no interpretations" 0 (List.length empty)
 
-(* --------------------- Probabilistic documents -------------------- *)
-
-let test_prob_doc_basics () =
-  let pd = Prob_doc.deterministic Fixtures.fig2_doc in
-  Alcotest.(check (float 1e-9)) "deterministic marginal" 1.0
-    (Prob_doc.marginal_prob pd (Doc.size Fixtures.fig2_doc - 1));
-  let probs = Array.make (Doc.size Fixtures.fig2_doc) 1.0 in
-  probs.(1) <- 0.5;
-  (* BP *)
-  probs.(3) <- 0.8;
-  (* BCN *)
-  let pd2 = Prob_doc.of_probs Fixtures.fig2_doc probs in
-  Alcotest.(check (float 1e-9)) "marginal multiplies" 0.4 (Prob_doc.marginal_prob pd2 3);
-  (* coexistence of BCN and RCN shares the BP ancestor: 0.5 * 0.8 * 1.0 *)
-  Alcotest.(check (float 1e-9)) "coexistence shares ancestors" 0.4
-    (Prob_doc.coexistence_prob pd2 [ 3; 5 ]);
-  Alcotest.(check (float 1e-9)) "empty set" 1.0 (Prob_doc.coexistence_prob pd2 [])
-
-let test_prob_doc_validation () =
-  let fails f = match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected Invalid_argument"
+(* Keyword search on a Table II dataset: what `uxsm keyword D7 quantity
+   unitprice` computes, its context assembled as the CLI assembles it
+   (catalog-prepared mapping set and block tree, catalog document).
+   Probabilities are compared by their bits. *)
+let test_keyword_search_d7 () =
+  let module Catalog = Uxsm_server.Catalog in
+  let module Protocol = Uxsm_server.Protocol in
+  let module Dataset = Uxsm_workload.Dataset in
+  let ok = function Ok x -> x | Error e -> Alcotest.fail e in
+  let cat = Catalog.create ~exec:Uxsm_exec.Executor.sequential () in
+  ignore
+    (ok
+       (Catalog.register cat ~name:"d7" ~doc_seed:Uxsm_workload.Gen_doc.default_seed
+          (Protocol.From_dataset (Dataset.d7, Dataset.default_seed))));
+  let mset, tree = ok (Catalog.prepared cat "d7" ~h:100 ~tau:Protocol.default_tau) in
+  let doc = ok (Catalog.doc cat "d7") in
+  let ctx = Ptq.context ~tree ~mset ~doc () in
+  let got =
+    List.map
+      (fun (hit : Keyword.hit) ->
+        ( Pattern.to_string hit.Keyword.pattern,
+          List.map
+            (fun (bindings, p) -> (List.length bindings, Int64.bits_of_float p))
+            hit.Keyword.answers ))
+      (Keyword.search ctx [ "quantity"; "unitprice" ])
   in
-  fails (fun () -> Prob_doc.of_probs Fixtures.fig2_doc [| 1.0 |]);
-  let bad = Array.make (Doc.size Fixtures.fig2_doc) 1.0 in
-  bad.(0) <- 0.5;
-  fails (fun () -> Prob_doc.of_probs Fixtures.fig2_doc bad);
-  let oob = Array.make (Doc.size Fixtures.fig2_doc) 1.0 in
-  oob.(2) <- 1.5;
-  fails (fun () -> Prob_doc.of_probs Fixtures.fig2_doc oob)
-
-let test_ptq_prob () =
-  let ctx = fig_ctx () in
-  let q = Parser.parse_exn "//IP//ICN" in
-  (* Deterministic document: joint = plain PTQ. *)
-  let det = Prob_doc.deterministic Fixtures.fig2_doc in
-  let answers = Ptq_prob.query ctx det q in
-  List.iter
-    (fun (a : Ptq_prob.answer) ->
-      List.iter (fun (_, p) -> Alcotest.(check (float 1e-9)) "existence 1" 1.0 p) a.matches)
-    answers;
-  let plain = Ptq.marginals (Ptq.query_tree ctx q) in
-  let joint = Ptq_prob.match_marginals ctx det q in
-  Alcotest.(check int) "same matches" (List.length plain) (List.length joint);
-  List.iter2
-    (fun (_, p1) (_, p2) -> Alcotest.(check (float 1e-9)) "same marginals" p1 p2)
-    plain joint;
-  (* Uncertain document scales the marginals down. *)
-  let probs = Array.make (Doc.size Fixtures.fig2_doc) 1.0 in
-  probs.(1) <- 0.5;
-  let pd = Prob_doc.of_probs Fixtures.fig2_doc probs in
-  List.iter
-    (fun (a : Ptq_prob.answer) ->
-      List.iter
-        (fun ((_ : Uxsm_twig.Binding.t), p) ->
-          Alcotest.(check (float 1e-9)) "halved through BP" 0.5 p)
-        a.matches)
-    (Ptq_prob.query ctx pd q)
+  Alcotest.(check (list (pair string (list (pair int int64)))))
+    "interpretations, answer-set sizes and probability bits"
+    [
+      ("//POLine[.//UnitPrice]//Quantity", [ (75, 0x3ff0000000000003L) ]);
+      ("//POLine[.//DeliverQuantity]//UnitPrice", [ (75, 0x3ff0000000000003L) ]);
+    ]
+    got
 
 (* ------------------------- Serialization -------------------------- *)
 
@@ -358,14 +265,9 @@ let suite =
     Alcotest.test_case "dotted element names rejected" `Quick test_dotted_element_names;
     Alcotest.test_case "XSD on standards" `Quick test_xsd_on_standards;
     Alcotest.test_case "XSD data files (xCBL/openTRANS excerpts)" `Quick test_xsd_data_files;
-    Alcotest.test_case "aggregate COUNT on the intro example" `Quick test_aggregate_count;
-    Alcotest.test_case "aggregate SUM/MIN/MAX/AVG" `Quick test_aggregate_sum_min_max;
-    Alcotest.test_case "per-match marginals" `Quick test_marginals;
     Alcotest.test_case "keyword candidates and LCA" `Quick test_keyword_candidates_and_lca;
     Alcotest.test_case "keyword search" `Quick test_keyword_search;
-    Alcotest.test_case "probabilistic documents" `Quick test_prob_doc_basics;
-    Alcotest.test_case "prob doc validation" `Quick test_prob_doc_validation;
-    Alcotest.test_case "PTQ over uncertain documents" `Quick test_ptq_prob;
+    Alcotest.test_case "keyword search on D7" `Quick test_keyword_search_d7;
     Alcotest.test_case "matching serialization" `Quick test_matching_round_trip;
     Alcotest.test_case "mapping set serialization" `Quick test_mapping_set_round_trip;
     Alcotest.test_case "serialization errors" `Quick test_serialize_errors;

@@ -299,18 +299,6 @@ let test_consolidate_order_stable () =
       (g2 = b1 && g3 = b2)
   | _ -> Alcotest.failf "expected 3 groups, got %d" (List.length c1)
 
-let test_marginals_order_stable () =
-  let a = [| 1; 2 |] and b = [| 2; 3 |] in
-  let answers = [ mk_answer 0 0.5 [ b; a ]; mk_answer 1 0.5 [ a ] ] in
-  let m = Uxsm_ptq.Ptq.marginals answers in
-  match m with
-  | [ (first, p1); (second, p2) ] ->
-    (* lint: allow float-eq — 0.5 + 0.5 is exact in binary floating point *)
-    Alcotest.(check bool) "higher mass first" true (first = a && p1 = 1.0);
-    (* lint: allow float-eq — the marginal is the untouched input probability *)
-    Alcotest.(check bool) "then by binding" true (second = b && p2 = 0.5)
-  | _ -> Alcotest.failf "expected 2 marginals, got %d" (List.length m)
-
 let test_components_order_stable () =
   let edges = [ (0, 0, 0.9); (1, 1, 0.8); (2, 2, 0.7); (0, 1, 0.5) ] in
   let g1 = Uxsm_assignment.Bipartite.create ~n_left:3 ~n_right:3 edges in
@@ -382,18 +370,6 @@ let test_locks_shadowing () =
             "  Locks.with_lock shard_lock (fun () -> matching () + doc ())";
           ]))
 
-let test_aggregate_distribution_sorted () =
-  let ctx = Ptq_helpers.fig_ctx () in
-  let q = Uxsm_twig.Pattern_parser.parse_exn "ORDER/SP" in
-  let r = Uxsm_ptq.Aggregate.count ctx q in
-  let rec sorted = function
-    | (v1, p1) :: ((v2, p2) :: _ as rest) ->
-      (p1 > p2 || (p1 = p2 && v1 < v2)) && sorted rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "distribution sorted by (probability desc, value asc)" true
-    (sorted r.Uxsm_ptq.Aggregate.distribution)
-
 let suite =
   [
     Alcotest.test_case "R1: top-level mutable state flagged" `Quick test_r1_positive;
@@ -419,12 +395,8 @@ let suite =
     Alcotest.test_case "locks: shadowed names resolve locally" `Quick test_locks_shadowing;
     Alcotest.test_case "regression: consolidate order-stable" `Quick
       test_consolidate_order_stable;
-    Alcotest.test_case "regression: marginals order-stable" `Quick
-      test_marginals_order_stable;
     Alcotest.test_case "regression: partition components order-stable" `Quick
       test_components_order_stable;
     Alcotest.test_case "regression: catalog corpora sorted" `Quick
       test_catalog_corpora_sorted;
-    Alcotest.test_case "regression: aggregate distribution sorted" `Quick
-      test_aggregate_distribution_sorted;
   ]

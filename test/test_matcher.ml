@@ -128,45 +128,6 @@ let test_both_direction_selection () =
         (raw >= Hashtbl.find best_t c.target -. cfg.delta -. 1e-9))
     (Matching.correspondences m)
 
-let test_mediate () =
-  let sources =
-    [
-      ("excel", Uxsm_workload.Standards.generate Uxsm_workload.Standards.excel);
-      ("noris", Uxsm_workload.Standards.generate Uxsm_workload.Standards.noris);
-      ("cidx", Uxsm_workload.Standards.generate Uxsm_workload.Standards.cidx);
-    ]
-  in
-  let mediated = Uxsm_matcher.Mediate.build sources in
-  (* The mediated schema covers at least the seed source. *)
-  Alcotest.(check bool) "mediated at least as large as the seed" true
-    (Schema.size mediated.Uxsm_matcher.Mediate.schema >= 48);
-  List.iter
-    (fun (name, _) ->
-      let m = List.assoc name mediated.Uxsm_matcher.Mediate.matchings in
-      Alcotest.(check bool) (name ^ " has correspondences") true (Matching.capacity m > 0);
-      let cov = Uxsm_matcher.Mediate.coverage mediated name in
-      Alcotest.(check bool) (name ^ " coverage above half") true (cov > 0.5))
-    sources;
-  (* Paths must stay unique after grafting. *)
-  let med = mediated.Uxsm_matcher.Mediate.schema in
-  List.iter
-    (fun e ->
-      Alcotest.(check bool) "path unique" true
-        (Schema.find_by_path med (Schema.path_string med e) = Some e))
-    (Schema.elements med);
-  (* Probabilistic mediated-to-source mappings come out of the usual
-     pipeline. *)
-  let mset =
-    Uxsm_mapping.Mapping_set.generate ~h:10
-      (List.assoc "cidx" mediated.Uxsm_matcher.Mediate.matchings)
-  in
-  Alcotest.(check bool) "mappings derived" true (Uxsm_mapping.Mapping_set.size mset >= 2)
-
-let test_mediate_validation () =
-  match Uxsm_matcher.Mediate.build [] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty source list should fail"
-
 (* ------------------- interned scoring = reference -------------------- *)
 
 module Name_table = Uxsm_matcher.Name_table
@@ -314,8 +275,6 @@ let suite =
     Alcotest.test_case "scores quantized to 0.02" `Quick test_scores_quantized;
     Alcotest.test_case "capacity tuning" `Quick test_capacity_tuning;
     Alcotest.test_case "both-direction delta selection" `Quick test_both_direction_selection;
-    Alcotest.test_case "mediated schema bootstrap" `Slow test_mediate;
-    Alcotest.test_case "mediate validation" `Quick test_mediate_validation;
     Alcotest.test_case "D1-D10 matchings pinned" `Quick test_dataset_matchings_pinned;
     q prop_name_table_exact;
     q prop_matrix_exact;

@@ -33,9 +33,9 @@ let test_logical_ops () =
       "topk_prune(3)";
       "evaluate";
       "ordered_merge";
-      "sink[consolidate]";
+      "sink[answers]";
     ]
-    (op_names (Plan.logical ~k:3 ~sink:Plan.Consolidate ()))
+    (op_names (Plan.logical ~k:3 ()))
 
 let test_names () =
   Alcotest.(check string) "per_mapping name" "per_mapping" (Plan.evaluator_name Plan.Per_mapping);
@@ -120,6 +120,69 @@ let test_describe_and_json () =
   let pruned = Ptq.physical (Ptq.compile ~k:2 ctx (Parser.parse_exn "//IP//ICN")) in
   Alcotest.(check bool) "describe mentions the prune" true
     (contains (Plan.describe pruned) "topk_prune(2)");
+  (* The whole rendering of compiled Figure 3 plans, op lines included: the
+     text `query --plan` and `analyze` print, and the object `explain`
+     replies embed. *)
+  let q = Parser.parse_exn "//IP//ICN" in
+  let ops evaluator k =
+    [ "  -> resolve"; "  -> coverage"; "  -> relevance_filter" ]
+    @ (match k with None -> [] | Some k -> [ Printf.sprintf "  -> topk_prune(%d)" k ])
+    @ [ Printf.sprintf "  -> evaluate[%s]" evaluator; "  -> ordered_merge"; "  -> sink[answers]" ]
+  in
+  List.iter
+    (fun (name, plan, head, evaluator, k, json) ->
+      let phys = Ptq.physical plan in
+      Alcotest.(check string) (name ^ ": describe")
+        (String.concat "\n" (head @ ops evaluator k))
+        (Plan.describe phys);
+      Alcotest.(check string) (name ^ ": to_json") json
+        (Uxsm_util.Json.to_string (Plan.to_json phys)))
+    [
+      ( "auto",
+        Ptq.compile ctx q,
+        [
+          "plan: evaluator=per_block (cost)";
+          "  cost: per_mapping=10.0, per_block=8.0";
+          "  cardinalities: resolutions=1 relevant=5 evaluated=5 units=4";
+        ],
+        "per_block",
+        None,
+        {|{"evaluator":"per_block","reason":"cost","cost":{"per_mapping":10.0,"per_block":8.0},"resolutions":1,"relevant":5,"evaluated":5,"units":4,"ops":["resolve","coverage","relevance_filter","evaluate[per_block]","ordered_merge","sink[answers]"]}|}
+      );
+      ( "forced basic",
+        Ptq.compile ~force:`Basic ctx q,
+        [
+          "plan: evaluator=per_mapping (forced)";
+          "  cost: per_mapping=10.0, per_block=8.0";
+          "  cardinalities: resolutions=1 relevant=5 evaluated=5 units=5";
+        ],
+        "per_mapping",
+        None,
+        {|{"evaluator":"per_mapping","reason":"forced","cost":{"per_mapping":10.0,"per_block":8.0},"resolutions":1,"relevant":5,"evaluated":5,"units":5,"ops":["resolve","coverage","relevance_filter","evaluate[per_mapping]","ordered_merge","sink[answers]"]}|}
+      );
+      ( "forced tree",
+        Ptq.compile ~force:`Tree ctx q,
+        [
+          "plan: evaluator=per_block (forced)";
+          "  cost: per_mapping=10.0, per_block=8.0";
+          "  cardinalities: resolutions=1 relevant=5 evaluated=5 units=5";
+        ],
+        "per_block",
+        None,
+        {|{"evaluator":"per_block","reason":"forced","cost":{"per_mapping":10.0,"per_block":8.0},"resolutions":1,"relevant":5,"evaluated":5,"units":5,"ops":["resolve","coverage","relevance_filter","evaluate[per_block]","ordered_merge","sink[answers]"]}|}
+      );
+      ( "k = 2",
+        Ptq.compile ~k:2 ctx q,
+        [
+          "plan: evaluator=per_mapping (cost)";
+          "  cost: per_mapping=4.0, per_block=4.4";
+          "  cardinalities: resolutions=1 relevant=5 evaluated=2 units=1";
+        ],
+        "per_mapping",
+        Some 2,
+        {|{"evaluator":"per_mapping","reason":"cost","cost":{"per_mapping":4.0,"per_block":4.4},"resolutions":1,"relevant":5,"evaluated":2,"units":1,"ops":["resolve","coverage","relevance_filter","topk_prune(2)","evaluate[per_mapping]","ordered_merge","sink[answers]"]}|}
+      );
+    ];
   match Plan.to_json phys with
   | Uxsm_util.Json.Assoc fields ->
     Alcotest.(check bool) "json carries evaluator" true

@@ -89,28 +89,6 @@ let prop_murty_prefix_stable =
       let s1 = scores h1 and s2 = scores h2 in
       List.for_all2 Float.equal s1 (List.filteri (fun i _ -> i < List.length s1) s2))
 
-(* Aggregate COUNT: defined mass equals the relevant probability mass. *)
-let prop_count_mass =
-  QCheck.Test.make ~count:60 ~name:"aggregate COUNT mass = relevant mass"
-    QCheck.(pair (int_range 1 1000000) (int_range 2 12))
-    (fun (seed, h) ->
-      let prng = Uxsm_util.Prng.create seed in
-      let mset = Fixtures.random_mapping_set prng ~source_n:12 ~target_n:8 ~corrs:10 ~h in
-      let doc = Fixtures.random_doc prng (Mapping_set.source mset) in
-      let ctx = Ptq.context ~mset ~doc () in
-      let pattern = Fixtures.random_pattern prng (Mapping_set.target mset) in
-      let relevant_mass =
-        List.fold_left
-          (fun acc (a : Ptq.answer) -> acc +. a.probability)
-          0.0 (Ptq.query_basic ctx pattern)
-      in
-      let r = Uxsm_ptq.Aggregate.count ctx pattern in
-      let mass =
-        List.fold_left (fun acc (_, p) -> acc +. p) r.Uxsm_ptq.Aggregate.undefined_mass
-          r.Uxsm_ptq.Aggregate.distribution
-      in
-      Float.abs (mass -. relevant_mass) < 1e-9)
-
 let prop_keyword_limit =
   QCheck.Test.make ~count:60 ~name:"keyword interpretations respect the limit"
     QCheck.(pair (int_range 1 1000000) (int_range 1 8))
@@ -119,30 +97,6 @@ let prop_keyword_limit =
       let schema = Fixtures.random_schema prng ~n:20 in
       let terms = [ "e"; "1" ] in
       List.length (Uxsm_ptq.Keyword.interpretations ~limit schema terms) <= limit)
-
-(* Prob_doc.randomize keeps every conditional probability within bounds and
-   marginals multiply along root paths. *)
-let prop_prob_doc_bounds =
-  QCheck.Test.make ~count:100 ~name:"Prob_doc.randomize bounds and marginals"
-    QCheck.(pair (int_range 1 1000000) (int_range 2 25))
-    (fun (seed, n) ->
-      let prng = Uxsm_util.Prng.create seed in
-      let schema = Fixtures.random_schema prng ~n in
-      let doc = Fixtures.random_doc prng schema in
-      let pd = Uxsm_xml.Prob_doc.randomize ~prng ~p_min:0.5 ~p_max:0.9 doc in
-      List.for_all
-        (fun v ->
-          let c = Uxsm_xml.Prob_doc.cond_prob pd v in
-          (* lint: allow float-eq — the root's conditional probability is set to exactly 1.0 *)
-          let ok_cond = if v = 0 then c = 1.0 else c >= 0.5 && c <= 0.9 in
-          let expected_marginal =
-            match Uxsm_xml.Doc.parent doc v with
-            | None -> 1.0
-            | Some p -> Uxsm_xml.Prob_doc.marginal_prob pd p *. c
-          in
-          ok_cond
-          && Float.abs (Uxsm_xml.Prob_doc.marginal_prob pd v -. expected_marginal) < 1e-9)
-        (List.init (Uxsm_xml.Doc.size doc) Fun.id))
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -156,7 +110,5 @@ let suite =
     q prop_blocks_monotone_in_tau;
     q prop_topk_full_equals_query;
     q prop_murty_prefix_stable;
-    q prop_count_mass;
     q prop_keyword_limit;
-    q prop_prob_doc_bounds;
   ]
