@@ -458,6 +458,7 @@ let abl_serve () =
   let module Server = Uxsm_server.Server in
   let module Protocol = Uxsm_server.Protocol in
   let module Catalog = Uxsm_server.Catalog in
+  let module Client = Uxsm_server.Client in
   Harness.section "abl_serve"
     "ABLATION: concurrent TCP service vs sequential dispatch of the same load";
   let n_clients = 4 and per_client = 50 in
@@ -472,14 +473,17 @@ let abl_serve () =
   | Error e -> failwith e);
   let requests ci =
     List.init per_client (fun j ->
-        let id = Printf.sprintf {|"b%d-%d"|} ci j in
-        match j mod 3 with
-        | 0 -> Printf.sprintf {|{"op":"ping","id":%s}|} id
-        | 1 ->
-          Printf.sprintf
-            {|{"op":"query","corpus":"demo","query":"Order/POLine[./LineNo]//UnitPrice","h":20,"id":%s}|}
-            id
-        | _ -> Printf.sprintf {|{"op":"mappings","corpus":"demo","h":20,"id":%s}|} id)
+        let req =
+          match j mod 3 with
+          | 0 -> Protocol.Ping
+          | 1 ->
+            Protocol.Query
+              { corpus = "demo"; pattern = "Order/POLine[./LineNo]//UnitPrice"; h = 20;
+                tau = Protocol.default_tau; k = None; evaluator = `Auto }
+          | _ -> Protocol.Mappings { corpus = "demo"; h = 20 }
+        in
+        let id = Json.String (Printf.sprintf "b%d-%d" ci j) in
+        Json.to_string (Protocol.to_json { Protocol.id = Some id; req }))
   in
   (* Sequential floor first: the same request stream through dispatch
      alone. This also warms the artifact cache, so both measurements see
@@ -492,46 +496,41 @@ let abl_serve () =
   Harness.record_measurement "sequential-dispatch" seq;
   (* The same load as a real service: N pipelining TCP clients over the
      shared bounded queue and the dispatcher's pool fan-out. *)
-  let port_box = ref 0 in
+  let bound = ref [] in
   let m = Uxsm_util.Locks.create ~name:"bench.ready" ~rank:Uxsm_util.Locks.rank_latch in
-  let c = Uxsm_util.Locks.cond () and up = ref false in
+  let c = Uxsm_util.Locks.cond () in
   let th =
     Thread.create
       (fun () ->
-        Server.serve_tcp
-          ~ready:(fun p ->
+        Server.serve
+          ~ready:(fun eps ->
             Uxsm_util.Locks.lock m;
-            port_box := p;
-            up := true;
+            bound := eps;
             Uxsm_util.Locks.signal c;
             Uxsm_util.Locks.unlock m)
-          srv ~host:"127.0.0.1" ~port:0)
+          srv [ Client.Tcp ("127.0.0.1", 0) ])
       ()
   in
   Uxsm_util.Locks.lock m;
-  while not !up do
+  while !bound = [] do
     Uxsm_util.Locks.wait c m
   done;
   Uxsm_util.Locks.unlock m;
-  let port = !port_box in
+  let endpoint = List.hd !bound in
   let burst () =
     let clients =
       List.init n_clients (fun ci ->
           Thread.create
             (fun () ->
-              let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-              let oc = Unix.out_channel_of_descr fd
-              and ic = Unix.in_channel_of_descr fd in
+              let conn =
+                match Client.connect endpoint with
+                | Ok conn -> conn
+                | Error e -> failwith e
+              in
               let reqs = requests ci in
-              List.iter
-                (fun l ->
-                  output_string oc l;
-                  output_char oc '\n')
-                reqs;
-              flush oc;
-              List.iter (fun _ -> ignore (input_line ic)) reqs;
-              Unix.close fd)
+              ignore (Client.send conn reqs);
+              List.iter (fun _ -> ignore (Client.recv conn)) reqs;
+              Client.close conn)
             ())
     in
     List.iter Thread.join clients

@@ -17,9 +17,10 @@ module Dataset = Uxsm_workload.Dataset
 module Standards = Uxsm_workload.Standards
 module Gen_doc = Uxsm_workload.Gen_doc
 module Queries = Uxsm_workload.Queries
-module Loadgen = Uxsm_workload.Loadgen
 module Protocol = Uxsm_server.Protocol
 module Catalog = Uxsm_server.Catalog
+module Client = Uxsm_server.Client
+module Loadgen = Uxsm_server.Loadgen
 
 let style_conv =
   let parse s =
@@ -497,25 +498,18 @@ let serve_cmd =
     if stdio then Server.serve_channels srv stdin stdout
     else
       let endpoints =
-        (match socket with None -> [] | Some p -> [ Server.Unix_socket p ])
-        @ match tcp with None -> [] | Some (h, p) -> [ Server.Tcp (h, p) ]
+        (match socket with None -> [] | Some p -> [ Client.Unix_socket p ])
+        @ match tcp with None -> [] | Some (h, p) -> [ Client.Tcp (h, p) ]
       in
       match endpoints with
       | [] ->
         prerr_endline "serve: need --socket PATH and/or --tcp [HOST:]PORT (or --stdio)";
         exit 2
       | _ ->
-        let ready addrs =
-          List.iter
-            (fun addr ->
-              let where =
-                match addr with
-                | Unix.ADDR_UNIX path -> path
-                | Unix.ADDR_INET (host, port) ->
-                  Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
-              in
-              Printf.eprintf "uxsm serve: listening on %s (--jobs %d)\n%!" where jobs)
-            addrs
+        let ready =
+          List.iter (fun ep ->
+              Printf.eprintf "uxsm serve: listening on %s (--jobs %d)\n%!"
+                (Client.endpoint_to_string ep) jobs)
         in
         Server.serve ~max_queue ~ready srv endpoints;
         Printf.eprintf "uxsm serve: drained, shutting down\n%!"
@@ -577,48 +571,74 @@ let serve_cmd =
 
 (* ------------------------------- client --------------------------- *)
 
-(* Shared by `client` and `update`: connect to a running server over
-   exactly one of --socket/--tcp, or die with a usage error. *)
-let connect_client ~cmd socket tcp =
-  let target =
+(* The server `client`, `update` and `loadgen` talk to: exactly one of
+   --socket/--tcp, or [None], which each command reports (with
+   [endpoint_or_exit]) after checking its own arguments. *)
+let endpoint_arg =
+  let socket =
+    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
+           ~doc:"Unix domain socket of a running $(b,uxsm serve).")
+  in
+  let tcp =
+    Arg.(value & opt (some tcp_conv) None & info [ "tcp" ] ~docv:"[HOST:]PORT"
+           ~doc:"TCP endpoint of a running $(b,uxsm serve) (default host 127.0.0.1; \
+                 alternative to $(b,--socket)).")
+  in
+  let endpoint socket tcp =
     match (socket, tcp) with
-    | Some path, None -> `Unix path
-    | None, Some (host, port) -> `Tcp (host, port)
-    | _ ->
-      Printf.eprintf "%s: need exactly one of --socket PATH or --tcp HOST:PORT\n" cmd;
-      exit 2
+    | Some path, None -> Some (Client.Unix_socket path)
+    | None, Some (host, port) -> Some (Client.Tcp (host, port))
+    | _ -> None
   in
-  let fd =
-    match target with
-    | `Unix _ -> Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0
-    | `Tcp _ -> Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0
+  Term.(const endpoint $ socket $ tcp)
+
+let endpoint_or_exit usage = function
+  | Some endpoint -> endpoint
+  | None ->
+    prerr_endline usage;
+    exit 2
+
+(* Send [requests] and print one reply line per request. Returns the
+   number of error replies, or [None] when the exchange broke off. A
+   failed connect exits 1. *)
+let exchange ~cmd endpoint requests =
+  let module Json = Uxsm_util.Json in
+  let conn =
+    match Client.connect endpoint with
+    | Ok conn -> conn
+    | Error e ->
+      prerr_endline e;
+      exit 1
   in
-  let addr, shown =
-    match target with
-    | `Unix path -> (Unix.ADDR_UNIX path, path)
-    | `Tcp (host, port) -> (
-      let resolved =
-        match Unix.inet_addr_of_string host with
-        | a -> Some a
-        | exception Failure _ -> (
-          match Unix.gethostbyname host with
-          | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> Some addrs.(0)
-          | _ | (exception Not_found) -> None)
-      in
-      match resolved with
-      | Some a -> (Unix.ADDR_INET (a, port), Printf.sprintf "%s:%d" host port)
-      | None ->
-        Printf.eprintf "cannot resolve host %S\n" host;
-        exit 1)
+  let broken msg =
+    Printf.eprintf "%s: %s\n" cmd msg;
+    None
   in
-  (try Unix.connect fd addr
-   with Unix.Unix_error (e, _, _) ->
-     Printf.eprintf "cannot connect to %s: %s\n" shown (Unix.error_message e);
-     exit 1);
-  fd
+  let rec replies failures = function
+    | [] -> Some failures
+    | _ :: rest -> (
+      match Client.recv conn with
+      | Client.Line reply ->
+        print_endline reply;
+        let ok =
+          match Json.of_string reply with
+          | Ok j -> Json.member "ok" j = Some (Json.Bool true)
+          | Error _ -> false
+        in
+        replies (if ok then failures else failures + 1) rest
+      | Client.Closed | Client.Timeout -> broken "server closed the connection early"
+      | Client.Failed e -> broken e)
+  in
+  let result =
+    match Client.send conn requests with
+    | Ok () -> replies 0 requests
+    | Error e -> broken e
+  in
+  Client.close conn;
+  result
 
 let client_cmd =
-  let run socket tcp requests =
+  let run endpoint requests =
     let requests =
       match requests with
       | [ "-" ] ->
@@ -634,39 +654,13 @@ let client_cmd =
       prerr_endline "client: no requests";
       exit 2
     end;
-    let fd = connect_client ~cmd:"client" socket tcp in
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    List.iter
-      (fun r ->
-        output_string oc r;
-        output_char oc '\n')
-      requests;
-    flush oc;
-    let failures = ref 0 in
-    (try
-       List.iter
-         (fun _ ->
-           let reply = input_line ic in
-           print_endline reply;
-           match Uxsm_util.Json.of_string reply with
-           | Ok j when Uxsm_util.Json.member "ok" j = Some (Uxsm_util.Json.Bool true) -> ()
-           | _ -> incr failures)
-         requests
-     with End_of_file ->
-       prerr_endline "client: server closed the connection early";
-       exit 1);
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    if !failures > 0 then exit 3
-  in
-  let socket =
-    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
-           ~doc:"Unix domain socket of a running $(b,uxsm serve).")
-  in
-  let tcp =
-    Arg.(value & opt (some tcp_conv) None & info [ "tcp" ] ~docv:"HOST:PORT"
-           ~doc:"TCP endpoint of a running $(b,uxsm serve) (alternative to \
-                 $(b,--socket)).")
+    let endpoint =
+      endpoint_or_exit "client: need exactly one of --socket PATH or --tcp HOST:PORT" endpoint
+    in
+    match exchange ~cmd:"client" endpoint requests with
+    | None -> exit 1
+    | Some 0 -> ()
+    | Some _ -> exit 3
   in
   let requests =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"REQUEST"
@@ -677,13 +671,12 @@ let client_cmd =
     (Cmd.info "client"
        ~doc:"Send requests to a running $(b,uxsm serve) and print one JSON reply per \
              line. Exits non-zero if any reply is an error.")
-    Term.(const run $ socket $ tcp $ requests)
+    Term.(const run $ endpoint_arg $ requests)
 
 (* ------------------------------- update --------------------------- *)
 
 let update_cmd =
-  let module Json = Uxsm_util.Json in
-  let run socket tcp corpus set remove add_source add_target =
+  let run endpoint corpus set remove add_source add_target =
     let delta =
       {
         Matching.set_scores = set;
@@ -697,37 +690,13 @@ let update_cmd =
         "update: need at least one of --set, --remove, --add-source, --add-target";
       exit 2
     end;
-    let fd = connect_client ~cmd:"update" socket tcp in
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    let req =
-      Protocol.to_json { Protocol.id = None; req = Protocol.Update { corpus; delta } }
+    let endpoint =
+      endpoint_or_exit "update: need exactly one of --socket PATH or --tcp HOST:PORT" endpoint
     in
-    output_string oc (Json.to_string req);
-    output_char oc '\n';
-    flush oc;
-    let ok =
-      match input_line ic with
-      | reply ->
-        print_endline reply;
-        (match Json.of_string reply with
-        | Ok j -> Json.member "ok" j = Some (Json.Bool true)
-        | Error _ -> false)
-      | exception End_of_file ->
-        prerr_endline "update: server closed the connection early";
-        false
-    in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    if not ok then exit 3
-  in
-  let socket =
-    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
-           ~doc:"Unix domain socket of a running $(b,uxsm serve).")
-  in
-  let tcp =
-    Arg.(value & opt (some tcp_conv) None & info [ "tcp" ] ~docv:"HOST:PORT"
-           ~doc:"TCP endpoint of a running $(b,uxsm serve) (alternative to \
-                 $(b,--socket)).")
+    let req = Protocol.to_json { Protocol.id = None; req = Protocol.Update { corpus; delta } } in
+    match exchange ~cmd:"update" endpoint [ Uxsm_util.Json.to_string req ] with
+    | Some 0 -> ()
+    | Some _ | None -> exit 3
   in
   let corpus =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"CORPUS"
@@ -781,20 +750,12 @@ let update_cmd =
              server patches its cached artifacts in place (delta re-ranking, subtree \
              block rebuilds) instead of rebuilding the corpus. Prints the server's \
              JSON reply; exits non-zero on error.")
-    Term.(const run $ socket $ tcp $ corpus $ set $ remove $ add_source $ add_target)
+    Term.(const run $ endpoint_arg $ corpus $ set $ remove $ add_source $ add_target)
 
 (* ------------------------------ loadgen --------------------------- *)
 
-let loadgen_target socket tcp =
-  match (socket, tcp) with
-  | Some path, None -> Loadgen.Runner.Unix_socket path
-  | None, Some (host, port) -> Loadgen.Runner.Tcp (host, port)
-  | _ ->
-    prerr_endline "loadgen: need exactly one of --socket PATH or --tcp [HOST:]PORT";
-    exit 2
-
 let loadgen_cmd =
-  let run profile socket tcp json_out seed duration clients quiet =
+  let run profile endpoint json_out seed duration clients quiet =
     match Loadgen.Profile.load profile with
     | Error e ->
       Printf.eprintf "%s: %s\n" profile e;
@@ -827,7 +788,11 @@ let loadgen_cmd =
           exit 2
       in
       let log = if quiet then fun _ -> () else prerr_endline in
-      (match Loadgen.Runner.run ~log p (loadgen_target socket tcp) with
+      let endpoint =
+        endpoint_or_exit "loadgen: need exactly one of --socket PATH or --tcp [HOST:]PORT"
+          endpoint
+      in
+      (match Loadgen.Runner.run ~log p endpoint with
       | Error e ->
         Printf.eprintf "loadgen: %s\n" e;
         exit 1
@@ -844,15 +809,6 @@ let loadgen_cmd =
     Arg.(required & opt (some string) None & info [ "profile" ] ~docv:"FILE.json"
            ~doc:"Workload profile (see bench/profiles/ for committed examples and \
                  DESIGN.md section 14 for the schema).")
-  in
-  let socket =
-    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
-           ~doc:"Unix domain socket of a running $(b,uxsm serve).")
-  in
-  let tcp =
-    Arg.(value & opt (some tcp_conv) None & info [ "tcp" ] ~docv:"[HOST:]PORT"
-           ~doc:"TCP endpoint of a running $(b,uxsm serve) (alternative to \
-                 $(b,--socket)).")
   in
   let json_out =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
@@ -881,7 +837,7 @@ let loadgen_cmd =
              templates), closed- or open-loop arrivals, warmup then a stats_reset \
              measurement window, client-side latency histograms. Prints a summary and \
              optionally appends a \"loadgen\" record to a BENCH_*.json trajectory.")
-    Term.(const run $ profile $ socket $ tcp $ json_out $ seed $ duration $ clients $ quiet)
+    Term.(const run $ profile $ endpoint_arg $ json_out $ seed $ duration $ clients $ quiet)
 
 (* -------------------------------- ab ------------------------------ *)
 

@@ -84,9 +84,6 @@ val experiment :
   experiment
 (** Constructor; the snapshot is filtered through {!Obs.nonzero}. *)
 
-val run_to_json : run -> Uxsm_util.Json.t
-val run_of_json : Uxsm_util.Json.t -> (run, string) result
-
 val check_run : run -> (unit, string) result
 (** Structural invariants beyond what parsing enforces, used by
     [bench/validate.exe]. A ["loadgen"] record must carry its payload (and

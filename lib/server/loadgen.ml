@@ -3,6 +3,7 @@ module Prng = Uxsm_util.Prng
 module Timing = Uxsm_util.Timing
 module Obs = Uxsm_obs.Obs
 module Bench_json = Uxsm_obs.Bench_json
+module Matching = Uxsm_mapping.Matching
 
 (* ------------------------------ profiles -------------------------- *)
 
@@ -11,21 +12,18 @@ module Profile = struct
     | Closed of { clients : int }
     | Open of { rps : float; clients : int; max_lateness : float }
 
+  type draw =
+    | Request of Protocol.request
+    | Rescore of int
+
   type template = {
-    t_op : string;
-    t_pattern : string;
-    t_h : int;
-    t_tau : float;
-    t_k : int option;
-    t_evaluator : string;
+    t_draw : draw;
     t_weight : float;
-    t_corrs : int;
   }
 
   type corpus = {
     c_name : string;
-    c_dataset : string;
-    c_seed : int;
+    c_register : Protocol.request;
   }
 
   type plan_cache =
@@ -71,71 +69,50 @@ module Profile = struct
   let num = get "a number" Json.to_float
   let items = get "an array" Json.to_list
 
-  let template_of_json j =
-    let k =
-      match Json.member "k" j with
-      | None | Some Json.Null -> None
-      | Some v -> (
-        match Json.to_int v with
-        | Some k when k >= 1 -> Some k
-        | _ -> failf "template field \"k\" must be an integer >= 1")
+  (* A template is a request object without "corpus" (each draw names
+     one), plus "weight"; an "update" template says how many
+     correspondences each draw re-scores instead. The server's own decoder
+     checks every field, so a profile cannot hold a request the server
+     refuses for its shape. *)
+  let template_of_json i j =
+    let what = Printf.sprintf "template %d" i in
+    let weight = opt ~default:1.0 Json.to_float "a number" "weight" j in
+    if (not (Float.is_finite weight)) || weight < 0.0 then
+      failf "%s: field \"weight\" must be finite and >= 0" what;
+    let draw =
+      match Json.member "op" j with
+      | Some (Json.String "update") ->
+        let corrs = opt ~default:1 Json.to_int "an integer" "corrs" j in
+        if corrs < 1 then failf "%s: field \"corrs\" must be >= 1" what;
+        Rescore corrs
+      | _ -> (
+        (* [Json.member] finds the first binding, so this "corpus" wins. *)
+        let j =
+          match j with
+          | Json.Assoc fields -> Json.Assoc (("corpus", Json.String "") :: fields)
+          | j -> j
+        in
+        match Protocol.parse j with
+        | Error e -> failf "%s: %s" what e.Protocol.message
+        | Ok { Protocol.req; _ } when not (Protocol.is_pure req) ->
+          failf "%s: op %S is neither pure nor \"update\"" what (Protocol.op_name req)
+        | Ok
+            { Protocol.req = (Protocol.Query { pattern; _ } | Protocol.Explain { pattern; _ }) as req;
+              _ } -> (
+          match Uxsm_twig.Pattern_parser.parse pattern with
+          | Ok _ -> Request req
+          | Error e -> failf "%s: query %S does not parse: %s" what pattern e)
+        | Ok { Protocol.req; _ } -> Request req)
     in
-    let op =
-      match (opt ~default:"query" Json.to_string_opt "a string" "op" j, k) with
-      | "query", Some _ -> "query_topk"
-      | op, _ -> op
-    in
-    let t =
-      {
-        t_op = op;
-        t_pattern = opt ~default:"" Json.to_string_opt "a string" "pattern" j;
-        t_h = opt ~default:100 Json.to_int "an integer" "h" j;
-        t_tau = opt ~default:0.2 Json.to_float "a number" "tau" j;
-        t_k = k;
-        t_evaluator = opt ~default:"auto" Json.to_string_opt "a string" "evaluator" j;
-        t_weight = opt ~default:1.0 Json.to_float "a number" "weight" j;
-        t_corrs = opt ~default:1 Json.to_int "an integer" "corrs" j;
-      }
-    in
-    (match t.t_op with
-    | "query" | "query_topk" | "mappings" | "ping" | "update" -> ()
-    | op ->
-      failf
-        "template op %S is not one of \"query\", \"query_topk\", \"mappings\", \"ping\", \
-         \"update\""
-        op);
-    (match t.t_op with
-    | "query" | "query_topk" -> (
-      (match Uxsm_twig.Pattern_parser.parse t.t_pattern with
-      | Ok _ -> ()
-      | Error e -> failf "template pattern %S does not parse: %s" t.t_pattern e);
-      match (t.t_op, t.t_k) with
-      | "query_topk", None -> failf "template op \"query_topk\" needs field \"k\""
-      | _ -> ())
-    | _ -> ());
-    (match t.t_evaluator with
-    | "auto" | "basic" | "tree" -> ()
-    | e -> failf "template evaluator %S is not one of \"auto\", \"basic\", \"tree\"" e);
-    if t.t_corrs < 1 then failf "template field \"corrs\" must be >= 1";
-    if t.t_h < 1 then failf "template field \"h\" must be >= 1";
-    if not (t.t_tau > 0.0 && t.t_tau <= 1.0) then failf "template field \"tau\" must be in (0, 1]";
-    if (not (Float.is_finite t.t_weight)) || t.t_weight < 0.0 then
-      failf "template field \"weight\" must be finite and >= 0";
-    t
+    { t_draw = draw; t_weight = weight }
 
-  let corpus_of_json j =
-    let c =
-      {
-        c_name = str "name" j;
-        c_dataset = str "dataset" j;
-        c_seed = opt ~default:Dataset.default_seed Json.to_int "an integer" "seed" j;
-      }
-    in
-    if String.trim c.c_name = "" then failf "corpus name must be non-empty";
-    (match Dataset.find c.c_dataset with
-    | Some _ -> ()
-    | None -> failf "corpus %S: unknown dataset %S (D1..D10)" c.c_name c.c_dataset);
-    c
+  (* A corpus entry is a register request without "op". *)
+  let corpus_of_json i j =
+    match Protocol.parse_fields ~op:"register" j with
+    | Error e -> failf "corpus %d: %s" i e
+    | Ok (Protocol.Register { name; _ } as r) when String.trim name <> "" ->
+      { c_name = name; c_register = r }
+    | Ok _ -> failf "corpus %d: name must be non-empty" i
 
   let arrival_of_json j =
     match str "mode" j with
@@ -160,9 +137,9 @@ module Profile = struct
         {
           p_id = str "id" j;
           p_description = opt ~default:"" Json.to_string_opt "a string" "description" j;
-          p_corpora = List.map corpus_of_json (items "corpora" j);
+          p_corpora = List.mapi (fun i c -> corpus_of_json (i + 1) c) (items "corpora" j);
           p_zipf_s = opt ~default:1.0 Json.to_float "a number" "zipf_s" j;
-          p_templates = List.map template_of_json (items "templates" j);
+          p_templates = List.mapi (fun i t -> template_of_json (i + 1) t) (items "templates" j);
           p_arrival = arrival_of_json (field "arrival" j);
           p_warmup_s = opt ~default:0.0 Json.to_float "a number" "warmup_seconds" j;
           p_duration_s = num "duration_seconds" j;
@@ -191,18 +168,21 @@ module Profile = struct
       Ok p
     with Fail msg -> Error msg
 
+  (* The request's fields without [drop]. *)
+  let request_fields ~drop req =
+    List.remove_assoc drop
+      (Option.value ~default:[] (Json.to_assoc (Protocol.to_json { Protocol.id = None; req })))
+
   let template_to_json t =
     Json.Assoc
-      ([ ("op", Json.String t.t_op) ]
-      @ (match t.t_op with
-        | "query" | "query_topk" -> [ ("pattern", Json.String t.t_pattern) ]
-        | _ -> [])
-      @ [ ("h", Json.Int t.t_h); ("tau", Json.Float t.t_tau) ]
-      @ (match t.t_k with None -> [] | Some k -> [ ("k", Json.Int k) ])
-      @ [ ("evaluator", Json.String t.t_evaluator); ("weight", Json.Float t.t_weight) ]
-      (* only the update op reads "corrs"; omitting it elsewhere keeps the
-         rendering of pre-existing profiles unchanged *)
-      @ (match t.t_op with "update" -> [ ("corrs", Json.Int t.t_corrs) ] | _ -> []))
+      ((match t.t_draw with
+       | Request req -> request_fields ~drop:"corpus" req
+       | Rescore n ->
+         (* an empty update encodes as its op alone *)
+         request_fields ~drop:"corpus"
+           (Protocol.Update { corpus = ""; delta = Matching.empty_delta })
+         @ [ ("corrs", Json.Int n) ])
+      @ [ ("weight", Json.Float t.t_weight) ])
 
   let to_json p =
     Json.Assoc
@@ -213,15 +193,8 @@ module Profile = struct
         ("zipf_s", Json.Float p.p_zipf_s);
         ( "corpora",
           Json.List
-            (List.map
-               (fun c ->
-                 Json.Assoc
-                   [
-                     ("name", Json.String c.c_name);
-                     ("dataset", Json.String c.c_dataset);
-                     ("seed", Json.Int c.c_seed);
-                   ])
-               p.p_corpora) );
+            (List.map (fun c -> Json.Assoc (request_fields ~drop:"op" c.c_register)) p.p_corpora)
+        );
         ("templates", Json.List (List.map template_to_json p.p_templates));
         ( "arrival",
           match p.p_arrival with
@@ -277,31 +250,41 @@ module Profile = struct
     | Closed _ -> None
     | Open { rps; _ } -> Some rps
 
-  let ops p = List.sort_uniq String.compare (List.map (fun t -> t.t_op) p.p_templates)
+  let ops p =
+    List.sort_uniq String.compare
+      (List.map
+         (fun t ->
+           match t.t_draw with
+           | Request req -> Protocol.op_name req
+           | Rescore _ -> "update")
+         p.p_templates)
 end
 
 (* ------------------------------ sampling -------------------------- *)
 
 module Sampler = struct
-  type request = {
-    rq_op : string;
-    rq_corpus : string;
-    rq_body : Json.t;
-  }
-
   type t = {
     s_prng : Prng.t;
     s_corpora : string array;  (* popularity rank order *)
     s_corpus_cum : float array;  (* cumulative zipf weights *)
     s_templates : Profile.template array;
     s_template_cum : float array;
-    s_corpus_spec : (string * (string * int)) list;  (* name -> (dataset id, seed) *)
-    s_corr_paths : (string, (string * string) array) Hashtbl.t;
-        (* corpus -> correspondence (source path, target path) pairs, built
-           lazily on the first update draw for that corpus (Dataset.matching
-           is memoized, so the matcher runs once per (dataset, seed) per
-           process, not per sampler) *)
+    s_corrs : (string * (string * string) array) list;
+        (* corpus -> the (source path, target path) pairs update draws
+           re-score *)
   }
+
+  let correspondences reply =
+    let path field c =
+      match Json.member field c with
+      | Some (Json.String s) -> s
+      | _ -> raise Exit
+    in
+    match Json.member "correspondences" reply with
+    | Some (Json.List cs) -> (
+      try Ok (Array.of_list (List.map (fun c -> (path "source" c, path "target" c)) cs))
+      with Exit -> Error "match reply: a correspondence lacks its source or target path")
+    | _ -> Error "match reply carries no correspondences"
 
   let cumulative weights =
     let acc = ref 0.0 in
@@ -318,7 +301,7 @@ module Sampler = struct
     let rec go i = if i >= n - 1 || x < cum.(i) then i else go (i + 1) in
     go 0
 
-  let create ?(stream = 0) (p : Profile.t) =
+  let create ?(stream = 0) ~corrs (p : Profile.t) =
     (* Stream derivation: child [stream] of one parent generator, so
        distinct clients draw independent sequences while (seed, stream)
        fully determines each. *)
@@ -339,97 +322,43 @@ module Sampler = struct
       s_corpus_cum = cumulative zipf;
       s_templates = templates;
       s_template_cum = cumulative weights;
-      s_corpus_spec =
-        List.map
-          (fun c -> (c.Profile.c_name, (c.Profile.c_dataset, c.Profile.c_seed)))
-          p.Profile.p_corpora;
-      s_corr_paths = Hashtbl.create 4;
+      s_corrs = corrs;
     }
 
-  (* The (source path, target path) pairs a corpus' update templates draw
-     from: exactly the correspondences the server's registration computes
-     for the same (dataset, seed), so every sampled re-score names an
-     existing correspondence. *)
-  let corr_paths s corpus =
-    match Hashtbl.find_opt s.s_corr_paths corpus with
-    | Some a -> a
-    | None ->
-      let id, seed = List.assoc corpus s.s_corpus_spec in
-      let d = Option.get (Dataset.find id) in  (* validated at profile load *)
-      let m = Dataset.matching ~seed d in
-      let module Matching = Uxsm_mapping.Matching in
-      let module Schema = Uxsm_schema.Schema in
-      let src = Matching.source m and tgt = Matching.target m in
-      let a =
-        Array.of_list
-          (List.map
-             (fun (c : Matching.corr) ->
-               (Schema.path_string src c.Matching.source, Schema.path_string tgt c.Matching.target))
-             (Matching.correspondences m))
-      in
-      Hashtbl.add s.s_corr_paths corpus a;
-      a
-
-  let body s ~corpus (t : Profile.template) =
-    match t.Profile.t_op with
-    | "ping" -> (Json.Assoc [ ("op", Json.String "ping") ], "")
-    | "update" ->
-      (* Re-score only: the correspondence set, the schemas and every
-         component partition stay fixed, so a long run neither grows the
-         corpus nor invalidates the sampled path universe. Scores land in
-         [0.01, 1) ⊂ (0, 1]. *)
-      let paths = corr_paths s corpus in
-      let entries =
-        List.init
-          (min t.Profile.t_corrs (Array.length paths))
-          (fun _ ->
-            let src, tgt = paths.(Prng.int s.s_prng (Array.length paths)) in
-            let score = 0.01 +. Prng.float s.s_prng 0.99 in
-            Json.Assoc
-              [
-                ("source", Json.String src);
-                ("target", Json.String tgt);
-                ("score", Json.Float score);
-              ])
-      in
-      ( Json.Assoc
-          [
-            ("op", Json.String "update");
-            ("corpus", Json.String corpus);
-            ("set", Json.List entries);
-          ],
-        corpus )
-    | "mappings" ->
-      ( Json.Assoc
-          [
-            ("op", Json.String "mappings");
-            ("corpus", Json.String corpus);
-            ("h", Json.Int t.Profile.t_h);
-          ],
-        corpus )
-    | _ ->
-      ( Json.Assoc
-          ([
-             ("op", Json.String t.Profile.t_op);
-             ("corpus", Json.String corpus);
-             ("query", Json.String t.Profile.t_pattern);
-             ("h", Json.Int t.Profile.t_h);
-             ("tau", Json.Float t.Profile.t_tau);
-           ]
-          @ (match t.Profile.t_k with None -> [] | Some k -> [ ("k", Json.Int k) ])
-          @
-          match t.Profile.t_evaluator with
-          | "auto" -> []
-          | e -> [ ("evaluator", Json.String e) ]),
-        corpus )
+  let with_corpus corpus (req : Protocol.request) =
+    match req with
+    | Protocol.Match _ -> Protocol.Match { corpus }
+    | Protocol.Mappings r -> Protocol.Mappings { r with corpus }
+    | Protocol.Query r -> Protocol.Query { r with corpus }
+    | Protocol.Explain r -> Protocol.Explain { r with corpus }
+    | Protocol.Save r -> Protocol.Save { r with corpus }
+    | Protocol.Update r -> Protocol.Update { r with corpus }
+    | (Protocol.Ping | Protocol.Register _ | Protocol.Stats | Protocol.Stats_reset
+      | Protocol.Shutdown) as req ->
+      req
 
   let next s =
     let total_c = s.s_corpus_cum.(Array.length s.s_corpus_cum - 1) in
     let corpus = s.s_corpora.(pick_cum s.s_corpus_cum (Prng.float s.s_prng total_c)) in
     let total_t = s.s_template_cum.(Array.length s.s_template_cum - 1) in
     let t = s.s_templates.(pick_cum s.s_template_cum (Prng.float s.s_prng total_t)) in
-    let body, corpus = body s ~corpus t in
-    { rq_op = t.Profile.t_op; rq_corpus = corpus; rq_body = body }
+    match t.Profile.t_draw with
+    | Profile.Request req -> with_corpus corpus req
+    | Profile.Rescore n ->
+      (* Re-score only: the correspondence set, the schemas and every
+         component partition stay fixed, so a long run neither grows the
+         corpus nor invalidates the sampled path universe. Scores land in
+         [0.01, 1) ⊂ (0, 1]. *)
+      let paths = List.assoc corpus s.s_corrs in
+      let set =
+        List.init
+          (min n (Array.length paths))
+          (fun _ ->
+            let src, tgt = paths.(Prng.int s.s_prng (Array.length paths)) in
+            let score = 0.01 +. Prng.float s.s_prng 0.99 in
+            (src, tgt, score))
+      in
+      Protocol.Update { corpus; delta = { Matching.empty_delta with set_scores = set } }
 
   let interarrival s ~rps =
     (* Exponential deviate; [Prng.float] is in [0, bound), so [1 - u] is
@@ -560,116 +489,27 @@ end
 (* ------------------------------- runner --------------------------- *)
 
 module Runner = struct
-  type target =
-    | Tcp of string * int
-    | Unix_socket of string
-
   exception Fail of string
 
   let failf fmt = Printf.ksprintf (fun s -> raise (Fail s)) fmt
 
-  (* ------------------------- line transport ------------------------ *)
-
-  let write_all fd s =
-    let n = String.length s in
-    let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
-    go 0
-
-  let write_line fd line = write_all fd (line ^ "\n")
-
-  (* Raw line reader over a file descriptor: [select]-bounded reads keep
-     open-loop receivers responsive at phase boundaries (an [in_channel]
-     would buffer past what [select] can see). *)
-  type line_reader = {
-    lr_fd : Unix.file_descr;
-    lr_buf : Buffer.t;
-    mutable lr_lines : string list;
-    lr_chunk : Bytes.t;
-  }
-
-  let line_reader fd =
-    { lr_fd = fd; lr_buf = Buffer.create 4096; lr_lines = []; lr_chunk = Bytes.create 65536 }
-
-  let pop_lines buf =
-    let s = Buffer.contents buf in
-    match String.rindex_opt s '\n' with
-    | None -> []
-    | Some i ->
-      Buffer.clear buf;
-      Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-      String.split_on_char '\n' (String.sub s 0 i)
-      |> List.filter (fun l -> String.trim l <> "")
-
-  (* Next complete line, waiting at most [timeout] seconds. [None] on
-     timeout; raises [End_of_file] when the server closed the
-     connection. *)
-  let read_line r ~timeout =
-    match r.lr_lines with
-    | l :: rest ->
-      r.lr_lines <- rest;
-      Some l
-    | [] ->
-      let deadline = Timing.now_mono () +. timeout in
-      let rec pump () =
-        let left = deadline -. Timing.now_mono () in
-        if left <= 0.0 then None
-        else
-          match Unix.select [ r.lr_fd ] [] [] (Float.min left 0.25) with
-          | [], _, _ -> pump ()
-          | _ -> (
-            let n = Unix.read r.lr_fd r.lr_chunk 0 (Bytes.length r.lr_chunk) in
-            if n = 0 then raise End_of_file;
-            Buffer.add_subbytes r.lr_buf r.lr_chunk 0 n;
-            match pop_lines r.lr_buf with
-            | [] -> pump ()
-            | l :: rest ->
-              r.lr_lines <- rest;
-              Some l)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
-      in
-      pump ()
-
-  (* ------------------------- connections --------------------------- *)
-
-  type conn = {
-    cn_fd : Unix.file_descr;
-    cn_reader : line_reader;
-  }
-
-  let connect target =
-    let fd, addr =
-      match target with
-      | Unix_socket path -> (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0, Unix.ADDR_UNIX path)
-      | Tcp (host, port) ->
-        let addr =
-          match Unix.inet_addr_of_string host with
-          | a -> a
-          | exception Failure _ -> (
-            match Unix.gethostbyname host with
-            | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> addrs.(0)
-            | _ | (exception Not_found) -> failf "cannot resolve host %S" host)
-        in
-        (Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0, Unix.ADDR_INET (addr, port))
-    in
-    (match Unix.connect fd addr with
-    | () -> ()
-    | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      failf "cannot connect: %s" (Unix.error_message e));
-    { cn_fd = fd; cn_reader = line_reader fd }
-
-  let close conn = try Unix.close conn.cn_fd with Unix.Unix_error _ -> ()
+  let line ?id req = Json.to_string (Protocol.to_json { Protocol.id; req })
 
   (* Control-channel request/reply with a generous bound: registration of
      an XCBL-sized corpus runs the matcher. *)
   let control_timeout = 300.0
 
-  let request conn body =
-    write_line conn.cn_fd (Json.to_string body);
-    match read_line conn.cn_reader ~timeout:control_timeout with
-    | None -> failf "server did not answer a control request within %.0fs" control_timeout
-    | Some line -> (
-      match Json.of_string line with
+  let request conn req =
+    (match Client.send conn [ line req ] with
+    | Ok () -> ()
+    | Error e -> failf "cannot send a control request: %s" e);
+    match Client.recv ~timeout:control_timeout conn with
+    | Client.Timeout ->
+      failf "server did not answer a control request within %.0fs" control_timeout
+    | Client.Closed -> failf "server closed the control connection"
+    | Client.Failed e -> failf "control reply: %s" e
+    | Client.Line reply -> (
+      match Json.of_string reply with
       | Error e -> failf "malformed control reply: %s" e
       | Ok j ->
         if Json.member "ok" j = Some (Json.Bool true) then j
@@ -677,24 +517,26 @@ module Runner = struct
           failf "control request failed: %s"
             (match Json.member "error" j with
             | Some (Json.String m) -> m
-            | _ -> line))
+            | _ -> reply))
 
   let register_corpora conn (p : Profile.t) =
-    List.iter
-      (fun (c : Profile.corpus) ->
-        ignore
-          (request conn
-             (Json.Assoc
-                [
-                  ("op", Json.String "register");
-                  ("name", Json.String c.Profile.c_name);
-                  ("dataset", Json.String c.Profile.c_dataset);
-                  ("seed", Json.Int c.Profile.c_seed);
-                ])))
-      p.Profile.p_corpora
+    List.iter (fun c -> ignore (request conn c.Profile.c_register)) p.Profile.p_corpora
+
+  (* What update templates re-score: each corpus' correspondences, read
+     from the server's match reply. *)
+  let correspondences conn (p : Profile.t) =
+    if not (List.mem "update" (Profile.ops p)) then []
+    else
+      List.map
+        (fun c ->
+          let name = c.Profile.c_name in
+          match Sampler.correspondences (request conn (Protocol.Match { corpus = name })) with
+          | Ok paths -> (name, paths)
+          | Error e -> failf "corpus %s: %s" name e)
+        p.Profile.p_corpora
 
   let server_counters conn =
-    match Json.member "counters" (request conn (Json.Assoc [ ("op", Json.String "stats") ])) with
+    match Json.member "counters" (request conn Protocol.Stats) with
     | Some (Json.Assoc cs) ->
       List.filter_map
         (fun (n, v) ->
@@ -738,7 +580,7 @@ module Runner = struct
     match Json.of_string line with
     | Error _ -> `Err
     | Ok j ->
-      if Json.member "overloaded" j = Some (Json.Bool true) then `Overloaded
+      if Protocol.is_overloaded_response j then `Overloaded
       else if Json.member "ok" j = Some (Json.Bool true) then `Ok
       else `Err
 
@@ -750,11 +592,6 @@ module Runner = struct
       Obs.observe hists.hs_all dt
     end
 
-  let add_id n body =
-    match body with
-    | Json.Assoc fields -> Json.Assoc (("id", Json.Int n) :: fields)
-    | j -> j
-
   (* How long a worker waits for one reply before giving the server up. *)
   let reply_timeout = 120.0
 
@@ -762,36 +599,36 @@ module Runner = struct
 
   (* One synchronous send/await loop per connection: the next request
      leaves when the previous reply lands, so concurrency equals the
-     client count. In-flight requests at the deadline complete. *)
+     client count. In-flight requests at the deadline complete. A dropped
+     connection mid-window is an error observation, not a run failure: the
+     worker counts it and stops. *)
   let closed_worker ~sampler ~conn ~deadline ~measure ~counters ~hists ~next_id () =
     let rec loop () =
       if Timing.now_mono () < deadline then begin
         let rq = Sampler.next sampler in
         incr next_id;
-        let line = Json.to_string (add_id !next_id rq.Sampler.rq_body) in
+        let l = line ~id:(Json.Int !next_id) rq in
         let t0 = Timing.now_mono () in
-        write_line conn.cn_fd line;
-        if measure then Atomic.incr counters.k_sent;
-        match read_line conn.cn_reader ~timeout:reply_timeout with
-        | None -> if measure then Atomic.incr counters.k_errors
-        | Some reply ->
-          let dt = Timing.now_mono () -. t0 in
-          (if measure then
-             match classify reply with
-             | `Ok ->
-               Atomic.incr counters.k_completed;
-               observe ~measure hists rq.Sampler.rq_op dt
-             | `Overloaded -> Atomic.incr counters.k_overloaded
-             | `Err -> Atomic.incr counters.k_errors);
-          loop ()
+        match Client.send conn [ l ] with
+        | Error _ -> if measure then Atomic.incr counters.k_errors
+        | Ok () -> (
+          if measure then Atomic.incr counters.k_sent;
+          match Client.recv ~timeout:reply_timeout conn with
+          | Client.Timeout | Client.Closed | Client.Failed _ ->
+            if measure then Atomic.incr counters.k_errors
+          | Client.Line reply ->
+            let dt = Timing.now_mono () -. t0 in
+            (if measure then
+               match classify reply with
+               | `Ok ->
+                 Atomic.incr counters.k_completed;
+                 observe ~measure hists (Protocol.op_name rq) dt
+               | `Overloaded -> Atomic.incr counters.k_overloaded
+               | `Err -> Atomic.incr counters.k_errors);
+            loop ())
       end
     in
-    try loop ()
-    with
-    | End_of_file | Unix.Unix_error _ ->
-      (* A dropped connection mid-window is an error observation, not a
-         run failure. *)
-      if measure then Atomic.incr counters.k_errors
+    loop ()
 
   (* -------------------------- open loop ---------------------------- *)
 
@@ -809,28 +646,36 @@ module Runner = struct
      stream a deterministic function of (seed, stream). *)
   let open_sender ~sampler ~conn ~start ~deadline ~rate ~max_lateness ~measure ~counters ~state
       ~next_id () =
-    let t = ref (start +. Sampler.interarrival sampler ~rps:rate) in
-    (try
-       while !t < deadline do
-         let now = Timing.now_mono () in
-         if !t > now then Thread.delay (!t -. now);
-         let now = Timing.now_mono () in
-         if now -. !t > max_lateness then begin
-           ignore (Sampler.next sampler);
-           if measure then Atomic.incr counters.k_late
-         end
-         else begin
-           let rq = Sampler.next sampler in
-           incr next_id;
-           Uxsm_util.Locks.lock state.os_lock;
-           Hashtbl.replace state.os_outstanding !next_id (rq.Sampler.rq_op, !t);
-           Uxsm_util.Locks.unlock state.os_lock;
-           write_line conn.cn_fd (Json.to_string (add_id !next_id rq.Sampler.rq_body));
-           if measure then Atomic.incr counters.k_sent
-         end;
-         t := !t +. Sampler.interarrival sampler ~rps:rate
-       done
-     with Unix.Unix_error _ -> if measure then Atomic.incr counters.k_errors);
+    let rec loop t =
+      if t < deadline then begin
+        let now = Timing.now_mono () in
+        if t > now then Thread.delay (t -. now);
+        let now = Timing.now_mono () in
+        let alive =
+          if now -. t > max_lateness then begin
+            ignore (Sampler.next sampler);
+            if measure then Atomic.incr counters.k_late;
+            true
+          end
+          else begin
+            let rq = Sampler.next sampler in
+            incr next_id;
+            Uxsm_util.Locks.lock state.os_lock;
+            Hashtbl.replace state.os_outstanding !next_id (Protocol.op_name rq, t);
+            Uxsm_util.Locks.unlock state.os_lock;
+            match Client.send conn [ line ~id:(Json.Int !next_id) rq ] with
+            | Ok () ->
+              if measure then Atomic.incr counters.k_sent;
+              true
+            | Error _ ->
+              if measure then Atomic.incr counters.k_errors;
+              false
+          end
+        in
+        if alive then loop (t +. Sampler.interarrival sampler ~rps:rate)
+      end
+    in
+    loop (start +. Sampler.interarrival sampler ~rps:rate);
     Atomic.set state.os_sender_done true
 
   (* Matches replies to sends by id (rejections may overtake admitted
@@ -865,9 +710,10 @@ module Runner = struct
       if Atomic.get state.os_sender_done && outstanding_count () = 0 then ()
       else if Timing.now_mono () > drain_deadline then lose_remaining ()
       else
-        match read_line conn.cn_reader ~timeout:0.25 with
-        | None -> loop ()
-        | Some reply ->
+        match Client.recv ~timeout:0.25 conn with
+        | Client.Timeout -> loop ()
+        | Client.Closed | Client.Failed _ -> lose_remaining ()
+        | Client.Line reply ->
           (let matched =
              match Json.of_string reply with
              | Error _ -> None
@@ -888,15 +734,13 @@ module Runner = struct
                | `Overloaded -> Atomic.incr counters.k_overloaded
                | `Err -> Atomic.incr counters.k_errors));
           loop ()
-        | exception End_of_file -> lose_remaining ()
-        | exception Unix.Unix_error _ -> lose_remaining ()
     in
     loop ()
 
   (* ---------------------------- phases ----------------------------- *)
 
   type client = {
-    cl_conn : conn;
+    cl_conn : Client.t;
     cl_sampler : Sampler.t;
     cl_next_id : int ref;  (* ids stay unique per connection across phases *)
   }
@@ -957,32 +801,36 @@ module Runner = struct
 
   (* ----------------------------- run ------------------------------- *)
 
-  let latency_views (p : Profile.t) hists =
-    let views =
-      List.filter_map
-        (fun (op, h) ->
-          let v = Obs.histogram_view h in
-          if v.Obs.hv_count = 0 then None else Some (op, v))
-        (("all", hists.hs_all) :: hists.hs_per_op)
-    in
-    ignore p;
-    List.sort (fun (a, _) (b, _) -> String.compare a b) views
+  let latency_views hists =
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (List.filter_map
+         (fun (op, h) ->
+           let v = Obs.histogram_view h in
+           if v.Obs.hv_count = 0 then None else Some (op, v))
+         (("all", hists.hs_all) :: hists.hs_per_op))
 
-  let run ?(log = fun _ -> ()) (p : Profile.t) target =
+  let run ?(log = fun _ -> ()) (p : Profile.t) endpoint =
+    let connect () =
+      match Client.connect endpoint with
+      | Ok c -> c
+      | Error e -> failf "%s" e
+    in
     match
-      let ctrl = connect target in
+      let ctrl = connect () in
       Fun.protect
-        ~finally:(fun () -> close ctrl)
+        ~finally:(fun () -> Client.close ctrl)
         (fun () ->
           log (Printf.sprintf "registering %d corpora" (List.length p.Profile.p_corpora));
           register_corpora ctrl p;
+          let corrs = correspondences ctrl p in
           let n = Profile.clients p in
           let clients =
             List.init n (fun i ->
-                { cl_conn = connect target; cl_sampler = Sampler.create ~stream:i p; cl_next_id = ref 0 })
+                { cl_conn = connect (); cl_sampler = Sampler.create ~stream:i ~corrs p; cl_next_id = ref 0 })
           in
           Fun.protect
-            ~finally:(fun () -> List.iter (fun cl -> close cl.cl_conn) clients)
+            ~finally:(fun () -> List.iter (fun cl -> Client.close cl.cl_conn) clients)
             (fun () ->
               let hists = resolve_hists p in
               if p.Profile.p_warmup_s > 0.0 then begin
@@ -1000,7 +848,7 @@ module Runner = struct
               (* Window barrier: every worker is quiescent here, so the
                  reset cleanly separates warmup from measurement on both
                  sides of the wire. *)
-              ignore (request ctrl (Json.Assoc [ ("op", Json.String "stats_reset") ]));
+              ignore (request ctrl Protocol.Stats_reset);
               Obs.reset ();
               let counters = fresh_counters () in
               log (Printf.sprintf "measuring: %.1fs (%s)" p.Profile.p_duration_s
@@ -1028,14 +876,12 @@ module Runner = struct
                 lg_late = late;
                 lg_offered_rps = float_of_int (sent + late) /. window;
                 lg_achieved_rps = float_of_int completed /. window;
-                lg_latency = latency_views p hists;
+                lg_latency = latency_views hists;
                 lg_server = server;
               }))
     with
     | lg -> Ok lg
     | exception Fail msg -> Error msg
-    | exception Unix.Unix_error (e, fn, _) ->
-      Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
 
   let record ~argv lg =
     {

@@ -3,13 +3,14 @@
     A/B regression comparison of recorded runs.
 
     A {e profile} (a JSON file, committed under [bench/profiles/])
-    describes a traffic mix: corpora drawn from the Table II datasets with
-    zipfian popularity, a weighted pool of request templates (PTQ patterns
-    × h × τ × k × evaluator, plus [ping]/[mappings] control ops), an
-    arrival model (closed-loop with N concurrent clients, or open-loop at
-    a target request rate with bounded lateness), warmup/measurement
-    phases, and a cold or warm plan-cache mode. {!Runner.run} replays the
-    profile against a server over TCP or a Unix socket and returns a
+    describes a traffic mix: corpora with zipfian popularity, a weighted
+    pool of request templates, an arrival model (closed-loop with N
+    concurrent clients, or open-loop at a target request rate with
+    bounded lateness), warmup/measurement phases, and a cold or warm
+    plan-cache mode. Every request is a {!Protocol.request}, encoded by
+    {!Protocol.to_json} and sent through {!Client}: the load generator
+    knows a corpus only from the server's replies. {!Runner.run} replays
+    the profile against a server over TCP or a Unix socket and returns a
     {!Uxsm_obs.Bench_json.loadgen} payload — offered vs achieved
     throughput, per-op client-side latency histograms, error/overload
     counts and the server-side counter window — which the CLI appends to
@@ -36,28 +37,22 @@ module Profile : sig
             and counted as late (bounding coordinated omission), and
             latency is measured from the {e scheduled} arrival time. *)
 
+  (** What a template draws, besides the corpus. *)
+  type draw =
+    | Request of Protocol.request  (** a pure request; each draw sets its corpus *)
+    | Rescore of int
+        (** an [update] re-scoring this many of the corpus' correspondences
+            (JSON field ["corrs"], default 1) with fresh scores in
+            [(0, 1]]: a long run never grows schemas or removes edges *)
+
   type template = {
-    t_op : string;
-        (** ["query"], ["query_topk"], ["mappings"], ["ping"] or ["update"] *)
-    t_pattern : string;  (** twig pattern (Table III syntax); [""] for non-query ops *)
-    t_h : int;
-    t_tau : float;
-    t_k : int option;  (** forces the [query_topk] endpoint *)
-    t_evaluator : string;  (** ["auto"], ["basic"] or ["tree"] *)
+    t_draw : draw;
     t_weight : float;  (** relative sampling weight, >= 0 *)
-    t_corrs : int;
-        (** [update] only (JSON field ["corrs"], default 1): how many
-            correspondences each sampled update re-scores. Updates are
-            re-score-only — sampled from the corpus' own correspondence
-            set with fresh scores in [(0, 1]] — so a long run never grows
-            schemas or removes edges, and stays deterministic in
-            [(seed, stream)]. *)
   }
 
   type corpus = {
     c_name : string;  (** server-side corpus name *)
-    c_dataset : string;  (** Table II dataset id, ["D1"].. ["D10"] *)
-    c_seed : int;  (** generation seed passed to [register] *)
+    c_register : Protocol.request;  (** the [register] request that creates it *)
   }
 
   type plan_cache =
@@ -81,9 +76,13 @@ module Profile : sig
   }
 
   val of_json : Uxsm_util.Json.t -> (t, string) result
-  (** Decode and validate: known datasets, parseable patterns, a positive
-      total template weight, positive duration/rps, and so on. Errors name
-      the offending field. *)
+  (** Decode and validate. A corpus entry is a [register] request without
+      ["op"]; a template is a pure request without ["corpus"], plus
+      ["weight"] (or ["op": "update"] with ["corrs"]). The protocol's
+      decoder reads both, so a template the server would refuse is refused
+      here with the protocol's message, prefixed by its 1-based position.
+      Query patterns must parse, corpus names be distinct, rates
+      positive, and so on; errors name the offending field. *)
 
   val to_json : t -> Uxsm_util.Json.t
   (** [of_json (to_json p)] restores [p]. *)
@@ -108,26 +107,25 @@ module Profile : sig
 end
 
 module Sampler : sig
-  (** One sampled request: the wire op name, the corpus it targets
-      ([""] for corpus-less ops), and the request object (without an
-      ["id"] — the runner assigns those). *)
-  type request = {
-    rq_op : string;
-    rq_corpus : string;
-    rq_body : Uxsm_util.Json.t;
-  }
-
   type t
 
-  val create : ?stream:int -> Profile.t -> t
-  (** A deterministic sampler for client [stream] (default 0). Samplers
-      created from equal [(profile seed, stream)] pairs produce equal
+  val correspondences : Uxsm_util.Json.t -> ((string * string) array, string) result
+  (** The (source path, target path) pairs of a [match] reply, in its
+      order. *)
+
+  val create :
+    ?stream:int -> corrs:(string * (string * string) array) list -> Profile.t -> t
+  (** A deterministic sampler for client [stream] (default 0). [corrs]
+      gives each corpus' {!correspondences}, which update draws re-score;
+      it may be empty when the profile has no update template. Samplers
+      created from equal [(profile seed, stream, corrs)] produce equal
       request sequences; distinct streams are statistically independent
       (derived via {!Uxsm_util.Prng.split}). *)
 
-  val next : t -> request
+  val next : t -> Protocol.request
   (** Draw a corpus (zipfian over the profile's rank order) and a template
-      (weighted), and render the request. *)
+      (weighted), and build the request; {!Protocol.to_json} encodes it
+      (the runner adds the ["id"]). *)
 
   val interarrival : t -> rps:float -> float
   (** Next exponential inter-arrival gap in seconds for a Poisson process
@@ -185,17 +183,14 @@ module Ab : sig
 end
 
 module Runner : sig
-  type target =
-    | Tcp of string * int
-    | Unix_socket of string
-
   val run :
     ?log:(string -> unit) ->
     Profile.t ->
-    target ->
+    Client.endpoint ->
     (Uxsm_obs.Bench_json.loadgen, string) result
   (** Replay the profile against a live server: connect, register the
-      profile's corpora, run the warmup phase, open the measurement
+      profile's corpora (and read each one's [match] reply when the
+      profile has update templates), run the warmup phase, open the measurement
       window with a [stats_reset] barrier (after re-registering when the
       plan-cache mode is {!Profile.Cold}), drive the arrival model for
       the configured duration, drain, and read the server's [stats]
@@ -203,9 +198,9 @@ module Runner : sig
       [loadgen.<op>.latency] {!Uxsm_obs.Obs} histograms (reset at window
       start). [log] receives progress lines (default: silent).
 
-      [Error] on connection failure, a failed registration, or a refused
-      [stats_reset]; mid-run connection loss surfaces as error counts,
-      not failure. *)
+      [Error] on connection failure ({!Client.connect}'s message), a
+      failed registration, or a refused [stats_reset]; mid-run connection
+      loss surfaces as error counts, not failure. *)
 
   val record : argv:string list -> Uxsm_obs.Bench_json.loadgen -> Uxsm_obs.Bench_json.run
   (** Wrap a runner result as an appendable ["loadgen"]-kind run record

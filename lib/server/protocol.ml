@@ -24,8 +24,15 @@ type request =
       k : int option;
       evaluator : Uxsm_plan.Plan.force;
     }
-  | Explain of { corpus : string; pattern : string; h : int; tau : float }
-  | Save of { corpus : string; h : int; path : string option }
+  | Explain of {
+      corpus : string;
+      pattern : string;
+      h : int;
+      tau : float;
+      k : int option;
+      evaluator : Uxsm_plan.Plan.force;
+    }
+  | Save of { corpus : string; h : int }
   | Update of { corpus : string; delta : Uxsm_mapping.Matching.delta }
   | Stats
   | Stats_reset
@@ -104,6 +111,12 @@ let tau_of op j =
 
 let corpus_of op j = str op "corpus" j
 let pattern_of op j = str op "query" j
+
+(* [k] is optional for query and explain, and required by query_topk. *)
+let k_of op j =
+  match bounded ~limit:max_k op "k" (int_opt op "k" j) with
+  | None when op = "query_topk" -> failf "%s: missing field \"k\"" op
+  | k -> k
 
 let evaluator_of op j =
   match str_opt op "evaluator" j with
@@ -205,34 +218,24 @@ let update_of j =
       op;
   Update { corpus; delta }
 
-let request_of_json j =
-  match str "request" "op" j with
+let request_of op j =
+  match op with
   | "ping" -> Ping
   | "register" -> register_of j
   | "match" -> Match { corpus = corpus_of "match" j }
   | "mappings" -> Mappings { corpus = corpus_of "mappings" j; h = h_of "mappings" j }
-  | "query" ->
-    let op = "query" in
-    Query
-      { corpus = corpus_of op j; pattern = pattern_of op j; h = h_of op j; tau = tau_of op j;
-        k = None; evaluator = evaluator_of op j }
-  | "query_topk" ->
-    let op = "query_topk" in
-    let k =
-      match bounded ~limit:max_k op "k" (int_opt op "k" j) with
-      | Some k -> k
-      | None -> failf "%s: missing field \"k\"" op
+  | ("query" | "query_topk" | "explain") as op ->
+    (* One reader for the three query-shaped ops; "query" with a "k" is a
+       top-k query, as "query_topk" is. *)
+    let k = k_of op j in
+    let corpus, pattern, h, tau, evaluator =
+      (corpus_of op j, pattern_of op j, h_of op j, tau_of op j, evaluator_of op j)
     in
-    Query
-      { corpus = corpus_of op j; pattern = pattern_of op j; h = h_of op j; tau = tau_of op j;
-        k = Some k; evaluator = evaluator_of op j }
-  | "explain" ->
-    let op = "explain" in
-    Explain
-      { corpus = corpus_of op j; pattern = pattern_of op j; h = h_of op j; tau = tau_of op j }
+    if op = "explain" then Explain { corpus; pattern; h; tau; k; evaluator }
+    else Query { corpus; pattern; h; tau; k; evaluator }
   | "save" ->
     let op = "save" in
-    Save { corpus = corpus_of op j; h = h_of op j; path = str_opt op "path" j }
+    Save { corpus = corpus_of op j; h = h_of op j }
   | "update" -> update_of j
   | "stats" -> Stats
   | "stats_reset" -> Stats_reset
@@ -241,13 +244,20 @@ let request_of_json j =
 
 type parse_error = { err_id : Json.t option; message : string }
 
+let not_an_object = "request is not a JSON object"
+
 let parse j =
   match j with
   | Json.Assoc _ -> (
     let err_id = Json.member "id" j in
-    try Ok { id = err_id; req = request_of_json j }
+    try Ok { id = err_id; req = request_of (str "request" "op" j) j }
     with Fail msg -> Error { err_id; message = msg })
-  | _ -> Error { err_id = None; message = "request is not a JSON object" }
+  | _ -> Error { err_id = None; message = not_an_object }
+
+let parse_fields ~op j =
+  match j with
+  | Json.Assoc _ -> ( try Ok (request_of op j) with Fail msg -> Error msg)
+  | _ -> Error not_an_object
 
 let parse_line line =
   match Json.of_string line with
@@ -271,7 +281,8 @@ let to_json { id; req } =
       @ (match doc_nodes with None -> [] | Some n -> [ ("doc_nodes", Json.Int n) ])
     | Match { corpus } -> [ ("corpus", Json.String corpus) ]
     | Mappings { corpus; h } -> [ ("corpus", Json.String corpus); ("h", Json.Int h) ]
-    | Query { corpus; pattern; h; tau; k; evaluator } ->
+    | Query { corpus; pattern; h; tau; k; evaluator }
+    | Explain { corpus; pattern; h; tau; k; evaluator } ->
       [ ("corpus", Json.String corpus); ("query", Json.String pattern); ("h", Json.Int h);
         ("tau", Json.Float tau) ]
       @ (match k with None -> [] | Some k -> [ ("k", Json.Int k) ])
@@ -279,12 +290,7 @@ let to_json { id; req } =
         | `Auto -> []  (* the default round-trips as absence *)
         | (`Basic | `Tree) as f ->
           [ ("evaluator", Json.String (Uxsm_plan.Plan.force_to_string f)) ])
-    | Explain { corpus; pattern; h; tau } ->
-      [ ("corpus", Json.String corpus); ("query", Json.String pattern); ("h", Json.Int h);
-        ("tau", Json.Float tau) ]
-    | Save { corpus; h; path } ->
-      [ ("corpus", Json.String corpus); ("h", Json.Int h) ]
-      @ (match path with None -> [] | Some p -> [ ("path", Json.String p) ])
+    | Save { corpus; h } -> [ ("corpus", Json.String corpus); ("h", Json.Int h) ]
     | Update { corpus; delta } ->
       let pair_entries f l =
         Json.List (List.map f l)
@@ -323,6 +329,46 @@ let to_json { id; req } =
     | Stats | Stats_reset | Shutdown -> []
   in
   Json.Assoc (id_field @ (("op", Json.String (op_name req)) :: fields))
+
+(* ------------------------------ framing --------------------------- *)
+
+let max_line_bytes = 16 * 1024 * 1024
+
+type framer = {
+  partial : Buffer.t;  (* the line read so far *)
+  mutable discarding : bool;  (* dropping the rest of an over-long line *)
+}
+
+let framer () = { partial = Buffer.create 4096; discarding = false }
+
+(* Scan only the [n] bytes just read for '\n'. Blank lines are skipped. A
+   line that outgrows [max_line_bytes] calls [overflow] once and is dropped
+   through its newline, so the partial line never holds more than the
+   limit. *)
+let feed fr chunk n ~line ~overflow =
+  let take lo hi =
+    if not fr.discarding then
+      if Buffer.length fr.partial + (hi - lo) > max_line_bytes then begin
+        Buffer.reset fr.partial;
+        fr.discarding <- true;
+        overflow ()
+      end
+      else Buffer.add_subbytes fr.partial chunk lo (hi - lo)
+  in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.get chunk i = '\n' then begin
+      take !start i;
+      if fr.discarding then fr.discarding <- false
+      else begin
+        let l = Buffer.contents fr.partial in
+        Buffer.clear fr.partial;
+        if String.trim l <> "" then line l
+      end;
+      start := i + 1
+    end
+  done;
+  take !start n
 
 let ok_response ?id fields =
   let id_field = match id with None -> [] | Some v -> [ ("id", v) ] in

@@ -36,13 +36,26 @@ type request =
       pattern : string;  (** twig query, Table III syntax *)
       h : int;
       tau : float;
-      k : int option;  (** [Some k] is the [query_topk] endpoint *)
+      k : int option;
+          (** [Some k] is the [query_topk] endpoint; a ["query"] line
+              with a ["k"] field decodes to it too *)
       evaluator : Uxsm_plan.Plan.force;
           (** optional ["evaluator"] field, ["basic"] / ["tree"] /
               ["auto"]; absent means [`Auto] (cost-based choice) *)
     }
-  | Explain of { corpus : string; pattern : string; h : int; tau : float }
-  | Save of { corpus : string; h : int; path : string option }
+  | Explain of {
+      corpus : string;
+      pattern : string;
+      h : int;
+      tau : float;
+      k : int option;
+      evaluator : Uxsm_plan.Plan.force;
+    }
+      (** The plan and counters of the query with the same fields, read
+          by the same decoder ([k] optional). *)
+  | Save of { corpus : string; h : int }
+      (** The top-h mapping set as [uxsm-mappings v1] text, carried in
+          the reply's ["text"] field. *)
   | Update of { corpus : string; delta : Uxsm_mapping.Matching.delta }
       (** Incremental corpus maintenance: apply a correspondence/element
           delta to a registered corpus, patching its cached artifacts in
@@ -108,14 +121,38 @@ val parse : Uxsm_util.Json.t -> (envelope, parse_error) result
 (** Decode a request object. Errors name the offending field, e.g.
     ["register: missing field \"name\""]. Sizes are bounded here: ["h"]
     and ["k"] must lie in [[1, 1000]] and ["doc_nodes"] in
-    [[1, 100000]] (["query: field \"h\" must be <= 1000"]). *)
+    [[1, 100000]] (["query: field \"h\" must be <= 1000"]). Fields an op
+    does not read are ignored. *)
 
 val parse_line : string -> (envelope, parse_error) result
 (** {!parse} composed with JSON parsing of one line. *)
 
+val parse_fields : op:string -> Uxsm_util.Json.t -> (request, string) result
+(** Decode an object's fields as an [op] request, as {!parse} would,
+    whatever the object's own ["op"] field says. *)
+
 val to_json : envelope -> Uxsm_util.Json.t
-(** Encode a request; [parse (to_json e)] restores [e] (up to dataset
-    identity for [From_dataset]). Used by the client and tests. *)
+(** Encode a request; [parse (to_json e)] restores [e]. Every request
+    line the CLI and the load generator send is built here. *)
+
+(** {2 Line framing}, shared by both transports and by {!Client}. *)
+
+val max_line_bytes : int
+(** 16 MiB — the longest line a reader holds: over 100 times the largest
+    mapping-set text a [register] carries in the benchmarks (D10 at
+    h = 100, ~150 KB), over ten times the largest reply (a [save] of D9
+    or D10 at h = 1000, ~1.1 MB). *)
+
+type framer
+
+val framer : unit -> framer
+
+val feed :
+  framer -> Bytes.t -> int -> line:(string -> unit) -> overflow:(unit -> unit) -> unit
+(** [feed fr chunk n] frames the first [n] bytes of [chunk], giving each
+    completed non-blank line to [line]; a line longer than
+    {!max_line_bytes} calls [overflow] once and is dropped through its
+    newline. *)
 
 val ok_response : ?id:Uxsm_util.Json.t -> (string * Uxsm_util.Json.t) list -> Uxsm_util.Json.t
 (** [{"id": id?, "ok": true, ...fields}]. *)

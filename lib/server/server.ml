@@ -30,20 +30,14 @@ let c_exec_busy = Obs.counter "exec.sequential_busy"
 
 let h_queue_depth = Obs.histogram "server.queue_depth"
 
-let op_latency op = Obs.histogram ("server." ^ op ^ ".latency")
-
-(* Pre-resolved latency histograms for the fixed op set, so the
-   per-request path never touches the registry mutex. *)
-let op_latencies =
+(* Each op's span and latency histogram, resolved once when the module
+   loads, so a request neither builds a name nor takes the registry
+   mutex. The twelve names are those of [Protocol.op_name]. *)
+let op_obs =
   List.map
-    (fun op -> (op, op_latency op))
+    (fun op -> (op, (Obs.span ("server.op." ^ op), Obs.histogram ("server." ^ op ^ ".latency"))))
     [ "ping"; "register"; "match"; "mappings"; "query"; "query_topk"; "explain"; "save";
       "update"; "stats"; "stats_reset"; "shutdown" ]
-
-let latency_of op =
-  match List.assoc_opt op op_latencies with
-  | Some h -> h
-  | None -> op_latency op
 
 (* Live-service gauges (not Obs counters: they go down). Zero when the
    server runs a non-concurrent transport (stdio) or none at all. *)
@@ -160,10 +154,8 @@ let dispatch t (req : Protocol.request) : (string * Json.t) list =
         ("relevant", Json.Int (List.length answers));
         ("answers", consolidated_json answers);
       ]
-  | Protocol.Explain { corpus; pattern; h; tau } ->
-    let plan =
-      ok_or (Catalog.plan t.cat corpus ~pattern ~h ~tau ~k:None ~force:`Auto)
-    in
+  | Protocol.Explain { corpus; pattern; h; tau; k; evaluator } ->
+    let plan = ok_or (Catalog.plan t.cat corpus ~pattern ~h ~tau ~k ~force:evaluator) in
     let stats, answers = Ptq.explain_plan plan in
     [
       ("corpus", Json.String corpus);
@@ -178,20 +170,10 @@ let dispatch t (req : Protocol.request) : (string * Json.t) list =
       ("joins", Json.Int stats.Ptq.joins);
       ("answer_sets", Json.Int (List.length (Ptq.consolidate answers)));
     ]
-  | Protocol.Save { corpus; h; path } ->
-    let mset = ok_or (Catalog.mapping_set t.cat corpus ~h) in
-    let text = Serialize.mapping_set_to_string mset in
-    let base =
-      [ ("corpus", Json.String corpus); ("h", Json.Int h);
-        ("bytes", Json.Int (String.length text)) ]
-    in
-    (match path with
-    | None -> base @ [ ("text", Json.String text) ]
-    | Some p ->
-      let oc = open_out p in
-      output_string oc text;
-      close_out oc;
-      base @ [ ("path", Json.String p) ])
+  | Protocol.Save { corpus; h } ->
+    let text = Serialize.mapping_set_to_string (ok_or (Catalog.mapping_set t.cat corpus ~h)) in
+    [ ("corpus", Json.String corpus); ("h", Json.Int h);
+      ("bytes", Json.Int (String.length text)); ("text", Json.String text) ]
   | Protocol.Update { corpus; delta } ->
     let st = ok_or (Catalog.update t.cat ~name:corpus delta) in
     [
@@ -285,10 +267,9 @@ let dispatch t (req : Protocol.request) : (string * Json.t) list =
 
 let handle_request t (env : Protocol.envelope) =
   Obs.incr c_requests;
-  let op = Protocol.op_name env.req in
-  let span = Obs.span ("server.op." ^ op) in
+  let span, latency = List.assoc (Protocol.op_name env.req) op_obs in
   let started = Timing.now_mono () in
-  let observe_latency () = Obs.observe (latency_of op) (Timing.now_mono () -. started) in
+  let observe_latency () = Obs.observe latency (Timing.now_mono () -. started) in
   match Obs.time span (fun () -> dispatch t env.req) with
   | fields ->
     observe_latency ();
@@ -328,12 +309,13 @@ let record_exec_contention f =
   in
   Fun.protect ~finally f
 
-(* Batch dispatch: runs of consecutive pure requests fan out through the
-   executor (responses merge in index order, so the reply stream is
-   identical to sequential handling); Register and Shutdown are barriers
-   because they mutate catalog state or stop the server. A run of one
-   request is handled inline — inside a pool worker the nested-fanout
-   guard would rob it of its own per-request parallelism. *)
+(* Batch dispatch: a batch is answered run by run. A run is a barrier
+   (a request that mutates catalog state or stops the server) alone, or
+   the longest stretch of consecutive pure requests, which fan out
+   through the executor (responses merge in index order, so the reply
+   stream is identical to sequential handling). A run of one request is
+   handled inline — inside a pool worker the nested-fanout guard would rob
+   it of its own per-request parallelism. *)
 let batch_request_units = 2000.0
 
 let respond_run t run =
@@ -354,62 +336,33 @@ let pure_parsed = function
   | Ok env -> Protocol.is_pure env.Protocol.req
   | Error _ -> true (* an error reply touches no state *)
 
-let handle_lines t lines =
-  let parsed = List.map Protocol.parse_line lines in
-  let rec split_run acc = function
-    | p :: rest when pure_parsed p -> split_run (p :: acc) rest
+(* Answer [items] (each with its parsed request) run by run, handing every
+   item and its reply to [deliver] as soon as its run is answered. *)
+let answer_runs t items ~deliver =
+  let pure (_, p) = pure_parsed p in
+  let rec pure_prefix acc = function
+    | x :: rest when pure x -> pure_prefix (x :: acc) rest
     | rest -> (List.rev acc, rest)
   in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | p :: rest when not (pure_parsed p) -> go (respond_parsed t p :: acc) rest
-    | ps ->
-      let run, rest = split_run [] ps in
-      go (List.rev_append (respond_run t run) acc) rest
+  let rec go = function
+    | [] -> ()
+    | x :: rest ->
+      let run, rest = if pure x then pure_prefix [ x ] rest else ([ x ], rest) in
+      List.iter2 (fun (it, _) resp -> deliver it resp) run (respond_run t (List.map snd run));
+      go rest
   in
-  go [] parsed
+  go items
+
+let handle_lines t lines =
+  let replies = ref [] in
+  answer_runs t
+    (List.map (fun l -> ((), Protocol.parse_line l)) lines)
+    ~deliver:(fun () resp -> replies := resp :: !replies);
+  List.rev !replies
 
 (* ----------------------------- transports ------------------------- *)
 
-let max_line_bytes = 16 * 1024 * 1024
-
-(* Line framing for one input stream (a socket connection or the stdio
-   channel): the partial line read so far, and whether the rest of an
-   over-long line is being dropped. *)
-type framer = {
-  partial : Buffer.t;
-  mutable discarding : bool;
-}
-
-(* Split the [n] bytes just read off [chunk] into lines, scanning only
-   those bytes for '\n'. Complete non-blank lines go to [line], in order;
-   blank lines are skipped, not answered. A line that outgrows
-   [max_line_bytes] calls [overflow] once and is dropped through its
-   newline, so the partial line never holds more than the limit. *)
-let feed fr chunk n ~line ~overflow =
-  let take lo hi =
-    if not fr.discarding then
-      if Buffer.length fr.partial + (hi - lo) > max_line_bytes then begin
-        Buffer.reset fr.partial;
-        fr.discarding <- true;
-        overflow ()
-      end
-      else Buffer.add_subbytes fr.partial chunk lo (hi - lo)
-  in
-  let start = ref 0 in
-  for i = 0 to n - 1 do
-    if Bytes.get chunk i = '\n' then begin
-      take !start i;
-      if fr.discarding then fr.discarding <- false
-      else begin
-        let l = Buffer.contents fr.partial in
-        Buffer.clear fr.partial;
-        if String.trim l <> "" then line l
-      end;
-      start := i + 1
-    end
-  done;
-  take !start n
+let max_line_bytes = Protocol.max_line_bytes
 
 (* The one reply an over-long line gets, counted as a failed request. *)
 let overlong_response () =
@@ -423,7 +376,7 @@ let overlong_response () =
    Lines are answered one at a time, in order; once a [shutdown] was
    served, nothing after it is answered. *)
 let serve_channels t ic oc =
-  let fr = { partial = Buffer.create 4096; discarding = false } in
+  let fr = Protocol.framer () in
   let chunk = Bytes.create 65536 in
   let reply resp =
     if not (stopping t) then begin
@@ -440,23 +393,14 @@ let serve_channels t ic oc =
       let n = input ic chunk 0 (Bytes.length chunk) in
       if n > 0 then begin
         Obs.add c_bytes_in n;
-        feed fr chunk n ~line ~overflow:(fun () -> reply overlong_response);
+        Protocol.feed fr chunk n ~line ~overflow:(fun () -> reply overlong_response);
         loop ()
       end
     end
   in
   loop ();
   (* Input may end without a final newline; that last line is a request. *)
-  let last = Buffer.contents fr.partial in
-  if (not fr.discarding) && String.trim last <> "" then line last
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    (* lint: allow blocking-under-lock — cn_wlock exists precisely to serialize whole-response writes on one socket; a slow peer stalls only its own connection's writers, never another lock *)
-    if off < n then go (off + Unix.write_substring fd s off (n - off))
-  in
-  go 0
+  Protocol.feed fr (Bytes.of_string "\n") 1 ~line ~overflow:ignore
 
 (* --------------------- concurrent accept service ------------------- *)
 (* One reader sys-thread per connection parses lines off the socket and
@@ -522,7 +466,7 @@ let write_response conn resp =
         (* A vanished client (EPIPE/ECONNRESET; SIGPIPE is ignored while
            serving) must not take the server down — its reader will see
            the hangup and retire the connection. *)
-        try write_all conn.cn_fd out with Unix.Unix_error _ -> ()
+        try Client.write_all conn.cn_fd out with Unix.Unix_error _ -> ()
       end)
 
 (* Best-effort id recovery for a rejected line, so pipelining clients can
@@ -550,7 +494,7 @@ let admit sv conn line =
   end
 
 let reader sv conn =
-  let fr = { partial = Buffer.create 4096; discarding = false } in
+  let fr = Protocol.framer () in
   let chunk = Bytes.create 65536 in
   let overflow () = write_response conn (overlong_response ()) in
   let rec loop () =
@@ -562,7 +506,7 @@ let reader sv conn =
         let n = Unix.read conn.cn_fd chunk 0 (Bytes.length chunk) in
         if n > 0 then begin
           Obs.add c_bytes_in n;
-          feed fr chunk n ~line:(admit sv conn) ~overflow;
+          Protocol.feed fr chunk n ~line:(admit sv conn) ~overflow;
           loop ()
         end
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
@@ -583,29 +527,12 @@ let reader sv conn =
 let dispatch_items sv items =
   let t = sv.srv in
   Obs.incr c_batches;
-  let parsed = List.map (fun it -> (it, Protocol.parse_line it.it_line)) items in
-  let deliver (it, resp) =
-    write_response it.it_conn resp;
-    ignore (Atomic.fetch_and_add it.it_conn.cn_pending (-1));
-    maybe_close t.gauges it.it_conn
-  in
-  let pure (_, p) = pure_parsed p in
-  let rec split_run acc = function
-    | x :: rest when pure x -> split_run (x :: acc) rest
-    | rest -> (List.rev acc, rest)
-  in
-  let rec go = function
-    | [] -> ()
-    | ((it, p) :: rest) when not (pure (it, p)) ->
-      deliver (it, respond_parsed t p);
-      go rest
-    | xs ->
-      let run, rest = split_run [] xs in
-      let resps = respond_run t (List.map snd run) in
-      List.iter2 (fun (it, _) resp -> deliver (it, resp)) run resps;
-      go rest
-  in
-  go parsed
+  answer_runs t
+    (List.map (fun it -> (it, Protocol.parse_line it.it_line)) items)
+    ~deliver:(fun it resp ->
+      write_response it.it_conn resp;
+      ignore (Atomic.fetch_and_add it.it_conn.cn_pending (-1));
+      maybe_close t.gauges it.it_conn)
 
 let max_dispatch_batch = 64
 
@@ -642,36 +569,31 @@ let dispatcher sv =
 
 (* ------------------------------ listeners ------------------------- *)
 
-type endpoint =
-  | Unix_socket of string
-  | Tcp of string * int
+(* A listening socket and its cleanup; a stale socket file is replaced. *)
+let bind_endpoint ep =
+  let addr =
+    match Client.sockaddr ep with
+    | Ok addr -> addr
+    | Error e -> failwith e
+  in
+  let unlink () =
+    match ep with
+    | Client.Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+    | Client.Tcp _ -> ()
+  in
+  let sock = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+  unlink ();
+  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  Unix.bind sock addr;
+  Unix.listen sock 64;
+  (sock, fun () -> (try Unix.close sock with Unix.Unix_error _ -> ()); unlink ())
 
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> addrs.(0)
-    | _ | (exception Not_found) -> raise (Fail (Printf.sprintf "cannot resolve host %S" host)))
-
-let bind_endpoint = function
-  | Unix_socket path ->
-    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    Unix.bind sock (Unix.ADDR_UNIX path);
-    Unix.listen sock 64;
-    let cleanup () =
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      try Unix.unlink path with Unix.Unix_error _ -> ()
-    in
-    (sock, cleanup)
-  | Tcp (host, port) ->
-    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt sock Unix.SO_REUSEADDR true;
-    Unix.bind sock (Unix.ADDR_INET (resolve_host host, port));
-    Unix.listen sock 64;
-    let cleanup () = try Unix.close sock with Unix.Unix_error _ -> () in
-    (sock, cleanup)
+(* The endpoint a bound socket listens on, with an ephemeral port filled
+   in. *)
+let bound_endpoint sock =
+  match Unix.getsockname sock with
+  | Unix.ADDR_UNIX path -> Client.Unix_socket path
+  | Unix.ADDR_INET (addr, port) -> Client.Tcp (Unix.string_of_inet_addr addr, port)
 
 let serve ?(max_queue = 256) ?ready t endpoints =
   if endpoints = [] then invalid_arg "Server.serve: no endpoints";
@@ -704,7 +626,7 @@ let serve ?(max_queue = 256) ?ready t endpoints =
   Fun.protect ~finally (fun () ->
       (match ready with
       | None -> ()
-      | Some f -> f (List.map Unix.getsockname socks));
+      | Some f -> f (List.map bound_endpoint socks));
       let disp = Thread.create dispatcher sv in
       let conns = ref [] in
       let threads = ref [] in
@@ -767,14 +689,3 @@ let serve ?(max_queue = 256) ?ready t endpoints =
           maybe_close t.gauges conn)
         !conns;
       Atomic.set t.gauges.g_queue_depth 0)
-
-let serve_tcp ?max_queue ?ready t ~host ~port =
-  let ready =
-    Option.map
-      (fun f addrs ->
-        match addrs with
-        | Unix.ADDR_INET (_, port) :: _ -> f port
-        | _ -> ())
-      ready
-  in
-  serve ?max_queue ?ready t [ Tcp (host, port) ]

@@ -5,9 +5,9 @@
     are exposed innermost first, so tests can exercise dispatch without
     any transport:
 
-    - {!handle_request} / {!handle_line}: one request → one response.
-      Malformed or failing requests produce [{"ok": false, "error": ...}];
-      this layer never raises.
+    - {!handle_line}: one request → one response. Malformed or failing
+      requests produce [{"ok": false, "error": ...}]; this layer never
+      raises.
     - {!handle_lines}: a pipelined batch. Runs of consecutive {e pure}
       requests (see {!Protocol.is_pure}) are fanned out through the
       server's {!Uxsm_exec.Executor} — on a multi-domain server,
@@ -15,12 +15,14 @@
       degrades to sequential via the executor's nested-fanout guard.
       [Register] and [Shutdown] act as barriers. Responses are returned
       in request order regardless of backend. A lone request bypasses the
-      pool so it keeps its per-request parallelism.
+      pool so it keeps its per-request parallelism. The socket service
+      answers each batch it pops from its queue the same way, writing
+      each run's replies as soon as the run is answered.
     - {!serve_channels}: the stdio transport (line-delimited JSON both
       ways, one request at a time). It frames lines like the socket
       service below, so a line longer than {!max_line_bytes} gets one
       error reply and is dropped through its newline.
-    - {!serve} / {!serve_tcp}: the concurrent socket
+    - {!serve}: the concurrent socket
       service — any mix of Unix-domain and TCP listeners on one accept
       loop. Each accepted connection gets a reader sys-thread that admits
       complete lines into one {e bounded} dispatch queue shared by all
@@ -65,7 +67,6 @@ val stopping : t -> bool
 val request_stop : t -> unit
 (** Signal-handler-safe: flips an atomic flag, nothing else. *)
 
-val handle_request : t -> Protocol.envelope -> Uxsm_util.Json.t
 val handle_line : t -> string -> string
 
 val handle_lines : t -> string list -> string list
@@ -87,26 +88,19 @@ val serve_channels : t -> in_channel -> out_channel -> unit
     newline is answered at EOF. *)
 
 val max_line_bytes : int
-(** 16 MiB — the longest request line either transport reads, over 100
-    times the largest mapping-set text a [register] carries in the
-    benchmarks (D10 at h = 100, ~150 KB). *)
+(** {!Protocol.max_line_bytes}: the longest request line either
+    transport reads. *)
 
-(** A listening endpoint for {!serve}. *)
-type endpoint =
-  | Unix_socket of string  (** socket file path; a stale file is replaced *)
-  | Tcp of string * int  (** host (name or dotted quad) and port; port 0 = ephemeral *)
-
-val serve : ?max_queue:int -> ?ready:(Unix.sockaddr list -> unit) -> t -> endpoint list -> unit
-(** Bind every endpoint, then accept and serve concurrently until
-    {!stopping} (see the module docs for the connection model). Returns
-    after the drain completes; socket files are unlinked and signal
-    handlers restored. [max_queue] (default 256, must be >= 1) bounds the
-    shared admission queue. [ready] is called once with the bound
-    addresses (in endpoint order) after listening starts — tests use it
-    with [Tcp (host, 0)] to learn the ephemeral port.
+val serve :
+  ?max_queue:int -> ?ready:(Client.endpoint list -> unit) -> t -> Client.endpoint list -> unit
+(** Bind every endpoint (a stale socket file is replaced; TCP port 0 is
+    ephemeral), then accept and serve concurrently until {!stopping} (see
+    the module docs for the connection model). Returns after the drain
+    completes; socket files are unlinked and signal handlers restored.
+    [max_queue] (default 256, must be >= 1) bounds the shared admission
+    queue. [ready] is called once with the bound endpoints (in endpoint
+    order, a TCP host as a dotted quad and port 0 resolved) after
+    listening starts.
 
     @raise Invalid_argument on an empty endpoint list or non-positive
     [max_queue]. *)
-
-val serve_tcp : ?max_queue:int -> ?ready:(int -> unit) -> t -> host:string -> port:int -> unit
-(** [serve] on a single TCP listener; [ready] receives the bound port. *)

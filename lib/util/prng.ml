@@ -35,30 +35,6 @@ let float t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let range t lo hi =
-  if lo > hi then invalid_arg "Prng.range: lo > hi";
-  lo + int t (hi - lo + 1)
-
-let gaussian t ~mu ~sigma =
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u <= 0.0 then nonzero () else u
-  in
-  let u1 = nonzero () and u2 = float t 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t (Array.length arr))
-
-let sample_without_replacement t k n =
-  if k < 0 || k > n then invalid_arg "Prng.sample_without_replacement";
-  (* Floyd's algorithm: k iterations, set of size <= k. *)
-  let module IS = Set.Make (Int) in
-  let chosen = ref IS.empty in
-  for j = n - k to n - 1 do
-    let r = int t (j + 1) in
-    if IS.mem r !chosen then chosen := IS.add j !chosen
-    else chosen := IS.add r !chosen
-  done;
-  IS.elements !chosen

@@ -19,9 +19,6 @@ val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t]. Streams of the
     parent and child are statistically independent. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
@@ -31,15 +28,5 @@ val float : t -> float -> float
 val bool : t -> bool
 (** Fair coin. *)
 
-val range : t -> int -> int -> int
-(** [range t lo hi] is uniform in [\[lo, hi\]] inclusive. Requires [lo <= hi]. *)
-
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Normal deviate via Box–Muller. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val sample_without_replacement : t -> int -> int -> int list
-(** [sample_without_replacement t k n] draws [k] distinct ints from
-    [\[0, n)], in increasing order. Requires [0 <= k <= n]. *)

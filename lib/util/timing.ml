@@ -1,29 +1,1 @@
 external now_mono : unit -> float = "uxsm_timing_monotonic_now"
-
-let time f =
-  let t0 = now_mono () in
-  let x = f () in
-  let t1 = now_mono () in
-  (x, t1 -. t0)
-
-let time_n ?(warmup = 1) n f =
-  if n <= 0 then invalid_arg "Timing.time_n: n must be positive";
-  for _ = 1 to warmup do
-    ignore (f ())
-  done;
-  let t0 = now_mono () in
-  for _ = 1 to n do
-    ignore (f ())
-  done;
-  let t1 = now_mono () in
-  (t1 -. t0) /. float_of_int n
-
-let repeat_until ~min_runs ~min_seconds f =
-  let t0 = now_mono () in
-  let rec loop runs =
-    ignore (f ());
-    let elapsed = now_mono () -. t0 in
-    if runs + 1 >= min_runs && elapsed >= min_seconds then elapsed /. float_of_int (runs + 1)
-    else loop (runs + 1)
-  in
-  loop 0

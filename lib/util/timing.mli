@@ -8,17 +8,3 @@
 val now_mono : unit -> float
 (** Seconds on the system's monotonic clock, from an arbitrary epoch: only
     differences between two [now_mono] readings are meaningful. *)
-
-val time : (unit -> 'a) -> 'a * float
-(** [time f] runs [f ()] and returns its result together with the elapsed
-    monotonic seconds. *)
-
-val time_n : ?warmup:int -> int -> (unit -> 'a) -> float
-(** [time_n ?warmup n f] runs [f] [warmup] times (default 1) unmeasured, then
-    [n] times measured, and returns the mean seconds per run. *)
-
-val repeat_until : min_runs:int -> min_seconds:float -> (unit -> 'a) -> float
-(** [repeat_until ~min_runs ~min_seconds f] keeps running [f] until both at
-    least [min_runs] runs have happened and at least [min_seconds] wall time
-    has elapsed; returns mean seconds per run. Keeps fast benches precise and
-    slow benches bounded. *)

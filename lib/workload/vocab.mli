@@ -11,13 +11,11 @@ type casing =
 val render : casing -> string list -> string
 (** Render canonical tokens under a casing convention. *)
 
-val synonym_alternatives : string -> string list
-(** Known alternatives of a canonical token (including itself, first).
-    Mirrors the matcher's synonym table so that cross-style renamings stay
-    discoverable. *)
-
 val pick_synonym : variant:int -> string -> string
-(** Deterministically pick the [variant]-th alternative (mod availability). *)
+(** Deterministically pick the [variant]-th (mod availability) of a
+    canonical token's known alternatives, itself first. The alternatives
+    mirror the matcher's synonym table so that cross-style renamings stay
+    discoverable. *)
 
 val filler_tokens : ?slice:int -> Uxsm_util.Prng.t -> string list
 (** 2–3 tokens for a filler element name, drawn from a 35-token window of a

@@ -1,18 +1,9 @@
 (** Serialization of {!Tree.t} back to XML text. *)
 
-val escape_text : string -> string
-(** Escape ampersand and angle brackets for character data. *)
-
-val escape_attr : string -> string
-(** Escape ampersand, left angle bracket and double quote for double-quoted
-    attribute values. *)
-
 val to_string : ?indent:int -> Tree.t -> string
 (** Serialize a tree. With [indent] (spaces per level), element-only content
     is pretty-printed; mixed content is kept inline so that a parse/print
     round-trip preserves text exactly. Default: compact (no indentation). *)
-
-val to_buffer : ?indent:int -> Buffer.t -> Tree.t -> unit
 
 val pp : Format.formatter -> Tree.t -> unit
 (** Pretty-printer with 2-space indentation, for debugging and tests. *)

@@ -10,7 +10,6 @@ module Murty = Uxsm_assignment.Murty
 module Partition = Uxsm_assignment.Partition
 module Bipartite = Uxsm_assignment.Bipartite
 module Block = Uxsm_blocktree.Block
-module Timing = Uxsm_util.Timing
 
 let test_binding_merge_conflict () =
   let a = Binding.unbound 3 and b = Binding.unbound 3 in
@@ -53,15 +52,6 @@ let test_block_source_of_misses () =
   Alcotest.(check (option int)) "miss above" None (Block.source_of b 9);
   Alcotest.(check bool) "mem present" true (Block.mem_mapping b 7);
   Alcotest.(check bool) "mem absent" false (Block.mem_mapping b 3)
-
-let test_timing () =
-  let x, dt = Timing.time (fun () -> 41 + 1) in
-  Alcotest.(check int) "result" 42 x;
-  Alcotest.(check bool) "non-negative" true (dt >= 0.0);
-  let per_run = Timing.time_n ~warmup:1 5 (fun () -> ()) in
-  Alcotest.(check bool) "time_n sane" true (per_run >= 0.0 && per_run < 1.0);
-  let per_run' = Timing.repeat_until ~min_runs:3 ~min_seconds:0.0 (fun () -> ()) in
-  Alcotest.(check bool) "repeat_until sane" true (per_run' >= 0.0)
 
 let test_printer_attrs_and_self_closing () =
   let t = Tree.element ~attrs:[ ("b", "2"); ("a", "1") ] "x" [] in
@@ -107,7 +97,6 @@ let suite =
     Alcotest.test_case "pattern accessors" `Quick test_pattern_accessors;
     Alcotest.test_case "murty/partition h=0" `Quick test_murty_h_zero;
     Alcotest.test_case "block binary searches" `Quick test_block_source_of_misses;
-    Alcotest.test_case "timing helpers" `Quick test_timing;
     Alcotest.test_case "printer attrs + self-closing" `Quick test_printer_attrs_and_self_closing;
     Alcotest.test_case "doc attribute access" `Quick test_doc_attr_access;
     Alcotest.test_case "doc generator with two repeatables" `Quick test_gen_doc_multiple_repeatables;

@@ -7,12 +7,14 @@ module Json = Uxsm_util.Json
 module Locks = Uxsm_util.Locks
 module Obs = Uxsm_obs.Obs
 module Bench_json = Uxsm_obs.Bench_json
-module Loadgen = Uxsm_workload.Loadgen
+module Loadgen = Uxsm_server.Loadgen
 module Profile = Loadgen.Profile
 module Sampler = Loadgen.Sampler
 module Ab = Loadgen.Ab
 module Runner = Loadgen.Runner
 module Server = Uxsm_server.Server
+module Client = Uxsm_server.Client
+module Protocol = Uxsm_server.Protocol
 
 (* ------------------------------ profiles -------------------------- *)
 
@@ -25,8 +27,8 @@ let base_profile =
     ],
     "zipf_s": 1.0,
     "templates": [
-      { "op": "query", "pattern": "Order//LineNo", "h": 5, "tau": 0.2, "weight": 2.0 },
-      { "op": "query_topk", "pattern": "Order/DeliverTo/Contact/EMail", "h": 5, "k": 3 },
+      { "op": "query", "query": "Order//LineNo", "h": 5, "tau": 0.2, "weight": 2.0 },
+      { "op": "query", "query": "Order/DeliverTo/Contact/EMail", "h": 5, "k": 3 },
       { "op": "mappings", "h": 5 },
       { "op": "ping", "weight": 0.5 }
     ],
@@ -53,7 +55,12 @@ let test_profile_roundtrip () =
     [ "mappings"; "ping"; "query"; "query_topk" ] (Profile.ops p);
   (* A bare "query" template with a "k" lands on the topk endpoint. *)
   Alcotest.(check bool) "k forces query_topk" true
-    (List.exists (fun t -> t.Profile.t_op = "query_topk" && t.Profile.t_k = Some 3)
+    (List.exists
+       (fun t ->
+         match t.Profile.t_draw with
+         | Profile.Request (Protocol.Query { k = Some 3; _ } as req) ->
+           Protocol.op_name req = "query_topk"
+         | _ -> false)
        p.Profile.p_templates);
   (* Encode → decode restores the profile exactly. *)
   match Profile.of_json (Profile.to_json p) with
@@ -68,15 +75,17 @@ let test_profile_validation () =
       Json.to_string (Json.Assoc ((field, value) :: List.remove_assoc field fields))
     | Ok _ -> Alcotest.fail "base profile is not an object"
   in
-  let rejected what s =
+  let rejected ?(says = "") what s =
     match Profile.of_string s with
     | Ok _ -> Alcotest.failf "%s: expected rejection" what
     | Error e ->
       Alcotest.(check bool)
         (Printf.sprintf "%s: error is descriptive (%s)" what e)
         true
-        (String.length e > 10)
+        (String.length e > 10 && Test_server.contains ~needle:says e)
   in
+  let template fields = patch "templates" (Json.List [ Json.Assoc fields ]) in
+  let query = [ ("op", Json.String "query"); ("query", Json.String "A//B") ] in
   rejected "not json" "nonsense";
   rejected "empty id" (patch "id" (Json.String " "));
   rejected "no corpora" (patch "corpora" (Json.List []));
@@ -92,27 +101,23 @@ let test_profile_validation () =
        (Json.List [ Json.Assoc [ ("name", Json.String "a"); ("dataset", Json.String "D99") ] ]));
   rejected "no templates" (patch "templates" (Json.List []));
   rejected "unparseable pattern"
-    (patch "templates"
-       (Json.List [ Json.Assoc [ ("op", Json.String "query"); ("pattern", Json.String "[[[") ] ]));
+    (template [ ("op", Json.String "query"); ("query", Json.String "[[[") ]);
   rejected "query_topk without k"
-    (patch "templates"
-       (Json.List
-          [ Json.Assoc [ ("op", Json.String "query_topk"); ("pattern", Json.String "A//B") ] ]));
+    (template [ ("op", Json.String "query_topk"); ("query", Json.String "A//B") ]);
   rejected "zero total weight"
     (patch "templates"
        (Json.List
           [ Json.Assoc [ ("op", Json.String "ping"); ("weight", Json.Float 0.0) ] ]));
-  rejected "bad evaluator"
-    (patch "templates"
-       (Json.List
-          [
-            Json.Assoc
-              [
-                ("op", Json.String "query");
-                ("pattern", Json.String "A//B");
-                ("evaluator", Json.String "warp");
-              ];
-          ]));
+  (* Templates pass the server's own checks, with its messages. *)
+  rejected "bad evaluator" ~says:{|query: field "evaluator" must be one of|}
+    (template (query @ [ ("evaluator", Json.String "warp") ]));
+  rejected "h over the protocol bound" ~says:{|query: field "h" must be <= 1000|}
+    (template (query @ [ ("h", Json.Int 1001) ]));
+  rejected "k over the protocol bound" ~says:{|query: field "k" must be <= 1000|}
+    (template (query @ [ ("k", Json.Int 1001) ]));
+  rejected "tau outside (0, 1]" ~says:{|query: field "tau" must be in (0, 1]|}
+    (template (query @ [ ("tau", Json.Float 0.0) ]));
+  rejected "barrier op" ~says:"shutdown" (template [ ("op", Json.String "shutdown") ]);
   rejected "bad arrival mode" (patch "arrival" (Json.Assoc [ ("mode", Json.String "burst") ]));
   rejected "open mode needs positive rps"
     (patch "arrival"
@@ -135,17 +140,89 @@ let test_committed_profiles_load () =
     [
       ("../bench/profiles/smoke.json", "closed", "warm");
       ("../bench/profiles/open_mix.json", "open", "cold");
+      ("../bench/profiles/update_mix.json", "closed", "warm");
     ]
 
 (* ------------------------------ sampling -------------------------- *)
 
+(* MD5 of the first 500 draws of every client stream of the committed
+   profiles, in the order the runner takes them: for an open-loop profile
+   the gap before each request (its float bits) and then the request;
+   each request as the line the runner sends, ids counting from 1. *)
+let traffic_pins =
+  [
+    ("smoke", [ "c4741b82e68b1b9ff037c9d52c178957"; "84859aac2e6b15bcdf3fc0dc1a84cd31" ]);
+    ( "open_mix",
+      [ "c914a6a82b5b9d63948cc3a8115305b3"; "2087c367f942b8cb6d0e28d88b16ed54";
+        "bc6ae2acb099c5119e4065f8ebe8607b"; "29edd4782304b0df01c18a22653950ee" ] );
+    ("update_mix", [ "fda43c72d8069d33c64d4494e930acaa"; "d33ca0eb71562a6d115fb6658468c9ba" ]);
+  ]
+
+(* What the runner reads before sampling: each corpus' match reply, here
+   from an in-process server, when the profile has update templates. *)
+let corrs_of (p : Profile.t) =
+  if not (List.mem "update" (Profile.ops p)) then []
+  else begin
+    let srv = Server.create () in
+    let send req =
+      Server.handle_line srv (Json.to_string (Protocol.to_json { Protocol.id = None; req }))
+    in
+    List.map
+      (fun c ->
+        ignore (send c.Profile.c_register);
+        match
+          Result.bind (Json.of_string (send (Protocol.Match { corpus = c.Profile.c_name })))
+            Sampler.correspondences
+        with
+        | Ok paths -> (c.Profile.c_name, paths)
+        | Error e -> Alcotest.failf "%s: %s" c.Profile.c_name e)
+      p.Profile.p_corpora
+  end
+
+let stream_digest p ~corrs stream =
+  let s = Sampler.create ~stream ~corrs p in
+  let buf = Buffer.create 65536 in
+  let gap () =
+    match Profile.target_rps p with
+    | None -> ()
+    | Some rps ->
+      let rate = rps /. float_of_int (Profile.clients p) in
+      Buffer.add_string buf (Int64.to_string (Int64.bits_of_float (Sampler.interarrival s ~rps:rate)))
+  in
+  for id = 1 to 500 do
+    gap ();
+    let line =
+      Json.to_string (Protocol.to_json { Protocol.id = Some (Json.Int id); req = Sampler.next s })
+    in
+    Buffer.add_string buf line;
+    Buffer.add_char buf '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_committed_traffic_pinned () =
+  List.iter
+    (fun (id, pins) ->
+      match Profile.load (Printf.sprintf "../bench/profiles/%s.json" id) with
+      | Error e -> Alcotest.failf "%s rejected: %s" id e
+      | Ok p ->
+        Alcotest.(check int) (id ^ " client streams") (List.length pins) (Profile.clients p);
+        let corrs = corrs_of p in
+        List.iteri
+          (fun stream pin ->
+            Alcotest.(check string) (Printf.sprintf "%s stream %d" id stream) pin
+              (stream_digest p ~corrs stream))
+          pins)
+    traffic_pins
+
+let encode req = Protocol.to_json { Protocol.id = None; req }
+
 let test_sampler_deterministic () =
   let p = profile_exn base_profile in
   let draw stream n =
-    let s = Sampler.create ~stream p in
+    let s = Sampler.create ~stream ~corrs:[] p in
     List.init n (fun _ ->
         let rq = Sampler.next s in
-        (Json.to_string rq.Sampler.rq_body, Sampler.interarrival s ~rps:50.0))
+        (Json.to_string (encode rq), Sampler.interarrival s ~rps:50.0))
   in
   (* The satellite guarantee: equal (seed, stream) → equal request and
      inter-arrival streams, byte for byte. *)
@@ -162,10 +239,8 @@ let test_sampler_deterministic () =
   in
   (match reseeded with
   | Ok p' ->
-    let s' = Sampler.create ~stream:0 p' in
-    let other =
-      List.init 200 (fun _ -> Json.to_string (Sampler.next s').Sampler.rq_body)
-    in
+    let s' = Sampler.create ~stream:0 ~corrs:[] p' in
+    let other = List.init 200 (fun _ -> Json.to_string (encode (Sampler.next s'))) in
     Alcotest.(check bool) "different seed diverges" false (List.map fst (draw 0 200) = other)
   | Error e -> Alcotest.failf "reseeded profile rejected: %s" e);
   List.iter
@@ -176,14 +251,14 @@ let test_sampler_deterministic () =
 
 let test_sampler_zipf_popularity () =
   let p = profile_exn base_profile in
-  let s = Sampler.create p in
+  let s = Sampler.create ~corrs:[] p in
   let counts = Hashtbl.create 4 in
   let total = 3000 in
   for _ = 1 to total do
-    let rq = Sampler.next s in
-    if rq.Sampler.rq_corpus <> "" then
-      Hashtbl.replace counts rq.Sampler.rq_corpus
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts rq.Sampler.rq_corpus))
+    match Json.member "corpus" (encode (Sampler.next s)) with
+    | Some (Json.String c) ->
+      Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c))
+    | _ -> ()
   done;
   let count c = Option.value ~default:0 (Hashtbl.find_opt counts c) in
   (* zipf_s = 1.0 over two corpora: rank 1 gets 2/3 of the corpus-targeted
@@ -198,19 +273,18 @@ let test_sampler_zipf_popularity () =
 
 let test_sampler_request_shapes () =
   let p = profile_exn base_profile in
-  let s = Sampler.create p in
+  let s = Sampler.create ~corrs:[] p in
   for _ = 1 to 100 do
     let rq = Sampler.next s in
-    match rq.Sampler.rq_op with
-    | "ping" -> Alcotest.(check string) "ping has no corpus" "" rq.Sampler.rq_corpus
+    let body = encode rq in
+    match Protocol.op_name rq with
+    | "ping" -> Alcotest.(check bool) "ping has no corpus" true (Json.member "corpus" body = None)
     | "mappings" | "query" | "query_topk" -> (
-      Alcotest.(check bool) "corpus-targeted" true (rq.Sampler.rq_corpus <> "");
-      Alcotest.(check bool) "body names the corpus" true
-        (Json.member "corpus" rq.Sampler.rq_body = Some (Json.String rq.Sampler.rq_corpus));
-      match rq.Sampler.rq_op with
+      Alcotest.(check bool) "body names a profile corpus" true
+        (List.mem (Json.member "corpus" body) [ Some (Json.String "a"); Some (Json.String "b") ]);
+      match Protocol.op_name rq with
       | "query_topk" ->
-        Alcotest.(check bool) "topk carries k" true
-          (Json.member "k" rq.Sampler.rq_body <> None)
+        Alcotest.(check bool) "topk carries k" true (Json.member "k" body <> None)
       | _ -> ())
     | op -> Alcotest.failf "unexpected sampled op %S" op
   done
@@ -359,31 +433,28 @@ let test_ab_pick () =
 
 let start_server () =
   let srv = Server.create ~cache_entries:16 () in
-  let port = ref 0 in
+  let bound = ref [] in
   let m = Locks.create ~name:"test.loadgen.ready" ~rank:Locks.rank_latch in
-  let cond = Locks.cond () and up = ref false in
+  let cond = Locks.cond () in
   let th =
     Thread.create
       (fun () ->
         Server.serve
-          ~ready:(fun addrs ->
+          ~ready:(fun endpoints ->
             Locks.lock m;
-            (match addrs with
-            | [ Unix.ADDR_INET (_, p) ] -> port := p
-            | _ -> ());
-            up := true;
+            bound := endpoints;
             Locks.signal cond;
             Locks.unlock m)
           srv
-          [ Server.Tcp ("127.0.0.1", 0) ])
+          [ Client.Tcp ("127.0.0.1", 0) ])
       ()
   in
   Locks.lock m;
-  while not !up do
+  while !bound = [] do
     Locks.wait cond m
   done;
   Locks.unlock m;
-  (srv, !port, th)
+  (srv, List.hd !bound, th)
 
 let runner_profile arrival =
   Printf.sprintf
@@ -391,8 +462,9 @@ let runner_profile arrival =
       "id": "e2e",
       "corpora": [ { "name": "c1", "dataset": "D1" } ],
       "templates": [
-        { "op": "query", "pattern": "Order//LineNo", "h": 5, "tau": 0.2, "weight": 2.0 },
+        { "op": "query", "query": "Order//LineNo", "h": 5, "tau": 0.2, "weight": 2.0 },
         { "op": "mappings", "h": 5 },
+        { "op": "update", "corrs": 2, "weight": 0.5 },
         { "op": "ping" }
       ],
       "arrival": %s,
@@ -405,8 +477,8 @@ let runner_profile arrival =
 
 let run_e2e arrival =
   let p = profile_exn (runner_profile arrival) in
-  let srv, port, th = start_server () in
-  let result = Runner.run p (Runner.Tcp ("127.0.0.1", port)) in
+  let srv, endpoint, th = start_server () in
+  let result = Runner.run p endpoint in
   Server.request_stop srv;
   Thread.join th;
   match result with
@@ -475,7 +547,7 @@ let test_runner_open_loop () =
 let test_runner_connection_refused () =
   let p = profile_exn (runner_profile {|{ "mode": "closed", "clients": 1 }|}) in
   (* Port 1 on localhost: nothing listens there. *)
-  match Runner.run p (Runner.Tcp ("127.0.0.1", 1)) with
+  match Runner.run p (Client.Tcp ("127.0.0.1", 1)) with
   | Ok _ -> Alcotest.fail "connecting to a dead port must fail"
   | Error e -> Alcotest.(check bool) "error mentions the failure" true (String.length e > 0)
 
@@ -484,6 +556,7 @@ let suite =
     Alcotest.test_case "profile JSON round-trip" `Quick test_profile_roundtrip;
     Alcotest.test_case "profile validation names bad fields" `Quick test_profile_validation;
     Alcotest.test_case "committed profiles load" `Quick test_committed_profiles_load;
+    Alcotest.test_case "committed profiles' traffic pinned" `Quick test_committed_traffic_pinned;
     Alcotest.test_case "sampler: equal seeds, equal streams" `Quick test_sampler_deterministic;
     Alcotest.test_case "sampler: zipfian corpus popularity" `Quick test_sampler_zipf_popularity;
     Alcotest.test_case "sampler: request shapes" `Quick test_sampler_request_shapes;

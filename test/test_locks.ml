@@ -238,7 +238,7 @@ let test_server_stress_witness_raise () =
   Locks.reset_violations ();
   Test_server.run_stress "witness-raise"
     ~exec:(Executor.domains 4)
-    [ Test_server.Server.Tcp ("127.0.0.1", 0) ];
+    [ Uxsm_server.Client.Tcp ("127.0.0.1", 0) ];
   Alcotest.(check int) "zero order violations under stress" 0 (Locks.violations ())
 
 (* --------------------------- properties ---------------------------- *)

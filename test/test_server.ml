@@ -16,6 +16,7 @@ module Lru = Uxsm_server.Lru
 module Protocol = Uxsm_server.Protocol
 module Catalog = Uxsm_server.Catalog
 module Server = Uxsm_server.Server
+module Client = Uxsm_server.Client
 
 (* ------------------------------- LRU ------------------------------ *)
 
@@ -192,6 +193,7 @@ let test_protocol_round_trip () =
       in
       Alcotest.(check string) "op survives" (Protocol.op_name env.Protocol.req)
         (Protocol.op_name env'.Protocol.req);
+      Alcotest.(check bool) "request survives" true (env.Protocol.req = env'.Protocol.req);
       Alcotest.(check bool) "id survives" true (env.Protocol.id = env'.Protocol.id))
     [
       {|{"op":"ping"}|};
@@ -200,8 +202,11 @@ let test_protocol_round_trip () =
       {|{"op":"mappings","corpus":"x","h":12}|};
       {|{"op":"query","corpus":"x","query":"a//b","h":5,"tau":0.3,"id":[1,2]}|};
       {|{"op":"query_topk","corpus":"x","query":"a","k":2}|};
+      {|{"op":"query","corpus":"x","query":"a","k":4,"evaluator":"tree"}|};
       {|{"op":"explain","corpus":"x","query":"a/b"}|};
+      {|{"op":"explain","corpus":"x","query":"a/b","h":7,"k":3,"evaluator":"basic"}|};
       {|{"op":"save","corpus":"x","h":9}|};
+      {|{"op":"save","corpus":"x","h":9,"path":"ignored"}|};
       {|{"op":"stats"}|};
       {|{"op":"shutdown","id":null}|};
     ]
@@ -725,6 +730,32 @@ let test_query_evaluator_field () =
 let test_explain_carries_plan () =
   let srv = Server.create ~cache_entries:16 () in
   assert_ok "register" (response_of_line srv (register_line "fig3"));
+  (* explain reads k and evaluator as query_topk does: the forced top-k
+     plan is the one explained, and a bad evaluator is refused. *)
+  let forced =
+    response_of_line srv
+      {|{"op":"explain","corpus":"fig3","query":"//IP//ICN","h":5,"evaluator":"basic","k":2}|}
+  in
+  assert_ok "forced top-k explain" forced;
+  (match Json.member "plan" forced with
+  | Some plan ->
+    let field name = Option.bind (Json.member name plan) Json.to_string_opt in
+    Alcotest.(check (option string)) "forced evaluator" (Some "per_mapping") (field "evaluator");
+    Alcotest.(check (option string)) "forced reason" (Some "forced") (field "reason");
+    Alcotest.(check bool) "top-k pruning planned" true
+      (match Json.member "ops" plan with
+      | Some (Json.List ops) -> List.mem (Json.String "topk_prune(2)") ops
+      | _ -> false)
+  | None -> Alcotest.failf "explain reply carries no plan: %s" (Json.to_string forced));
+  let bogus =
+    response_of_line srv
+      {|{"op":"explain","corpus":"fig3","query":"//IP//ICN","h":5,"evaluator":"bogus"}|}
+  in
+  assert_error "unknown evaluator" bogus;
+  Alcotest.(check bool) "error names the evaluator field" true
+    (match Json.member "error" bogus with
+    | Some (Json.String e) -> contains ~needle:{|explain: field "evaluator"|} e
+    | _ -> false);
   let ex = response_of_line srv {|{"op":"explain","corpus":"fig3","query":"//IP//ICN","h":5}|} in
   assert_ok "explain" ex;
   match Json.member "plan" ex with
@@ -737,6 +768,23 @@ let test_explain_carries_plan () =
     | Some (Json.List ops) -> Alcotest.(check bool) "plan lists its ops" true (List.length ops >= 5)
     | _ -> Alcotest.fail "plan carries no ops")
   | None -> Alcotest.failf "explain reply carries no plan: %s" (Json.to_string ex)
+
+(* A save answers with the mapping-set text and writes no file, whatever
+   path a request names. *)
+let test_save_writes_no_file () =
+  let srv = Server.create ~cache_entries:16 () in
+  assert_ok "register" (response_of_line srv (register_line "fig3"));
+  let path = Filename.temp_file "uxsm_save" ".mappings" in
+  Sys.remove path;
+  let save =
+    response_of_line srv
+      (Printf.sprintf {|{"op":"save","corpus":"fig3","h":5,"path":%s}|}
+         (Json.to_string (Json.String path)))
+  in
+  assert_ok "save" save;
+  Alcotest.(check bool) "the named path stays absent" false (Sys.file_exists path);
+  Alcotest.(check bool) "the reply carries the text" true
+    (Option.bind (Json.member "text" save) Json.to_string_opt <> None)
 
 (* --------------------------- batching ----------------------------- *)
 
@@ -891,28 +939,32 @@ let start_server ?(max_queue = 256) ?exec ?(corpora = [ "corpA"; "corpB" ]) endp
   Locks.unlock m;
   (srv, !addrs, th)
 
-let connect addr =
-  let fd =
-    match addr with
-    | Unix.ADDR_UNIX _ -> Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0
-    | Unix.ADDR_INET _ -> Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0
-  in
-  Unix.connect fd addr;
-  fd
+let connect endpoint =
+  match Client.connect endpoint with
+  | Ok conn -> conn
+  | Error e -> Alcotest.failf "connect: %s" e
 
-let send_lines fd lines =
-  let oc = Unix.out_channel_of_descr fd in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    lines;
-  flush oc
+let send_lines conn lines =
+  match Client.send conn lines with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "send: %s" e
 
-let exchange fd lines =
-  send_lines fd lines;
-  let ic = Unix.in_channel_of_descr fd in
-  List.map (fun _ -> input_line ic) lines
+(* The next reply line; [None] once the server closed the connection. *)
+let recv_line conn =
+  match Client.recv conn with
+  | Client.Line l -> Some l
+  | Client.Closed -> None
+  | Client.Timeout -> Alcotest.fail "recv timed out"
+  | Client.Failed e -> Alcotest.failf "recv: %s" e
+
+let exchange conn lines =
+  send_lines conn lines;
+  List.map
+    (fun _ ->
+      match recv_line conn with
+      | Some l -> l
+      | None -> Alcotest.fail "server closed the connection early")
+    lines
 
 let parse_reply what line =
   match Json.of_string line with
@@ -942,16 +994,16 @@ let run_stress what ~exec endpoints =
     List.init n_clients (fun ci ->
         Thread.create
           (fun () ->
-            let fd = connect addr in
-            results.(ci) <- exchange fd (requests ci);
-            Unix.close fd)
+            let conn = connect addr in
+            results.(ci) <- exchange conn (requests ci);
+            Client.close conn)
           ())
   in
   List.iter Thread.join clients;
   (* Live stats, taken while the service is still up. *)
-  let fd = connect addr in
-  let stats = parse_reply "stats" (List.hd (exchange fd [ {|{"op":"stats"}|} ])) in
-  Unix.close fd;
+  let conn = connect addr in
+  let stats = parse_reply "stats" (List.hd (exchange conn [ {|{"op":"stats"}|} ])) in
+  Client.close conn;
   Server.request_stop srv;
   Thread.join th;
   (* Differential: a fresh sequential server answering the same scripts. *)
@@ -997,12 +1049,12 @@ let run_stress what ~exec endpoints =
   | None -> Alcotest.failf "%s: stats carries no server section" what
 
 let test_tcp_stress () =
-  run_stress "tcp" ~exec:(Executor.domains 3) [ Server.Tcp ("127.0.0.1", 0) ]
+  run_stress "tcp" ~exec:(Executor.domains 3) [ Client.Tcp ("127.0.0.1", 0) ]
 
 let test_unix_stress () =
   let path = Filename.temp_file "uxsm_srv" ".sock" in
   Sys.remove path;
-  run_stress "unix" ~exec:Executor.sequential [ Server.Unix_socket path ];
+  run_stress "unix" ~exec:Executor.sequential [ Client.Unix_socket path ];
   Alcotest.(check bool) "socket file removed on drain" false (Sys.file_exists path)
 
 (* Graceful drain under load: stop lands while clients are mid-flood.
@@ -1018,7 +1070,7 @@ let test_drain_mid_load () =
   let srv, addrs, th =
     start_server
       ~max_queue:(n_clients * (warmup + flood))
-      ~corpora:[] [ Server.Tcp ("127.0.0.1", 0) ]
+      ~corpora:[] [ Client.Tcp ("127.0.0.1", 0) ]
   in
   let addr = List.hd addrs in
   let warmed = Atomic.make 0 in
@@ -1027,20 +1079,19 @@ let test_drain_mid_load () =
     List.init n_clients (fun ci ->
         Thread.create
           (fun () ->
-            let fd = connect addr in
+            let conn = connect addr in
             let ping j = Printf.sprintf {|{"op":"ping","id":"d%d-%d"}|} ci j in
-            let first = exchange fd (List.init warmup ping) in
+            let first = exchange conn (List.init warmup ping) in
             List.iter (fun r -> assert_ok "warmup ping" (parse_reply "warmup" r)) first;
             Atomic.incr warmed;
-            send_lines fd (List.init flood (fun j -> ping (warmup + j)));
-            let ic = Unix.in_channel_of_descr fd in
+            send_lines conn (List.init flood (fun j -> ping (warmup + j)));
             let rec drain acc =
-              match input_line ic with
-              | l -> drain (l :: acc)
-              | exception End_of_file -> List.rev acc
+              match recv_line conn with
+              | Some l -> drain (l :: acc)
+              | None -> List.rev acc
             in
             results.(ci) <- drain [];
-            Unix.close fd)
+            Client.close conn)
           ())
   in
   while Atomic.get warmed < n_clients do
@@ -1070,7 +1121,7 @@ let test_drain_mid_load () =
    one reply, correlated by id. *)
 let test_admission_overload () =
   Obs.reset ();
-  let srv, addrs, th = start_server ~max_queue:1 ~corpora:[] [ Server.Tcp ("127.0.0.1", 0) ] in
+  let srv, addrs, th = start_server ~max_queue:1 ~corpora:[] [ Client.Tcp ("127.0.0.1", 0) ] in
   let addr = List.hd addrs in
   let flood = 200 in
   let lines =
@@ -1078,9 +1129,9 @@ let test_admission_overload () =
       (Json.to_string (Json.String fig3_text))
     :: List.init flood (fun j -> Printf.sprintf {|{"op":"ping","id":"f-%d"}|} j)
   in
-  let fd = connect addr in
-  let replies = List.map (parse_reply "overload reply") (exchange fd lines) in
-  Unix.close fd;
+  let conn = connect addr in
+  let replies = List.map (parse_reply "overload reply") (exchange conn lines) in
+  Client.close conn;
   let reg, pings = List.partition (fun j -> id_of j = {|"reg"|}) replies in
   (match reg with
   | [ r ] -> assert_ok "the admitted register" r
@@ -1095,10 +1146,10 @@ let test_admission_overload () =
   let ids = List.sort_uniq String.compare (List.map id_of pings) in
   Alcotest.(check int) "ids all distinct and echoed" flood (List.length ids);
   (* The service recovers once the queue drains. *)
-  let fd = connect addr in
-  let after = parse_reply "after" (List.hd (exchange fd [ {|{"op":"ping","id":"after"}|} ])) in
+  let conn = connect addr in
+  let after = parse_reply "after" (List.hd (exchange conn [ {|{"op":"ping","id":"after"}|} ])) in
   assert_ok "post-overload ping served" after;
-  Unix.close fd;
+  Client.close conn;
   Server.request_stop srv;
   Thread.join th;
   Alcotest.(check bool) "rejections counted" true
@@ -1108,27 +1159,71 @@ let test_admission_overload () =
    newline; the connection stays open, blank lines stay unanswered, and
    the next request is served. *)
 let test_overlong_line () =
-  let srv, addrs, th = start_server ~corpora:[] [ Server.Tcp ("127.0.0.1", 0) ] in
-  let fd = connect (List.hd addrs) in
-  let oc = Unix.out_channel_of_descr fd in
-  output_string oc (String.make (Server.max_line_bytes + 1) 'x');
-  output_string oc "\n\n";
-  output_string oc {|{"op":"ping","id":"after"}|};
-  output_char oc '\n';
-  flush oc;
-  let ic = Unix.in_channel_of_descr fd in
-  let err = parse_reply "over-long line" (input_line ic) in
+  let srv, addrs, th = start_server ~corpora:[] [ Client.Tcp ("127.0.0.1", 0) ] in
+  let conn = connect (List.hd addrs) in
+  let err, pong =
+    match
+      exchange conn [ String.make (Server.max_line_bytes + 1) 'x' ^ "\n"; {|{"op":"ping","id":"after"}|} ]
+    with
+    | [ err; pong ] -> (err, pong)
+    | _ -> Alcotest.fail "expected two replies"
+  in
+  let err = parse_reply "over-long line" err in
   assert_error "over-long line" err;
   (match Json.member "error" err with
   | Some (Json.String msg) ->
     Alcotest.(check bool) "error says the line is too long" true (contains ~needle:"exceeds" msg)
   | _ -> ());
-  let pong = parse_reply "ping" (input_line ic) in
+  let pong = parse_reply "ping" pong in
   assert_ok "ping after the over-long line" pong;
   Alcotest.(check string) "the ping's own reply" {|"after"|} (id_of pong);
-  Unix.close fd;
+  Client.close conn;
   Server.request_stop srv;
   Thread.join th
+
+(* A peer that sends more than the line limit without a newline: the
+   client reports the over-long reply once its partial line would pass
+   the limit, holds no more than that, drops the rest of the line and
+   reads the next one. *)
+let test_client_overlong_reply () =
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 1;
+  let port =
+    match Unix.getsockname listener with
+    | Unix.ADDR_INET (_, port) -> port
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "not a TCP listener"
+  in
+  let flagged = Atomic.make false and finished = Atomic.make false in
+  let await flag =
+    while not (Atomic.get flag) do
+      Thread.delay 0.005
+    done
+  in
+  let peer =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept listener in
+        Client.write_all fd (String.make (Protocol.max_line_bytes + 1) 'x');
+        await flagged;
+        Client.write_all fd "tail\n{\"ok\":true}\n";
+        await finished;
+        Unix.close fd)
+      ()
+  in
+  let conn = connect (Client.Tcp ("127.0.0.1", port)) in
+  (match Client.recv ~timeout:60.0 conn with
+  | Client.Failed e -> Alcotest.(check bool) "error says the line is too long" true (contains ~needle:"exceeds" e)
+  | Client.Line _ | Client.Timeout | Client.Closed -> Alcotest.fail "expected the over-long error");
+  Alcotest.(check bool) "the connection holds less than the limit" true
+    (Obj.reachable_words (Obj.repr conn) * (Sys.word_size / 8) < Protocol.max_line_bytes);
+  Atomic.set flagged true;
+  Alcotest.(check (option string)) "the next line is read" (Some {|{"ok":true}|}) (recv_line conn);
+  Atomic.set finished true;
+  Thread.join peer;
+  Alcotest.(check (option string)) "then the close" None (recv_line conn);
+  Client.close conn;
+  Unix.close listener
 
 (* The stdio transport frames lines like the socket reader: an over-long
    line gets one error and is dropped through its newline, the blank line
@@ -1348,6 +1443,7 @@ let suite =
     Alcotest.test_case "eviction rebuilds, answers unchanged" `Quick test_cache_eviction_rebuilds;
     Alcotest.test_case "evaluator field on query/query_topk" `Quick test_query_evaluator_field;
     Alcotest.test_case "explain replies carry the plan" `Quick test_explain_carries_plan;
+    Alcotest.test_case "save writes no file a request names" `Quick test_save_writes_no_file;
     Alcotest.test_case "pipelined batches across backends" `Quick test_handle_lines_batching;
     Alcotest.test_case "stdio transport drains on shutdown" `Quick test_serve_channels;
     Alcotest.test_case "stdio over-long line: one error, next served" `Quick
@@ -1364,6 +1460,8 @@ let suite =
     Alcotest.test_case "bounded admission queue rejects with overloaded" `Quick
       test_admission_overload;
     Alcotest.test_case "over-long line: one error, connection kept" `Quick test_overlong_line;
+    Alcotest.test_case "client: over-long reply is an error, bounded" `Quick
+      test_client_overlong_reply;
     Alcotest.test_case "D7 move/restore update stream pinned" `Quick
       test_d7_update_stream_pinned;
     Alcotest.test_case "D7 move/restore: mappings reused, tree validates" `Quick
