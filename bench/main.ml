@@ -19,6 +19,8 @@ module Gen_doc = Uxsm_workload.Gen_doc
 module Queries = Uxsm_workload.Queries
 module Json = Uxsm_util.Json
 module Executor = Uxsm_exec.Executor
+module Protocol = Uxsm_server.Protocol
+module Catalog = Uxsm_server.Catalog
 
 (* Execution backend for the parallelized sites (PTQ contexts, partitioned
    ranking), set once from --jobs before any experiment runs. *)
@@ -28,15 +30,29 @@ let exec = ref Executor.sequential
 let float_list xs = Json.List (List.map (fun x -> Json.Float x) xs)
 let int_list xs = Json.List (List.map (fun x -> Json.Int x) xs)
 
-(* Shared, lazily-built state: D7's mapping sets (memoized by Dataset),
-   document and contexts. *)
+(* One catalog, the server's, holds every matching, mapping set and the
+   D7 document the experiments read. It is created on first use, after
+   --jobs has set [exec], and registers each Table II dataset under its id
+   the first time an experiment asks for it. *)
+let catalog = lazy (Catalog.create ~exec:!exec ())
 
-let d7_mset h = Dataset.mapping_set ~h Dataset.d7
+let ok = function Ok x -> x | Error e -> failwith e
 
-let d7_doc =
-  lazy (Gen_doc.generate (Matching.source (Dataset.matching Dataset.d7)))
+let corpus (d : Dataset.t) =
+  let cat = Lazy.force catalog in
+  if not (List.mem_assoc d.id (Catalog.corpora cat)) then
+    ignore
+      (ok
+         (Catalog.register cat ~name:d.id ~doc_seed:Gen_doc.default_seed
+            (Protocol.From_dataset (d, Dataset.default_seed))));
+  cat
 
-let context ?tree h = Ptq.context ~exec:!exec ?tree ~mset:(d7_mset h) ~doc:(Lazy.force d7_doc) ()
+let matching (d : Dataset.t) = ok (Catalog.matching (corpus d) d.id)
+let mapping_set ~h (d : Dataset.t) = ok (Catalog.mapping_set (corpus d) d.id ~h)
+let d7_mset h = mapping_set ~h Dataset.d7
+let d7_doc () = ok (Catalog.doc (corpus Dataset.d7) Dataset.d7.id)
+
+let context ?tree h = Ptq.context ~exec:!exec ?tree ~mset:(d7_mset h) ~doc:(d7_doc ()) ()
 
 let ms t = t *. 1000.0
 
@@ -49,8 +65,8 @@ let table2 () =
     "o-ratio" "(paper)";
   List.iter
     (fun (d : Dataset.t) ->
-      let m = Dataset.matching d in
-      let mset = Dataset.mapping_set ~h:100 d in
+      let m = matching d in
+      let mset = mapping_set ~h:100 d in
       Harness.row "%-4s %-8s %5d %-8s %5d %-4s %5d %8.2f %8.2f" d.id
         (Standards.style_name d.source)
         (Schema.size (Matching.source m))
@@ -138,7 +154,7 @@ let fig9d () =
   List.iter
     (fun (d : Dataset.t) ->
       let time h =
-        let mset = Dataset.mapping_set ~h d in
+        let mset = mapping_set ~h d in
         Harness.seconds_per_run ~name:(d.id ^ "-tc")
           (fun () -> build_and_compress mset)
       in
@@ -276,7 +292,7 @@ let fig10e () =
   Harness.row "%-4s %12s %12s %12s %11s" "ID" "murty" "partition" "#partitions" "improvement";
   List.iter
     (fun (d : Dataset.t) ->
-      let g = Matching.to_bipartite (Dataset.matching d) in
+      let g = Matching.to_bipartite (matching d) in
       let n_parts = List.length (Partition.components g) in
       let tm =
         Harness.seconds_per_run ~quota:1.0 ~name:(d.id ^ "-murty")
@@ -295,7 +311,7 @@ let fig10e () =
 
 let fig10f () =
   Harness.section "fig10f" "Tg vs h on D1: murty vs partition";
-  let g = Matching.to_bipartite (Dataset.matching (Option.get (Dataset.find "D1"))) in
+  let g = Matching.to_bipartite (matching (Option.get (Dataset.find "D1"))) in
   Harness.row "%6s %12s %12s %12s" "h" "murty" "partition" "improvement";
   List.iter
     (fun h ->
@@ -394,7 +410,7 @@ let abl_update () =
   Harness.row "%-4s %5s %10s %12s %12s %9s" "ID" "comps" "reranked" "full" "incr" "speedup";
   List.iter
     (fun (d : Dataset.t) ->
-      let u = Dataset.matching ~exec:!exec d in
+      let u = matching d in
       let src = Matching.source u and tgt = Matching.target u in
       let comps = Partition.components (Matching.to_bipartite u) in
       (* A single-component delta: re-score the first edge of the median
@@ -456,8 +472,6 @@ let abl_update () =
 
 let abl_serve () =
   let module Server = Uxsm_server.Server in
-  let module Protocol = Uxsm_server.Protocol in
-  let module Catalog = Uxsm_server.Catalog in
   let module Client = Uxsm_server.Client in
   Harness.section "abl_serve"
     "ABLATION: concurrent TCP service vs sequential dispatch of the same load";

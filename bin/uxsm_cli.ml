@@ -105,11 +105,53 @@ let datasets_cmd =
   in
   Cmd.v (Cmd.info "datasets" ~doc:"List the Table II matching datasets.") Term.(const run $ const ())
 
+(* ------------------------ catalog-backed corpora ------------------- *)
+
+let write_file path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc
+
+let read_file path =
+  let ic = open_in path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
+(* Every dataset command assembles its corpus the way the server does: an
+   in-process catalog with the dataset (or a saved mapping set) registered
+   under one name, from which it takes matching, mapping set, block tree,
+   document and plan. A catalog error (an unreadable mapping file, a
+   malformed pattern) ends the command with one line on stderr and exit
+   code 1. *)
+let cli_corpus = "cli"
+
+let die msg =
+  Printf.eprintf "uxsm: %s\n" msg;
+  exit 1
+
+let or_die = function Ok x -> x | Error e -> die e
+
+let open_corpus ?mappings ~exec ~seed d =
+  let spec =
+    match mappings with
+    | None -> Protocol.From_dataset (d, seed)
+    | Some path -> (
+      match read_file path with
+      | text -> Protocol.From_mapping_set_text text
+      | exception Sys_error e -> die e)
+  in
+  let cat = Catalog.create ~exec () in
+  ignore (or_die (Catalog.register cat ~name:cli_corpus ~doc_seed:Gen_doc.default_seed spec));
+  cat
+
 (* ------------------------------- match ---------------------------- *)
 
 let match_cmd =
   let run d seed jobs =
-    let m = Dataset.matching ~seed ~exec:(Executor.of_jobs jobs) d in
+    let cat = open_corpus ~exec:(Executor.of_jobs jobs) ~seed d in
+    let m = or_die (Catalog.matching cat cli_corpus) in
     let source = Matching.source m and target = Matching.target m in
     List.iter
       (fun (c : Matching.corr) ->
@@ -124,22 +166,11 @@ let match_cmd =
 
 (* ------------------------------ mappings -------------------------- *)
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let mappings_cmd =
   let run d seed h jobs verbose save =
+    let cat = open_corpus ~exec:(Executor.of_jobs jobs) ~seed d in
     let t0 = Uxsm_util.Timing.now_mono () in
-    let mset = Dataset.mapping_set ~seed ~exec:(Executor.of_jobs jobs) ~h d in
+    let mset = or_die (Catalog.mapping_set cat cli_corpus ~h) in
     Printf.printf "derived %d mappings in %.3fs; average o-ratio %.3f\n"
       (Mapping_set.size mset)
       (Uxsm_util.Timing.now_mono () -. t0)
@@ -177,7 +208,10 @@ let mappings_cmd =
 
 let blocktree_cmd =
   let run d seed h tau max_b max_f verbose =
-    let mset = Dataset.mapping_set ~seed ~h d in
+    let cat = open_corpus ~exec:Executor.sequential ~seed d in
+    let mset = or_die (Catalog.mapping_set cat cli_corpus ~h) in
+    (* Built by hand rather than through the catalog, which builds only
+       with the default MAX_B and MAX_F. *)
     let t0 = Uxsm_util.Timing.now_mono () in
     let tree = Block_tree.build ~params:{ Block_tree.tau; max_b; max_f } mset in
     Printf.printf "built in %.3fs\n%s\n" (Uxsm_util.Timing.now_mono () -. t0)
@@ -204,35 +238,6 @@ let blocktree_cmd =
   Cmd.v
     (Cmd.info "blocktree" ~doc:"Build and validate the block tree of a dataset's mapping set.")
     Term.(const run $ dataset_pos $ seed_arg $ h_arg $ tau_arg $ max_b $ max_f $ verbose)
-
-(* ------------------------ catalog-backed corpora ------------------- *)
-
-(* [query], [stats], [analyze] and [keyword] assemble their corpus the way
-   the server does: an in-process catalog with the dataset (or a saved
-   mapping set) registered under one name, from which they take mapping
-   set, block tree, document and plan. A catalog error (an unreadable
-   mapping file, a malformed pattern) ends the command with one line on
-   stderr and exit code 1. *)
-let cli_corpus = "cli"
-
-let die msg =
-  Printf.eprintf "uxsm: %s\n" msg;
-  exit 1
-
-let or_die = function Ok x -> x | Error e -> die e
-
-let open_corpus ?mappings ~exec ~seed d =
-  let spec =
-    match mappings with
-    | None -> Protocol.From_dataset (d, seed)
-    | Some path -> (
-      match read_file path with
-      | text -> Protocol.From_mapping_set_text text
-      | exception Sys_error e -> die e)
-  in
-  let cat = Catalog.create ~exec () in
-  ignore (or_die (Catalog.register cat ~name:cli_corpus ~doc_seed:Gen_doc.default_seed spec));
-  cat
 
 (* ---------------------------- query / stats ------------------------ *)
 

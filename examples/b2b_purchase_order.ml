@@ -29,7 +29,7 @@ let () =
     (Schema.size (Matching.source matching))
     (Schema.size (Matching.target matching));
 
-  let mset = Dataset.mapping_set ~h:100 d7 in
+  let mset = Mapping_set.generate ~h:100 matching in
   Printf.printf "  top-100 possible mappings, o-ratio %.2f\n%!"
     (Mapping_set.average_o_ratio mset);
 

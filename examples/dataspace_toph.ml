@@ -37,7 +37,7 @@ let () =
 
   (* Show what the generated uncertainty actually looks like on D1. *)
   let d1 = Option.get (Dataset.find "D1") in
-  let mset = Dataset.mapping_set ~h:5 d1 in
+  let mset = Mapping_set.generate ~h:5 (Dataset.matching d1) in
   let source = Mapping_set.source mset and target = Mapping_set.target mset in
   Printf.printf "\ntop-5 mappings of %s (Excel -> Noris):\n" d1.id;
   List.iteri

@@ -19,7 +19,7 @@ module Resolve = Uxsm_ptq.Resolve
 module Rewrite = Uxsm_ptq.Rewrite
 
 let () =
-  let mset = Dataset.mapping_set ~h:8 Dataset.d7 in
+  let mset = Mapping_set.generate ~h:8 (Dataset.matching Dataset.d7) in
   let source = Mapping_set.source mset and target = Mapping_set.target mset in
   let q = Queries.q 1 in
   Printf.printf "target query (on Apertum): %s\n\n" (Pattern.to_string q);

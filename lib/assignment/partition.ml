@@ -228,7 +228,6 @@ let rank_components ~exec ~h ~cache ~reuse g =
   let misses = List.filter_map (function c, None -> Some c | _ -> None) tagged in
   let miss_edges = List.fold_left (fun acc c -> acc + List.length c.edges) 0 misses in
   let cost_hint = float_of_int h *. float_of_int miss_edges in
-  (* lint: allow blocking-under-lock — reachable under Dataset's memo locks; the fan-out never blocks on the pool (try_lock or sequential fallback) and the jobs are pure compute, so the hold is bounded by the ranking work itself *)
   let fresh = Uxsm_exec.Executor.map_list ~cost_hint exec (local_top ~h) misses in
   let rec stitch tagged fresh =
     match (tagged, fresh) with

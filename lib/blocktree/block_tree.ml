@@ -314,7 +314,6 @@ let update ~old mset' =
 let caps_hit t = t.caps_hit
 
 let mapping_set t = t.mset
-let params t = t.prms
 let threshold t = t.threshold
 let blocks_at t y = t.nodes.(y)
 let lookup_path t p = Hashtbl.find_opt t.hash p
@@ -377,25 +376,6 @@ let node_stats t y =
     let n = List.length bs in
     let total = List.fold_left (fun acc b -> acc + Block.n_mappings b) 0 bs in
     { ns_blocks = n; ns_mean_mappings = float_of_int total /. float_of_int n }
-
-type stats = {
-  st_blocks : int;
-  st_mean_mappings : float;
-  st_threshold : int;
-  st_mappings : int;
-}
-
-let stats t =
-  let bs = all_blocks t in
-  let n = List.length bs in
-  let total = List.fold_left (fun acc (b : Block.t) -> acc + Block.n_mappings b) 0 bs in
-  {
-    st_blocks = n;
-    st_mean_mappings =
-      (if n = 0 then 0.0 else float_of_int total /. float_of_int n);
-    st_threshold = t.threshold;
-    st_mappings = Mapping_set.size t.mset;
-  }
 
 let storage_bytes t =
   let block_bytes (b : Block.t) = 16 + (8 * Block.n_corrs b) + (4 * Block.n_mappings b) in

@@ -50,7 +50,6 @@ val caps_hit : t -> bool
     back to a full rebuild). *)
 
 val mapping_set : t -> Uxsm_mapping.Mapping_set.t
-val params : t -> params
 
 val threshold : t -> int
 (** [⌈τ·|M|⌉] — the minimum mapping count of a c-block. *)
@@ -104,17 +103,6 @@ type node_stats = {
 val node_stats : t -> Uxsm_schema.Schema.element -> node_stats
 (** Per-node sharing statistics, the input of the query planner's cost
     model ({!Uxsm_plan.Plan}). *)
-
-type stats = {
-  st_blocks : int;  (** total c-blocks in the tree *)
-  st_mean_mappings : float;  (** mean mappings per c-block, tree-wide *)
-  st_threshold : int;  (** [⌈τ·|M|⌉] *)
-  st_mappings : int;  (** [|M|] *)
-}
-
-val stats : t -> stats
-(** Tree-wide sharing statistics (block count, mean mapping-sharing
-    factor). *)
 
 val validate : t -> (unit, string) result
 (** Check Definition 2 for every stored block, plus hash-table consistency

@@ -22,7 +22,7 @@
     survives skewed item costs without paying cursor traffic per item.
 
     {b Cost gate.} [map_array ~cost_hint] takes the job's total size in
-    the plan cost model's node-visit units ({!Uxsm_plan.Plan.estimate});
+    the plan cost model's node-visit units ({!Uxsm_plan.Plan.choose});
     below {!parallel_threshold} the call degrades to sequential — the
     planner's units, not hope, decide when fan-out is worth it. Calls
     without a hint always fan out.

@@ -70,9 +70,3 @@ let o_ratio a b =
   if u = 0 then 1.0 else float_of_int (inter_size a b) /. float_of_int u
 
 let equal a b = a.n_pairs = b.n_pairs && inter_size a b = a.n_pairs
-
-let pp ~source ~target fmt t =
-  List.iter
-    (fun (x, y) ->
-      Format.fprintf fmt "%s~%s@\n" (Schema.label source x) (Schema.label target y))
-    (pairs t)

@@ -76,6 +76,3 @@ val o_ratio : t -> t -> float
 
 val equal : t -> t -> bool
 (** Same correspondence set (scores not compared). *)
-
-val pp : source:Uxsm_schema.Schema.t -> target:Uxsm_schema.Schema.t -> Format.formatter -> t -> unit
-(** Render as ["src~TGT"] lines, as in Figure 3. *)

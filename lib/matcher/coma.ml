@@ -7,22 +7,20 @@ type strategy =
   | Context
   | Fragment
 
-type config = {
-  strategy : strategy;
-  threshold : float;
-  delta : float;
-  name_weight : float;
-  synonyms : Name_sim.synonyms option;
-}
+(* Selection: a correspondence scores at least [threshold] and lies within
+   [delta] of its elements' best scores; the combined score gives the name
+   measure [name_weight] and structure the rest. The synonym table is
+   never written after it is built, so every domain may read it. *)
+let threshold = 0.55
+let delta = 0.12
+let name_weight = 0.55
+let synonyms = Name_sim.synonyms ()
 
-let default_config strategy =
-  { strategy; threshold = 0.55; delta = 0.12; name_weight = 0.55; synonyms = Some (Name_sim.synonyms ()) }
-
-let pair_score cfg source x target y =
-  let name_sim = Name_sim.combined ?synonyms:cfg.synonyms in
+let pair_score strategy source x target y =
+  let name_sim = Name_sim.combined ~synonyms in
   let name = name_sim (Schema.label source x) (Schema.label target y) in
   let structure =
-    match cfg.strategy with
+    match strategy with
     | Context -> Structure_sim.path_similarity ~name_sim source x target y
     | Fragment ->
       (* Subtree shape plus the enclosing fragment's name: without the
@@ -33,7 +31,7 @@ let pair_score cfg source x target y =
       let p = Structure_sim.parent_similarity ~name_sim source x target y in
       (c +. l +. p) /. 3.0
   in
-  (cfg.name_weight *. name) +. ((1.0 -. cfg.name_weight) *. structure)
+  (name_weight *. name) +. ((1.0 -. name_weight) *. structure)
 
 (* One schema's elements as label ids of a name table: each structural
    term reads these arrays instead of labels. Ancestors run nearest first,
@@ -73,10 +71,10 @@ let view schema id_of =
   }
 
 (* [pair_score], term for term, over the name table. *)
-let interned_score cfg names vs vt x y =
+let interned_score strategy names vs vt x y =
   let name = Name_table.score names vs.self.(x) vt.self.(y) in
   let structure =
-    match cfg.strategy with
+    match strategy with
     | Context ->
       let context = Name_table.soft_set_similarity names vs.ancestors.(x) vt.ancestors.(y) in
       (0.6 *. name) +. (0.4 *. context)
@@ -91,7 +89,7 @@ let interned_score cfg names vs vt x y =
       in
       (c +. l +. p) /. 3.0
   in
-  (cfg.name_weight *. name) +. ((1.0 -. cfg.name_weight) *. structure)
+  (name_weight *. name) +. ((1.0 -. name_weight) *. structure)
 
 let s_name_table = Obs.span "matcher.name_table"
 let s_rows = Obs.span "matcher.rows"
@@ -100,18 +98,18 @@ let s_select = Obs.span "matcher.select"
 (* Each distinct label pair is scored once into the name table, whose
    label rows fan out on [exec]; the element rows then read that table and
    the views, at tens of nanoseconds per pair. *)
-let matrix ?(exec = Executor.sequential) cfg source target =
+let matrix ?(exec = Executor.sequential) strategy source target =
   let ns = Schema.size source and nt = Schema.size target in
   let names =
     Obs.time s_name_table (fun () ->
-        Name_table.create ~exec ?synonyms:cfg.synonyms
+        Name_table.create ~exec ~synonyms
           (Array.init ns (Schema.label source))
           (Array.init nt (Schema.label target)))
   in
   Obs.time s_rows (fun () ->
       let vs = view source (Name_table.source_id names)
       and vt = view target (Name_table.target_id names) in
-      Array.init ns (fun x -> Array.init nt (interned_score cfg names vs vt x)))
+      Array.init ns (fun x -> Array.init nt (interned_score strategy names vs vt x)))
 
 (* Candidate pairs score at least [candidate_min]; a candidate is in the
    delta band when it also lies within [delta] of the best score of both
@@ -167,20 +165,14 @@ let matching_of_pairs ~source ~target pairs =
   Matching.create ~source ~target
     (List.map (fun (x, y, s) -> { Matching.source = x; target = y; score = clamp_score s }) pairs)
 
-let run ?(exec = Executor.sequential) ?config ~source ~target () =
-  let cfg =
-    match config with
-    | Some c -> c
-    | None -> default_config Context
-  in
-  let rows = matrix ~exec cfg source target in
+let run ?(exec = Executor.sequential) ~source ~target () =
+  let rows = matrix ~exec Context source target in
   Obs.time s_select @@ fun () ->
-  matching_of_pairs ~source ~target (select (scored rows) ~threshold:cfg.threshold ~delta:cfg.delta)
+  matching_of_pairs ~source ~target (select (scored rows) ~threshold ~delta)
 
 let run_with_capacity ?(exec = Executor.sequential) ~strategy ~capacity ~source ~target () =
   if capacity < 0 then invalid_arg "Coma.run_with_capacity";
-  let base = default_config strategy in
-  let rows = matrix ~exec base source target in
+  let rows = matrix ~exec strategy source target in
   Obs.time s_select @@ fun () ->
   let m = scored rows in
   (* Lower thresholds only add pairs; binary-search the largest threshold
@@ -205,7 +197,7 @@ let run_with_capacity ?(exec = Executor.sequential) ~strategy ~capacity ~source 
       (search lo 0.99 20, delta)
     end
   in
-  let threshold, delta = with_delta base.delta 6 in
+  let threshold, delta = with_delta delta 6 in
   let pairs = select m ~threshold ~delta in
   (* Truncate like COMA selects: every element's best counterpart first
      (rank 1 on either side), then second choices, and so on; score breaks

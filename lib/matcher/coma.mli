@@ -9,47 +9,38 @@
     - {e Fragment} ([f]): name + children/leaf similarity — subtree shapes
       match locally, ignoring where the fragment sits.
 
-    Candidate selection keeps pairs whose combined score clears [threshold]
-    and lies within [delta] of the best score of {e both} elements involved
-    (COMA++'s "both directions" selection), which yields the sparse,
+    The combined score weighs the name measure (with the default synonym
+    table) at 0.55 and the structural one at 0.45. Candidate selection
+    keeps pairs whose combined score clears the threshold 0.55 and lies
+    within 0.12 of the best score of {e both} elements involved (COMA++'s
+    "both directions" selection), which yields the sparse,
     locally-ambiguous matchings the paper's uncertainty model feeds on. *)
 
 type strategy =
   | Context
   | Fragment
 
-type config = {
-  strategy : strategy;
-  threshold : float;  (** minimum combined score for a correspondence *)
-  delta : float;  (** tolerance below an element's best score *)
-  name_weight : float;  (** weight of the name measure (structure gets 1 - w) *)
-  synonyms : Name_sim.synonyms option;
-}
-
-val default_config : strategy -> config
-(** threshold 0.55, delta 0.12, name weight 0.55, default synonym table. *)
-
 val pair_score :
-  config ->
+  strategy ->
   Uxsm_schema.Schema.t ->
   Uxsm_schema.Schema.element ->
   Uxsm_schema.Schema.t ->
   Uxsm_schema.Schema.element ->
   float
-(** Combined score of one element pair under the configuration, computed
+(** Combined score of one element pair under the strategy, computed
     from {!Name_sim.combined} and {!Structure_sim} directly. The per-pair
     reference that tests compare {!matrix} against; a matcher run never
     calls it. *)
 
 val matrix :
   ?exec:Uxsm_exec.Executor.t ->
-  config ->
+  strategy ->
   Uxsm_schema.Schema.t ->
   Uxsm_schema.Schema.t ->
   float array array
-(** [matrix cfg source target] scores every element pair, one row per
-    source element: [(matrix cfg s t).(x).(y)] is bitwise equal to
-    [pair_score cfg s x t y]. Each distinct label pair is scored once
+(** [matrix strategy source target] scores every element pair, one row per
+    source element: [(matrix strategy s t).(x).(y)] is bitwise equal to
+    [pair_score strategy s x t y]. Each distinct label pair is scored once
     through a {!Name_table}, and the structural terms read per-element
     label-id arrays (ancestors nearest first, children, subtree leaves,
     parent) against it. [exec] (default [Sequential]) fans the table's
@@ -58,12 +49,11 @@ val matrix :
 
 val run :
   ?exec:Uxsm_exec.Executor.t ->
-  ?config:config ->
   source:Uxsm_schema.Schema.t ->
   target:Uxsm_schema.Schema.t ->
   unit ->
   Uxsm_mapping.Matching.t
-(** Match two schemas (default config: {!default_config}[ Context]).
+(** Match two schemas under the {!Context} strategy.
 
     [exec] (default [Sequential]) schedules the {!matrix}; candidate
     selection stays sequential, so the correspondence list is identical

@@ -71,24 +71,6 @@ val logical : ?k:int -> unit -> op list
 (** The logical pipeline before evaluator selection: [Evaluate None], with
     a [Topk_prune] stage iff [k] is given. *)
 
-val estimate :
-  ?tree:Uxsm_blocktree.Block_tree.t ->
-  n_mappings:int ->
-  pattern:Uxsm_twig.Pattern.t ->
-  resolutions:Uxsm_twig.Binding.t array ->
-  coverage:(int * int list) list ->
-  unit ->
-  cost
-(** Cost both evaluators for one compiled query. [coverage] is the
-    relevance table actually handed to the evaluator (mapping id → covered
-    resolution indices), so top-k pruning is priced in by passing the
-    pruned table. The {!Per_block} estimate walks the pattern shape per
-    resolution: a node whose resolved target element holds c-blocks costs
-    one shared evaluation per block plus the expected residual of
-    unclaimed mappings, a blockless leaf costs one visit per mapping, and
-    a blockless branch node pays its children plus a per-(mapping, child)
-    join charge. *)
-
 val choose :
   ?tree:Uxsm_blocktree.Block_tree.t ->
   ?k:int ->
@@ -101,7 +83,16 @@ val choose :
   unit ->
   t
 (** Select the physical evaluator: honor [force], fall back to
-    {!Per_mapping} without a tree, otherwise take the smaller {!estimate}.
+    {!Per_mapping} without a tree, otherwise take the cheaper of the two
+    estimates. Both evaluators are costed for the compiled query.
+    [coverage] is the relevance table actually handed to the evaluator
+    (mapping id → covered resolution indices), so top-k pruning is priced
+    in by passing the pruned table. The {!Per_block} estimate walks the
+    pattern shape per resolution: a node whose resolved target element
+    holds c-blocks costs one shared evaluation per block plus the expected
+    residual of unclaimed mappings, a blockless leaf costs one visit per
+    mapping, and a blockless branch node pays its children plus a
+    per-(mapping, child) join charge.
     [relevant] is the pre-pruning relevant-mapping count (reported in the
     plan; [coverage] may already be pruned). Raises [Invalid_argument] for
     [~force:`Tree] without a tree. Bumps the [plan.*] counters. *)

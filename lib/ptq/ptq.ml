@@ -45,8 +45,6 @@ let context ?(exec = Executor.sequential) ?tree ?target_doc ~mset ~doc () =
   in
   { mset; doc; target_doc; tree; exec }
 
-let executor ctx = ctx.exec
-
 let mapping_set ctx = ctx.mset
 
 type answer = {

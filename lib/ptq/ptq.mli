@@ -51,9 +51,6 @@ val context :
     read-only during evaluation, and results merge in a fixed order, so
     answers are identical for every backend (a tested property). *)
 
-val executor : context -> Uxsm_exec.Executor.t
-(** The execution backend the context evaluates queries with. *)
-
 val mapping_set : context -> Uxsm_mapping.Mapping_set.t
 
 type answer = {

@@ -9,14 +9,6 @@
     when they are structurally unrelated. Text predicates carry over
     verbatim. *)
 
-val relation :
-  Uxsm_schema.Schema.t ->
-  Uxsm_schema.Schema.element ->
-  Uxsm_schema.Schema.element ->
-  [ `Parent | `Ancestor | `Unrelated ]
-(** Relation of the first element to the second: its parent, a strict
-    non-parent ancestor, or neither. *)
-
 val through :
   source:Uxsm_schema.Schema.t ->
   pattern:Uxsm_twig.Pattern.t ->

@@ -84,9 +84,6 @@ val to_xml_tree : t -> Uxsm_xml.Tree.t
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-(** Indented textual rendering (one element per line, ["*"] marks
-    repeatable elements). *)
 
 val of_string : string -> (t, string) result
 (** Parse the {!pp} format: each line is an element name indented by two

@@ -97,8 +97,6 @@ let create ?(cache_entries = 64) ~exec () =
   { exec; lock = Locks.create ~name:"catalog.map" ~rank:Locks.rank_catalog_map;
     shards = Hashtbl.create 8; cache_entries }
 
-let executor t = t.exec
-
 (* Lock protocol: the global [t.lock] is only ever taken on its own (shard
    lookup/creation, shard enumeration) and released before any shard lock
    is acquired — the ranks (catalog.map=14 < catalog.shard=20) encode the

@@ -1,7 +1,8 @@
 (** The server's prepared-artifact catalog: named corpora plus one shared
     LRU cache of everything derived from them. It is the one place a
-    corpus is assembled: the server and the CLI's [query], [stats],
-    [analyze] and [keyword] commands all go through it.
+    corpus is assembled and the only cache of matchings, mapping sets,
+    block trees and plans in the process: the server, every dataset
+    command of the CLI and the paper's bench all go through it.
 
     A corpus is registered from a {!Protocol.source_spec} (a Table II
     dataset, serialized matching text, or serialized mapping-set text).
@@ -55,8 +56,6 @@ val create : ?cache_entries:int -> exec:Uxsm_exec.Executor.t -> unit -> t
     [corpora × cache_entries]). [exec] schedules the parallelizable stages
     of artifact builds (matcher scoring, top-h ranking) — query evaluation
     receives it from the server, not from here. *)
-
-val executor : t -> Uxsm_exec.Executor.t
 
 val register :
   t ->

@@ -96,9 +96,7 @@ module Profile = struct
         | Error e -> failf "%s: %s" what e.Protocol.message
         | Ok { Protocol.req; _ } when not (Protocol.is_pure req) ->
           failf "%s: op %S is neither pure nor \"update\"" what (Protocol.op_name req)
-        | Ok
-            { Protocol.req = (Protocol.Query { pattern; _ } | Protocol.Explain { pattern; _ }) as req;
-              _ } -> (
+        | Ok { Protocol.req = Protocol.Query { pattern; _ } as req; _ } -> (
           match Uxsm_twig.Pattern_parser.parse pattern with
           | Ok _ -> Request req
           | Error e -> failf "%s: query %S does not parse: %s" what pattern e)

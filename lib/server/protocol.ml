@@ -61,8 +61,8 @@ let op_name = function
   | Shutdown -> "shutdown"
 
 let is_pure = function
-  | Register _ | Update _ | Stats_reset | Shutdown -> false
-  | Ping | Match _ | Mappings _ | Query _ | Explain _ | Save _ | Stats -> true
+  | Register _ | Update _ | Explain _ | Stats_reset | Shutdown -> false
+  | Ping | Match _ | Mappings _ | Query _ | Save _ | Stats -> true
 
 (* ------------------------------ decoding -------------------------- *)
 

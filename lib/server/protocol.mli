@@ -52,7 +52,9 @@ type request =
       evaluator : Uxsm_plan.Plan.force;
     }
       (** The plan and counters of the query with the same fields, read
-          by the same decoder ([k] optional). *)
+          by the same decoder ([k] optional). {b Barrier semantics}: the
+          counters are deltas of process-global state, so the op is not
+          pure and runs with no other request beside it. *)
   | Save of { corpus : string; h : int }
       (** The top-h mapping set as [uxsm-mappings v1] text, carried in
           the reply's ["text"] field. *)
@@ -104,10 +106,12 @@ val op_name : request -> string
     ["stats"], ["stats_reset"], ["shutdown"]. *)
 
 val is_pure : request -> bool
-(** [true] when the request neither mutates server-global state nor stops
-    the server, so a batch of them may be dispatched concurrently.
-    [Register], [Update], [Stats_reset] and [Shutdown] are the
-    barriers. *)
+(** [true] when the request neither mutates server-global state, nor
+    stops the server, nor reads counters other requests move, so a batch
+    of them may be dispatched concurrently. [Register], [Update],
+    [Explain], [Stats_reset] and [Shutdown] are the barriers: [Explain]
+    reports deltas of the process-global [ptq.*] counters, which a query
+    running beside it would also move. *)
 
 type parse_error = {
   err_id : Uxsm_util.Json.t option;

@@ -310,7 +310,8 @@ let record_exec_contention f =
   Fun.protect ~finally f
 
 (* Batch dispatch: a batch is answered run by run. A run is a barrier
-   (a request that mutates catalog state or stops the server) alone, or
+   (a request that mutates catalog state, reads counters other requests
+   move, or stops the server) alone, or
    the longest stretch of consecutive pure requests, which fan out
    through the executor (responses merge in index order, so the reply
    stream is identical to sequential handling). A run of one request is

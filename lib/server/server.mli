@@ -13,7 +13,8 @@
       server's {!Uxsm_exec.Executor} — on a multi-domain server,
       independent requests overlap, and each request's own fan-out
       degrades to sequential via the executor's nested-fanout guard.
-      [Register] and [Shutdown] act as barriers. Responses are returned
+      Barriers ([Register], [Update], [Explain], [Stats_reset],
+      [Shutdown]) run alone. Responses are returned
       in request order regardless of backend. A lone request bypasses the
       pool so it keeps its per-request parallelism. The socket service
       answers each batch it pops from its queue the same way, writing

@@ -15,9 +15,6 @@ let compare (a : t) (b : t) =
     in
     go 0
 
-let equal a b = compare a b = 0
-let root_node (b : t) = b.(0)
-
 let merge a b =
   let n = Array.length a in
   if Array.length b <> n then invalid_arg "Binding.merge: size mismatch";

@@ -10,11 +10,6 @@ val compare : t -> t -> int
 (** [Stdlib.compare]'s order on int arrays, without the polymorphic walk:
     shorter bindings first, then lexicographic by entry. *)
 
-val equal : t -> t -> bool
-
-val root_node : t -> Uxsm_xml.Doc.node
-(** The document node bound to the pattern root (id 0). *)
-
 val merge : t -> t -> t
 (** Combine two bindings over disjoint pattern-node sets (entries are [-1]
     where unbound); raises [Invalid_argument] if both bind the same id. *)

@@ -76,8 +76,6 @@ let to_string t =
   node_to_buf buf t.root;
   Buffer.contents buf
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let rec node_equal a b =
   String.equal a.label b.label
   && Option.equal String.equal a.anchor b.anchor

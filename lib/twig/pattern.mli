@@ -66,6 +66,4 @@ val to_string : t -> string
 (** Render back to query syntax, e.g.
     ["Order\[./Buyer/Contact\]//BPID"]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val equal : t -> t -> bool

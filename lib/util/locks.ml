@@ -27,17 +27,15 @@ let create ~name ~rank =
 let name l = l.l_name
 let rank l = l.l_rank
 
-(* Canonical ranks. The issue sketch ordered mailboxes below the dataset
-   caches; the measured acquisition chains (catalog.shard → dataset.* →
-   exec.pool[try] → exec.worker) force the mailboxes to be the innermost
-   blocking rank instead — see DESIGN.md §15 for the chain inventory. *)
+(* Canonical ranks. Fan-out runs under a catalog shard lock
+   (catalog.shard → exec.pool[try] → exec.worker), so the mailboxes are
+   the innermost blocking rank — see DESIGN.md §15 for the chain
+   inventory. *)
 let rank_pool = 10
 let rank_catalog_map = 14
 let rank_shard = 20
 let rank_queue = 24
 let rank_conn_write = 30
-let rank_dataset_mset = 40
-let rank_dataset_matching = 44
 let rank_loadgen = 50
 let rank_latch = 70
 let rank_worker_mailbox = 80

@@ -18,12 +18,10 @@
     {- 20 [catalog.shard] — per-corpus artifact cache and builds}
     {- 24 [server.queue] — bounded admission queue}
     {- 30 [server.conn] — per-connection write serialization}
-    {- 40 [dataset.mset] — memoized paper-dataset mapping sets}
-    {- 44 [dataset.matching] — memoized paper-dataset matchings}
     {- 50 [loadgen.outstanding] — open-loop in-flight request table}
     {- 70 [latch] — one-shot startup/ready latches (drivers, tests)}
     {- 80 [exec.worker] — per-worker mailbox (innermost: taken during
-       fan-out, which can happen under catalog and dataset locks)}
+       fan-out, which can happen under a catalog shard lock)}
     {- 90 [obs.registry] — metrics handle registry (leaf)}}
 
     {b Witness.} When [UXSM_LOCK_WITNESS] is set (any value but [0]; the
@@ -58,8 +56,8 @@ val try_lock : t -> bool
     the order check — it cannot contribute the blocking edge of a
     deadlock cycle — but on success the lock {e does} join the held stack
     and constrains later blocking acquisitions. This is the submission
-    path of [Uxsm_exec.Executor]: fan-out under a catalog or dataset lock
-    is legal precisely because the pool lock is only ever tried, never
+    path of [Uxsm_exec.Executor]: fan-out under a catalog shard lock is
+    legal precisely because the pool lock is only ever tried, never
     waited for. *)
 
 val with_lock : t -> (unit -> 'a) -> 'a
@@ -89,8 +87,6 @@ val rank_catalog_map : int
 val rank_shard : int
 val rank_queue : int
 val rank_conn_write : int
-val rank_dataset_mset : int
-val rank_dataset_matching : int
 val rank_loadgen : int
 val rank_latch : int
 val rank_worker_mailbox : int

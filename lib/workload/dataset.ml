@@ -30,60 +30,9 @@ let d7 =
   | Some d -> d
   | None -> assert false
 
-(* The memo tables are process-global so concurrent callers (the server
-   dispatches batches of pure requests across domains) must serialize
-   around them. Each table gets its own lock; [mapping_set] calls
-   [matching] while holding its own, so the nesting is always
-   mset (40) → matching (44), in rank order. Holding the lock across the
-   miss path means a concurrent
-   request for the same dataset waits instead of duplicating the work. *)
-let matching_lock =
-  Uxsm_util.Locks.create ~name:"dataset.matching" ~rank:Uxsm_util.Locks.rank_dataset_matching
-
-(* The matching memo keeps the [matching_capacity] most recently used
-   (dataset, seed) pairs, most recent first: 16 holds all ten Table II
-   datasets at one seed, while a long-running server registering fresh
-   seeds (the onboarding workload) no longer keeps every matching it ever
-   computed. A compute leaves its result at the head, so a second call
-   right after the first still hits. *)
-let matching_capacity = 16
-
-(* lint: allow domain-unsafe — guarded by matching_lock *)
-let matching_cache : ((string * int) * Uxsm_mapping.Matching.t) list ref = ref []
-
-(* [exec] is deliberately absent from the cache keys below: every backend
-   produces bit-identical results (see Uxsm_exec.Executor), so a hit cached
-   under one backend is a valid answer under any other. *)
 let default_seed = 42
 
 let matching ?(seed = default_seed) ?(exec = Uxsm_exec.Executor.sequential) d =
-  Uxsm_util.Locks.with_lock matching_lock @@ fun () ->
-  let is_key ((id, s), _) = String.equal id d.id && s = seed in
-  let m =
-    match List.find_opt is_key !matching_cache with
-    | Some (_, m) -> m
-    | None ->
-      let source = Standards.generate ~seed d.source in
-      let target = Standards.generate ~seed d.target in
-      Coma.run_with_capacity ~exec ~strategy:d.strategy ~capacity:d.capacity ~source ~target ()
-  in
-  let rest = List.filter (fun e -> not (is_key e)) !matching_cache in
-  matching_cache := ((d.id, seed), m) :: List.filteri (fun i _ -> i < matching_capacity - 1) rest;
-  m
-
-let mset_lock =
-  Uxsm_util.Locks.create ~name:"dataset.mset" ~rank:Uxsm_util.Locks.rank_dataset_mset
-
-(* lint: allow domain-unsafe — guarded by mset_lock *)
-let mset_cache : (string * int * int, Uxsm_mapping.Mapping_set.t) Hashtbl.t =
-  Hashtbl.create 16
-
-let mapping_set ?(seed = default_seed) ?(exec = Uxsm_exec.Executor.sequential) ~h d =
-  let key = (d.id, seed, h) in
-  Uxsm_util.Locks.with_lock mset_lock @@ fun () ->
-  match Hashtbl.find_opt mset_cache key with
-  | Some s -> s
-  | None ->
-    let s = Uxsm_mapping.Mapping_set.generate ~exec ~h (matching ~seed ~exec d) in
-    Hashtbl.add mset_cache key s;
-    s
+  let source = Standards.generate ~seed d.source in
+  let target = Standards.generate ~seed d.target in
+  Coma.run_with_capacity ~exec ~strategy:d.strategy ~capacity:d.capacity ~source ~target ()

@@ -27,22 +27,10 @@ val default_seed : int
     another. *)
 
 val matching : ?seed:int -> ?exec:Uxsm_exec.Executor.t -> t -> Uxsm_mapping.Matching.t
-(** Generate the dataset's matching, memoized per [(id, seed)] for the
-    {!matching_capacity} most recently used pairs. A call right after a
-    compute of the same pair always hits; an evicted pair is recomputed,
-    to an equal matching (the matcher is deterministic). [exec] (default
-    sequential) parallelizes the matcher's pair scoring; it is not part
-    of the cache key because every backend yields identical results. *)
-
-val matching_capacity : int
-(** 16 — enough for all ten Table II datasets at one seed. *)
-
-val mapping_set :
-  ?seed:int ->
-  ?exec:Uxsm_exec.Executor.t ->
-  h:int ->
-  t ->
-  Uxsm_mapping.Mapping_set.t
-(** The dataset's top-h possible mappings, memoized per [(id, seed, h)]
-    without a bound ([exec] likewise excluded from the key). Only the CLI
-    and the paper benches call it; a server corpus builds its own sets. *)
+(** Generate the dataset's two schemas and run the matcher on them. Each
+    call runs the matcher; the matcher is deterministic, so equal seeds
+    give equal matchings. [exec] (default sequential) parallelizes the
+    matcher's pair scoring; every backend yields the same matching. A
+    caller that needs the matching, or what derives from it, more than
+    once registers the dataset in a [Uxsm_server.Catalog], which keeps
+    them. *)

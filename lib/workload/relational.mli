@@ -8,14 +8,9 @@
     tables together), so the partitioning algorithm's advantage is expected
     to persist — the [abl_relational] bench measures it. *)
 
-val generate :
-  ?seed:int -> ?tables:int -> ?columns:int -> variant:int -> name:string -> unit ->
-  Uxsm_schema.Schema.t
-(** A synthetic relational schema: [tables] tables (default 12) of up to
-    [columns] columns (default 8) drawn from a business vocabulary, renamed
-    through synonym [variant] like the XML standards. *)
-
 val matching :
   ?seed:int -> ?tables:int -> ?columns:int -> unit -> Uxsm_mapping.Matching.t
-(** Two relational schemas over the same concepts with different variants,
+(** Two synthetic relational schemas of [tables] tables (default 12) of up
+    to [columns] columns (default 8), drawn from one business vocabulary and
+    renamed through different synonym variants like the XML standards,
     matched with the context strategy. *)

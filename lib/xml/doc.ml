@@ -112,7 +112,6 @@ let label t i = t.labels.(i)
 let parent t i = if t.parent.(i) < 0 then None else Some t.parent.(i)
 let children t i = Array.to_list t.children.(i)
 let level t i = t.level.(i)
-let post t i = t.post.(i)
 let subtree_end t i = t.sub_end.(i)
 let text t i = t.text.(i)
 let attrs t i = t.attrs.(i)

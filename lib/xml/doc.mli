@@ -23,9 +23,6 @@ val children : t -> node -> node list
 val level : t -> node -> int
 (** Depth; the root has level 0. *)
 
-val post : t -> node -> int
-(** Post-order rank. *)
-
 val subtree_end : t -> node -> int
 (** Largest pre-order id inside the node's subtree; with the node id itself
     this forms the interval encoding used by structural joins:

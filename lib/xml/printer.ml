@@ -102,4 +102,3 @@ let to_string ?indent tree =
   to_buffer ?indent buf tree;
   Buffer.contents buf
 
-let pp fmt tree = Format.pp_print_string fmt (to_string ~indent:2 tree)

@@ -21,7 +21,7 @@ let d4 = Option.get (Dataset.find "D4")
 let test_mapping_set_properties () =
   List.iter
     (fun d ->
-      let mset = Dataset.mapping_set ~h:50 d in
+      let mset = Mapping_set.generate ~h:50 (Dataset.matching d) in
       let probs = List.map snd (Mapping_set.mappings mset) in
       let total = List.fold_left ( +. ) 0.0 probs in
       Alcotest.(check (float 1e-9)) "probabilities sum to 1" 1.0 total;
@@ -47,7 +47,7 @@ let test_murty_agrees_with_partition_on_datasets () =
     [ d1; d4 ]
 
 let test_block_tree_on_dataset () =
-  let mset = Dataset.mapping_set ~h:60 d4 in
+  let mset = Mapping_set.generate ~h:60 (Dataset.matching d4) in
   let tree = Block_tree.build mset in
   (match Block_tree.validate tree with
   | Ok () -> ()
@@ -57,7 +57,7 @@ let test_block_tree_on_dataset () =
 let test_ptq_pipeline_on_dataset () =
   (* Full PTQ on D4 (Noris -> Paragon) with a query built from the target
      schema so it resolves by construction. *)
-  let mset = Dataset.mapping_set ~h:60 d4 in
+  let mset = Mapping_set.generate ~h:60 (Dataset.matching d4) in
   let target = Mapping_set.target mset in
   let doc = Gen_doc.generate ~target_nodes:400 (Mapping_set.source mset) in
   let tree = Block_tree.build mset in
@@ -86,7 +86,7 @@ let test_ptq_pipeline_on_dataset () =
 let test_d7_full_stack () =
   (* The headline configuration: D7, |M|=100, Order.xml-sized document, all
      ten queries answered identically by Algorithms 3 and 4. Slow. *)
-  let mset = Dataset.mapping_set ~h:100 Dataset.d7 in
+  let mset = Mapping_set.generate ~h:100 (Dataset.matching Dataset.d7) in
   let doc = Gen_doc.generate (Mapping_set.source mset) in
   let tree = Block_tree.build mset in
   (match Block_tree.validate tree with
@@ -111,7 +111,7 @@ let test_d7_full_stack () =
 let test_d7_regression_pins () =
   let m = Dataset.matching Dataset.d7 in
   Alcotest.(check int) "capacity" 226 (Matching.capacity m);
-  let mset = Dataset.mapping_set ~h:100 Dataset.d7 in
+  let mset = Mapping_set.generate ~h:100 m in
   let o = Mapping_set.average_o_ratio mset in
   Alcotest.(check bool) "o-ratio in [0.88, 0.96]" true (o >= 0.88 && o <= 0.96);
   let tree = Block_tree.build mset in

@@ -118,6 +118,8 @@ let test_profile_validation () =
   rejected "tau outside (0, 1]" ~says:{|query: field "tau" must be in (0, 1]|}
     (template (query @ [ ("tau", Json.Float 0.0) ]));
   rejected "barrier op" ~says:"shutdown" (template [ ("op", Json.String "shutdown") ]);
+  rejected "explain is a barrier too" ~says:{|op "explain" is neither pure|}
+    (template [ ("op", Json.String "explain"); ("query", Json.String "A//B") ]);
   rejected "bad arrival mode" (patch "arrival" (Json.Assoc [ ("mode", Json.String "burst") ]));
   rejected "open mode needs positive rps"
     (patch "arrival"

@@ -35,12 +35,12 @@ let test_create_validation () =
 let test_rank_table_ascending () =
   (* The canonical ranks must stay strictly ordered along the documented
      acquisition chains (DESIGN.md §15): pool < catalog map < shard <
-     queue < connection write < dataset memos < loadgen < latches <
-     worker mailboxes < registry. *)
+     queue < connection write < loadgen < latches < worker mailboxes <
+     registry. *)
   let chain =
     [ Locks.rank_pool; Locks.rank_catalog_map; Locks.rank_shard; Locks.rank_queue;
-      Locks.rank_conn_write; Locks.rank_dataset_mset; Locks.rank_dataset_matching;
-      Locks.rank_loadgen; Locks.rank_latch; Locks.rank_worker_mailbox; Locks.rank_registry ]
+      Locks.rank_conn_write; Locks.rank_loadgen; Locks.rank_latch; Locks.rank_worker_mailbox;
+      Locks.rank_registry ]
   in
   let rec strictly_ascending = function
     | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
@@ -231,8 +231,8 @@ let test_executor_busy_fallback () =
 (* The PR 7 tentpole acceptance test re-run with the witness raising on
    any inversion: 4 concurrent clients on mixed corpora against a 4-way
    pool, replies byte-identical to a sequential replay. A single
-   out-of-rank acquisition anywhere in the server, catalog, dataset or
-   executor paths raises in the offending thread and fails the run. *)
+   out-of-rank acquisition anywhere in the server, catalog or executor
+   paths raises in the offending thread and fails the run. *)
 let test_server_stress_witness_raise () =
   with_mode Locks.Raise @@ fun () ->
   Locks.reset_violations ();

@@ -104,28 +104,28 @@ let test_capacity_tuning () =
     [ 1; 3; 5 ]
 
 let test_both_direction_selection () =
-  (* delta-band selection: kept pairs are within delta of both elements'
-     best scores. *)
-  let cfg = Coma.default_config Coma.Context in
-  let m = Coma.run ~config:cfg ~source:small_source ~target:small_target () in
+  (* delta-band selection: kept pairs are within delta (0.12) of both
+     elements' best scores. *)
+  let delta = 0.12 in
+  let m = Coma.run ~source:small_source ~target:small_target () in
   let best tbl key v = Hashtbl.replace tbl key (max v (try Hashtbl.find tbl key with Not_found -> 0.0)) in
   let best_s = Hashtbl.create 8 and best_t = Hashtbl.create 8 in
   List.iter
     (fun x ->
       List.iter
         (fun y ->
-          let s = Coma.pair_score cfg small_source x small_target y in
+          let s = Coma.pair_score Coma.Context small_source x small_target y in
           best best_s x s;
           best best_t y s)
         (Schema.elements small_target))
     (Schema.elements small_source);
   List.iter
     (fun (c : Matching.corr) ->
-      let raw = Coma.pair_score cfg small_source c.source small_target c.target in
+      let raw = Coma.pair_score Coma.Context small_source c.source small_target c.target in
       Alcotest.(check bool) "within delta of row best" true
-        (raw >= Hashtbl.find best_s c.source -. cfg.delta -. 1e-9);
+        (raw >= Hashtbl.find best_s c.source -. delta -. 1e-9);
       Alcotest.(check bool) "within delta of col best" true
-        (raw >= Hashtbl.find best_t c.target -. cfg.delta -. 1e-9))
+        (raw >= Hashtbl.find best_t c.target -. delta -. 1e-9))
     (Matching.correspondences m)
 
 (* ------------------- interned scoring = reference -------------------- *)
@@ -237,13 +237,13 @@ let prop_matrix_exact =
       let source = random_vocab_schema prng ~n:ns and target = random_vocab_schema prng ~n:nt in
       List.for_all
         (fun strategy ->
-          let cfg = Coma.default_config strategy in
           let reference =
-            Array.init ns (fun x -> Array.init nt (fun y -> Coma.pair_score cfg source x target y))
+            Array.init ns (fun x ->
+                Array.init nt (fun y -> Coma.pair_score strategy source x target y))
           in
           List.for_all
             (fun exec ->
-              let m = Coma.matrix ~exec cfg source target in
+              let m = Coma.matrix ~exec strategy source target in
               Array.for_all2 (Array.for_all2 same_bits) m reference)
             [ Executor.sequential; Executor.domains 2 ])
         [ Coma.Context; Coma.Fragment ])

@@ -163,7 +163,9 @@ let test_protocol_parse () =
   Alcotest.(check bool) "register is a barrier" false
     (Protocol.is_pure (parse_ok {|{"op":"register","name":"x","dataset":"D1"}|}).Protocol.req);
   Alcotest.(check bool) "shutdown is a barrier" false
-    (Protocol.is_pure (parse_ok {|{"op":"shutdown"}|}).Protocol.req)
+    (Protocol.is_pure (parse_ok {|{"op":"shutdown"}|}).Protocol.req);
+  Alcotest.(check bool) "explain is a barrier" false
+    (Protocol.is_pure (parse_ok {|{"op":"explain","corpus":"c","query":"a"}|}).Protocol.req)
 
 let test_protocol_errors () =
   Alcotest.(check bool) "names missing field" true
@@ -817,6 +819,33 @@ let test_handle_lines_batching () =
   Alcotest.(check int) "drained batch" 2 (List.length resps);
   Alcotest.(check bool) "server stopping" true (Server.stopping srv)
 
+(* EXPLAIN reports deltas of process-global counters, so it is a barrier:
+   placed among eight D7 queries in a pipelined batch on a two-domain
+   server, it reports exactly what it reports alone, batch after batch. *)
+let test_explain_counts_only_itself () =
+  let srv = Server.create ~exec:(Executor.domains 2) () in
+  assert_ok "register"
+    (response_of_line srv {|{"op":"register","name":"d7","dataset":"D7"}|});
+  let explain =
+    {|{"op":"explain","corpus":"d7","query":"//POLine[.//UnitPrice]//Quantity"}|}
+  in
+  let solo = Server.handle_line srv explain in
+  let queries =
+    List.filteri (fun i _ -> i < 8) Uxsm_workload.Queries.table3
+    |> List.map (fun (_, q) ->
+           Printf.sprintf {|{"op":"query","corpus":"d7","query":%s}|}
+             (Json.to_string (Json.String (Uxsm_twig.Pattern.to_string q))))
+  in
+  let batch =
+    List.filteri (fun i _ -> i < 4) queries @ (explain :: List.filteri (fun i _ -> i >= 4) queries)
+  in
+  for i = 1 to 20 do
+    Alcotest.(check string)
+      (Printf.sprintf "batch %d: the explain reply equals the solo one" i)
+      solo
+      (List.nth (Server.handle_lines srv batch) 4)
+  done
+
 (* ------------------------- stdio transport ------------------------ *)
 
 let test_serve_channels () =
@@ -1445,6 +1474,8 @@ let suite =
     Alcotest.test_case "explain replies carry the plan" `Quick test_explain_carries_plan;
     Alcotest.test_case "save writes no file a request names" `Quick test_save_writes_no_file;
     Alcotest.test_case "pipelined batches across backends" `Quick test_handle_lines_batching;
+    Alcotest.test_case "explain in a batch counts only itself" `Quick
+      test_explain_counts_only_itself;
     Alcotest.test_case "stdio transport drains on shutdown" `Quick test_serve_channels;
     Alcotest.test_case "stdio over-long line: one error, next served" `Quick
       test_serve_channels_overlong_line;
