@@ -22,7 +22,7 @@ module Executor = Uxsm_exec.Executor
 module Protocol = Uxsm_server.Protocol
 module Catalog = Uxsm_server.Catalog
 
-(* Execution backend for the parallelized sites (PTQ contexts, partitioned
+(* Execution backend for the parallelized sites (the matcher, partitioned
    ranking), set once from --jobs before any experiment runs. *)
 (* lint: allow domain-unsafe — set once from --jobs before any experiment runs *)
 let exec = ref Executor.sequential
@@ -52,7 +52,7 @@ let mapping_set ~h (d : Dataset.t) = ok (Catalog.mapping_set (corpus d) d.id ~h)
 let d7_mset h = mapping_set ~h Dataset.d7
 let d7_doc () = ok (Catalog.doc (corpus Dataset.d7) Dataset.d7.id)
 
-let context ?tree h = Ptq.context ~exec:!exec ?tree ~mset:(d7_mset h) ~doc:(d7_doc ()) ()
+let context ?tree h = Ptq.context ?tree ~mset:(d7_mset h) ~doc:(d7_doc ()) ()
 
 let ms t = t *. 1000.0
 
@@ -367,14 +367,12 @@ let abl_relational () =
 let abl_exec_pool () =
   Harness.section "abl_exec_pool"
     "ABLATION: executor dispatch overhead, sequential vs warm-pool fan-out";
-  Harness.json_param "threshold" (Json.Float (Executor.parallel_threshold ()));
   let sizes = [ 1_000; 10_000; 100_000 ] in
   Harness.json_param "sizes" (int_list sizes);
   (* Near-trivial payload, so the pool side measures almost pure scheduling
-     cost. The calls carry no [cost_hint] on purpose: hint-less calls bypass
-     the cost gate, so at jobs>1 every iteration really wakes the warm
-     workers — this section is what CI greps to prove the pool spawns at
-     most (jobs - 1) domains for the whole run instead of per call. *)
+     cost. At jobs>1 every iteration really wakes the warm workers — this
+     section is what CI greps to prove the pool spawns at most (jobs - 1)
+     domains for the whole run instead of per call. *)
   let f x = (x * 31) lxor (x lsr 3) in
   Harness.row "%8s %14s %14s %8s" "items" "sequential" "warm-pool" "ratio";
   List.iter
@@ -397,9 +395,7 @@ let abl_exec_pool () =
      each record's timings attributable to its own section. *)
   Executor.shutdown ();
   Harness.note
-    "exec.domains_spawned in this record must stay below the pool width (workers are reused)";
-  Harness.note
-    "with few cores the ratio is pure dispatch overhead -- the cost gate exists to dodge exactly that"
+    "exec.domains_spawned in this record must stay below the pool width (workers are reused)"
 
 (* ------------------ ablation: incremental updates ------------------ *)
 

@@ -171,9 +171,11 @@ let mappings_cmd =
     let cat = open_corpus ~exec:(Executor.of_jobs jobs) ~seed d in
     let t0 = Uxsm_util.Timing.now_mono () in
     let mset = or_die (Catalog.mapping_set cat cli_corpus ~h) in
+    (* Read the clock before printing: [printf] evaluates its arguments
+       right to left, so an inline reading would time the o-ratio too. *)
+    let elapsed = Uxsm_util.Timing.now_mono () -. t0 in
     Printf.printf "derived %d mappings in %.3fs; average o-ratio %.3f\n"
-      (Mapping_set.size mset)
-      (Uxsm_util.Timing.now_mono () -. t0)
+      (Mapping_set.size mset) elapsed
       (Mapping_set.average_o_ratio mset);
     (match save with
     | Some path ->
@@ -368,7 +370,7 @@ let xsd_match_cmd =
       let q = Uxsm_twig.Pattern_parser.parse_exn qs in
       let doc = Gen_doc.generate ~target_nodes:(4 * Schema.size source) source in
       let tree = Block_tree.build mset in
-      let ctx = Ptq.context ~exec ~tree ~mset ~doc () in
+      let ctx = Ptq.context ~tree ~mset ~doc () in
       Printf.printf "\nPTQ %s over a generated %d-node instance:\n" qs
         (Uxsm_xml.Doc.size doc);
       List.iter
@@ -439,11 +441,10 @@ let analyze_cmd =
 
 let keyword_cmd =
   let run d seed h jobs terms =
-    let exec = Executor.of_jobs jobs in
-    let cat = open_corpus ~exec ~seed d in
+    let cat = open_corpus ~exec:(Executor.of_jobs jobs) ~seed d in
     let mset, tree = or_die (Catalog.prepared cat cli_corpus ~h ~tau:Protocol.default_tau) in
     let doc = or_die (Catalog.doc cat cli_corpus) in
-    let ctx = Ptq.context ~exec ~tree ~mset ~doc () in
+    let ctx = Ptq.context ~tree ~mset ~doc () in
     let hits = Uxsm_ptq.Keyword.search ctx terms in
     if hits = [] then print_endline "no interpretation has answers"
     else

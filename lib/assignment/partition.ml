@@ -215,10 +215,7 @@ let local_top ~h comp =
    fresh ranking would produce). Misses rank on the executor; the heap
    merge is order-sensitive, so it folds sequentially over the
    per-component lists in component order — the same fold Sequential
-   performs. The cost hint sizes only the miss work for the executor's
-   gate: Murty's warm-restart work per component grows with the solutions
-   requested and the edges branched over, so h * miss-edges is the job's
-   size in rough node-visit-equivalent units. *)
+   performs. *)
 let rank_components ~exec ~h ~cache ~reuse g =
   let comps = components g in
   Obs.incr c_runs;
@@ -226,9 +223,7 @@ let rank_components ~exec ~h ~cache ~reuse g =
   List.iter (fun c -> Obs.add c_component_edges (List.length c.edges)) comps;
   let tagged = List.map (fun c -> (c, Hashtbl.find_opt cache c.edges)) comps in
   let misses = List.filter_map (function c, None -> Some c | _ -> None) tagged in
-  let miss_edges = List.fold_left (fun acc c -> acc + List.length c.edges) 0 misses in
-  let cost_hint = float_of_int h *. float_of_int miss_edges in
-  let fresh = Uxsm_exec.Executor.map_list ~cost_hint exec (local_top ~h) misses in
+  let fresh = Uxsm_exec.Executor.map_list exec (local_top ~h) misses in
   let rec stitch tagged fresh =
     match (tagged, fresh) with
     | [], [] -> []

@@ -115,6 +115,5 @@ val apply_delta : ?exec:Uxsm_exec.Executor.t -> delta -> ranked -> ranked
     No solution is built here; the caller reads the new top-h through
     {!right_to_left} or {!solutions}. Bumps
     [partition.components_reranked] / [partition.components_reused];
-    re-ranked components run on [exec] with a [~cost_hint] covering only
-    the miss work. The result equals [rank ~h] of the patched graph (a
-    tested property). *)
+    only the re-ranked components run on [exec]. The result equals
+    [rank ~h] of the patched graph (a tested property). *)

@@ -10,7 +10,6 @@ let c_spawned = Obs.counter "exec.domains_spawned"
 let c_parallel = Obs.counter "exec.parallel_calls"
 let c_tasks = Obs.counter "exec.tasks"
 let c_chunks = Obs.counter "exec.chunks"
-let c_gate_seq = Obs.counter "exec.sequential_by_gate"
 let c_nested_seq = Obs.counter "exec.nested_sequential"
 let c_busy_seq = Obs.counter "exec.sequential_busy"
 
@@ -54,29 +53,6 @@ let backend_name = function
 let is_parallel = function
   | Sequential | Domains 1 -> false
   | Domains _ -> true
-
-(* --------------------------- cost gate ----------------------------- *)
-
-(* Break-even fan-out size in the plan cost model's node-visit units
-   (Uxsm_plan: one rewrite+match visit of one pattern node for one
-   mapping, roughly a handful of microseconds of work). Dispatching a
-   bulk operation on the warm pool costs a few worker wakeups — tens of
-   microseconds — so on a multi-core machine fan-out pays once the job
-   carries a few thousand units. On a machine exposing a single hardware
-   thread, domain fan-out can never reduce wall time (the domains share
-   the one core and add scheduling overhead), so the gate sends every
-   cost-hinted call sequential there. Hint-less calls are never gated:
-   call sites without a cost model keep the explicit-jobs contract. *)
-let default_threshold =
-  if Domain.recommended_domain_count () <= 1 then Float.infinity else 4000.0
-
-let parallel_threshold () =
-  match Sys.getenv_opt "UXSM_PAR_THRESHOLD" with
-  | None -> default_threshold
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some f when f >= 0.0 -> f
-    | _ -> default_threshold)
 
 (* ---------------------------- warm pool ---------------------------- *)
 
@@ -265,7 +241,7 @@ let parallel_map_locked ~members f (arr : 'a array) : 'b array =
       | None -> assert false)
     results
 
-let map_array ?cost_hint t f arr =
+let map_array t f arr =
   match t with
   | Sequential -> Array.map f arr
   | Domains pool_size when pool_size <= 1 -> Array.map f arr
@@ -275,28 +251,16 @@ let map_array ?cost_hint t f arr =
       Obs.incr c_nested_seq;
       Array.map f arr
     end
+    else if Locks.try_lock pool_lock then
+      Fun.protect
+        ~finally:(fun () -> Locks.unlock pool_lock)
+        (fun () -> parallel_map_locked ~members:(min pool_size (Array.length arr)) f arr)
     else begin
-      match cost_hint with
-      | Some h when h < parallel_threshold () ->
-        Obs.incr c_gate_seq;
-        Array.map f arr
-      | _ ->
-        if Locks.try_lock pool_lock then
-          Fun.protect
-            ~finally:(fun () -> Locks.unlock pool_lock)
-            (fun () ->
-              parallel_map_locked ~members:(min pool_size (Array.length arr)) f arr)
-        else begin
-          (* Another domain is driving the pool; racing it for workers is
-             not worth blocking for — results are identical either way. *)
-          Obs.incr c_busy_seq;
-          Array.map f arr
-        end
+      (* Another domain is driving the pool; racing it for workers is
+         not worth blocking for — results are identical either way. *)
+      Obs.incr c_busy_seq;
+      Array.map f arr
     end
 
-let map_list ?cost_hint t f l =
-  if is_parallel t then Array.to_list (map_array ?cost_hint t f (Array.of_list l))
-  else List.map f l
-
-let map_reduce ?cost_hint t ~map ~fold ~init arr =
-  Array.fold_left fold init (map_array ?cost_hint t map arr)
+let map_list t f l =
+  if is_parallel t then Array.to_list (map_array t f (Array.of_list l)) else List.map f l

@@ -1,6 +1,7 @@
-(** Pluggable execution backend for the embarrassingly-parallel outer loops
-    of the pipeline (per-mapping PTQ evaluation, per-component top-h
-    ranking, per-element-pair matcher scoring).
+(** Pluggable execution backend for the embarrassingly-parallel loops of
+    the pipeline: the matcher's name-table rows, per-component top-h
+    ranking, and the server's runs of pure requests. Query evaluation
+    does not fan out: a PTQ runs on the domain that asked for it.
 
     A value of type {!t} names a scheduling policy, not live state:
     [Sequential] runs bulk operations in the calling domain; [Domains n]
@@ -21,15 +22,9 @@
     chunks per member) through an atomic cursor, so dynamic load balancing
     survives skewed item costs without paying cursor traffic per item.
 
-    {b Cost gate.} [map_array ~cost_hint] takes the job's total size in
-    the plan cost model's node-visit units ({!Uxsm_plan.Plan.choose});
-    below {!parallel_threshold} the call degrades to sequential — the
-    planner's units, not hope, decide when fan-out is worth it. Calls
-    without a hint always fan out.
-
     {b Determinism.} Every bulk operation merges results in index order,
-    so outputs are bit-identical across backends, pool sizes and gate
-    decisions — the only observable difference is wall-clock time (and the
+    so outputs are bit-identical across backends and pool sizes — the
+    only observable difference is wall-clock time (and the
     interleaving of {!Uxsm_obs} counter increments, whose totals are
     preserved). This is the contract the differential test suites enforce.
 
@@ -77,17 +72,7 @@ val backend_name : t -> string
 
 val is_parallel : t -> bool
 (** [true] iff a bulk operation may run item functions outside the calling
-    domain (i.e. [Domains n] with [n > 1]). Call sites use this to pick
-    between one shared memo table and per-worker tables. *)
-
-val parallel_threshold : unit -> float
-(** The cost gate's break-even point in node-visit units: a hinted bulk
-    call below it runs sequentially. Defaults to 4000.0 — a few thousand
-    units of work against a few worker wakeups of dispatch cost — or
-    [infinity] on a machine exposing a single hardware thread, where
-    domain fan-out can never reduce wall time. The [UXSM_PAR_THRESHOLD]
-    environment variable (a float >= 0, read per call) overrides the
-    default for calibration experiments. *)
+    domain (i.e. [Domains n] with [n > 1]). *)
 
 val pool_width : unit -> int
 (** Current number of live pool workers (the high-water mark of helpers
@@ -99,21 +84,13 @@ val shutdown : unit -> unit
     safe to call repeatedly, and the pool re-warms lazily if a parallel
     bulk call happens afterwards. *)
 
-val map_array : ?cost_hint:float -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array ?cost_hint t f a] is [Array.map f a], scheduled by [t] and
-    the cost gate (see above). [f] must be safe to call from any domain
+val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
+(** [map_array t f a] is [Array.map f a], scheduled by [t]. Every call on
+    [Domains n] with [n > 1] and two or more items fans out, unless the
+    nesting rule above applies. [f] must be safe to call from any domain
     (pure up to domain-safe effects such as {!Uxsm_obs} counters); items
     may run in any order and concurrently. The result is in index order
     regardless of backend. *)
 
-val map_list : ?cost_hint:float -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** List analogue of {!map_array}; preserves list order. *)
-
-val map_reduce :
-  ?cost_hint:float ->
-  t -> map:('a -> 'b) -> fold:('acc -> 'b -> 'acc) -> init:'acc -> 'a array -> 'acc
-(** [map_reduce t ~map ~fold ~init a] maps in parallel, then folds the
-    mapped results {e sequentially in index order} in the calling domain —
-    the fold sees exactly the sequence [Sequential] would produce, so
-    non-commutative folds (heap merges, ordered concatenation) stay
-    deterministic. *)

@@ -16,10 +16,8 @@ val generate : ?exec:Uxsm_exec.Executor.t -> h:int -> Matching.t -> t
     target→source array {!Uxsm_assignment.Partition.right_to_left}
     writes, through {!Mapping.of_target_sources} (bumping
     [mapping_set.mappings_built]). [exec] (default sequential)
-    parallelizes the per-component ranking, which sizes the ranking job
-    ([h] times the edge count) for the executor's cost gate — small
-    matchings stay sequential even under [Domains]. The resulting set is
-    identical for every backend and gate decision. *)
+    parallelizes the per-component ranking. The resulting set is
+    identical for every backend. *)
 
 val of_mappings : Matching.t -> (Mapping.t * float) list -> t
 (** Build from explicit mappings and probabilities (e.g. the paper's

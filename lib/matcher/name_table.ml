@@ -172,11 +172,6 @@ let soft_set (table : float array array) a b =
 
 (* ------------------------------- tables -------------------------------- *)
 
-(* Cost of one label pair in the executor's node-visit units, for its
-   parallelism gate: a pair takes about 1 µs (D2 and D7 on a 2-core x86-64
-   host) and a unit a few microseconds (Uxsm_exec.Executor). *)
-let pair_units = 0.4
-
 let token_table synonyms source target =
   Array.map
     (fun a ->
@@ -194,11 +189,9 @@ let token_table synonyms source target =
 let create ?(exec = Executor.sequential) ?synonyms sources targets =
   let source = intern_side sources and target = intern_side targets in
   let tokens = token_table synonyms source target in
-  let pairs = Array.length source.labels * Array.length target.labels in
-  let cost_hint = float_of_int pairs *. pair_units in
   let table =
-    (* lint: allow blocking-under-lock — reachable under the catalog shard and Dataset memo locks; the fan-out never blocks on the pool (try_lock or sequential fallback) and scoring is pure compute, so the hold is bounded by the table itself *)
-    Executor.map_array ~cost_hint exec
+    (* lint: allow blocking-under-lock — runs under a catalog shard lock during register; the fan-out never blocks on the pool (try_lock or sequential fallback) and scoring is pure compute, so the hold is bounded by the table itself *)
+    Executor.map_array exec
       (fun a ->
         let distance = distance_from a.text.low in
         Array.map

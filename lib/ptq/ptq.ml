@@ -9,7 +9,6 @@ module Mapping_set = Uxsm_mapping.Mapping_set
 module Block = Uxsm_blocktree.Block
 module Block_tree = Uxsm_blocktree.Block_tree
 module Obs = Uxsm_obs.Obs
-module Executor = Uxsm_exec.Executor
 module Plan = Uxsm_plan.Plan
 
 (* Observability: evaluation cost drivers, shared with the bench harness and
@@ -32,18 +31,17 @@ type context = {
   doc : Doc.t;
   target_doc : Doc.t;  (* target schema, indexed for resolution *)
   tree : Block_tree.t option;
-  exec : Executor.t;
 }
 
 let target_index schema = Doc.of_tree (Schema.to_xml_tree schema)
 
-let context ?(exec = Executor.sequential) ?tree ?target_doc ~mset ~doc () =
+let context ?tree ?target_doc ~mset ~doc () =
   let target_doc =
     match target_doc with
     | Some d -> d
     | None -> target_index (Mapping_set.target mset)
   in
-  { mset; doc; target_doc; tree; exec }
+  { mset; doc; target_doc; tree }
 
 let mapping_set ctx = ctx.mset
 
@@ -171,13 +169,9 @@ let coverage_of ctx (res : Resolve.t array) =
 let led_by i covered = List.filter_map (fun (r, l) -> if l = i then Some r else None) covered
 
 (* Algorithm 3 over a coverage table annotated with unit leaders: each
-   mapping rewrites and matches the resolutions it leads. Mappings are
-   independent of each other (the context is read-only during evaluation),
-   so the outer loop fans out on the context's executor; results come back
-   in coverage order, so answers are identical across backends. [cost_hint]
-   is the plan's estimate in node-visit units — the executor's cost gate
-   keeps evaluations too small to amortize a pool dispatch sequential. *)
-let query_basic_cov ?cost_hint ctx idx (res : Resolve.t array) cov =
+   mapping rewrites and matches the resolutions it leads, in coverage
+   order. *)
+let query_basic_cov ctx idx (res : Resolve.t array) cov =
   Obs.time s_basic (fun () ->
       let led =
         List.filter_map
@@ -188,7 +182,7 @@ let query_basic_cov ?cost_hint ctx idx (res : Resolve.t array) cov =
           cov
       in
       let evaluated =
-        Executor.map_list ?cost_hint ctx.exec
+        List.map
           (fun (i, rs) ->
             let m = Mapping_set.mapping ctx.mset i in
             Obs.add c_direct (List.length rs);
@@ -330,21 +324,16 @@ let eval_with_tree ctx tree idx resolution ~mids =
   eval 0 ~at_top:true mids
 
 (* Algorithm 4 over a coverage table annotated with unit leaders: one
-   [eval_with_tree] per resolution, over the leaders of its units.
-   [cost_hint] is the plan's estimate, gating the fan-out like in
-   [query_basic_cov]. *)
-let query_tree_cov ?cost_hint ctx idx (res : Resolve.t array) cov =
+   [eval_with_tree] per resolution, over the leaders of its units. *)
+let query_tree_cov ctx idx (res : Resolve.t array) cov =
   let tree =
     match ctx.tree with
     | Some t -> t
     | None -> invalid_arg "Ptq.query_tree: context has no block tree"
   in
   Obs.time s_tree (fun () ->
-      (* Resolutions are independent (tree, mapping set and document are
-         read-only), so they fan out on the executor; results merge in
-         coverage order below, identically for every backend. *)
       let evaluated =
-        Executor.map_array ?cost_hint ctx.exec
+        Array.map
           (fun r ->
             let mids =
               List.filter_map
@@ -460,22 +449,9 @@ let physical p = p.p_phys
 let execute p =
   Obs.incr c_queries;
   Obs.incr c_executions;
-  (* The cost model already sized this evaluation for the evaluator choice,
-     per one-mapping unit; scaled to the units the plan runs, the same
-     estimate feeds the executor's parallelism gate. *)
-  let pairs = List.fold_left (fun n (_, covered) -> n + List.length covered) 0 p.p_cov in
-  let scale c = c *. float_of_int p.p_phys.Plan.units /. float_of_int (max 1 pairs) in
-  let cost = p.p_phys.Plan.cost in
   match p.p_phys.Plan.evaluator with
-  | Plan.Per_mapping ->
-    query_basic_cov ~cost_hint:(scale cost.Plan.per_mapping) p.p_ctx p.p_idx p.p_res p.p_cov
-  | Plan.Per_block ->
-    let cost_hint =
-      match cost.Plan.per_block with
-      | Some c -> c
-      | None -> cost.Plan.per_mapping
-    in
-    query_tree_cov ~cost_hint:(scale cost_hint) p.p_ctx p.p_idx p.p_res p.p_cov
+  | Plan.Per_mapping -> query_basic_cov p.p_ctx p.p_idx p.p_res p.p_cov
+  | Plan.Per_block -> query_tree_cov p.p_ctx p.p_idx p.p_res p.p_cov
 
 let query ?(force = `Auto) ctx pattern = execute (compile ~force ctx pattern)
 let query_basic ctx pattern = query ~force:`Basic ctx pattern
@@ -498,9 +474,9 @@ let consolidate answers =
          | 0 -> List.compare Binding.compare b1 b2
          | c -> c)
 
-(* EXPLAIN as counter deltas: the query bumps the shared Obs counters; the
-   executor joins its workers before returning, so before/after differences
-   are exact for any backend as long as no other query runs concurrently.
+(* EXPLAIN as counter deltas: the query bumps the shared Obs counters on
+   the calling domain, so before/after differences are exact as long as no
+   other query runs concurrently.
    Working from a compiled plan means resolution and coverage happen
    exactly once — the stats reuse the plan's materialized prefix instead of
    re-resolving the pattern. *)

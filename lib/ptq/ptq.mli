@@ -30,7 +30,6 @@ val target_index : Uxsm_schema.Schema.t -> Uxsm_xml.Doc.t
 (** A target schema indexed as a document, for query resolution. *)
 
 val context :
-  ?exec:Uxsm_exec.Executor.t ->
   ?tree:Uxsm_blocktree.Block_tree.t ->
   ?target_doc:Uxsm_xml.Doc.t ->
   mset:Uxsm_mapping.Mapping_set.t ->
@@ -45,11 +44,8 @@ val context :
     builds it; a caller that keeps one per schema (the server catalog)
     passes it to skip re-indexing. Without it, the context builds its own.
 
-    [exec] (default [Sequential]) schedules the embarrassingly-parallel
-    outer loops of evaluation — per mapping in {!query_basic}, per
-    resolution in {!query_tree} — over a pool of domains. The context is
-    read-only during evaluation, and results merge in a fixed order, so
-    answers are identical for every backend (a tested property). *)
+    Evaluation runs on the calling domain and only reads the context, so
+    any number of domains may evaluate plans of one context at once. *)
 
 val mapping_set : context -> Uxsm_mapping.Mapping_set.t
 
@@ -94,9 +90,9 @@ val execute : plan -> answer list
 (** Run the plan's evaluate/merge suffix: the chosen operator evaluates
     each unit's leader once, every member gets its leader's bindings, and
     each distinct bindings list is sorted and deduplicated once. Answers in
-    mapping-id order, byte-identical across evaluators, unit groupings and
-    execution backends (tested property). Re-executing a plan repeats no
-    resolution or coverage work. *)
+    mapping-id order, byte-identical across evaluators and unit groupings
+    (tested property). Re-executing a plan repeats no resolution or
+    coverage work. *)
 
 val physical : plan -> Uxsm_plan.Plan.t
 (** The chosen physical plan (evaluator, cost estimates, pipeline). *)

@@ -225,7 +225,7 @@ let plan_locked t sh name ~pattern ~h ~tau ~k ~force =
     in
     let mset, tree = tree_locked t sh name ~h ~tau in
     let e = entry_locked sh name in
-    let ctx = Ptq.context ~exec:t.exec ~tree ~target_doc:e.target_doc ~mset ~doc:e.doc () in
+    let ctx = Ptq.context ~tree ~target_doc:e.target_doc ~mset ~doc:e.doc () in
     let p = Obs.time s_build (fun () -> Ptq.compile ~force ?k ctx q) in
     cache_put sh key (A_plan p);
     p

@@ -19,14 +19,6 @@ let c_connections = Obs.counter "server.connections"
 let c_bytes_in = Obs.counter "server.bytes_in"
 let c_bytes_out = Obs.counter "server.bytes_out"
 let c_overloaded = Obs.counter "server.overloaded"
-let c_contended = Obs.counter "server.exec_contended"
-
-(* The executor's own busy-fallback counter: when the server's dispatch
-   fan-out finds the warm pool already driven by another domain, the call
-   degrades to sequential and this ticks. The server mirrors the delta
-   into [server.exec_contended] so saturation is attributable to serving
-   rather than guessed from a global number. *)
-let c_exec_busy = Obs.counter "exec.sequential_busy"
 
 let h_queue_depth = Obs.histogram "server.queue_depth"
 
@@ -225,7 +217,6 @@ let dispatch t (req : Protocol.request) : (string * Json.t) list =
             ("queue_depth", Json.Int (Atomic.get t.gauges.g_queue_depth));
             ("queue_capacity", Json.Int (Atomic.get t.gauges.g_queue_capacity));
             ("overloaded_rejections", Json.Int (Obs.value c_overloaded));
-            ("exec_contended", Json.Int (Obs.value c_contended));
           ] );
       ( "histograms",
         Json.Assoc
@@ -295,50 +286,20 @@ let respond_parsed t = function
 
 let handle_line t line = respond_parsed t (Protocol.parse_line line)
 
-(* Attribute executor busy-fallbacks inside [f] to server dispatch: the
-   delta of [exec.sequential_busy] across the call is mirrored into
-   [server.exec_contended]. The signal is approximate under concurrent
-   non-server executor traffic (a global counter), but the server's
-   dispatcher is the only bulk submitter in a serving process, so in
-   practice the delta is exactly the dispatcher's lost fan-outs. *)
-let record_exec_contention f =
-  let before = Obs.value c_exec_busy in
-  let finally () =
-    let d = Obs.value c_exec_busy - before in
-    if d > 0 then Obs.add c_contended d
-  in
-  Fun.protect ~finally f
-
-(* Batch dispatch: a batch is answered run by run. A run is a barrier
-   (a request that mutates catalog state, reads counters other requests
-   move, or stops the server) alone, or
-   the longest stretch of consecutive pure requests, which fan out
-   through the executor (responses merge in index order, so the reply
-   stream is identical to sequential handling). A run of one request is
-   handled inline — inside a pool worker the nested-fanout guard would rob
-   it of its own per-request parallelism. *)
-let batch_request_units = 2000.0
-
-let respond_run t run =
-  match run with
-  | [ p ] -> [ respond_parsed t p ]
-  | _ when Executor.is_parallel t.exec ->
-    (* A pure request normally compiles or replays a whole query plan —
-       thousands of node-visit units — so size the batch accordingly for
-       the executor's gate: pairs of requests already clear a multi-core
-       break-even, while single-request batches never reach here (handled
-       inline above). *)
-    let cost_hint = float_of_int (List.length run) *. batch_request_units in
-    record_exec_contention (fun () ->
-        Executor.map_list ~cost_hint t.exec (respond_parsed t) run)
-  | _ -> List.map (respond_parsed t) run
-
 let pure_parsed = function
   | Ok env -> Protocol.is_pure env.Protocol.req
   | Error _ -> true (* an error reply touches no state *)
 
-(* Answer [items] (each with its parsed request) run by run, handing every
-   item and its reply to [deliver] as soon as its run is answered. *)
+(* Batch dispatch: answer [items] (each with its parsed request) run by
+   run, handing every item and its reply to [deliver] as soon as its run
+   is answered. A run is a barrier (a request that mutates catalog state,
+   reads counters other requests move, or stops the server) alone, or the
+   longest stretch of consecutive pure requests, which fan out through the
+   executor (responses merge in index order, so the reply stream is
+   identical to sequential handling). A run of one request stays on the
+   calling domain, as [map_list] never fans out a single item: inside a
+   pool worker the nested-fanout guard would rob it of its own
+   parallelism (the matcher's and top-h ranking's fan-outs). *)
 let answer_runs t items ~deliver =
   let pure (_, p) = pure_parsed p in
   let rec pure_prefix acc = function
@@ -349,7 +310,10 @@ let answer_runs t items ~deliver =
     | [] -> ()
     | x :: rest ->
       let run, rest = if pure x then pure_prefix [ x ] rest else ([ x ], rest) in
-      List.iter2 (fun (it, _) resp -> deliver it resp) run (respond_run t (List.map snd run));
+      List.iter2
+        (fun (it, _) resp -> deliver it resp)
+        run
+        (Executor.map_list t.exec (respond_parsed t) (List.map snd run));
       go rest
   in
   go items

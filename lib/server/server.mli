@@ -15,10 +15,12 @@
       degrades to sequential via the executor's nested-fanout guard.
       Barriers ([Register], [Update], [Explain], [Stats_reset],
       [Shutdown]) run alone. Responses are returned
-      in request order regardless of backend. A lone request bypasses the
-      pool so it keeps its per-request parallelism. The socket service
-      answers each batch it pops from its queue the same way, writing
-      each run's replies as soon as the run is answered.
+      in request order regardless of backend. A lone request runs on the
+      calling domain, so the pool stays free for its own fan-outs: the
+      matcher's name-table rows and top-h ranking, the only parallelism
+      one request has (query evaluation runs on one domain). The socket
+      service answers each batch it pops from its queue the same way,
+      writing each run's replies as soon as the run is answered.
     - {!serve_channels}: the stdio transport (line-delimited JSON both
       ways, one request at a time). It frames lines like the socket
       service below, so a line longer than {!max_line_bytes} gets one
@@ -47,7 +49,7 @@
     latency is recorded in a [server.<op>.latency] histogram; the [stats]
     endpoint serves counters, spans, histogram quantiles (p50/p95/p99)
     and live service gauges (active connections, queue depth/capacity,
-    overload rejections, executor contention) together with the cache
+    overload rejections) together with the cache
     and catalog state. The [stats_reset] endpoint zeroes the Obs
     counters, spans and histograms — a measurement-window barrier for
     load generators (see {!Protocol.request} for its exact pipeline and
@@ -72,13 +74,6 @@ val handle_line : t -> string -> string
 
 val handle_lines : t -> string list -> string list
 (** Batch dispatch; one response line per request line, in order. *)
-
-val record_exec_contention : (unit -> 'a) -> 'a
-(** Run [f] and mirror the delta of the executor's
-    [exec.sequential_busy] counter across the call into
-    [server.exec_contended] — the server-attributed count of fan-outs
-    that degraded to sequential because another domain was driving the
-    pool. Used around every dispatcher fan-out; exposed for tests. *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** Read request lines until EOF or shutdown, replying (and flushing)

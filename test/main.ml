@@ -1,10 +1,4 @@
 let () =
-  (* Disable the executor's cost gate for the whole suite: the Domains ≡
-     Sequential differentials must exercise real pool fan-out even on a
-     single-core machine (where the calibrated default gates every hinted
-     call sequential) and even for small hinted jobs. Tests of the gate
-     itself override this locally. *)
-  Unix.putenv "UXSM_PAR_THRESHOLD" "0";
   Alcotest.run "uxsm"
     [
       ("util", Test_util.suite);

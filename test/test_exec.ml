@@ -1,8 +1,8 @@
 (* Tests for the execution layer: Executor semantics (ordering, nesting,
    exceptions), domain-safety of the Obs sinks under parallel fan-out, and
    the differential properties the refactor promises — the Domains backend
-   returns bit-identical results to Sequential on all three parallelized
-   sites (PTQ evaluation, per-component top-h ranking, matcher scoring). *)
+   returns bit-identical results to Sequential on both parallelized sites
+   (per-component top-h ranking, matcher scoring). *)
 
 module Executor = Uxsm_exec.Executor
 module Obs = Uxsm_obs.Obs
@@ -21,12 +21,6 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
-
-(* The suite runs with UXSM_PAR_THRESHOLD=0 (see test/main.ml); gate tests
-   set their own threshold and always restore the suite-wide zero. *)
-let with_threshold v f =
-  Unix.putenv "UXSM_PAR_THRESHOLD" v;
-  Fun.protect ~finally:(fun () -> Unix.putenv "UXSM_PAR_THRESHOLD" "0") f
 
 (* ------------------------- Executor semantics --------------------- *)
 
@@ -123,14 +117,6 @@ let test_map_ordering () =
     (Executor.map_list par (fun s -> s ^ "!") [ "x" ]);
   Alcotest.(check bool) "empty array" true (Executor.map_array par f [||] = [||])
 
-let test_map_reduce_deterministic () =
-  (* String concatenation is non-commutative: any out-of-order fold would
-     produce a different result. *)
-  let input = Array.init 64 Fun.id in
-  let expect = Array.fold_left (fun acc i -> acc ^ string_of_int i) "" input in
-  Alcotest.(check string) "fold sees index order" expect
-    (Executor.map_reduce par ~map:string_of_int ~fold:( ^ ) ~init:"" input)
-
 exception Boom of int
 
 let test_exceptions_propagate () =
@@ -213,33 +199,6 @@ let test_warm_pool_reuse () =
   Alcotest.(check bool) "work was handed out in chunks, not per item" true
     (Obs.value chunks - k1 < 5 * 300 && Obs.value chunks > k1)
 
-let test_cost_gate () =
-  let gate = Obs.counter "exec.sequential_by_gate" in
-  let spawned = Obs.counter "exec.domains_spawned" in
-  let parallel = Obs.counter "exec.parallel_calls" in
-  let input = Array.init 64 Fun.id in
-  let f i = i + 1 in
-  let expect = Array.map f input in
-  with_threshold "1000000" (fun () ->
-      Alcotest.(check (float 0.0)) "threshold read from the environment" 1000000.0
-        (Executor.parallel_threshold ());
-      let g0 = Obs.value gate and s0 = Obs.value spawned and p0 = Obs.value parallel in
-      Alcotest.(check bool) "gated call computes the same result" true
-        (Executor.map_array ~cost_hint:999.0 par f input = expect);
-      Alcotest.(check int) "below-threshold hint degrades to sequential" (g0 + 1)
-        (Obs.value gate);
-      Alcotest.(check int) "no spawns for a gated call" s0 (Obs.value spawned);
-      Alcotest.(check int) "no parallel call for a gated call" p0 (Obs.value parallel);
-      Alcotest.(check bool) "above-threshold hint fans out" true
-        (Executor.map_array ~cost_hint:2e6 par f input = expect);
-      Alcotest.(check int) "the fan-out is a parallel call" (p0 + 1) (Obs.value parallel);
-      Alcotest.(check int) "the gate counter is untouched above threshold" (g0 + 1)
-        (Obs.value gate);
-      let p1 = Obs.value parallel in
-      Alcotest.(check bool) "hint-less calls are never gated" true
-        (Executor.map_array par f input = expect);
-      Alcotest.(check int) "hint-less call fanned out" (p1 + 1) (Obs.value parallel))
-
 let test_shutdown_and_rewarm () =
   ignore (Executor.map_array par Fun.id (Array.init 100 Fun.id));
   Alcotest.(check bool) "pool warm before shutdown" true (Executor.pool_width () > 0);
@@ -303,7 +262,7 @@ let prop_partition_domains_eq_sequential =
         (Partition.top ~h:25 g)
         (Partition.top ~exec:par ~h:25 g))
 
-(* ------------------------ differential: PTQ ----------------------- *)
+(* ----------------------- PTQ plan execution ----------------------- *)
 
 let answers_identical (xs : Ptq.answer list) (ys : Ptq.answer list) =
   List.length xs = List.length ys
@@ -314,28 +273,10 @@ let answers_identical (xs : Ptq.answer list) (ys : Ptq.answer list) =
          && x.bindings = y.bindings)
        xs ys
 
-let prop_ptq_domains_eq_sequential =
-  QCheck.Test.make ~count:60 ~name:"PTQ Domains = Sequential (basic, tree and top-k)"
-    QCheck.(triple (int_range 1 1000000) (int_range 2 15) (int_range 1 6))
-    (fun (seed, h, k) ->
-      let prng = Uxsm_util.Prng.create seed in
-      let mset = Fixtures.random_mapping_set prng ~source_n:14 ~target_n:10 ~corrs:14 ~h in
-      let tree = Block_tree.build ~params:{ Block_tree.tau = 0.3; max_b = 100; max_f = 100 } mset in
-      let doc = Fixtures.random_doc prng (Mapping_set.source mset) in
-      let pattern = Fixtures.random_pattern prng (Mapping_set.target mset) in
-      let ctx_seq = Ptq.context ~tree ~mset ~doc () in
-      let ctx_par = Ptq.context ~exec:par ~tree ~mset ~doc () in
-      answers_identical (Ptq.query_basic ctx_seq pattern) (Ptq.query_basic ctx_par pattern)
-      && answers_identical (Ptq.query_tree ctx_seq pattern) (Ptq.query_tree ctx_par pattern)
-      && answers_identical
-           (Ptq.query_topk ctx_seq ~k pattern)
-           (Ptq.query_topk ctx_par ~k pattern))
-
 let prop_plan_execution_eq_query_basic =
   (* The tentpole differential: every way of executing a compiled plan —
-     both physical operators, cost-chosen or forced, sequential or with
-     domain fan-out — returns the seed query_basic answers bit-identically,
-     including under top-k pruning. *)
+     both physical operators, cost-chosen or forced — returns the seed
+     query_basic answers bit-identically, including under top-k pruning. *)
   QCheck.Test.make ~count:60 ~name:"plan execution (all evaluators x executors) = query_basic"
     QCheck.(triple (int_range 1 1000000) (int_range 2 15) (int_range 1 6))
     (fun (seed, h, k) ->
@@ -344,39 +285,14 @@ let prop_plan_execution_eq_query_basic =
       let tree = Block_tree.build ~params:{ Block_tree.tau = 0.3; max_b = 100; max_f = 100 } mset in
       let doc = Fixtures.random_doc prng (Mapping_set.source mset) in
       let pattern = Fixtures.random_pattern prng (Mapping_set.target mset) in
-      let ctxs =
-        [
-          Uxsm_ptq.Ptq.context ~tree ~mset ~doc ();
-          Uxsm_ptq.Ptq.context ~exec:par ~tree ~mset ~doc ();
-        ]
-      in
-      let expect = Ptq.query_basic (List.hd ctxs) pattern in
-      let expect_topk = Ptq.execute (Ptq.compile ~force:`Basic ~k (List.hd ctxs) pattern) in
+      let ctx = Ptq.context ~tree ~mset ~doc () in
+      let expect = Ptq.query_basic ctx pattern in
+      let expect_topk = Ptq.execute (Ptq.compile ~force:`Basic ~k ctx pattern) in
       List.for_all
-        (fun ctx ->
-          List.for_all
-            (fun force ->
-              answers_identical expect (Ptq.execute (Ptq.compile ~force ctx pattern))
-              && answers_identical expect_topk (Ptq.execute (Ptq.compile ~force ~k ctx pattern)))
-            [ `Auto; `Basic; `Tree ])
-        ctxs)
-
-let prop_ptq_counter_totals =
-  QCheck.Test.make ~count:30 ~name:"PTQ counter totals Domains = Sequential"
-    QCheck.(pair (int_range 1 1000000) (int_range 2 12))
-    (fun (seed, h) ->
-      let prng = Uxsm_util.Prng.create seed in
-      let mset = Fixtures.random_mapping_set prng ~source_n:12 ~target_n:8 ~corrs:10 ~h in
-      let doc = Fixtures.random_doc prng (Mapping_set.source mset) in
-      let pattern = Fixtures.random_pattern prng (Mapping_set.target mset) in
-      let totals exec =
-        Obs.reset ();
-        ignore (Ptq.query_basic (Ptq.context ~exec ~mset ~doc ()) pattern);
-        List.filter
-          (fun (name, _) -> String.length name >= 4 && String.sub name 0 4 = "ptq.")
-          (Obs.counters ())
-      in
-      totals Executor.sequential = totals par)
+        (fun force ->
+          answers_identical expect (Ptq.execute (Ptq.compile ~force ctx pattern))
+          && answers_identical expect_topk (Ptq.execute (Ptq.compile ~force ~k ctx pattern)))
+        [ `Auto; `Basic; `Tree ])
 
 (* ------------------------ differential: Coma ---------------------- *)
 
@@ -408,20 +324,16 @@ let suite =
     Alcotest.test_case "UXSM_JOBS default" `Quick test_jobs_of_env;
     Alcotest.test_case "UXSM_JOBS rejection warns" `Quick test_jobs_of_env_warns;
     Alcotest.test_case "map ordering across backends" `Quick test_map_ordering;
-    Alcotest.test_case "map_reduce folds in index order" `Quick test_map_reduce_deterministic;
     Alcotest.test_case "worker exceptions propagate" `Quick test_exceptions_propagate;
     Alcotest.test_case "worker backtrace survives re-raise" `Quick
       test_exception_backtrace_preserved;
     Alcotest.test_case "nested fan-out degrades to sequential" `Quick
       test_nested_fanout_degrades;
     Alcotest.test_case "warm pool reuse across bulk calls" `Quick test_warm_pool_reuse;
-    Alcotest.test_case "cost gate degrades small jobs" `Quick test_cost_gate;
     Alcotest.test_case "shutdown joins and the pool re-warms" `Quick test_shutdown_and_rewarm;
     Alcotest.test_case "Obs totals under parallel fan-out" `Quick test_parallel_counter_totals;
     q prop_chunked_map_eq_sequential;
     q prop_partition_domains_eq_sequential;
-    q prop_ptq_domains_eq_sequential;
     q prop_plan_execution_eq_query_basic;
-    q prop_ptq_counter_totals;
     q prop_coma_domains_eq_sequential;
   ]

@@ -813,6 +813,43 @@ let test_handle_lines_batching () =
     (fun i (a, b) ->
       if i <> 6 then Alcotest.(check string) (Printf.sprintf "line %d identical" i) a b)
     (List.combine seq par);
+  (* D7 at full scale: one pipelined run of pure requests, so on the pool
+     several domains compile, cache and execute plans over one shared
+     mapping set, block tree and document at once. The ten Table III
+     queries go in cold and then warm, then forced onto Algorithms 3 and 4,
+     whose one-mapping units make each evaluation long enough to overlap. *)
+  let queries evaluator =
+    List.map
+      (fun (_, q) ->
+        Printf.sprintf {|{"op":"query","corpus":"d7","query":%s,"evaluator":"%s"}|}
+          (Json.to_string (Json.String (Uxsm_twig.Pattern.to_string q)))
+          evaluator)
+      Uxsm_workload.Queries.table3
+  in
+  let batch =
+    queries "auto" @ queries "auto" @ queries "basic" @ queries "tree"
+    @ [
+        {|{"op":"query_topk","corpus":"d7","query":"Order/POLine[./LineNo]//UnitPrice","k":3}|};
+        {|{"op":"mappings","corpus":"d7"}|};
+        {|{"op":"save","corpus":"d7"}|};
+        {|{"op":"match","corpus":"d7"}|};
+      ]
+  in
+  let d7_lines srv =
+    assert_ok "register d7"
+      (response_of_line srv {|{"op":"register","name":"d7","dataset":"D7"}|});
+    Server.handle_lines srv batch
+  in
+  let seq = d7_lines (Server.create ~cache_entries:64 ()) in
+  let par = d7_lines (Server.create ~cache_entries:64 ~exec:(Executor.domains 3) ()) in
+  Alcotest.(check int) "one D7 response per line" 44 (List.length par);
+  List.iteri
+    (fun i (a, b) ->
+      (match Json.of_string a with
+      | Ok j -> assert_ok (Printf.sprintf "D7 line %d" i) j
+      | Error e -> Alcotest.failf "D7 line %d: bad reply: %s" i e);
+      Alcotest.(check string) (Printf.sprintf "D7 line %d identical" i) a b)
+    (List.combine seq par);
   (* Shutdown inside a batch still answers everything (drain). *)
   let srv = Server.create () in
   let resps = Server.handle_lines srv [ {|{"op":"shutdown"}|}; {|{"op":"ping"}|} ] in
@@ -924,21 +961,6 @@ let test_catalog_concurrent_shards () =
   let s = Catalog.cache_stats (Server.catalog srv) in
   Alcotest.(check bool) "shard-summed stats coherent" true
     (s.Lru.hits >= 0 && s.Lru.misses > 0 && Catalog.cache_length (Server.catalog srv) <= 16)
-
-(* ---------------------- contention attribution -------------------- *)
-
-let test_exec_contention_attribution () =
-  Obs.reset ();
-  let busy = Obs.counter "exec.sequential_busy" in
-  let contended = Obs.counter "server.exec_contended" in
-  let v = Server.record_exec_contention (fun () -> Obs.add busy 3; 17) in
-  Alcotest.(check int) "result passes through" 17 v;
-  Alcotest.(check int) "busy delta mirrored" 3 (Obs.value contended);
-  ignore (Server.record_exec_contention (fun () -> ()));
-  Alcotest.(check int) "quiet call adds nothing" 3 (Obs.value contended);
-  (try Server.record_exec_contention (fun () -> Obs.incr busy; failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "mirrored on the exceptional path too" 4 (Obs.value contended)
 
 (* -------------------- concurrent socket service ------------------- *)
 
@@ -1482,8 +1504,6 @@ let suite =
     Alcotest.test_case "overloaded response shape" `Quick test_overloaded_response_shape;
     Alcotest.test_case "catalog shards serve domains concurrently" `Quick
       test_catalog_concurrent_shards;
-    Alcotest.test_case "executor contention attributed to serving" `Quick
-      test_exec_contention_attribution;
     Alcotest.test_case "TCP multi-client stress (differential)" `Quick test_tcp_stress;
     Alcotest.test_case "Unix-socket multi-client stress (differential)" `Quick
       test_unix_stress;

@@ -371,7 +371,7 @@ let resolve_node env ~file p =
 let is_executor_fanout nd =
   Filename.basename nd.nd_file = "executor.ml"
   && (match nd.nd_name with
-     | "map_array" | "map_list" | "map_reduce" -> true
+     | "map_array" | "map_list" -> true
      | _ -> false)
 
 (* Calls that can block the calling thread for an unbounded time. *)
@@ -388,7 +388,7 @@ let blocklisted p =
 
 let fanout_path p =
   match List.rev p with
-  | ("map_array" | "map_list" | "map_reduce") :: "Executor" :: _ ->
+  | ("map_array" | "map_list") :: "Executor" :: _ ->
     Some (List.hd (List.rev p))
   | _ -> None
 
