@@ -15,8 +15,9 @@ let create ~n_left ~n_right edge_list =
     if j < 0 || j >= n_right then invalid_arg "Bipartite.create: right index out of range";
     if not (w >= 0.0 && Float.is_finite w) then
       invalid_arg "Bipartite.create: weight must be finite and non-negative";
-    if Hashtbl.mem seen (i, j) then invalid_arg "Bipartite.create: duplicate edge";
-    Hashtbl.add seen (i, j) ()
+    let key = (i * n_right) + j in
+    if Hashtbl.mem seen key then invalid_arg "Bipartite.create: duplicate edge";
+    Hashtbl.add seen key ()
   in
   List.iter check edge_list;
   let adj_l = Array.make n_left [] in
@@ -36,12 +37,10 @@ let create ~n_left ~n_right edge_list =
     max_weight;
   }
 
-(* The one shared definition of how a delta rewrites an edge list. Both
-   the matching layer (path-level deltas) and the partition layer
-   (index-level deltas) funnel through this, so the two can never
-   disagree about edge order — which matters because Murty's solution
-   enumeration, and hence byte-identical incremental maintenance, is
-   sensitive to adjacency order. Removals apply first; a re-scored edge
+(* How a delta rewrites an edge list: the matching layer's path-level
+   deltas resolve to this. Edge order matters because Murty's solution
+   enumeration, and hence the partition layer's per-component reuse keys,
+   are sensitive to adjacency order. Removals apply first; a re-scored edge
    keeps its position; a genuinely new edge is appended at the end in
    first-occurrence order of [set] (a later duplicate only overrides the
    score). An edge that is both removed and set ends up appended. *)

@@ -12,7 +12,8 @@ val create : n_left:int -> n_right:int -> (int * int * float) list -> t
 (** [create ~n_left ~n_right edges] builds a graph from [(left, right,
     weight)] triples. Raises [Invalid_argument] on out-of-range indices,
     weights that are negative, infinite or NaN, or duplicate
-    [(left, right)] pairs. *)
+    [(left, right)] pairs (found through a table keyed by the single int
+    [left * n_right + right]). *)
 
 val n_left : t -> int
 val n_right : t -> int
@@ -25,10 +26,11 @@ val apply_edge_delta :
   remove:(int * int) list ->
   (int * int * float) list ->
   (int * int * float) list
-(** The delta algebra over edge lists, shared by every incremental-
-    maintenance layer so edge {e order} — which Murty-based ranking is
-    sensitive to — is rewritten one way everywhere. Removals apply
-    first. A [set] of an existing [(left, right)] pair re-scores it in
+(** The delta algebra over edge lists: how the mapping layer's
+    [Matching.apply_delta] rewrites a matching's correspondences, so edge
+    {e order} — which Murty-based ranking is sensitive to, and which
+    [Partition.rerank]'s component keys include — changes one fixed way.
+    Removals apply first. A [set] of an existing [(left, right)] pair re-scores it in
     place (position preserved); a [set] of a new pair appends it at the
     end, in first-occurrence order of [set] (later duplicates only
     override the score). A pair both removed and set is appended.

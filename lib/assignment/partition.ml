@@ -21,7 +21,11 @@ type component = {
   edges : (int * int * float) list;
 }
 
-(* Union-find over left nodes [0, nl) and right nodes [nl, nl + nr). *)
+(* Union-find over left nodes [0, nl) and right nodes [nl, nl + nr). Links
+   point at the smaller node, so a root is its component's smallest node:
+   a left node, since a component holds an edge and left indices come
+   first. Edges and nodes are bucketed by root in arrays indexed by it,
+   walked downwards so every bucket comes out ascending. *)
 let components g =
   let nl = Bipartite.n_left g in
   let nr = Bipartite.n_right g in
@@ -31,30 +35,34 @@ let components g =
     let ra = find a and rb = find b in
     if ra <> rb then parent.(max ra rb) <- min ra rb
   in
-  List.iter (fun (i, j, _) -> union i (nl + j)) (Bipartite.edges g);
-  let by_root : (int, (int * int * float) list) Hashtbl.t = Hashtbl.create 16 in
+  let edges = Bipartite.edges g in
+  List.iter (fun (i, j, _) -> union i (nl + j)) edges;
+  let by_root = Array.make nl [] and lefts = Array.make nl [] and rights = Array.make nl [] in
   List.iter
     (fun ((i, _, _) as e) ->
       let r = find i in
-      let prev = try Hashtbl.find by_root r with Not_found -> [] in
-      Hashtbl.replace by_root r (e :: prev))
-    (Bipartite.edges g);
-  let component_of_edges edges =
-    let ls = ref [] and rs = ref [] in
-    let module IS = Set.Make (Int) in
-    let lset = ref IS.empty and rset = ref IS.empty in
-    List.iter
-      (fun (i, j, _) ->
-        lset := IS.add i !lset;
-        rset := IS.add j !rset)
-      edges;
-    ls := IS.elements !lset;
-    rs := IS.elements !rset;
-    { lefts = !ls; rights = !rs; edges = List.rev edges }
-  in
-  Hashtbl.fold (fun root edges acc -> (root, component_of_edges edges) :: acc) by_root []
-  |> List.sort (fun (r1, _) (r2, _) -> Int.compare r1 r2)
-  |> List.map snd
+      by_root.(r) <- e :: by_root.(r))
+    edges;
+  for i = nl - 1 downto 0 do
+    if Array.length (Bipartite.adj g i) > 0 then begin
+      let r = find i in
+      lefts.(r) <- i :: lefts.(r)
+    end
+  done;
+  for j = nr - 1 downto 0 do
+    if Array.length (Bipartite.radj g j) > 0 then begin
+      let r = find (nl + j) in
+      rights.(r) <- j :: rights.(r)
+    end
+  done;
+  let comps = ref [] in
+  for r = nl - 1 downto 0 do
+    match by_root.(r) with
+    | [] -> ()
+    | rev_edges ->
+      comps := { lefts = lefts.(r); rights = rights.(r); edges = List.rev rev_edges } :: !comps
+  done;
+  !comps
 
 let empty_solution : Murty.solution = { pairs = []; score = 0.0 }
 
@@ -80,8 +88,9 @@ type level = {
    each at most once. Ties pop in the order of that push sequence, so every
    caller — the fold and [merge] — breaks them alike. A popped cell is at
    most [h - 1] steps from (0, 0), so no pushed index exceeds [h] and the
-   seen-bitmap needs at most [(h + 1)^2] bits. *)
-let merge_level ~h xs ys =
+   seen-bitmap needs at most [(h + 1)^2] bits. The walk runs in [heap],
+   emptied first, so a fold's levels share one heap. *)
+let merge_level ~heap ~h xs ys =
   Obs.incr c_merges;
   let nx = Array.length xs and ny = Array.length ys in
   let n = if nx = 0 || ny = 0 || h <= 0 then 0 else min h (nx * ny) in
@@ -89,7 +98,7 @@ let merge_level ~h xs ys =
   if n > 0 then begin
     let rows = if h < nx then h + 1 else nx and cols = if h < ny then h + 1 else ny in
     let seen = Bytes.make (((rows * cols) + 7) / 8) '\000' in
-    let heap = Uxsm_util.Fheap.create () in
+    Uxsm_util.Fheap.clear heap;
     let push ix iy =
       if ix < nx && iy < ny then begin
         let k = (ix * cols) + iy in
@@ -120,7 +129,7 @@ let scores_of (sols : Murty.solution array) = Array.map (fun (s : Murty.solution
 
 let merge ~h xs ys =
   let xa = Array.of_list xs and ya = Array.of_list ys in
-  let lv = merge_level ~h (scores_of xa) (scores_of ya) in
+  let lv = merge_level ~heap:(Uxsm_util.Fheap.create ()) ~h (scores_of xa) (scores_of ya) in
   List.init (Array.length lv.lv_score) (fun e ->
       {
         Murty.pairs =
@@ -128,14 +137,18 @@ let merge ~h xs ys =
         score = lv.lv_score.(e);
       })
 
-(* Merge one level per local list on top of [prev]'s scores, pushing each
-   onto [acc] (newest first). The fold starts from the single empty
+(* Merge one level per local list on top of [prev]'s scores, in list
+   order, all in one heap. The fold starts from the single empty
    solution's scores. *)
-let rec fold_levels ~h prev acc = function
-  | [] -> acc
-  | local :: rest ->
-    let lv = merge_level ~h prev (scores_of local) in
-    fold_levels ~h lv.lv_score (lv :: acc) rest
+let fold_levels ~h prev locals =
+  let heap = Uxsm_util.Fheap.create () in
+  let rec go prev acc = function
+    | [] -> Array.of_list (List.rev acc)
+    | local :: rest ->
+      let lv = merge_level ~heap ~h prev (scores_of local) in
+      go lv.lv_score (lv :: acc) rest
+  in
+  go prev [] locals
 
 (* The final level's solutions as pair lists: follow each entry's
    back-pointers through every level, gather the chosen local pair lists
@@ -161,8 +174,7 @@ let materialize (locals : Murty.solution array array) (levels : level array) =
 
 let merge_fold ~h locals =
   let locals = List.map Array.of_list locals in
-  let levels = List.rev (fold_levels ~h [| empty_solution.score |] [] locals) in
-  materialize (Array.of_list locals) (Array.of_list levels)
+  materialize (Array.of_list locals) (fold_levels ~h [| empty_solution.score |] locals)
 
 (* The reusable per-component state. Plain data throughout — no closures —
    so the catalog can own one per cached mapping set and a future session
@@ -171,21 +183,14 @@ let merge_fold ~h locals =
    top-h solutions mapped back to global indices. *)
 type ranked = {
   rk_h : int;
-  rk_graph : Bipartite.t;
+  rk_n_right : int;
   rk_locals : ((int * int * float) list * Murty.solution array) array;
   rk_levels : level array;
       (* rk_levels.(i) = the merge fold's level over locals 0..i, so the
          last level's entries are the merged top-h. The fold is
-         left-associative and order-sensitive, so a delta confined to
+         left-associative and order-sensitive, so an edit confined to
          component k can keep levels 0..k-1 verbatim and re-merge only the
          suffix from k on. *)
-}
-
-type delta = {
-  d_set : (int * int * float) list;
-  d_remove : (int * int) list;
-  d_n_left : int;
-  d_n_right : int;
 }
 
 let local_top ~h comp =
@@ -209,18 +214,21 @@ let local_top ~h comp =
          })
   |> Array.of_list
 
-(* Rank the components of [g], reusing any component whose ordered edge
-   list is found in [cache] (a hit means identical member nodes and
-   weights, so the cached global-index solution list is exactly what a
-   fresh ranking would produce). Misses rank on the executor; the heap
-   merge is order-sensitive, so it folds sequentially over the
-   per-component lists in component order — the same fold Sequential
-   performs. *)
-let rank_components ~exec ~h ~cache ~reuse g =
+(* Rank the components of [g] against an [old] ranking at the same [h]
+   (a fresh ranking passes no components and no levels). A component
+   whose ordered edge list is one of [old]'s keys takes [old]'s local
+   list: equal keys mean identical member nodes and weights, so that list
+   is exactly what a fresh Murty run would produce. Misses rank on the
+   executor; the heap merge is order-sensitive, so it folds sequentially
+   over the per-component lists in component order — the same fold
+   Sequential performs. *)
+let rank_components ~exec ~h ~old_locals ~old_levels g =
   let comps = components g in
   Obs.incr c_runs;
   Obs.add c_components (List.length comps);
   List.iter (fun c -> Obs.add c_component_edges (List.length c.edges)) comps;
+  let cache = Hashtbl.create (Array.length old_locals + 1) in
+  Array.iter (fun (key, local) -> Hashtbl.replace cache key local) old_locals;
   let tagged = List.map (fun c -> (c, Hashtbl.find_opt cache c.edges)) comps in
   let misses = List.filter_map (function c, None -> Some c | _ -> None) tagged in
   let fresh = Uxsm_exec.Executor.map_list exec (local_top ~h) misses in
@@ -233,10 +241,9 @@ let rank_components ~exec ~h ~cache ~reuse g =
   in
   let locals = Array.of_list (stitch tagged fresh) in
   (* The merge fold is left-associative, so any leading run of components
-     whose keys match [reuse] position by position replays exactly — a
-     cache hit on the same key yields the identical local list, hence the
-     identical level. Resume the fold from the last surviving level. *)
-  let old_locals, old_levels = reuse in
+     whose keys match [old_locals] position by position replays exactly —
+     the same key yields the identical local list, hence the identical
+     level. Resume the fold from the last surviving level. *)
   let n = Array.length locals in
   let rec survive c =
     if c < n && c < Array.length old_locals && fst old_locals.(c) = fst locals.(c) then
@@ -248,85 +255,58 @@ let rank_components ~exec ~h ~cache ~reuse g =
   let levels =
     Obs.time s_fold (fun () ->
         let rest = List.init (n - kept) (fun c -> snd locals.(kept + c)) in
-        Array.append (Array.sub old_levels 0 kept)
-          (Array.of_list (List.rev (fold_levels ~h start [] rest))))
+        Array.append (Array.sub old_levels 0 kept) (fold_levels ~h start rest))
   in
-  (locals, levels, List.length misses)
+  ({ rk_h = h; rk_n_right = Bipartite.n_right g; rk_locals = locals; rk_levels = levels },
+   List.length misses)
 
 let rank ?(exec = Uxsm_exec.Executor.sequential) ~h g =
   if h <= 0 then invalid_arg "Partition.rank: h must be >= 1";
   Obs.time s_top @@ fun () ->
-  let no_reuse = Hashtbl.create 1 in
-  let locals, levels, _ = rank_components ~exec ~h ~cache:no_reuse ~reuse:([||], [||]) g in
-  { rk_h = h; rk_graph = g; rk_locals = locals; rk_levels = levels }
+  fst (rank_components ~exec ~h ~old_locals:[||] ~old_levels:[||] g)
+
+let rerank ?(exec = Uxsm_exec.Executor.sequential) ~old g =
+  Obs.time s_apply_delta @@ fun () ->
+  Obs.incr c_delta_applies;
+  let r, reranked =
+    rank_components ~exec ~h:old.rk_h ~old_locals:old.rk_locals ~old_levels:old.rk_levels g
+  in
+  Obs.add c_components_reranked reranked;
+  Obs.add c_components_reused (Array.length r.rk_locals - reranked);
+  r
 
 let solutions r =
   Obs.time s_materialize (fun () -> materialize (Array.map snd r.rk_locals) r.rk_levels)
 
-(* Each final solution written straight from the back-pointers: walk its
-   levels from the last down and store every chosen local pair (i, j) as
-   [a.(j) <- i]. Components share no node, so no write overlaps another. *)
-let right_to_left r =
+(* Store every pair (i, j) of a local solution as [a.(j) <- i], by plain
+   recursion: no closure per solution and level. *)
+let rec write_pairs a = function
+  | [] -> ()
+  | (i, j) :: rest ->
+    a.(j) <- i;
+    write_pairs a rest
+
+(* Each final solution written straight from the back-pointers into one
+   scratch array: clear it, walk the solution's levels from the last down
+   and write every chosen local solution's pairs. Components share no
+   node, so no write overlaps another. *)
+let right_to_left r f =
   Obs.time s_materialize @@ fun () ->
-  let n = Bipartite.n_right r.rk_graph in
+  let n = r.rk_n_right in
+  let a = Array.make n (-1) in
   let k = Array.length r.rk_levels in
-  if k = 0 then [| (empty_solution.score, Array.make n (-1)) |]
+  if k = 0 then [| f empty_solution.score a |]
   else
     let last = r.rk_levels.(k - 1) in
     Array.init (Array.length last.lv_score) (fun e ->
-        let a = Array.make n (-1) in
+        Array.fill a 0 n (-1);
         let entry = ref e in
         for c = k - 1 downto 0 do
           let lv = r.rk_levels.(c) in
-          let sol = (snd r.rk_locals.(c)).(lv.lv_local.(!entry)) in
-          List.iter (fun (i, j) -> a.(j) <- i) sol.Murty.pairs;
+          write_pairs a (snd r.rk_locals.(c)).(lv.lv_local.(!entry)).Murty.pairs;
           entry := lv.lv_prev.(!entry)
         done;
-        (last.lv_score.(e), a))
-
-let graph r = r.rk_graph
-let ranked_h r = r.rk_h
+        f last.lv_score.(e) a)
 
 let top ?(exec = Uxsm_exec.Executor.sequential) ~h g =
   if h <= 0 then [] else solutions (rank ~exec ~h g)
-
-let delta_of_graphs ~old g' =
-  let old_tbl = Hashtbl.create 64 in
-  List.iter (fun (i, j, w) -> Hashtbl.replace old_tbl (i, j) w) (Bipartite.edges old);
-  let new_tbl = Hashtbl.create 64 in
-  List.iter (fun (i, j, _) -> Hashtbl.replace new_tbl (i, j) ()) (Bipartite.edges g');
-  let set =
-    List.filter
-      (fun (i, j, w) ->
-        match Hashtbl.find_opt old_tbl (i, j) with
-        | Some w0 -> not (Float.equal w0 w)
-        | None -> true)
-      (Bipartite.edges g')
-  in
-  let remove =
-    List.filter_map
-      (fun (i, j, _) -> if Hashtbl.mem new_tbl (i, j) then None else Some (i, j))
-      (Bipartite.edges old)
-  in
-  {
-    d_set = set;
-    d_remove = remove;
-    d_n_left = Bipartite.n_left g';
-    d_n_right = Bipartite.n_right g';
-  }
-
-let apply_delta ?(exec = Uxsm_exec.Executor.sequential) d r =
-  Obs.time s_apply_delta @@ fun () ->
-  Obs.incr c_delta_applies;
-  let edges =
-    Bipartite.apply_edge_delta ~set:d.d_set ~remove:d.d_remove (Bipartite.edges r.rk_graph)
-  in
-  let g = Bipartite.create ~n_left:d.d_n_left ~n_right:d.d_n_right edges in
-  let cache = Hashtbl.create (Array.length r.rk_locals) in
-  Array.iter (fun (key, local) -> Hashtbl.replace cache key local) r.rk_locals;
-  let locals, levels, reranked =
-    rank_components ~exec ~h:r.rk_h ~cache ~reuse:(r.rk_locals, r.rk_levels) g
-  in
-  Obs.add c_components_reranked reranked;
-  Obs.add c_components_reused (Array.length locals - reranked);
-  { r with rk_graph = g; rk_locals = locals; rk_levels = levels }

@@ -46,13 +46,13 @@ val top :
 
 (** {1 Incremental maintenance}
 
-    Correspondence updates touch only some connected components, so only
+    A correspondence edit touches only some connected components, so only
     those components need re-ranking before the heap merge re-folds over
     cached per-component lists. *)
 
 type ranked
-(** Reusable ranking state: the graph, per-component Murty lists (keyed by
-    the component's ordered edge list) and one merge-fold level per
+(** Reusable ranking state: per-component Murty lists (keyed by the
+    component's ordered edge list) and one merge-fold level per
     component. A level holds, for each of its (at most [h]) entries, the
     combined score, the entry of the previous level it extends and the
     local solution it adds — back-pointers, not pair lists. The merged
@@ -60,60 +60,43 @@ type ranked
     {!solutions}, and never stored. Plain data — no closures — so a
     catalog can own one per cached mapping set. *)
 
-type delta = {
-  d_set : (int * int * float) list;
-      (** edges to add or re-score, as [(left, right, weight)] *)
-  d_remove : (int * int) list;  (** edges to drop *)
-  d_n_left : int;  (** left size {e after} the delta (schemas only grow) *)
-  d_n_right : int;  (** right size after the delta *)
-}
-
 val rank :
   ?exec:Uxsm_exec.Executor.t ->
   h:int ->
   Bipartite.t ->
   ranked
 (** Rank every component and merge, keeping the per-component lists for
-    later {!apply_delta} calls. [solutions (rank ~h g) = top ~h g] always.
+    later {!rerank} calls. [solutions (rank ~h g) = top ~h g] always.
     Raises [Invalid_argument] when [h <= 0]. *)
 
-val right_to_left : ranked -> (float * int array) array
-(** The merged global top-h, non-increasing, each as its score and a
-    fresh right→left array [a] of length [n_right]: [a.(j)] is the left
-    node matched to right node [j], or [-1]. Written straight from the
-    levels' back-pointers, with no pair list built or sorted; the
-    caller owns the arrays. Holds exactly the pairs and scores of
-    {!solutions} (a tested property). Timed by the
-    [partition.materialize] span. *)
+val rerank : ?exec:Uxsm_exec.Executor.t -> old:ranked -> Bipartite.t -> ranked
+(** [rerank ~old g] — [rank ~h g] at [old]'s [h], with [old] as the
+    cache: recompute the component index of [g], re-rank {e only}
+    components whose ordered edge list is not one of [old]'s keys (equal
+    membership, order and weights mean the cached ranking is exactly a
+    fresh one), and resume the heap merge from the deepest level whose
+    components all match [old]'s position by position: the fold is
+    left-associative, so an edit confined to component [k] keeps levels
+    [0..k-1] verbatim and re-merges only the score arrays from [k] on.
+    Exact for any [g] — edges permuted, sides shrunk or an unrelated
+    graph simply hit the cache less (a tested property). No solution is
+    built here; the caller reads the new top-h through {!right_to_left}
+    or {!solutions}. Timed by the [partition.apply_delta] span; bumps
+    [partition.components_reranked] / [partition.components_reused];
+    only the re-ranked components run on [exec]. *)
+
+val right_to_left : ranked -> (float -> int array -> 'a) -> 'a array
+(** [right_to_left r f] — [f] applied to each solution of the merged
+    global top-h, non-increasing, as its score and a right→left array
+    [a] of length [n_right]: [a.(j)] is the left node matched to right
+    node [j], or [-1]. Every call of [f] gets the same scratch array,
+    rewritten from the levels' back-pointers with no pair list built or
+    sorted, so [f] must copy [a] to keep it. Holds exactly the pairs and
+    scores of {!solutions} (a tested property). Timed, [f] included, by
+    the [partition.materialize] span. *)
 
 val solutions : ranked -> Murty.solution list
 (** The merged global top-h, non-increasing, as pair lists sorted by
     (left, right). Built on demand from the back-pointers on every call
     (timed by [partition.materialize]); {!top}, tests and the Figure 10
     benches read it, the mapping layer reads {!right_to_left}. *)
-
-val graph : ranked -> Bipartite.t
-(** The graph this state ranks. *)
-
-val ranked_h : ranked -> int
-
-val delta_of_graphs : old:Bipartite.t -> Bipartite.t -> delta
-(** The delta that rewrites [old]'s edge list into the new graph's, in the
-    {!Bipartite.apply_edge_delta} algebra. When the new graph was itself
-    produced by that algebra (the matching layer's [apply_delta]),
-    applying the result reconstructs its edge list {e exactly}, order
-    included. *)
-
-val apply_delta : ?exec:Uxsm_exec.Executor.t -> delta -> ranked -> ranked
-(** Apply a delta: rebuild the edge list via {!Bipartite.apply_edge_delta},
-    recompute the component index, re-rank {e only} components whose edge
-    list changed (cached lists cover the rest — membership, order and
-    weights all equal means the cached ranking is exactly a fresh one),
-    and resume the heap merge from the deepest cached level: the fold is
-    left-associative, so a delta confined to component [k] keeps levels
-    [0..k-1] verbatim and re-merges only the score arrays from [k] on.
-    No solution is built here; the caller reads the new top-h through
-    {!right_to_left} or {!solutions}. Bumps
-    [partition.components_reranked] / [partition.components_reused];
-    only the re-ranked components run on [exec]. The result equals
-    [rank ~h] of the patched graph (a tested property). *)

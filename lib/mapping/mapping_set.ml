@@ -19,24 +19,22 @@ let normalize scores =
   if total <= 0.0 then Array.map (fun _ -> 1.0 /. float_of_int (Array.length scores)) scores
   else Array.map (fun s -> s /. total) scores
 
-(* Each ranked solution arrives as its score and a fresh target→source
-   array. [reuse] may answer it with an old mapping holding the same
-   array, which then only takes the new score; otherwise the array
-   becomes a new mapping's own, and only its source→target array is
-   allocated. *)
+(* Each ranked solution arrives as its score and a scratch target→source
+   array that [right_to_left] rewrites for the next one. [reuse] may answer
+   it with an old mapping holding the same array, which then only takes the
+   new score; otherwise a copy of the array becomes a new mapping's own,
+   and only its source→target array is allocated besides. *)
 let of_ranked ?(reuse = fun _ -> None) u r =
   let source = Matching.source u and target = Matching.target u in
   let mappings =
-    Array.map
-      (fun (score, t2s) ->
+    Uxsm_assignment.Partition.right_to_left r (fun score t2s ->
         match reuse t2s with
         | Some m ->
           Obs.incr c_reused;
           Mapping.with_score m score
         | None ->
           Obs.incr c_built;
-          Mapping.of_target_sources ~source ~target ~score t2s)
-      (Uxsm_assignment.Partition.right_to_left r)
+          Mapping.of_target_sources ~source ~target ~score (Array.copy t2s))
   in
   let probs = normalize (Array.map Mapping.score mappings) in
   { matching = u; mappings; probs; ranked = Some r }
@@ -95,25 +93,8 @@ let update ?(exec = Uxsm_exec.Executor.sequential) u' t =
       "Mapping_set.update: set has no component provenance (build it with generate)"
   | Some r ->
     Obs.incr c_updates;
-    let module Partition = Uxsm_assignment.Partition in
-    let module Bipartite = Uxsm_assignment.Bipartite in
-    let g' = Matching.to_bipartite u' in
-    let d = Partition.delta_of_graphs ~old:(Partition.graph r) g' in
-    let r' = Partition.apply_delta ~exec d r in
-    (* The delta algebra reconstructs the new edge list exactly when [u']
-       came from [Matching.apply_delta]; an arbitrary matching (edges
-       permuted, sizes shrunk) falls back to a fresh rank so the result
-       still equals [generate ~h u'] in every case. *)
-    let r' =
-      let g = Partition.graph r' in
-      if
-        Bipartite.edges g = Bipartite.edges g'
-        && Bipartite.n_left g = Bipartite.n_left g'
-        && Bipartite.n_right g = Bipartite.n_right g'
-      then r'
-      else Partition.rank ~exec ~h:(Partition.ranked_h r) g'
-    in
-    (* A delta re-ranks one component, and most of the top-h keep their
+    let r' = Uxsm_assignment.Partition.rerank ~exec ~old:r (Matching.to_bipartite u') in
+    (* A re-score re-ranks one component, and most of the top-h keep their
        correspondences with a shifted score: over a 100-update D7
        move/restore stream, 86.8% of the new mappings equal an old one.
        Those are reused by their target→source arrays, so the |S|-sized

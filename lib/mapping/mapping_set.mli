@@ -12,12 +12,12 @@ type t
 val generate : ?exec:Uxsm_exec.Executor.t -> h:int -> Matching.t -> t
 (** [generate ~h u] — the top-h possible mappings of matching [u] (fewer if
     the space is smaller), probabilities normalized over the set, ranked by
-    {!Uxsm_assignment.Partition.rank}. Each mapping is built from the
-    target→source array {!Uxsm_assignment.Partition.right_to_left}
-    writes, through {!Mapping.of_target_sources} (bumping
-    [mapping_set.mappings_built]). [exec] (default sequential)
-    parallelizes the per-component ranking. The resulting set is
-    identical for every backend. *)
+    {!Uxsm_assignment.Partition.rank}. Each mapping is built from a copy
+    of the target→source scratch array
+    {!Uxsm_assignment.Partition.right_to_left} hands over, through
+    {!Mapping.of_target_sources} (bumping [mapping_set.mappings_built]).
+    [exec] (default sequential) parallelizes the per-component ranking.
+    The resulting set is identical for every backend. *)
 
 val of_mappings : Matching.t -> (Mapping.t * float) list -> t
 (** Build from explicit mappings and probabilities (e.g. the paper's
@@ -32,20 +32,20 @@ val ranked : t -> Uxsm_assignment.Partition.ranked option
 
 val update : ?exec:Uxsm_exec.Executor.t -> Matching.t -> t -> t
 (** [update u' t] — the set [generate ~h u'] computed incrementally from
-    [t]'s component provenance: only components of the correspondence
-    graph touched by the difference between [t]'s matching and [u'] are
-    re-ranked (see {!Uxsm_assignment.Partition.apply_delta}), the heap
-    merge resumes from the deepest cached level, and probabilities
-    renormalize over the new scores. A new mapping whose target→source
-    array equals one of [t]'s mappings reuses that mapping under its new
-    score ({!Mapping.with_score}, sharing its arrays; bumps
-    [mapping_set.mappings_reused]); only the others are built (bumps
-    [mapping_set.mappings_built]). Nothing is reused when [u'] grew a
-    schema. The result is identical to a from-scratch [generate] (a
-    tested property); a matching that did not come from
-    [Matching.apply_delta] on [t]'s matching simply falls back to a full
-    re-rank. Raises [Invalid_argument] when [t] has no provenance
-    ({!ranked} is [None]). *)
+    [t]'s component provenance: {!Uxsm_assignment.Partition.rerank}
+    ranks [u']'s correspondence graph with [t]'s per-component lists and
+    merge levels as its cache, so only components whose edges changed
+    are re-ranked and the heap merge resumes from the deepest cached
+    level; probabilities renormalize over the new scores. A new mapping
+    whose target→source array equals one of [t]'s mappings reuses that
+    mapping under its new score ({!Mapping.with_score}, sharing its
+    arrays; bumps [mapping_set.mappings_reused]); only the others copy
+    the scratch array and are built (bumps [mapping_set.mappings_built]).
+    Nothing is reused when [u'] grew a schema. The result is identical to
+    a from-scratch [generate] for any [u'] (a tested property), whether
+    or not it came from [Matching.apply_delta] on [t]'s matching. Raises
+    [Invalid_argument] when [t] has no provenance ({!ranked} is
+    [None]). *)
 
 val matching : t -> Matching.t
 val source : t -> Uxsm_schema.Schema.t

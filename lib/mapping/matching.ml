@@ -10,49 +10,39 @@ type t = {
   source : Schema.t;
   target : Schema.t;
   corrs : corr list;
-  by_pair : (int * int, float) Hashtbl.t;
-  by_target : (int, corr list) Hashtbl.t;  (* reversed *)
-  by_source : (int, corr list) Hashtbl.t;  (* reversed *)
+  by_pair : (int, float) Hashtbl.t;  (* source * |target| + target -> score *)
 }
 
 let create ~source ~target corrs =
+  let n_target = Schema.size target in
   let by_pair = Hashtbl.create (List.length corrs) in
-  let by_target = Hashtbl.create 64 in
-  let by_source = Hashtbl.create 64 in
   let check_and_index (c : corr) =
     if c.source < 0 || c.source >= Schema.size source then
       invalid_arg "Matching.create: source element out of range";
-    if c.target < 0 || c.target >= Schema.size target then
+    if c.target < 0 || c.target >= n_target then
       invalid_arg "Matching.create: target element out of range";
     (* Written so that NaN fails it: every comparison with NaN is false. *)
     if not (c.score > 0.0 && c.score <= 1.0) then
       invalid_arg "Matching.create: score must be in (0, 1]";
-    if Hashtbl.mem by_pair (c.source, c.target) then
-      invalid_arg "Matching.create: duplicate correspondence";
-    Hashtbl.add by_pair (c.source, c.target) c.score;
-    let prev_t = try Hashtbl.find by_target c.target with Not_found -> [] in
-    Hashtbl.replace by_target c.target (c :: prev_t);
-    let prev_s = try Hashtbl.find by_source c.source with Not_found -> [] in
-    Hashtbl.replace by_source c.source (c :: prev_s)
+    let key = (c.source * n_target) + c.target in
+    if Hashtbl.mem by_pair key then invalid_arg "Matching.create: duplicate correspondence";
+    Hashtbl.add by_pair key c.score
   in
   List.iter check_and_index corrs;
-  { source; target; corrs; by_pair; by_target; by_source }
+  { source; target; corrs; by_pair }
 
 let source t = t.source
 let target t = t.target
 let correspondences t = t.corrs
 let capacity t = List.length t.corrs
-let score t x y = Hashtbl.find_opt t.by_pair (x, y)
 
-let corrs_of_target t y =
-  match Hashtbl.find_opt t.by_target y with
-  | None -> []
-  | Some l -> List.rev l
+let score t x y =
+  let n_target = Schema.size t.target in
+  if x < 0 || x >= Schema.size t.source || y < 0 || y >= n_target then None
+  else Hashtbl.find_opt t.by_pair ((x * n_target) + y)
 
-let corrs_of_source t x =
-  match Hashtbl.find_opt t.by_source x with
-  | None -> []
-  | Some l -> List.rev l
+let corrs_of_target t y = List.filter (fun (c : corr) -> c.target = y) t.corrs
+let corrs_of_source t x = List.filter (fun (c : corr) -> c.source = x) t.corrs
 
 let to_bipartite t =
   Uxsm_assignment.Bipartite.create
@@ -133,8 +123,7 @@ let apply_delta d t =
         (fun (sp, tp) ->
           let x = resolve ~side:"source" source sp
           and y = resolve ~side:"target" target tp in
-          if not (Hashtbl.mem t.by_pair (x, y)) then
-            deltaf "no correspondence %s ~ %s to remove" sp tp;
+          if Option.is_none (score t x y) then deltaf "no correspondence %s ~ %s to remove" sp tp;
           (x, y))
         d.remove_corrs
     in

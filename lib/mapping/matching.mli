@@ -17,7 +17,8 @@ val create :
   source:Uxsm_schema.Schema.t -> target:Uxsm_schema.Schema.t -> corr list -> t
 (** Validates element ranges, scores in [(0, 1]] (NaN is rejected), and
     uniqueness of [(source, target)] pairs; raises [Invalid_argument]
-    otherwise. *)
+    otherwise. Keeps one score table, keyed by the single int
+    [source * |target| + target], behind {!score}. *)
 
 val source : t -> Uxsm_schema.Schema.t
 val target : t -> Uxsm_schema.Schema.t
@@ -32,9 +33,11 @@ val score : t -> Uxsm_schema.Schema.element -> Uxsm_schema.Schema.element -> flo
 (** [score m x y] — similarity of the [(x, y)] correspondence, if present. *)
 
 val corrs_of_target : t -> Uxsm_schema.Schema.element -> corr list
-(** All correspondences whose target is the given element. *)
+(** All correspondences whose target is the given element, in creation
+    order: a filter over {!correspondences}, linear in the capacity. *)
 
 val corrs_of_source : t -> Uxsm_schema.Schema.element -> corr list
+(** As {!corrs_of_target}, by source element. *)
 
 val to_bipartite : t -> Uxsm_assignment.Bipartite.t
 (** The correspondence graph: left = source elements, right = target

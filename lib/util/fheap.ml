@@ -7,6 +7,7 @@ type t = {
 }
 
 let create () = { prio = Array.make 16 0.0; data = Array.make 16 0; len = 0 }
+let clear h = h.len <- 0
 let is_empty h = h.len = 0
 let size h = h.len
 

@@ -10,6 +10,10 @@
 type t
 
 val create : unit -> t
+
+val clear : t -> unit
+(** Remove every entry, keeping the grown capacity. *)
+
 val is_empty : t -> bool
 val size : t -> int
 

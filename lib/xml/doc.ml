@@ -61,7 +61,13 @@ let of_tree root_tree =
   let path_of = Array.make n 0 in
   let n_labels = ref 0 in
   let n_paths = ref 0 in
-  let paths = Array.make n "" in
+  (* A node's path is its parent's path extended by its label, so paths
+     are interned on the int key (parent path id + 1) * n + label id. Only
+     a key seen for the first time builds its '.'-joined string, which is
+     interned in [path_ids] for [find_path]: the ids stay those of string
+     equality, numbered in order of first sight. *)
+  let step_ids = Hashtbl.create 64 in
+  let path_strings = Array.make n "" in
   let next_pre = ref 0 in
   let next_post = ref 0 in
   (* Explicit recursion keeps pre/post assignment obviously correct; document
@@ -78,9 +84,21 @@ let of_tree root_tree =
       level.(id) <- depth;
       text.(id) <- Tree.text_content t;
       attrs.(id) <- e.attrs;
-      paths.(id) <- (if parent_id < 0 then e.name else paths.(parent_id) ^ "." ^ e.name);
-      label_of.(id) <- intern label_ids n_labels e.name;
-      path_of.(id) <- intern path_ids n_paths paths.(id);
+      let label = intern label_ids n_labels e.name in
+      let parent_path = if parent_id < 0 then -1 else path_of.(parent_id) in
+      let step = ((parent_path + 1) * n) + label in
+      let path =
+        match Hashtbl.find_opt step_ids step with
+        | Some p -> p
+        | None ->
+          let s = if parent_path < 0 then e.name else path_strings.(parent_path) ^ "." ^ e.name in
+          let p = intern path_ids n_paths s in
+          path_strings.(p) <- s;
+          Hashtbl.add step_ids step p;
+          p
+      in
+      label_of.(id) <- label;
+      path_of.(id) <- path;
       let kids = List.filter_map (index id (depth + 1)) e.children in
       children.(id) <- Array.of_list kids;
       sub_end.(id) <- !next_pre - 1;

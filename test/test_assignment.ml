@@ -352,16 +352,14 @@ let test_create_rejects_non_finite () =
       | _ -> Alcotest.failf "Bipartite.create accepted weight %h" w)
     [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; -0.5 ]
 
-(* ------------- incremental ranking (Partition.apply_delta) ------------ *)
+(* ---------------- incremental ranking (Partition.rerank) --------------- *)
 
-(* Random deltas over a random graph: each existing edge is kept, re-scored,
-   or removed; a few new edges land on existing or freshly-grown nodes. The
-   invariant is exact equality with a from-scratch [rank] of the patched
-   graph — scores, pair lists and order all included — because the catalog
-   relies on incremental answers being byte-identical to rebuilt ones. *)
-let gen_graph_and_delta =
+(* Random edits of a random graph: each existing edge is kept, re-scored,
+   or removed; a few new edges land on existing or freshly-grown nodes.
+   The edited graph is written by [Bipartite.apply_edge_delta], as the
+   matching layer writes an updated matching's. *)
+let gen_patched g =
   let open QCheck.Gen in
-  let* g = gen_graph in
   let edges = Bipartite.edges g in
   let* grow_l = int_range 0 2 in
   let* grow_r = int_range 0 2 in
@@ -396,72 +394,78 @@ let gen_graph_and_delta =
       new_edges
   in
   return
-    ( g,
-      { Partition.d_set = set_existing @ fresh; d_remove = removes; d_n_left = nl'; d_n_right = nr' }
-    )
+    (Bipartite.create ~n_left:nl' ~n_right:nr'
+       (Bipartite.apply_edge_delta ~set:(set_existing @ fresh) ~remove:removes edges))
 
-let arb_graph_and_delta =
-  QCheck.make gen_graph_and_delta ~print:(fun (g, (d : Partition.delta)) ->
-      Printf.sprintf "nl=%d nr=%d edges=[%s] set=[%s] remove=[%s] nl'=%d nr'=%d"
-        (Bipartite.n_left g) (Bipartite.n_right g)
-        (String.concat "; "
-           (List.map (fun (i, j, w) -> Printf.sprintf "(%d,%d,%.2f)" i j w) (Bipartite.edges g)))
-        (String.concat "; "
-           (List.map (fun (i, j, w) -> Printf.sprintf "(%d,%d,%.2f)" i j w) d.Partition.d_set))
-        (String.concat "; "
-           (List.map (fun (i, j) -> Printf.sprintf "(%d,%d)" i j) d.Partition.d_remove))
-        d.Partition.d_n_left d.Partition.d_n_right)
+(* New graphs no edit algebra writes: the same edges in another order,
+   both sides shrunk (edges beyond them dropped), or an unrelated graph. *)
+let gen_permuted g =
+  QCheck.Gen.map
+    (Bipartite.create ~n_left:(Bipartite.n_left g) ~n_right:(Bipartite.n_right g))
+    (QCheck.Gen.shuffle_l (Bipartite.edges g))
 
-let patched_graph g (d : Partition.delta) =
-  Bipartite.create ~n_left:d.d_n_left ~n_right:d.d_n_right
-    (Bipartite.apply_edge_delta ~set:d.d_set ~remove:d.d_remove (Bipartite.edges g))
+let gen_shrunk g =
+  let open QCheck.Gen in
+  let* nl' = int_range 1 (Bipartite.n_left g) in
+  let* nr' = int_range 1 (Bipartite.n_right g) in
+  return
+    (Bipartite.create ~n_left:nl' ~n_right:nr'
+       (List.filter (fun (i, j, _) -> i < nl' && j < nr') (Bipartite.edges g)))
 
-let apply_delta_equals_rank ?exec (g, (d : Partition.delta)) =
+(* The invariant is exact equality with a from-scratch [rank] of the new
+   graph — scores, pair lists and order all included — because the catalog
+   relies on incremental answers being byte-identical to rebuilt ones. *)
+let gen_graph_and_new =
+  let open QCheck.Gen in
+  let* g = gen_graph in
+  let* g' =
+    frequency [ (3, gen_patched g); (1, gen_permuted g); (1, gen_shrunk g); (1, gen_graph) ]
+  in
+  return (g, g')
+
+let arb_graph_and_new =
+  let show g =
+    Printf.sprintf "nl=%d nr=%d edges=[%s]" (Bipartite.n_left g) (Bipartite.n_right g)
+      (String.concat "; "
+         (List.map (fun (i, j, w) -> Printf.sprintf "(%d,%d,%.2f)" i j w) (Bipartite.edges g)))
+  in
+  QCheck.make gen_graph_and_new ~print:(fun (g, g') ->
+      Printf.sprintf "old %s; new %s" (show g) (show g'))
+
+let rerank_equals_rank ?exec (g, g') =
   let h = 15 in
-  let incr = Partition.apply_delta ?exec d (Partition.rank ?exec ~h g) in
-  let fresh = Partition.rank ~h (patched_graph g d) in
+  let incr = Partition.rerank ?exec ~old:(Partition.rank ?exec ~h g) g' in
   (* Exact equality, order included: scores are dyadic so [=] is sound. *)
-  Partition.solutions incr = Partition.solutions fresh
-  && Bipartite.edges (Partition.graph incr) = Bipartite.edges (Partition.graph fresh)
+  Partition.solutions incr = Partition.solutions (Partition.rank ~h g')
 
-let prop_apply_delta_equals_rank =
-  QCheck.Test.make ~count:300 ~name:"Partition.apply_delta = rank of the patched graph"
-    arb_graph_and_delta apply_delta_equals_rank
+let prop_rerank_equals_rank =
+  QCheck.Test.make ~count:600 ~name:"Partition.rerank = rank of the new graph"
+    arb_graph_and_new rerank_equals_rank
 
-let prop_apply_delta_equals_rank_domains =
-  QCheck.Test.make ~count:60
-    ~name:"Partition.apply_delta = rank, Domains executor"
-    arb_graph_and_delta
-    (apply_delta_equals_rank ~exec:(Uxsm_exec.Executor.domains 3))
+let prop_rerank_equals_rank_domains =
+  QCheck.Test.make ~count:120 ~name:"Partition.rerank = rank, Domains executor" arb_graph_and_new
+    (rerank_equals_rank ~exec:(Uxsm_exec.Executor.domains 3))
 
-let prop_delta_of_graphs_round_trips =
-  QCheck.Test.make ~count:200 ~name:"delta_of_graphs reconstructs the new edge list exactly"
-    arb_graph_and_delta (fun (g, d) ->
-      let g' = patched_graph g d in
-      let d' = Partition.delta_of_graphs ~old:g g' in
-      Bipartite.apply_edge_delta ~set:d'.Partition.d_set ~remove:d'.Partition.d_remove
-        (Bipartite.edges g)
-      = Bipartite.edges g')
-
-let test_apply_delta_reuses_untouched_components () =
-  (* Two components; re-score an edge in the first and the second's Murty
-     list must be reused, visible through the Obs counters. *)
+let test_rerank_reuses_untouched_components () =
+  (* Three components; re-score an edge in the first and the other two
+     Murty lists must be reused, visible through the Obs counters. *)
   let g =
     Bipartite.create ~n_left:4 ~n_right:4
       [ (0, 0, 0.5); (1, 0, 0.75); (2, 2, 0.25); (3, 3, 1.0) ]
+  in
+  let g' =
+    Bipartite.create ~n_left:4 ~n_right:4
+      [ (0, 0, 1.0); (1, 0, 0.75); (2, 2, 0.25); (3, 3, 1.0) ]
   in
   let r = Partition.rank ~h:10 g in
   let reranked = Uxsm_obs.Obs.counter "partition.components_reranked" in
   let reused = Uxsm_obs.Obs.counter "partition.components_reused" in
   let rr0 = Uxsm_obs.Obs.value reranked and ru0 = Uxsm_obs.Obs.value reused in
-  let d =
-    { Partition.d_set = [ (0, 0, 1.0) ]; d_remove = []; d_n_left = 4; d_n_right = 4 }
-  in
-  let r' = Partition.apply_delta d r in
+  let r' = Partition.rerank ~old:r g' in
   Alcotest.(check int) "one component re-ranked" 1 (Uxsm_obs.Obs.value reranked - rr0);
   Alcotest.(check int) "two components reused" 2 (Uxsm_obs.Obs.value reused - ru0);
   Alcotest.(check bool) "still equal to fresh rank" true
-    (Partition.solutions r' = Partition.solutions (Partition.rank ~h:10 (patched_graph g d)))
+    (Partition.solutions r' = Partition.solutions (Partition.rank ~h:10 g'))
 
 (* The mapping layer reads the top-h as right→left arrays written from
    the back-pointers; they must hold exactly [solutions]' pairs, with the
@@ -471,7 +475,9 @@ let prop_right_to_left_equals_solutions =
     QCheck.(pair arb_graph (int_range 1 12))
     (fun (g, h) ->
       let r = Partition.rank ~h g in
-      let arrays = Array.to_list (Partition.right_to_left r) in
+      let arrays =
+        Array.to_list (Partition.right_to_left r (fun score a -> (score, Array.copy a)))
+      in
       let pairs_of a =
         List.filter_map
           (fun j -> if a.(j) >= 0 then Some (a.(j), j) else None)
@@ -506,10 +512,9 @@ let suite =
     q prop_murty_distinct;
     q prop_partition_matches_murty;
     q prop_components_partition_edges;
-    Alcotest.test_case "apply_delta reuses untouched components" `Quick
-      test_apply_delta_reuses_untouched_components;
-    q prop_apply_delta_equals_rank;
-    q prop_apply_delta_equals_rank_domains;
-    q prop_delta_of_graphs_round_trips;
+    Alcotest.test_case "rerank reuses untouched components" `Quick
+      test_rerank_reuses_untouched_components;
+    q prop_rerank_equals_rank;
+    q prop_rerank_equals_rank_domains;
     q prop_right_to_left_equals_solutions;
   ]

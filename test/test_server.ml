@@ -1379,12 +1379,19 @@ let test_d7_update_stream_pinned () =
       step "restore" c.score d7_registered)
     d7_moved
 
+(* The median minor-heap words one warm D7 update may allocate. The stream
+   below measured 113,006 words; a per-solution fresh array with a closure
+   per level, a diffed second graph and set-based components allocated
+   258,086, which this bound rejects. *)
+let max_update_minor_words = 150_000.0
+
 (* The D7 move/restore stream again, with the block tree warm too: each
    update builds or reuses every one of the 100 mappings, the stream as a
    whole reuses some (a move that changes a component's best solution can
-   change all 100), and the patched tree validates — on-demand compression
-   included — and accounts the same storage as a fresh build of the
-   patched set. *)
+   change all 100), the median update allocates at most
+   [max_update_minor_words], and the patched tree validates — on-demand
+   compression included — and accounts the same storage as a fresh build
+   of the patched set. *)
 let test_d7_update_stream_reuses_mappings () =
   let module Matching = Uxsm_mapping.Matching in
   let module Schema = Uxsm_schema.Schema in
@@ -1408,16 +1415,19 @@ let test_d7_update_stream_reuses_mappings () =
   let corrs = Array.of_list (Matching.correspondences m) in
   let n = Array.length corrs in
   let round3 x = float_of_string (Printf.sprintf "%.3f" x) in
-  let total_reused = ref 0 in
+  let total_reused = ref 0 and words = ref [] in
   for k = 0 to 19 do
     let c = corrs.(k * n / 20) in
     let sp = Schema.path_string (Matching.source m) c.source
     and tp = Schema.path_string (Matching.target m) c.target in
     let step what score =
       let r0 = Obs.value reused and b0 = Obs.value built in
-      (match
-         Catalog.update cat ~name:"d7" { Matching.empty_delta with set_scores = [ (sp, tp, score) ] }
-       with
+      let w0 = Gc.minor_words () in
+      let result =
+        Catalog.update cat ~name:"d7" { Matching.empty_delta with set_scores = [ (sp, tp, score) ] }
+      in
+      words := (Gc.minor_words () -. w0) :: !words;
+      (match result with
       | Ok u -> Alcotest.(check int) (Printf.sprintf "pair %d %s patched the tree" k what) 1 u.u_trees_patched
       | Error e -> Alcotest.fail e);
       let r = Obs.value reused - r0 and b = Obs.value built - b0 in
@@ -1428,6 +1438,10 @@ let test_d7_update_stream_reuses_mappings () =
     step "restore" c.score
   done;
   Alcotest.(check bool) "the stream reused mappings" true (!total_reused > 0);
+  let median = List.nth (List.sort Float.compare !words) (List.length !words / 2) in
+  if median > max_update_minor_words then
+    Alcotest.failf "the median update allocated %.0f minor words, above %.0f" median
+      max_update_minor_words;
   let mset, tree = prepared () in
   (match Block_tree.validate tree with
   | Ok () -> ()
@@ -1435,6 +1449,57 @@ let test_d7_update_stream_reuses_mappings () =
   Alcotest.(check int) "storage of the patched tree = a fresh build's"
     (Block_tree.storage_bytes (Block_tree.build mset))
     (Block_tree.storage_bytes tree)
+
+(* perfbench attributes a served update to layers by the Obs names it
+   reads around the request: the deltas of [Obs.counters] and [Obs.spans].
+   A warm D7 update must move every one of them, so renaming a counter or
+   span fails here rather than leaving a per-layer metric reading 0. *)
+let test_d7_update_moves_layer_names () =
+  let module Matching = Uxsm_mapping.Matching in
+  let module Schema = Uxsm_schema.Schema in
+  let module Block_tree = Uxsm_blocktree.Block_tree in
+  let cat = Catalog.create ~exec:Executor.sequential () in
+  (match
+     Catalog.register cat ~name:"d7" ~doc_seed:1 ~doc_nodes:50
+       (Protocol.From_dataset (Uxsm_workload.Dataset.d7, 42))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  (match Catalog.prepared cat "d7" ~h:100 ~tau:Block_tree.default_params.tau with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let m = match Catalog.matching cat "d7" with Ok m -> m | Error e -> Alcotest.fail e in
+  (* The stream's first move, one that keeps most of the top-100. *)
+  let c = List.hd (Matching.correspondences m) in
+  let delta =
+    {
+      Matching.empty_delta with
+      set_scores =
+        [
+          ( Schema.path_string (Matching.source m) c.source,
+            Schema.path_string (Matching.target m) c.target,
+            if c.score >= 0.06 then c.score -. 0.05 else c.score +. 0.05 );
+        ];
+    }
+  in
+  let c0 = Obs.counters () and s0 = Obs.spans () in
+  (match Catalog.update cat ~name:"d7" delta with Ok _ -> () | Error e -> Alcotest.fail e);
+  let c1 = Obs.counters () and s1 = Obs.spans () in
+  let moved before after name =
+    let v0 = Option.value ~default:0 (List.assoc_opt name before) in
+    match List.assoc_opt name after with Some v -> v > v0 | None -> false
+  in
+  List.iter
+    (fun name -> Alcotest.(check bool) ("counter " ^ name ^ " moved") true (moved c0 c1 name))
+    [
+      "partition.components_reranked"; "partition.components_reused"; "partition.merges";
+      "murty.solves"; "murty.expansions"; "mapping_set.mappings_reused";
+    ];
+  let count spans = List.map (fun (name, (n, _)) -> (name, n)) spans in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("span " ^ name ^ " moved") true (moved (count s0) (count s1) name))
+    [ "partition.apply_delta"; "blocktree.update" ]
 
 (* A register whose matching text carries a non-finite score is refused
    with a structured error, and the corpus already registered under that
@@ -1517,6 +1582,8 @@ let suite =
       test_d7_update_stream_pinned;
     Alcotest.test_case "D7 move/restore: mappings reused, tree validates" `Quick
       test_d7_update_stream_reuses_mappings;
+    Alcotest.test_case "D7 update moves the per-layer names perfbench reads" `Quick
+      test_d7_update_moves_layer_names;
     Alcotest.test_case "register rejects NaN and infinite scores" `Quick
       test_register_rejects_non_finite_scores;
   ]
