@@ -82,9 +82,13 @@ let index_pattern (p : Pattern.t) =
    local pre-order ids are the global ids shifted by [q]. *)
 let subpattern idx q = { Pattern.axis = Pattern.Descendant; root = idx.nodes.(q) }
 
+(* A match binds every node of its pattern, so the subquery's local
+   binding is one contiguous range of the global one. *)
 let globalize idx q (local : Binding.t) =
   let g = Binding.unbound idx.n in
-  Array.iteri (fun j v -> if v >= 0 then g.(q + j) <- v) local;
+  for j = 0 to Array.length local - 1 do
+    g.(q + j) <- local.(j)
+  done;
   g
 
 let sub_resolution idx q (resolution : Resolve.t) = Array.sub resolution q idx.sizes.(q)
@@ -100,48 +104,49 @@ let rewrite_and_match ctx idx q resolution ~at_top ~lookup =
   | None -> []
   | Some pat_s ->
     Obs.incr c_matcher;
-    List.map (globalize idx q) (Matcher.matches pat_s ctx.doc)
+    let local = Matcher.matches pat_s ctx.doc in
+    (* The whole query's local bindings are already global. *)
+    if q = 0 then local else List.map (globalize idx q) local
 
 let lookup_of_mapping m y = Mapping.source_of m y
 
 (* Does mapping [m] cover every element of [resolution]? *)
 let covers m (resolution : Resolve.t) =
-  Array.for_all (fun y -> Mapping.source_of m y <> None) resolution
+  Array.for_all (fun y -> Mapping.source_at m y >= 0) resolution
 
 let resolutions_of ctx pattern = Resolve.against_doc pattern ctx.target_doc
 
-let filter_mappings ctx pattern =
-  let resolutions = resolutions_of ctx pattern in
-  List.filter
-    (fun i ->
-      let m = Mapping_set.mapping ctx.mset i in
-      List.exists (covers m) resolutions)
-    (List.init (Mapping_set.size ctx.mset) Fun.id)
+(* The key of a unit's result: its resolution [r] and leader [l]. *)
+let unit_key ctx r l = (r * Mapping_set.size ctx.mset) + l
 
-let dedupe_bindings l = List.sort_uniq Binding.compare l
+module Int_tbl = Hashtbl.Make (Int)
 
 (* Answers in coverage (mapping-id) order from per-unit results: [evaluated]
-   pairs each (resolution, leader) with the bindings of that leader's
-   evaluation, and each coverage entry pairs a covered resolution with its
-   unit's leader. Mappings in the same units everywhere share one sorted,
+   pairs each unit's key with the bindings of its leader's evaluation, and
+   each coverage entry pairs a covered resolution with its unit's leader.
+   Mappings in the same units everywhere share one covered list ([with_units]
+   interns them), found here by physical identity, and so one sorted,
    deduplicated bindings list. *)
 let answers_of_units ctx evaluated cov =
-  let results = Hashtbl.create 64 in
-  List.iter (fun (u, bindings) -> Hashtbl.replace results u bindings) evaluated;
-  let merged = Hashtbl.create 16 in
+  let results = Int_tbl.create (List.length evaluated) in
+  List.iter (fun (u, bindings) -> Int_tbl.replace results u bindings) evaluated;
+  let of_unit (r, l) = Int_tbl.find results (unit_key ctx r l) in
+  let merged = ref [] in
   List.map
     (fun (i, covered) ->
       let bindings =
-        match Hashtbl.find_opt merged covered with
-        | Some b -> b
-        | None ->
+        match List.assq covered !merged with
+        | b -> b
+        | exception Not_found ->
+          (* One unit's matcher output is already strictly increasing, so
+             sorting it is one scan. *)
           let b =
-            dedupe_bindings
-              (List.concat_map
-                 (fun u -> Option.value ~default:[] (Hashtbl.find_opt results u))
-                 covered)
+            Binding.sort_uniq
+              (match covered with
+              | [ u ] -> of_unit u
+              | _ -> List.concat_map of_unit covered)
           in
-          Hashtbl.add merged covered b;
+          merged := (covered, b) :: !merged;
           b
       in
       { mapping_id = i; probability = Mapping_set.probability ctx.mset i; bindings })
@@ -188,7 +193,7 @@ let query_basic_cov ctx idx (res : Resolve.t array) cov =
             Obs.add c_direct (List.length rs);
             List.map
               (fun r ->
-                ( (r, i),
+                ( unit_key ctx r i,
                   rewrite_and_match ctx idx 0 res.(r) ~at_top:true ~lookup:(lookup_of_mapping m) ))
               rs)
           led
@@ -207,55 +212,49 @@ type stats = {
 }
 
 (* Algorithm 4: one subtree evaluation per c-block; decomposition plus
-   stack joins elsewhere. [eval] returns, per mapping id, the bindings of
-   the subquery rooted at [q] (positions unconstrained unless [at_top]). *)
-let eval_with_tree ctx tree idx resolution ~mids =
+   stack joins elsewhere. [eval] returns the bindings of the subquery
+   rooted at [q] for each mapping of [mids], position by position
+   (positions unconstrained unless [at_top]). *)
+let eval_with_tree ctx tree idx resolution ~(mids : int array) =
   let source = Mapping_set.source ctx.mset in
   let mapping i = Mapping_set.mapping ctx.mset i in
-  let rec eval q ~at_top mids : (int, Binding.t list) Hashtbl.t =
-    let out = Hashtbl.create (List.length mids) in
+  let n = Array.length mids in
+  let direct q ~at_top i =
+    Obs.incr c_direct;
+    rewrite_and_match ctx idx q resolution ~at_top ~lookup:(lookup_of_mapping (mapping i))
+  in
+  (* A slot no evaluation has filled yet, told apart by physical identity. *)
+  let pending : Binding.t list = [ [||] ] in
+  let rec eval q ~at_top : Binding.t list array =
     let t_elem = resolution.(q) in
     let blocks = Block_tree.blocks_at tree t_elem in
     if blocks <> [] then begin
       (* query_subtree: one evaluation per block, shared by its mappings. *)
-      let remaining = ref mids in
+      let out = Array.make n pending in
       List.iter
         (fun (b : Block.t) ->
-          let mine, rest = List.partition (Block.mem_mapping b) !remaining in
-          remaining := rest;
-          if mine <> [] then begin
+          let mine = ref [] in
+          for j = n - 1 downto 0 do
+            if out.(j) == pending && Block.mem_mapping b mids.(j) then mine := j :: !mine
+          done;
+          match !mine with
+          | [] -> ()
+          | mine ->
             Obs.incr c_blocks_used;
             Obs.incr c_shared;
             let bindings =
               rewrite_and_match ctx idx q resolution ~at_top ~lookup:(Block.source_of b)
             in
-            List.iter (fun i -> Hashtbl.replace out i bindings) mine
-          end)
+            List.iter (fun j -> out.(j) <- bindings) mine)
         blocks;
-      List.iter
-        (fun i ->
-          Obs.incr c_direct;
-          let bindings =
-            rewrite_and_match ctx idx q resolution ~at_top
-              ~lookup:(lookup_of_mapping (mapping i))
-          in
-          Hashtbl.replace out i bindings)
-        !remaining;
+      for j = 0 to n - 1 do
+        if out.(j) == pending then out.(j) <- direct q ~at_top mids.(j)
+      done;
       out
     end
-    else if Array.length idx.branch_ids.(q) = 0 then begin
+    else if Array.length idx.branch_ids.(q) = 0 then
       (* Leaf subquery: evaluate directly per mapping. *)
-      List.iter
-        (fun i ->
-          Obs.incr c_direct;
-          let bindings =
-            rewrite_and_match ctx idx q resolution ~at_top
-              ~lookup:(lookup_of_mapping (mapping i))
-          in
-          Hashtbl.replace out i bindings)
-        mids;
-      out
-    end
+      Array.map (direct q ~at_top) mids
     else begin
       (* split_query: root-only subquery q0, then one subquery per branch,
          joined per mapping with the stack join. *)
@@ -263,10 +262,10 @@ let eval_with_tree ctx tree idx resolution ~mids =
       let root_value = idx.nodes.(q).Pattern.value in
       let root_attrs = idx.nodes.(q).Pattern.attrs in
       let child_tables =
-        Array.map (fun (_, cid) -> (cid, eval cid ~at_top:false mids)) idx.branch_ids.(q)
+        Array.map (fun (_, cid) -> (cid, eval cid ~at_top:false)) idx.branch_ids.(q)
       in
-      List.iter
-        (fun i ->
+      Array.mapi
+        (fun j i ->
           let m = mapping i in
           let x_parent = Mapping.source_of m resolution.(q) in
           let r0 =
@@ -300,7 +299,6 @@ let eval_with_tree ctx tree idx resolution ~mids =
             match acc with
             | [] -> []
             | _ -> (
-              let rj = try Hashtbl.find table i with Not_found -> [] in
               match (x_parent, Mapping.source_of m resolution.(cid)) with
               | Some xp, Some xc -> (
                 match Rewrite.axis_for source ~parent_src:xp ~child_src:xc with
@@ -309,23 +307,22 @@ let eval_with_tree ctx tree idx resolution ~mids =
                   Obs.incr c_joins;
                   let joined =
                     Structural_join.join_bindings ctx.doc ~axis ~left:acc ~left_col:q
-                      ~right:rj ~right_col:cid
+                      ~right:table.(j) ~right_col:cid
                   in
                   Obs.add c_join_pairs (List.length joined);
                   joined)
               | _, _ -> [])
           in
-          let result = Array.fold_left join r0 child_tables in
-          Hashtbl.replace out i result)
-        mids;
-      out
+          Array.fold_left join r0 child_tables)
+        mids
     end
   in
-  eval 0 ~at_top:true mids
+  eval 0 ~at_top:true
 
 (* Algorithm 4 over a coverage table annotated with unit leaders: one
-   [eval_with_tree] per resolution, over the leaders of its units. *)
-let query_tree_cov ctx idx (res : Resolve.t array) cov =
+   [eval_with_tree] per resolution, over the leaders of its units
+   ([leaders.(r)], ascending). *)
+let query_tree_cov ctx idx (res : Resolve.t array) ~leaders cov =
   let tree =
     match ctx.tree with
     | Some t -> t
@@ -333,22 +330,15 @@ let query_tree_cov ctx idx (res : Resolve.t array) cov =
   in
   Obs.time s_tree (fun () ->
       let evaluated =
-        Array.map
-          (fun r ->
-            let mids =
-              List.filter_map
-                (fun (i, covered) -> if List.mem (r, i) covered then Some i else None)
-                cov
-            in
-            if mids = [] then []
-            else
-              let table = eval_with_tree ctx tree idx res.(r) ~mids in
-              List.map
-                (fun l -> ((r, l), Option.value ~default:[] (Hashtbl.find_opt table l)))
-                mids)
-          (Array.init (Array.length res) Fun.id)
+        List.concat
+          (List.init (Array.length res) (fun r ->
+               let mids = leaders.(r) in
+               if Array.length mids = 0 then []
+               else
+                 let table = eval_with_tree ctx tree idx res.(r) ~mids in
+                 Array.to_list (Array.mapi (fun j l -> (unit_key ctx r l, table.(j))) mids)))
       in
-      answers_of_units ctx (List.concat (Array.to_list evaluated)) cov)
+      answers_of_units ctx evaluated cov)
 
 (* ------------------------- plan compilation ------------------------ *)
 
@@ -364,6 +354,7 @@ type plan = {
   p_cov : (int * (int * int) list) list;
       (* the table handed to the evaluator: each evaluated mapping with its
          covered resolutions, each paired with its unit's leader there *)
+  p_leaders : int array array;  (* per resolution, its units' leaders, ascending *)
   p_phys : Plan.t;
 }
 
@@ -393,28 +384,41 @@ let prune_topk ctx ~k cov =
    grouped by that projection, and one evaluation by the unit's leader, its
    lowest id, answers every member. Without it every mapping leads itself:
    one-mapping units, the paper's literal Algorithms 3 and 4. [cov] is in
-   ascending id order, so the first mapping seen with a projection leads. *)
+   ascending id order, so the first mapping seen with a projection leads.
+   Structurally equal covered lists are interned, so [execute] finds the
+   members of the same units everywhere by physical identity. *)
 let with_units ctx (res : Resolve.t array) ~group cov =
   let leaders = Array.map (fun _ -> Hashtbl.create 16) res in
+  let interned = Hashtbl.create 16 in
   List.map
     (fun (i, covered) ->
       let m = Mapping_set.mapping ctx.mset i in
-      ( i,
+      let units =
         List.map
           (fun r ->
             if not group then (r, i)
             else
-              let projection = Array.map (Mapping.source_of m) res.(r) in
+              let projection = Array.map (Mapping.source_at m) res.(r) in
               match Hashtbl.find_opt leaders.(r) projection with
               | Some l -> (r, l)
               | None ->
                 Hashtbl.add leaders.(r) projection i;
                 (r, i))
-          covered ))
+          covered
+      in
+      match Hashtbl.find_opt interned units with
+      | Some shared -> (i, shared)
+      | None ->
+        Hashtbl.add interned units units;
+        (i, units))
     cov
 
-let count_units cov =
-  List.fold_left (fun n (i, covered) -> n + List.length (led_by i covered)) 0 cov
+(* Per resolution, the leaders of its units, ascending: what Algorithm 4
+   evaluates there. *)
+let leaders_of (res : Resolve.t array) cov =
+  let acc = Array.make (Array.length res) [] in
+  List.iter (fun (i, covered) -> List.iter (fun r -> acc.(r) <- i :: acc.(r)) (led_by i covered)) cov;
+  Array.map (fun l -> Array.of_list (List.rev l)) acc
 
 let compile ?(force = `Auto) ?k ctx pattern =
   (match k with
@@ -441,8 +445,10 @@ let compile ?(force = `Auto) ?k ctx pattern =
       ~pattern ~resolutions:res ~coverage:cov ~relevant ()
   in
   let cov = with_units ctx res ~group:(force = `Auto) cov in
-  { p_ctx = ctx; p_idx = idx; p_res = res; p_cov = cov;
-    p_phys = { phys with Plan.units = count_units cov } }
+  let leaders = leaders_of res cov in
+  let units = Array.fold_left (fun n l -> n + Array.length l) 0 leaders in
+  { p_ctx = ctx; p_idx = idx; p_res = res; p_cov = cov; p_leaders = leaders;
+    p_phys = { phys with Plan.units } }
 
 let physical p = p.p_phys
 
@@ -451,25 +457,52 @@ let execute p =
   Obs.incr c_executions;
   match p.p_phys.Plan.evaluator with
   | Plan.Per_mapping -> query_basic_cov p.p_ctx p.p_idx p.p_res p.p_cov
-  | Plan.Per_block -> query_tree_cov p.p_ctx p.p_idx p.p_res p.p_cov
+  | Plan.Per_block -> query_tree_cov p.p_ctx p.p_idx p.p_res ~leaders:p.p_leaders p.p_cov
 
 let query ?(force = `Auto) ctx pattern = execute (compile ~force ctx pattern)
 let query_basic ctx pattern = query ~force:`Basic ctx pattern
 let query_tree ctx pattern = query ~force:`Tree ctx pattern
 let query_topk ?(force = `Auto) ctx ~k pattern = execute (compile ~force ~k ctx pattern)
 
+(* An answer set being summed: its bindings and the probability so far,
+   in a one-cell float array so that adding to it allocates nothing. *)
+type group = {
+  g_bindings : Binding.t list;
+  g_probability : float array;
+}
+
 let consolidate answers =
-  let tbl : (Binding.t list, float) Hashtbl.t = Hashtbl.create 16 in
+  (* Unit members share one bindings list, so each distinct physical list
+     is looked up once, and only those reach the structural table. *)
+  let by_value : (Binding.t list, group) Hashtbl.t = Hashtbl.create 16 in
+  let by_list = ref [] and groups = ref [] in
+  let group_of bindings =
+    match Hashtbl.find_opt by_value bindings with
+    | Some g -> g
+    | None ->
+      let g = { g_bindings = bindings; g_probability = [| 0.0 |] } in
+      Hashtbl.add by_value bindings g;
+      groups := g :: !groups;
+      g
+  in
   List.iter
     (fun a ->
-      let prev = try Hashtbl.find tbl a.bindings with Not_found -> 0.0 in
-      Hashtbl.replace tbl a.bindings (prev +. a.probability))
+      let g =
+        match List.assq a.bindings !by_list with
+        | g -> g
+        | exception Not_found ->
+          let g = group_of a.bindings in
+          by_list := (a.bindings, g) :: !by_list;
+          g
+      in
+      (* In answer order: the additions a per-answer sum makes. *)
+      g.g_probability.(0) <- g.g_probability.(0) +. a.probability)
     answers;
-  Hashtbl.fold (fun b p acc -> (b, p) :: acc) tbl []
+  List.map (fun g -> (g.g_bindings, g.g_probability.(0))) !groups
   |> List.sort (fun (b1, p1) (b2, p2) ->
          (* The probability sort alone is not total: equal-probability
-            groups would surface in hash-traversal order. Binding lists are
-            unique table keys, so comparing them makes the order stable. *)
+            groups would surface in discovery order. Binding lists are
+            distinct per group, so comparing them makes the order stable. *)
          match Float.compare p2 p1 with
          | 0 -> List.compare Binding.compare b1 b2
          | c -> c)

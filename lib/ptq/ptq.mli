@@ -58,10 +58,6 @@ type answer = {
           relevant but the pattern does not occur). *)
 }
 
-val filter_mappings : context -> Uxsm_twig.Pattern.t -> int list
-(** Relevant mappings: those with a correspondence for every query node
-    under at least one resolution (Algorithm 3 Step 1). *)
-
 type plan
 (** A compiled query: the materialized resolve/coverage prefix plus the
     chosen physical plan. Pins its context (mapping set, document, block
@@ -89,10 +85,11 @@ val compile :
 val execute : plan -> answer list
 (** Run the plan's evaluate/merge suffix: the chosen operator evaluates
     each unit's leader once, every member gets its leader's bindings, and
-    each distinct bindings list is sorted and deduplicated once. Answers in
-    mapping-id order, byte-identical across evaluators and unit groupings
-    (tested property). Re-executing a plan repeats no resolution or
-    coverage work. *)
+    each distinct bindings list is sorted and deduplicated once. Mappings
+    in the same units under every resolution share one bindings list,
+    physically. Answers in mapping-id order, byte-identical across
+    evaluators and unit groupings (tested property). Re-executing a plan
+    repeats no resolution or coverage work. *)
 
 val physical : plan -> Uxsm_plan.Plan.t
 (** The chosen physical plan (evaluator, cost estimates, pipeline). *)
@@ -119,8 +116,12 @@ val query : ?force:Uxsm_plan.Plan.force -> context -> Uxsm_twig.Pattern.t -> ans
 val consolidate : answer list -> (Uxsm_twig.Binding.t list * float) list
 (** Merge answers with identical match sets, summing probabilities — the
     presentation of the introduction's example
-    [{("Cathy", 0.3), ("Bob", 0.3), ("Alice", 0.2)}]. Sorted by
-    decreasing probability. *)
+    [{("Cathy", 0.3), ("Bob", 0.3), ("Alice", 0.2)}]. A set's probability
+    is its answers' probabilities added in answer order. Sorted by
+    decreasing probability, and sets of equal probability by their bindings
+    lists ([List.compare Binding.compare]), so no two sets tie. Answers that share one bindings list physically,
+    as {!execute}'s unit members do, are grouped without comparing their
+    lists. *)
 
 val binding_texts :
   context -> Uxsm_twig.Pattern.t -> Uxsm_twig.Binding.t -> (string * string) list
@@ -131,7 +132,9 @@ val binding_texts :
     saved (its "EXPLAIN"), plus the plan that ran. *)
 type stats = {
   resolutions : int;  (** schema resolutions of the query *)
-  relevant_mappings : int;  (** mappings surviving filter_mappings *)
+  relevant_mappings : int;
+      (** mappings with a correspondence for every query node under some
+          resolution (Algorithm 3 Step 1), after top-k pruning *)
   blocks_used : int;  (** c-blocks whose mapping set intersected the run *)
   shared_evaluations : int;
       (** twig evaluations executed once per block and reused *)

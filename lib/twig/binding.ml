@@ -15,6 +15,13 @@ let compare (a : t) (b : t) =
     in
     go 0
 
+let rec strictly_increasing = function
+  | a :: (b :: _ as rest) -> compare a b < 0 && strictly_increasing rest
+  | _ -> true
+
+(* [compare] is this module's, typed on bindings. *)
+let sort_uniq l = if strictly_increasing l then l else List.sort_uniq (compare : t -> t -> int) l
+
 let merge a b =
   let n = Array.length a in
   if Array.length b <> n then invalid_arg "Binding.merge: size mismatch";

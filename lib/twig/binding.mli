@@ -10,6 +10,10 @@ val compare : t -> t -> int
 (** [Stdlib.compare]'s order on int arrays, without the polymorphic walk:
     shorter bindings first, then lexicographic by entry. *)
 
+val sort_uniq : t list -> t list
+(** [List.sort_uniq compare], except that a list already strictly increasing
+    is returned as it is (the same list, physically), after one scan. *)
+
 val merge : t -> t -> t
 (** Combine two bindings over disjoint pattern-node sets (entries are [-1]
     where unbound); raises [Invalid_argument] if both bind the same id. *)

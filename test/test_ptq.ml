@@ -63,13 +63,16 @@ let test_tree_equals_basic_on_example () =
         a b)
     [ "//IP//ICN"; "//IP"; "//SP/SCN"; "ORDER//ICN"; "ORDER[./SP/SCN]//ICN"; "//SCN" ]
 
+(* Algorithm 3 Step 1, filter mappings: a mapping is answered iff it has a
+   correspondence for every query node under some resolution. *)
 let test_filter_mappings () =
   let ctx = fig_context () in
+  let relevant q =
+    List.map (fun (a : Ptq.answer) -> a.mapping_id) (Ptq.query_basic ctx (Parser.parse_exn q))
+  in
   (* Every mapping maps ORDER and ICN; only m3 maps SP (target). *)
-  let q = Parser.parse_exn "//SP" in
-  Alcotest.(check (list int)) "only m3 maps target SP" [ 2 ] (Ptq.filter_mappings ctx q);
-  let q2 = Parser.parse_exn "ORDER//ICN" in
-  Alcotest.(check (list int)) "all relevant" [ 0; 1; 2; 3; 4 ] (Ptq.filter_mappings ctx q2)
+  Alcotest.(check (list int)) "only m3 maps target SP" [ 2 ] (relevant "//SP");
+  Alcotest.(check (list int)) "all relevant" [ 0; 1; 2; 3; 4 ] (relevant "ORDER//ICN")
 
 let test_topk () =
   let ctx = fig_context () in
@@ -177,6 +180,47 @@ let prop_consolidate_total_probability =
       let mass' = List.fold_left (fun acc (_, p) -> acc +. p) 0.0 consolidated in
       Float.abs (mass -. mass') < 1e-9)
 
+(* Random answer lists shaped like [execute]'s: a few distinct binding-list
+   values, each held by one or more physical lists (a unit's members share
+   one; structurally equal lists from different units do not), and
+   probabilities drawn from a few values, sums of them included, so groups
+   tie. *)
+let gen_answers =
+  QCheck.Gen.(
+    let* values = int_range 1 5 in
+    let* lists =
+      list_repeat values
+        (list_size (int_range 0 3) (array_size (return 3) (int_range 0 4)))
+    in
+    let* copies = list_repeat values (int_range 1 3) in
+    (* Each value's physical lists: the first is the value itself, the rest
+       fresh copies of it. *)
+    let physical =
+      Array.of_list
+        (List.concat
+           (List.map2
+              (fun l c -> List.init c (fun k -> if k = 0 then l else List.map Array.copy l))
+              lists copies))
+    in
+    let* n = int_range 0 12 in
+    list_repeat n
+      (let* which = int_range 0 (Array.length physical - 1) in
+       let* p = oneofl [ 0.1; 0.2; 0.3; 0.1 +. 0.2; 0.05 ] in
+       return (which, p))
+    >|= List.mapi (fun i (which, p) ->
+            { Ptq.mapping_id = i; probability = p; bindings = physical.(which) }))
+
+let prop_consolidate_vs_oracle =
+  QCheck.Test.make ~count:500 ~name:"consolidate = per-answer table oracle, order and bits"
+    (QCheck.make gen_answers)
+    (fun answers ->
+      let got = Ptq.consolidate answers and want = Consolidate_oracle.consolidate answers in
+      List.length got = List.length want
+      && List.for_all2
+           (fun (b1, p1) (b2, p2) ->
+             b1 = b2 && Int64.equal (Int64.bits_of_float p1) (Int64.bits_of_float p2))
+           got want)
+
 let test_explain () =
   let ctx = fig_context () in
   let q = Parser.parse_exn "//IP//ICN" in
@@ -226,6 +270,44 @@ let prop_explain_consistent =
              a.mapping_id = b.mapping_id && a.bindings = b.bindings)
            answers plain)
 
+(* The minor words one warm Table III query (Q4-Q10) may allocate in
+   [Ptq.execute] plus [consolidate], on the cached D7 plans a served query
+   runs (h = 100, tau = 0.2, the default evaluator). Measured medians, dev
+   build: 5.7-9.8 k words; a hash-memoized matcher building full-width
+   bindings and a per-answer consolidate read 20.8-32.4 k, which this
+   bound rejects. *)
+let max_warm_query_minor_words = 13_000.0
+
+let test_warm_query_allocation () =
+  let module Catalog = Uxsm_server.Catalog in
+  let cat = Catalog.create ~exec:Uxsm_exec.Executor.sequential () in
+  (match
+     Catalog.register cat ~name:"d7" ~doc_seed:Uxsm_workload.Gen_doc.default_seed
+       (Uxsm_server.Protocol.From_dataset (Uxsm_workload.Dataset.d7, 42))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun i ->
+      let pattern = Pattern.to_string (Uxsm_workload.Queries.q i) in
+      let plan =
+        match Catalog.plan cat "d7" ~pattern ~h:100 ~tau:0.2 ~k:None ~force:`Auto with
+        | Ok p -> p
+        | Error e -> Alcotest.fail e
+      in
+      ignore (Ptq.consolidate (Ptq.execute plan));
+      let words =
+        List.init 21 (fun _ ->
+            let w0 = Gc.minor_words () in
+            ignore (Sys.opaque_identity (Ptq.consolidate (Ptq.execute plan)));
+            Gc.minor_words () -. w0)
+      in
+      let median = List.nth (List.sort Float.compare words) 10 in
+      if median > max_warm_query_minor_words then
+        Alcotest.failf "Q%d: a warm execution allocated %.0f minor words, above %.0f" i median
+          max_warm_query_minor_words)
+    [ 4; 5; 6; 7; 8; 9; 10 ]
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -237,8 +319,10 @@ let suite =
     Alcotest.test_case "ambiguous label resolution" `Quick test_resolution_ambiguity;
     Alcotest.test_case "rewrite axis derivation" `Quick test_rewrite_axis_derivation;
     Alcotest.test_case "explain (EXPLAIN of Algorithm 4)" `Quick test_explain;
+    Alcotest.test_case "warm D7 query allocation bound" `Quick test_warm_query_allocation;
     q prop_explain_consistent;
     q prop_tree_equals_basic;
     q prop_topk_consistent;
     q prop_consolidate_total_probability;
+    q prop_consolidate_vs_oracle;
   ]

@@ -344,6 +344,43 @@ let prop_binding_compare_sign =
       && sign (Binding.compare b a) = sign (Stdlib.compare b a)
       && Binding.compare a (Array.copy a) = 0)
 
+(* The matcher emits its matches strictly increasing, with no final sort:
+   roots ascend, and each node's matches are the product of its branches'
+   in candidate order, first branch outermost. *)
+let prop_matcher_strictly_increasing =
+  QCheck.Test.make ~count:1000 ~name:"matcher emits strictly increasing bindings"
+    QCheck.(quad (int_range 1 1000000) (int_range 2 25) bool bool)
+    (fun (seed, n, repeated, anchored) ->
+      let prng = Uxsm_util.Prng.create seed in
+      let schema = Fixtures.random_schema ~repeated prng ~n in
+      let doc = Fixtures.random_doc prng schema in
+      let pattern = Fixtures.random_pattern ~anchored prng schema in
+      let rec increasing = function
+        | a :: (b :: _ as rest) -> Binding.compare a b < 0 && increasing rest
+        | _ -> true
+      in
+      increasing (Matcher.matches pattern doc))
+
+(* Sorted lists with repeats, strictly increasing ones and unsorted ones. *)
+let prop_binding_sort_uniq =
+  QCheck.Test.make ~count:1000 ~name:"Binding.sort_uniq = List.sort_uniq, no copy when increasing"
+    QCheck.(pair (int_range 1 1000000) (int_range 0 2))
+    (fun (seed, shape) ->
+      let prng = Uxsm_util.Prng.create seed in
+      let l =
+        List.init (Uxsm_util.Prng.int prng 8) (fun _ ->
+            Array.init 2 (fun _ -> Uxsm_util.Prng.int prng 3))
+      in
+      let l =
+        match shape with
+        | 0 -> l
+        | 1 -> List.sort Binding.compare l
+        | _ -> List.sort_uniq Binding.compare l
+      in
+      let got = Binding.sort_uniq l in
+      got = List.sort_uniq Binding.compare l
+      && (shape <> 2 || got == l))
+
 let prop_parser_round_trip_random =
   QCheck.Test.make ~count:150 ~name:"parse (to_string p) = p"
     QCheck.(pair (int_range 1 1000000) (int_range 2 25))
@@ -373,4 +410,6 @@ let suite =
     q prop_node_pairs_vs_oracle;
     q prop_doc_interned_index;
     q prop_binding_compare_sign;
+    q prop_matcher_strictly_increasing;
+    q prop_binding_sort_uniq;
   ]
