@@ -1,42 +1,42 @@
 module Schema = Uxsm_schema.Schema
 
 type t = {
-  source_to_target : int array;  (* per source element, target or -1 *)
   target_to_source : int array;  (* per target element, source or -1 *)
   n_pairs : int;
   score : float;
 }
 
 let of_pairs ~source ~target ~score pairs =
-  let s2t = Array.make (Schema.size source) (-1) in
+  let seen = Bytes.make (Schema.size source) '\000' in
   let t2s = Array.make (Schema.size target) (-1) in
   let add (x, y) =
-    if x < 0 || x >= Array.length s2t then invalid_arg "Mapping.of_pairs: source out of range";
+    if x < 0 || x >= Bytes.length seen then invalid_arg "Mapping.of_pairs: source out of range";
     if y < 0 || y >= Array.length t2s then invalid_arg "Mapping.of_pairs: target out of range";
-    if s2t.(x) >= 0 then invalid_arg "Mapping.of_pairs: source element mapped twice";
+    if Bytes.get seen x <> '\000' then invalid_arg "Mapping.of_pairs: source element mapped twice";
     if t2s.(y) >= 0 then invalid_arg "Mapping.of_pairs: target element mapped twice";
-    s2t.(x) <- y;
+    Bytes.set seen x '\001';
     t2s.(y) <- x
   in
   List.iter add pairs;
-  { source_to_target = s2t; target_to_source = t2s; n_pairs = List.length pairs; score }
+  { target_to_source = t2s; n_pairs = List.length pairs; score }
 
 let of_target_sources ~source ~target ~score t2s =
-  let ns = Schema.size source in
   if Array.length t2s <> Schema.size target then
     invalid_arg "Mapping.of_target_sources: array length is not the target size";
-  let s2t = Array.make ns (-1) in
+  let seen = Bytes.make (Schema.size source) '\000' in
   let n = ref 0 in
-  Array.iteri
-    (fun y x ->
-      if x <> -1 then begin
-        if x < 0 || x >= ns then invalid_arg "Mapping.of_target_sources: source out of range";
-        if s2t.(x) >= 0 then invalid_arg "Mapping.of_target_sources: source element mapped twice";
-        s2t.(x) <- y;
-        incr n
-      end)
-    t2s;
-  { source_to_target = s2t; target_to_source = t2s; n_pairs = !n; score }
+  for y = 0 to Array.length t2s - 1 do
+    let x = t2s.(y) in
+    if x <> -1 then begin
+      if x < 0 || x >= Bytes.length seen then
+        invalid_arg "Mapping.of_target_sources: source out of range";
+      if Bytes.get seen x <> '\000' then
+        invalid_arg "Mapping.of_target_sources: source element mapped twice";
+      Bytes.set seen x '\001';
+      incr n
+    end
+  done;
+  { target_to_source = t2s; n_pairs = !n; score }
 
 let with_score t score = { t with score }
 
@@ -45,28 +45,28 @@ let size t = t.n_pairs
 
 let pairs t =
   let out = ref [] in
-  for x = Array.length t.source_to_target - 1 downto 0 do
-    if t.source_to_target.(x) >= 0 then out := (x, t.source_to_target.(x)) :: !out
+  for y = Array.length t.target_to_source - 1 downto 0 do
+    if t.target_to_source.(y) >= 0 then out := (t.target_to_source.(y), y) :: !out
   done;
-  !out
+  List.sort (fun (x1, _) (x2, _) -> Int.compare x1 x2) !out
 
 let source_of t y = if t.target_to_source.(y) < 0 then None else Some t.target_to_source.(y)
 let source_at t y = t.target_to_source.(y)
-let target_of t x = if t.source_to_target.(x) < 0 then None else Some t.source_to_target.(x)
 
-let covers_targets t ys = List.for_all (fun y -> t.target_to_source.(y) >= 0) ys
-
+(* A pair (x, y) of [a] is in [b] iff [b] maps the same target y to x, so
+   only targets inside both arrays can match. *)
 let inter_size a b =
+  let a = a.target_to_source and b = b.target_to_source in
   let n = ref 0 in
-  Array.iteri
-    (fun x y -> if y >= 0 && x < Array.length b.source_to_target && b.source_to_target.(x) = y then incr n)
-    a.source_to_target;
+  for y = 0 to Int.min (Array.length a) (Array.length b) - 1 do
+    let x = a.(y) in
+    if x >= 0 && x = b.(y) then incr n
+  done;
   !n
 
-let union_size a b = a.n_pairs + b.n_pairs - inter_size a b
-
 let o_ratio a b =
-  let u = union_size a b in
-  if u = 0 then 1.0 else float_of_int (inter_size a b) /. float_of_int u
+  let i = inter_size a b in
+  let u = a.n_pairs + b.n_pairs - i in
+  if u = 0 then 1.0 else float_of_int i /. float_of_int u
 
 let equal a b = a.n_pairs = b.n_pairs && inter_size a b = a.n_pairs

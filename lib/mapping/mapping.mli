@@ -3,7 +3,8 @@
 
     A mapping is one consistent reading of a schema matching — each element
     matches at most one element on the other side (the [m_1..m_5] of the
-    paper's Figure 3). *)
+    paper's Figure 3). It is stored as one array indexed by target
+    element, so it holds |T| ints whatever the source schema's size. *)
 
 type t
 
@@ -28,16 +29,17 @@ val of_target_sources :
     target element [y] corresponds to source element [a.(y)], or to
     nothing when [a.(y) = -1]: the form in which
     {!Uxsm_assignment.Partition.right_to_left} writes a ranked solution.
-    The mapping takes [a] over as its own target→source array, so the
-    caller must not mutate it afterwards; only the source→target array is
-    allocated. Raises [Invalid_argument] unless [a] has one entry per
-    target element, every entry is [-1] or a source element, and no
-    source element appears twice. *)
+    The mapping takes [a] over as its only array, so the caller must not
+    mutate it afterwards; no source-indexed array is allocated (the
+    injectivity check uses an |S|-byte scratch). Raises
+    [Invalid_argument] unless [a] has one entry per target element, every
+    entry is [-1] or a source element, and no source element appears
+    twice. *)
 
 val with_score : t -> float -> t
 (** The same correspondences under another score. The result shares
-    both lookup arrays with the original (mappings are immutable), so it
-    allocates one small record. *)
+    the target→source array with the original (mappings are immutable),
+    so it allocates one small record. *)
 
 val score : t -> float
 (** Sum of the correspondence scores the mapping was built from. *)
@@ -59,16 +61,9 @@ val source_at : t -> Uxsm_schema.Schema.element -> int
     its update's dirty scan read every (mapping, target element) slot,
     so option boxing would dominate small updates. *)
 
-val target_of : t -> Uxsm_schema.Schema.element -> Uxsm_schema.Schema.element option
-
-val covers_targets : t -> Uxsm_schema.Schema.element list -> bool
-(** Whether every listed target element has a correspondence ("relevant
-    mapping" test of Algorithm 3). *)
-
 val inter_size : t -> t -> int
-(** Number of correspondences shared by two mappings. *)
-
-val union_size : t -> t -> int
+(** Number of correspondences shared by two mappings: one loop over the
+    targets both mappings range over. *)
 
 val o_ratio : t -> t -> float
 (** The paper's overlap ratio [|m_i ∩ m_j| / |m_i ∪ m_j|]; 1.0 when both

@@ -22,8 +22,7 @@ let normalize scores =
 (* Each ranked solution arrives as its score and a scratch target→source
    array that [right_to_left] rewrites for the next one. [reuse] may answer
    it with an old mapping holding the same array, which then only takes the
-   new score; otherwise a copy of the array becomes a new mapping's own,
-   and only its source→target array is allocated besides. *)
+   new score; otherwise a copy of the array becomes a new mapping's own. *)
 let of_ranked ?(reuse = fun _ -> None) u r =
   let source = Matching.source u and target = Matching.target u in
   let mappings =
@@ -48,14 +47,14 @@ let hash_sources n get =
   done;
   !acc land max_int
 
-(* A lookup from target→source arrays to [t]'s mappings, for a set over
-   schemas of [n_source] and [n_target] elements. Schemas only grow, so
-   equal sizes mean the same schemas; after growth an old mapping's
-   arrays are too short to share, and nothing is reused. *)
-let reuse_of t ~n_source ~n_target =
-  if Schema.size (Matching.source t.matching) <> n_source
-     || Schema.size (Matching.target t.matching) <> n_target
-  then fun _ -> None
+(* A lookup from target→source arrays to [t]'s mappings, for a set over a
+   target schema of [n_target] elements. Schemas only grow, so an equal
+   size means the same target schema; after target growth an old
+   mapping's array is too short to share, and nothing is reused. A grown
+   source schema keeps every old mapping shareable: no array is indexed
+   by source element. *)
+let reuse_of t ~n_target =
+  if Schema.size (Matching.target t.matching) <> n_target then fun _ -> None
   else begin
     let tbl = Hashtbl.create (2 * Array.length t.mappings) in
     Array.iter
@@ -97,13 +96,9 @@ let update ?(exec = Uxsm_exec.Executor.sequential) u' t =
     (* A re-score re-ranks one component, and most of the top-h keep their
        correspondences with a shifted score: over a 100-update D7
        move/restore stream, 86.8% of the new mappings equal an old one.
-       Those are reused by their target→source arrays, so the |S|-sized
-       source array is allocated only for the mappings that are new. *)
-    of_ranked
-      ~reuse:
-        (reuse_of t
-           ~n_source:(Schema.size (Matching.source u'))
-           ~n_target:(Schema.size (Matching.target u')))
+       Those are reused by their target→source arrays, so an array is
+       copied only for the mappings that are new. *)
+    of_ranked ~reuse:(reuse_of t ~n_target:(Schema.size (Matching.target u')))
       u' r'
 
 let matching t = t.matching

@@ -39,9 +39,10 @@ val update : ?exec:Uxsm_exec.Executor.t -> Matching.t -> t -> t
     level; probabilities renormalize over the new scores. A new mapping
     whose target→source array equals one of [t]'s mappings reuses that
     mapping under its new score ({!Mapping.with_score}, sharing its
-    arrays; bumps [mapping_set.mappings_reused]); only the others copy
+    array; bumps [mapping_set.mappings_reused]); only the others copy
     the scratch array and are built (bumps [mapping_set.mappings_built]).
-    Nothing is reused when [u'] grew a schema. The result is identical to
+    Nothing is reused when [u'] grew the target schema; a grown source
+    schema leaves every old mapping shareable. The result is identical to
     a from-scratch [generate] for any [u'] (a tested property), whether
     or not it came from [Matching.apply_delta] on [t]'s matching. Raises
     [Invalid_argument] when [t] has no provenance ({!ranked} is

@@ -55,12 +55,7 @@ let test_mapping_lookups () =
   let m = Fixtures.fig3_m1 in
   Alcotest.(check (option int)) "source_of ICN" (Some Fixtures.s_bcn)
     (Mapping.source_of m Fixtures.t_icn);
-  Alcotest.(check (option int)) "target_of BCN" (Some Fixtures.t_icn)
-    (Mapping.target_of m Fixtures.s_bcn);
   Alcotest.(check (option int)) "unmapped" None (Mapping.source_of m Fixtures.t_sp);
-  Alcotest.(check bool) "covers" true
-    (Mapping.covers_targets m [ Fixtures.t_order; Fixtures.t_icn ]);
-  Alcotest.(check bool) "does not cover SP" false (Mapping.covers_targets m [ Fixtures.t_sp ]);
   Alcotest.(check int) "size" 4 (Mapping.size m)
 
 let test_o_ratio () =
@@ -314,6 +309,27 @@ let test_apply_delta_grows_schemas () =
     let t = Mapping_set.generate ~h:5 u in
     Alcotest.(check bool) "update = generate after growth" true
       (msets_identical (Mapping_set.update u' t) (Mapping_set.generate ~h:5 u')));
+  (* No array is indexed by source element, so growing only the source
+     schema leaves every old mapping shareable: a D7 set at h = 100 is
+     reused whole. *)
+  let d7 = Uxsm_workload.Dataset.matching Uxsm_workload.Dataset.d7 in
+  let src = Matching.source d7 in
+  let grow =
+    { Matching.empty_delta with add_source = [ (Schema.path_string src (Schema.root src), "Grown") ] }
+  in
+  (match Matching.apply_delta grow d7 with
+  | Error e -> Alcotest.failf "D7 source growth should apply: %s" e
+  | Ok d7' ->
+    let t = Mapping_set.generate ~h:100 d7 in
+    let reused = Uxsm_obs.Obs.counter "mapping_set.mappings_reused"
+    and built = Uxsm_obs.Obs.counter "mapping_set.mappings_built" in
+    let r0 = Uxsm_obs.Obs.value reused and b0 = Uxsm_obs.Obs.value built in
+    let t' = Mapping_set.update d7' t in
+    Alcotest.(check int) "D7 source growth reuses every mapping" 100
+      (Uxsm_obs.Obs.value reused - r0);
+    Alcotest.(check int) "D7 source growth builds none" 0 (Uxsm_obs.Obs.value built - b0);
+    Alcotest.(check bool) "D7 update = generate after source growth" true
+      (msets_identical t' (Mapping_set.generate ~h:100 d7')));
   (* Appending under a non-spine parent would renumber b — rejected. *)
   let bad =
     { Matching.empty_delta with add_source = [ ("r.a", "x") ] }
@@ -414,6 +430,11 @@ let generate_pins =
     ("D10", "1d2a0b93bcbbb2049abf3e58472478ff", 0x3fee412cb7405e9bL);
   ]
 
+(* The same pins for D9's set at h = 1000, the largest h a request may
+   ask for, recorded while each mapping still kept a source→target array
+   and the o-ratio counted over it. *)
+let generate_pin_max_h = ("D9", "78879411c4847d853b8cfd8ad0a9ac86", 0x3fed5c096a6c8211L)
+
 let test_generate_pinned () =
   List.iter
     (fun (id, digest, o_ratio_bits) ->
@@ -425,6 +446,29 @@ let test_generate_pinned () =
       Alcotest.(check int64) (id ^ " o-ratio bits") o_ratio_bits
         (Int64.bits_of_float (Mapping_set.average_o_ratio mset)))
     generate_pins
+
+let test_generate_pinned_max_h () =
+  let id, digest, o_ratio_bits = generate_pin_max_h in
+  let d = Option.get (Uxsm_workload.Dataset.find id) in
+  let mset = Mapping_set.generate ~h:1000 (Uxsm_workload.Dataset.matching d) in
+  Alcotest.(check string)
+    (id ^ " h=1000 set digest") digest
+    (Digest.to_hex (Digest.string (Uxsm_mapping.Serialize.mapping_set_to_string mset)));
+  Alcotest.(check int64) (id ^ " h=1000 o-ratio bits") o_ratio_bits
+    (Int64.bits_of_float (Mapping_set.average_o_ratio mset))
+
+(* A mapping holds its target→source array (|T| + 1 words), its record
+   and its boxed score, whatever the source schema's size: D7's source
+   has 1076 elements and its target 166. *)
+let test_mapping_words () =
+  let u = Uxsm_workload.Dataset.matching Uxsm_workload.Dataset.d7 in
+  let mset = Mapping_set.generate ~h:100 u in
+  let bound = Schema.size (Matching.target u) + 16 in
+  for i = 0 to Mapping_set.size mset - 1 do
+    let words = Obj.reachable_words (Obj.repr (Mapping_set.mapping mset i)) in
+    if words > bound then
+      Alcotest.failf "D7 mapping %d holds %d words, above |T| + 16 = %d" i words bound
+  done
 
 (* ----------------------- non-finite scores ------------------------- *)
 
@@ -491,5 +535,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_update_equals_generate_domains;
     QCheck_alcotest.to_alcotest prop_inter_size_reference;
     Alcotest.test_case "generate h=100 pinned on D1-D10" `Quick test_generate_pinned;
+    Alcotest.test_case "generate h=1000 pinned on D9" `Quick test_generate_pinned_max_h;
+    Alcotest.test_case "D7 mapping words bounded by the target size" `Quick test_mapping_words;
     Alcotest.test_case "NaN and infinite scores rejected" `Quick test_non_finite_rejected;
   ]
