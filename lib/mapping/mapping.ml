@@ -52,6 +52,7 @@ let pairs t =
 
 let source_of t y = if t.target_to_source.(y) < 0 then None else Some t.target_to_source.(y)
 let source_at t y = t.target_to_source.(y)
+let n_targets t = Array.length t.target_to_source
 
 (* A pair (x, y) of [a] is in [b] iff [b] maps the same target y to x, so
    only targets inside both arrays can match. *)

@@ -61,6 +61,10 @@ val source_at : t -> Uxsm_schema.Schema.element -> int
     its update's dirty scan read every (mapping, target element) slot,
     so option boxing would dominate small updates. *)
 
+val n_targets : t -> int
+(** Length of the target→source array: the size of the target schema
+    the mapping was built over. {!source_at} reads targets below it. *)
+
 val inter_size : t -> t -> int
 (** Number of correspondences shared by two mappings: one loop over the
     targets both mappings range over. *)

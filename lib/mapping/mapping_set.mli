@@ -66,7 +66,15 @@ val mappings : t -> (Mapping.t * float) list
 
 val average_o_ratio : t -> float
 (** Mean pairwise overlap ratio (Table II's "o-ratio"); 1.0 for singleton
-    sets. *)
+    sets. Exact: bit-identical to {!Mapping.o_ratio} summed over every
+    pair (i < j) in index order. It is computed from each mapping's
+    differences to the first, so its cost grows with how much the
+    mappings differ rather than with |T| per pair; each pair it evaluates
+    bumps [mapping_set.o_ratio_pairs]. Computed once per set: the first
+    read keeps the result, and later reads return it without evaluating
+    a pair. A set from {!generate}, {!update} or {!of_mappings} starts
+    without it. Safe to call from several domains at once (each may
+    compute the same value). *)
 
 val storage_bytes_naive : t -> int
 (** Accounting model for the uncompressed representation: every mapping

@@ -26,13 +26,18 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The runtime's float formatter, bound as [Stdlib] binds it. [Printf]
+   reaches the same C call with the same format string, but interprets
+   its format on every call first. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_literal f =
   if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+  else if Float.is_integer f && Float.abs f < 1e16 then format_float "%.1f" f
   else
     (* Shortest representation that round-trips. *)
-    let s = Printf.sprintf "%.15g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.15g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
 
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"

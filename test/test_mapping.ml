@@ -413,6 +413,100 @@ let prop_inter_size_reference =
            (let u = Mapping.size a + Mapping.size b - i in
             if u = 0 then 1.0 else float_of_int i /. float_of_int u))
 
+(* The o-ratio as the paper defines it: [Mapping.o_ratio] of every pair
+   of the set, added in (i, j) order. [Mapping.o_ratio] counts over the
+   targets both arrays cover, so arrays of different lengths compare as
+   [inter_size] compares them. *)
+let pairwise_o_ratio t =
+  let n = Mapping_set.size t in
+  if n < 2 then 1.0
+  else begin
+    let total = ref 0.0 and pairs = ref 0 in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        total := !total +. Mapping.o_ratio (Mapping_set.mapping t i) (Mapping_set.mapping t j);
+        incr pairs
+      done
+    done;
+    !total /. float_of_int !pairs
+  end
+
+(* An explicit set of one to six mappings over one source and up to three
+   target schemas of independent sizes, so the arrays differ in length.
+   The first mapping is empty in about a third of the sets, and a quarter
+   of the later ones repeat an earlier mapping; the others are drawn
+   around the previous mapping's pairs. Equal probabilities keep the
+   drawing order. *)
+let random_explicit_set prng =
+  let module Prng = Uxsm_util.Prng in
+  let schema () = Fixtures.random_schema prng ~n:(1 + Prng.int prng 12) in
+  let source = schema () in
+  let targets = Array.init (1 + Prng.int prng 3) (fun _ -> schema ()) in
+  let rec draw k made =
+    if k = 0 then List.rev made
+    else
+      let target = Prng.pick prng targets in
+      let m =
+        match made with
+        | [] when Prng.int prng 3 = 0 -> Mapping.of_pairs ~source ~target ~score:1.0 []
+        | [] -> random_mapping prng ~source ~target []
+        | _ when Prng.int prng 4 = 0 -> Prng.pick prng (Array.of_list made)
+        | prev :: _ -> random_mapping prng ~source ~target (Mapping.pairs prev)
+      in
+      draw (k - 1) (m :: made)
+  in
+  let ms = draw (1 + Prng.int prng 6) [] in
+  Mapping_set.of_mappings Fixtures.fig1_matching (List.map (fun m -> (m, 1.0)) ms)
+
+let prop_o_ratio_kernel_exact =
+  QCheck.Test.make ~count:400 ~name:"average_o_ratio = pairwise o-ratio, bit for bit"
+    (QCheck.int_range 1 1_000_000) (fun seed ->
+      let prng = Uxsm_util.Prng.create seed in
+      let t =
+        if seed mod 2 = 0 then random_explicit_set prng
+        else
+          let n () = 2 + Uxsm_util.Prng.int prng 12 in
+          Fixtures.random_mapping_set prng ~source_n:(n ()) ~target_n:(n ())
+            ~corrs:(1 + Uxsm_util.Prng.int prng 40) ~h:(1 + Uxsm_util.Prng.int prng 40)
+      in
+      Int64.equal
+        (Int64.bits_of_float (Mapping_set.average_o_ratio t))
+        (Int64.bits_of_float (pairwise_o_ratio t)))
+
+(* The average is kept in the set: a second read evaluates no pair, and
+   the set an update makes starts without it. *)
+let test_o_ratio_once_per_set () =
+  let pairs = Uxsm_obs.Obs.counter "mapping_set.o_ratio_pairs" in
+  let evaluated f =
+    let before = Uxsm_obs.Obs.value pairs in
+    let r = f () in
+    (r, Uxsm_obs.Obs.value pairs - before)
+  in
+  let t = Mapping_set.generate ~h:5 Fixtures.fig1_matching in
+  let n = Mapping_set.size t in
+  let r1, first = evaluated (fun () -> Mapping_set.average_o_ratio t) in
+  let r2, second = evaluated (fun () -> Mapping_set.average_o_ratio t) in
+  Alcotest.(check int) "the first read evaluates every pair" (n * (n - 1) / 2) first;
+  Alcotest.(check int) "the second read evaluates none" 0 second;
+  Alcotest.(check int64) "both reads agree" (Int64.bits_of_float r1) (Int64.bits_of_float r2);
+  let u' =
+    match
+      Matching.apply_delta
+        { Matching.empty_delta with set_scores = [ ("Order.BP", "ORDER.IP", 0.9) ] }
+        Fixtures.fig1_matching
+    with
+    | Ok u' -> u'
+    | Error e -> Alcotest.fail e
+  in
+  let t' = Mapping_set.update u' t in
+  let r', updated = evaluated (fun () -> Mapping_set.average_o_ratio t') in
+  Alcotest.(check int) "an updated set evaluates its own pairs"
+    (Mapping_set.size t' * (Mapping_set.size t' - 1) / 2)
+    updated;
+  Alcotest.(check int64) "an updated set's o-ratio is generate's"
+    (Int64.bits_of_float (pairwise_o_ratio (Mapping_set.generate ~h:5 u')))
+    (Int64.bits_of_float r')
+
 (* Digests of [Serialize.mapping_set_to_string] and the bits of
    [average_o_ratio] for every Table II dataset's top-100 set, recorded
    before the partition fold kept back-pointer levels. *)
@@ -456,6 +550,27 @@ let test_generate_pinned_max_h () =
     (Digest.to_hex (Digest.string (Uxsm_mapping.Serialize.mapping_set_to_string mset)));
   Alcotest.(check int64) (id ^ " h=1000 o-ratio bits") o_ratio_bits
     (Int64.bits_of_float (Mapping_set.average_o_ratio mset))
+
+(* The same pins for D7's and D10's sets at h = 1000, recorded with the
+   pairwise loop. D10 is the one dataset whose target schema (1076
+   elements) is larger than its source. *)
+let generate_pins_max_h =
+  [
+    ("D7", "8d4cf1bc6241f2f869f4a7903c09516e", 0x3fec9653b8012b68L);
+    ("D10", "775d0ad88a24b42ede48fe66e929036b", 0x3fed4b04219fcb66L);
+  ]
+
+let test_generate_pinned_max_h_d7_d10 () =
+  List.iter
+    (fun (id, digest, o_ratio_bits) ->
+      let d = Option.get (Uxsm_workload.Dataset.find id) in
+      let mset = Mapping_set.generate ~h:1000 (Uxsm_workload.Dataset.matching d) in
+      Alcotest.(check string)
+        (id ^ " h=1000 set digest") digest
+        (Digest.to_hex (Digest.string (Uxsm_mapping.Serialize.mapping_set_to_string mset)));
+      Alcotest.(check int64) (id ^ " h=1000 o-ratio bits") o_ratio_bits
+        (Int64.bits_of_float (Mapping_set.average_o_ratio mset)))
+    generate_pins_max_h
 
 (* A mapping holds its target→source array (|T| + 1 words), its record
    and its boxed score, whatever the source schema's size: D7's source
@@ -536,6 +651,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_inter_size_reference;
     Alcotest.test_case "generate h=100 pinned on D1-D10" `Quick test_generate_pinned;
     Alcotest.test_case "generate h=1000 pinned on D9" `Quick test_generate_pinned_max_h;
+    Alcotest.test_case "generate h=1000 pinned on D7 and D10" `Quick
+      test_generate_pinned_max_h_d7_d10;
+    QCheck_alcotest.to_alcotest prop_o_ratio_kernel_exact;
+    Alcotest.test_case "o-ratio computed once per set" `Quick test_o_ratio_once_per_set;
     Alcotest.test_case "D7 mapping words bounded by the target size" `Quick test_mapping_words;
     Alcotest.test_case "NaN and infinite scores rejected" `Quick test_non_finite_rejected;
   ]

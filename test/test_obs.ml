@@ -292,6 +292,38 @@ let test_json_parse_cases () =
   in
   List.iter bad [ ""; "{"; "[1,]"; "tru"; "\"unterminated"; "1 2"; "{\"a\":}"; "nan" ]
 
+(* The float policy [Json.to_string] has always had, spelled with
+   [Printf]: integral values below 1e16 as "%.1f", other finite values as
+   "%.15g" when that reads back and as "%.17g" otherwise, and null for
+   NaN and the infinities. The emitter must print the same bytes. *)
+let printf_float_literal f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+(* Whole 64-bit patterns cover every sign and exponent, NaN and the
+   infinities, but seldom a subnormal or an integral value; those are
+   drawn on their own: subnormals as patterns with a zero exponent, small
+   integers, and integral values from 1e16 up. *)
+let prop_json_float_literal =
+  let open QCheck.Gen in
+  let gen =
+    oneof
+      [
+        map Int64.float_of_bits int64;
+        map (fun b -> Int64.float_of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL)) int64;
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        map2
+          (fun k e -> Float.ldexp (1e16 +. float_of_int k) e)
+          (int_range (-1_000_000) 1_000_000_000) (int_range 0 900);
+      ]
+  in
+  QCheck.Test.make ~count:2000 ~name:"Json float literal = Printf policy"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f -> Json.to_string (Json.Float f) = printf_float_literal f)
+
 (* ----------------------------- Bench_json ------------------------- *)
 
 let sample_run () =
@@ -582,6 +614,7 @@ let suite =
     Alcotest.test_case "histogram reset and listing" `Quick test_histogram_reset_and_listing;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parse cases" `Quick test_json_parse_cases;
+    QCheck_alcotest.to_alcotest prop_json_float_literal;
     Alcotest.test_case "bench record round-trip" `Quick test_bench_json_roundtrip;
     Alcotest.test_case "bench record pre-executor shape" `Quick test_bench_json_old_shape;
     Alcotest.test_case "bench JSONL append + parse" `Quick test_bench_json_file_append;

@@ -1532,6 +1532,93 @@ let test_register_rejects_non_finite_scores () =
         (Catalog.mapping_set cat "c" ~h:5 |> Result.map Serialize.mapping_set_to_string))
     [ "nan"; "-nan"; "inf" ]
 
+(* ------------------------ o-ratio once per set --------------------- *)
+
+let o_ratio_pairs = Obs.counter "mapping_set.o_ratio_pairs"
+
+let register_d7 srv =
+  assert_ok "register d7" (response_of_line srv {|{"op":"register","name":"d7","dataset":"D7"}|})
+
+let o_ratio_of_reply what line =
+  let j = parse_reply what line in
+  assert_ok what j;
+  match Json.member "o_ratio" j with
+  | Some (Json.Float f) -> f
+  | _ -> Alcotest.failf "%s: no float o_ratio in %s" what line
+
+(* A served [mappings] reads the o-ratio its set keeps: a second request
+   on one set evaluates no pair and is byte-identical to the first. An
+   update makes a new set, so the next reply carries the o-ratio of a
+   fresh [generate] on the updated matching. The chosen move changes the
+   top-100 set's o-ratio, so an average kept across sets would fail. *)
+let test_mappings_o_ratio_once_per_set () =
+  let module Matching = Uxsm_mapping.Matching in
+  let module Schema = Uxsm_schema.Schema in
+  let srv = Server.create ~cache_entries:16 () in
+  register_d7 srv;
+  let line = {|{"op":"mappings","corpus":"d7","h":100}|} in
+  let first = Server.handle_line srv line in
+  let before = Obs.value o_ratio_pairs in
+  let second = Server.handle_line srv line in
+  Alcotest.(check int) "the second mappings evaluates no pair" 0
+    (Obs.value o_ratio_pairs - before);
+  Alcotest.(check string) "byte-identical replies" first second;
+  let cat = Server.catalog srv in
+  let matching () = match Catalog.matching cat "d7" with Ok m -> m | Error e -> Alcotest.fail e in
+  let m = matching () in
+  let corrs = Array.of_list (Matching.correspondences m) in
+  let c = corrs.(Array.length corrs / 3) in
+  let update =
+    Json.to_string
+      (Json.Assoc
+         [
+           ("op", Json.String "update");
+           ("corpus", Json.String "d7");
+           ( "set",
+             Json.List
+               [
+                 Json.Assoc
+                   [
+                     ("source", Json.String (Schema.path_string (Matching.source m) c.source));
+                     ("target", Json.String (Schema.path_string (Matching.target m) c.target));
+                     ("score", Json.Float (c.score /. 2.0));
+                   ];
+               ] );
+         ])
+  in
+  let r = response_of_line srv update in
+  assert_ok "update" r;
+  Alcotest.(check int) "the update patched the cached set" 1 (int_member "msets_patched" r);
+  let after = o_ratio_of_reply "mappings after the update" (Server.handle_line srv line) in
+  let fresh = Mapping_set.average_o_ratio (Mapping_set.generate ~h:100 (matching ())) in
+  Alcotest.(check int64) "o-ratio of generate on the updated matching"
+    (Int64.bits_of_float fresh) (Int64.bits_of_float after);
+  Alcotest.(check bool) "the update moved the o-ratio" false
+    (Float.equal after (o_ratio_of_reply "first mappings" first))
+
+(* A pipelined batch of [mappings] on cold sets: on a three-domain pool
+   several requests may read one set's empty o-ratio at once, and every
+   reply must equal the sequential server's. *)
+let test_mappings_batch_cold_set () =
+  let batch =
+    List.init 8 (fun i ->
+        Printf.sprintf {|{"op":"mappings","corpus":"d7","h":%d,"id":%d}|}
+          (if i mod 2 = 0 then 100 else 300)
+          i)
+  in
+  let replies srv =
+    register_d7 srv;
+    Server.handle_lines srv batch
+  in
+  let seq = replies (Server.create ~cache_entries:16 ()) in
+  let par = replies (Server.create ~cache_entries:16 ~exec:(Executor.domains 3) ()) in
+  Alcotest.(check int) "one reply per request" 8 (List.length par);
+  List.iteri
+    (fun i (a, b) ->
+      ignore (o_ratio_of_reply (Printf.sprintf "mappings %d" i) a);
+      Alcotest.(check string) (Printf.sprintf "mappings %d identical" i) a b)
+    (List.combine seq par)
+
 let suite =
   [
     Alcotest.test_case "LRU capacity bounds" `Quick test_lru_capacity_bounds;
@@ -1586,4 +1673,8 @@ let suite =
       test_d7_update_moves_layer_names;
     Alcotest.test_case "register rejects NaN and infinite scores" `Quick
       test_register_rejects_non_finite_scores;
+    Alcotest.test_case "mappings: o-ratio once per set, fresh after update" `Quick
+      test_mappings_o_ratio_once_per_set;
+    Alcotest.test_case "mappings batch on cold sets across backends" `Quick
+      test_mappings_batch_cold_set;
   ]
