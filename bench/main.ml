@@ -11,7 +11,6 @@ module Bipartite = Uxsm_assignment.Bipartite
 module Murty = Uxsm_assignment.Murty
 module Partition = Uxsm_assignment.Partition
 module Block_tree = Uxsm_blocktree.Block_tree
-module Plan = Uxsm_plan.Plan
 module Ptq = Uxsm_ptq.Ptq
 module Dataset = Uxsm_workload.Dataset
 module Standards = Uxsm_workload.Standards
@@ -562,94 +561,6 @@ let abl_serve () =
     "the concurrent path adds transport + admission queue; at --jobs 1 parity with \
      sequential dispatch is the bar, at --jobs >1 pure requests overlap"
 
-let abl_plan_choice () =
-  Harness.section "abl_plan_choice"
-    "ABLATION: cost-based evaluator choice vs forced basic/tree (D7, |M|=100)";
-  Harness.json_param "h" (Json.Int 100);
-  let queries =
-    List.filter (fun (id, _) -> List.mem id [ "Q1"; "Q7"; "Q10" ]) Queries.table3
-  in
-  (* Sharing regimes: low τ packs many mappings per c-block (Algorithm 4
-     territory), high τ leaves few blocks, and no tree at all leaves only
-     Algorithm 3. The JSONL record keeps every pick next to both forced
-     timings so the acceptance check "auto matches the faster evaluator"
-     is machine-readable. *)
-  let configs =
-    [ ("tau0.05", Some 0.05); ("tau0.2", Some 0.2); ("tau0.6", Some 0.6); ("no-tree", None) ]
-  in
-  let picks = ref [] in
-  Harness.row "%-8s %-4s %-12s %-7s %11s %11s %6s" "config" "Q" "auto-choice" "why"
-    "basic" "tree" "agree";
-  List.iter
-    (fun (cname, tau) ->
-      let tree =
-        Option.map
-          (fun tau -> Block_tree.build ~params:{ Block_tree.default_params with tau } (d7_mset 100))
-          tau
-      in
-      let ctx = context ?tree 100 in
-      List.iter
-        (fun (qid, q) ->
-          let phys = Ptq.physical (Ptq.compile ctx q) in
-          let chosen = Plan.evaluator_name phys.Plan.evaluator in
-          let tb =
-            Harness.seconds_per_run ~quota:0.4
-              ~name:(Printf.sprintf "%s/%s/basic" cname qid)
-              (fun () -> Ptq.query ~force:`Basic ctx q)
-          in
-          let tt =
-            Option.map
-              (fun _ ->
-                Harness.seconds_per_run ~quota:0.4
-                  ~name:(Printf.sprintf "%s/%s/tree" cname qid)
-                  (fun () -> Ptq.query ~force:`Tree ctx q))
-              tree
-          in
-          let faster =
-            match tt with
-            | Some tt when tt < tb -> "per_block"
-            | _ -> "per_mapping"
-          in
-          (* Relative gap between the forced runs: when the two evaluators
-             time within 10% of each other, either pick is "the faster
-             one" up to measurement noise, and the choice counts as
-             agreeing. *)
-          let margin =
-            match tt with
-            | None -> 1.0
-            | Some tt -> Float.abs (tt -. tb) /. Float.max tt tb
-          in
-          let agree = String.equal chosen faster || margin < 0.10 in
-          picks :=
-            Json.Assoc
-              [
-                ("config", Json.String cname);
-                ("query", Json.String qid);
-                ("chosen", Json.String chosen);
-                ("reason", Json.String (Plan.reason_name phys.Plan.reason));
-                ("cost_per_mapping", Json.Float phys.Plan.cost.Plan.per_mapping);
-                ( "cost_per_block",
-                  match phys.Plan.cost.Plan.per_block with
-                  | None -> Json.Null
-                  | Some c -> Json.Float c );
-                ("basic_ms", Json.Float (ms tb));
-                ("tree_ms", match tt with None -> Json.Null | Some t -> Json.Float (ms t));
-                ("faster", Json.String faster);
-                ("margin", Json.Float margin);
-                ("agree", Json.Bool agree);
-              ]
-            :: !picks;
-          Harness.row "%-8s %-4s %-12s %-7s %9.3fms %11s %6s" cname qid chosen
-            (Plan.reason_name phys.Plan.reason) (ms tb)
-            (match tt with None -> "-" | Some t -> Printf.sprintf "%.3fms" (ms t))
-            (if agree then "yes" else "NO"))
-        queries)
-    configs;
-  Harness.json_param "picks" (Json.List (List.rev !picks));
-  Harness.note
-    "auto must pick the faster forced evaluator (ties within 10%% count as agreement)";
-  Harness.note "at least for low tau (high sharing) and no-tree the picks must agree"
-
 (* ------------------------------ main ------------------------------ *)
 
 let experiments =
@@ -670,7 +581,6 @@ let experiments =
     ("abl_compress", abl_compress);
     ("abl_relational", abl_relational);
     ("abl_exec_pool", abl_exec_pool);
-    ("abl_plan_choice", abl_plan_choice);
     ("abl_update", abl_update);
     ("abl_serve", abl_serve);
   ]

@@ -65,8 +65,9 @@ let jobs_arg =
   (* The default comes from UXSM_JOBS so every subcommand honors the
      variable; an explicit --jobs always wins. *)
   Arg.(value & opt jobs_conv (Executor.jobs_of_env ()) & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains for matcher scoring, per-component ranking and PTQ evaluation \
-               (1 = sequential; results are identical for every N). Defaults to the \
+         ~doc:"Worker domains for the matcher's name-table rows, per-component ranking of \
+               the top-h mappings and, under $(b,serve), runs of pure requests (1 = \
+               sequential; results are identical for every N). Defaults to the \
                $(b,UXSM_JOBS) environment variable when set.")
 
 (* ------------------------------- schema --------------------------- *)
@@ -248,7 +249,8 @@ let evaluator_arg =
   Arg.(value & opt ev_conv `Auto
        & info [ "evaluator" ] ~docv:"EV"
            ~doc:"Physical evaluator: $(b,basic) (Algorithm 3), $(b,tree) (Algorithm 4), or \
-                 $(b,auto) (cost-based choice; the default).")
+                 $(b,auto) (the default: Algorithm 3 once per evaluation unit, the mappings \
+                 that rewrite the query alike).")
 
 (* One term, two reports: [query] prints the consolidated answers, [stats]
    the metrics-layer snapshot of the whole run. *)

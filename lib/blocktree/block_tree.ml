@@ -359,24 +359,6 @@ let compress t =
 
 let compressed_corrs_of_mapping t i = (compress t).(i)
 
-(* Cost-model statistics (consumed by Uxsm_plan): block counts and the mean
-   mapping-sharing factor f, per node and tree-wide. Both walk the already
-   materialized node lists, so they are cheap enough to recompute per query
-   compilation. *)
-
-type node_stats = {
-  ns_blocks : int;
-  ns_mean_mappings : float;
-}
-
-let node_stats t y =
-  match t.nodes.(y) with
-  | [] -> { ns_blocks = 0; ns_mean_mappings = 0.0 }
-  | bs ->
-    let n = List.length bs in
-    let total = List.fold_left (fun acc b -> acc + Block.n_mappings b) 0 bs in
-    { ns_blocks = n; ns_mean_mappings = float_of_int total /. float_of_int n }
-
 let storage_bytes t =
   let block_bytes (b : Block.t) = 16 + (8 * Block.n_corrs b) + (4 * Block.n_mappings b) in
   let blocks = List.fold_left (fun acc b -> acc + block_bytes b) 0 (all_blocks t) in

@@ -35,8 +35,7 @@ val update : old:t -> Uxsm_mapping.Mapping_set.t -> t
     computed incrementally: target elements whose c-blocks lost or gained
     support (some mapping's source choice for them changed, or they are
     new) are rebuilt together with their ancestors, while every other
-    node's block list — and hence its {!node_stats}, and the plan costs
-    derived from them — is spliced in unchanged from [old]. Nothing of
+    node's block list is spliced in unchanged from [old]. Nothing of
     the compression is redone: it is computed on demand from the node
     lists ({!compress}). Falls back to a full rebuild, same result, when subtree
     reuse cannot reproduce the from-scratch tree: [old] was truncated by
@@ -92,17 +91,6 @@ val compressed_corrs_of_mapping : t -> int -> [ `Block of Block.t | `Corr of int
     pointers plus residual correspondences. Concatenating the block
     correspondences with the residuals reconstructs the mapping exactly
     (tested property). *)
-
-type node_stats = {
-  ns_blocks : int;  (** c-blocks anchored at the node *)
-  ns_mean_mappings : float;
-      (** mean mappings per c-block at the node (the local sharing factor
-          f); [0.] when the node has no blocks *)
-}
-
-val node_stats : t -> Uxsm_schema.Schema.element -> node_stats
-(** Per-node sharing statistics, the input of the query planner's cost
-    model ({!Uxsm_plan.Plan}). *)
 
 val validate : t -> (unit, string) result
 (** Check Definition 2 for every stored block, plus hash-table consistency

@@ -1,17 +1,18 @@
-(** The PTQ query-plan IR: a logical pipeline plus a cost-based choice
-    between the two physical evaluators of Section IV.
+(** The PTQ query-plan IR: a logical pipeline plus the choice between the
+    two physical evaluators of Section IV.
 
     Every PTQ runs the same logical pipeline — resolve the pattern against
     the target schema, compute the mapping-coverage table, keep the
     relevant mappings (optionally pruned to the top-k most probable),
     evaluate, merge in mapping-id order, and feed a sink. Only the
     [evaluate] stage has two physical implementations: {!Per_mapping}
-    (Algorithm 3 — rewrite and match once per covered (mapping, resolution)
-    pair) and {!Per_block} (Algorithm 4 — one shared evaluation per c-block,
+    (Algorithm 3 — rewrite and match once per evaluation unit) and
+    {!Per_block} (Algorithm 4 — one shared evaluation per c-block,
     decomposition and stack joins elsewhere). They return identical
-    answers; which is faster depends on how much the block tree shares, so
-    {!choose} estimates both costs from {!Uxsm_blocktree.Block_tree}
-    statistics and picks, unless a [force] override pins the choice.
+    answers. {!choose} picks by [force] alone: an [`Auto] plan runs
+    Algorithm 3 over its evaluation units (mappings that rewrite the query
+    alike), which leave a block tree nothing to share; [`Basic] and
+    [`Tree] pin the paper's literal algorithms.
 
     This module is pure planning — it never evaluates anything. [Uxsm_ptq]
     compiles its queries through {!choose} and executes the chosen
@@ -19,13 +20,14 @@
 
 (** Physical implementations of the [evaluate] stage. *)
 type evaluator =
-  | Per_mapping  (** Algorithm 3: rewrite+match per covered mapping *)
+  | Per_mapping  (** Algorithm 3: rewrite+match per unit leader *)
   | Per_block  (** Algorithm 4: block-tree sharing *)
 
 type force = [ `Auto | `Basic | `Tree ]
-(** Evaluator override: [`Basic] pins {!Per_mapping}, [`Tree] pins
-    {!Per_block}, [`Auto] lets the cost model decide. The names match the
-    CLI/wire vocabulary ([--evaluator basic|tree|auto]). *)
+(** Evaluator override: [`Basic] pins {!Per_mapping} and [`Tree] pins
+    {!Per_block}, both over one-mapping units; [`Auto] runs {!Per_mapping}
+    over grouped units. The names match the CLI/wire vocabulary
+    ([--evaluator basic|tree|auto]). *)
 
 (** One logical stage. [Evaluate None] is the unresolved logical stage;
     compilation replaces it with [Evaluate (Some e)]. *)
@@ -38,33 +40,23 @@ type op =
   | Ordered_merge  (** merge per-mapping results in mapping-id order *)
   | Sink  (** hand the merged answers to the caller *)
 
-type cost = {
-  per_mapping : float;  (** estimated Algorithm 3 cost *)
-  per_block : float option;  (** estimated Algorithm 4 cost; [None] without a tree *)
-}
-(** Estimates in rewrite+match node-visit units — comparable to each
-    other, not to wall time. *)
-
 (** Why the physical evaluator was selected. *)
 type reason =
   | Forced  (** a [`Basic] / [`Tree] override *)
-  | No_tree  (** no block tree in the context, only {!Per_mapping} applies *)
-  | Cost_based  (** the smaller estimate won *)
+  | Units  (** an [`Auto] plan: Algorithm 3 over its evaluation units *)
 
 type t = {
   ops : op list;  (** the physical pipeline, [Evaluate (Some _)] resolved *)
   evaluator : evaluator;
   reason : reason;
-  cost : cost;
   resolutions : int;  (** schema resolutions of the pattern *)
   relevant : int;  (** mappings surviving the relevance filter *)
   evaluated : int;  (** mappings actually evaluated (after top-k pruning) *)
   units : int;
       (** evaluations the [evaluate] stage runs: one per (resolution,
-          evaluation unit) pair. {!choose} counts one-mapping units, so
-          this is the covered (mapping, resolution) pairs;
-          [Uxsm_ptq.Ptq.compile] lowers it when an [`Auto] plan groups
-          mappings that rewrite the query alike. *)
+          evaluation unit) pair. A forced plan's units hold one mapping
+          each, so there this is the covered (mapping, resolution)
+          pairs. *)
 }
 
 val logical : ?k:int -> unit -> op list
@@ -72,34 +64,24 @@ val logical : ?k:int -> unit -> op list
     a [Topk_prune] stage iff [k] is given. *)
 
 val choose :
-  ?tree:Uxsm_blocktree.Block_tree.t ->
   ?k:int ->
   force:force ->
-  n_mappings:int ->
-  pattern:Uxsm_twig.Pattern.t ->
-  resolutions:Uxsm_twig.Binding.t array ->
-  coverage:(int * int list) list ->
+  resolutions:int ->
   relevant:int ->
+  evaluated:int ->
+  units:int ->
   unit ->
   t
-(** Select the physical evaluator: honor [force], fall back to
-    {!Per_mapping} without a tree, otherwise take the cheaper of the two
-    estimates. Both evaluators are costed for the compiled query.
-    [coverage] is the relevance table actually handed to the evaluator
-    (mapping id → covered resolution indices), so top-k pruning is priced
-    in by passing the pruned table. The {!Per_block} estimate walks the
-    pattern shape per resolution: a node whose resolved target element
-    holds c-blocks costs one shared evaluation per block plus the expected
-    residual of unclaimed mappings, a blockless leaf costs one visit per
-    mapping, and a blockless branch node pays its children plus a
-    per-(mapping, child) join charge.
-    [relevant] is the pre-pruning relevant-mapping count (reported in the
-    plan; [coverage] may already be pruned). Raises [Invalid_argument] for
-    [~force:`Tree] without a tree. Bumps the [plan.*] counters. *)
+(** Select the physical evaluator from [force] alone: [`Tree] gets
+    {!Per_block}; [`Basic] and [`Auto] get {!Per_mapping} (reasons
+    {!Forced} and {!Units}). The counts are the compiled query's:
+    [resolutions] of the pattern, [relevant] mappings before top-k
+    pruning, [evaluated] mappings after it, and the [units] its
+    [evaluate] stage runs. Bumps the [plan.*] counters. *)
 
 val describe : t -> string
-(** Multi-line rendering for [--plan] / explain output: the choice, both
-    cost estimates, the cardinalities, and the stage pipeline. *)
+(** Multi-line rendering for [--plan] / explain output: the choice, the
+    cardinalities, and the stage pipeline. *)
 
 val to_json : t -> Uxsm_util.Json.t
 (** Machine-readable form of {!describe}, embedded in server [explain]

@@ -116,21 +116,14 @@ let covers m (resolution : Resolve.t) =
 
 let resolutions_of ctx pattern = Resolve.against_doc pattern ctx.target_doc
 
-(* The key of a unit's result: its resolution [r] and leader [l]. *)
-let unit_key ctx r l = (r * Mapping_set.size ctx.mset) + l
-
-module Int_tbl = Hashtbl.Make (Int)
-
-(* Answers in coverage (mapping-id) order from per-unit results: [evaluated]
-   pairs each unit's key with the bindings of its leader's evaluation, and
-   each coverage entry pairs a covered resolution with its unit's leader.
-   Mappings in the same units everywhere share one covered list ([with_units]
-   interns them), found here by physical identity, and so one sorted,
-   deduplicated bindings list. *)
-let answers_of_units ctx evaluated cov =
-  let results = Int_tbl.create (List.length evaluated) in
-  List.iter (fun (u, bindings) -> Int_tbl.replace results u bindings) evaluated;
-  let of_unit (r, l) = Int_tbl.find results (unit_key ctx r l) in
+(* Answers in coverage (mapping-id) order from one evaluation per unit:
+   [results.(r).(j)] holds the bindings of resolution [r]'s [j]-th unit
+   leader, and each coverage entry pairs a covered resolution with its
+   unit's position there. Mappings in the same units everywhere share one
+   covered list ([with_units] interns them), found here by physical
+   identity, and so one sorted, deduplicated bindings list. *)
+let answers_of_units ctx results cov =
+  let of_unit (r, j) = results.(r).(j) in
   let merged = ref [] in
   List.map
     (fun (i, covered) ->
@@ -154,9 +147,9 @@ let answers_of_units ctx evaluated cov =
 
 (* Which resolutions (as indices into [res]) each mapping covers, as an
    ascending-id assoc list; mappings covering none are omitted. Both
-   evaluators consume this table (annotated with unit leaders by
-   [with_units]), and {!query_topk} computes it exactly once
-   — ranking and restricted evaluation share the same coverage pass. *)
+   evaluators consume this table (annotated with units by [with_units]),
+   and {!query_topk} computes it exactly once — ranking and restricted
+   evaluation share the same coverage pass. *)
 let coverage_of ctx (res : Resolve.t array) =
   let cov = ref [] in
   for i = Mapping_set.size ctx.mset - 1 downto 0 do
@@ -169,36 +162,22 @@ let coverage_of ctx (res : Resolve.t array) =
   done;
   !cov
 
-(* The resolutions that mapping [i]'s own evaluation answers: those where
-   it leads its unit. *)
-let led_by i covered = List.filter_map (fun (r, l) -> if l = i then Some r else None) covered
-
-(* Algorithm 3 over a coverage table annotated with unit leaders: each
-   mapping rewrites and matches the resolutions it leads, in coverage
-   order. *)
-let query_basic_cov ctx idx (res : Resolve.t array) cov =
+(* Algorithm 3: rewrite and match the whole query once per unit leader of
+   each resolution ([leaders.(r)], ascending). *)
+let query_basic_cov ctx idx (res : Resolve.t array) ~leaders cov =
   Obs.time s_basic (fun () ->
-      let led =
-        List.filter_map
-          (fun (i, covered) ->
-            match led_by i covered with
-            | [] -> None
-            | rs -> Some (i, rs))
-          cov
+      let results =
+        Array.mapi
+          (fun r mids ->
+            Obs.add c_direct (Array.length mids);
+            Array.map
+              (fun l ->
+                rewrite_and_match ctx idx 0 res.(r) ~at_top:true
+                  ~lookup:(lookup_of_mapping (Mapping_set.mapping ctx.mset l)))
+              mids)
+          leaders
       in
-      let evaluated =
-        List.map
-          (fun (i, rs) ->
-            let m = Mapping_set.mapping ctx.mset i in
-            Obs.add c_direct (List.length rs);
-            List.map
-              (fun r ->
-                ( unit_key ctx r i,
-                  rewrite_and_match ctx idx 0 res.(r) ~at_top:true ~lookup:(lookup_of_mapping m) ))
-              rs)
-          led
-      in
-      answers_of_units ctx (List.concat evaluated) cov)
+      answers_of_units ctx results cov)
 
 type stats = {
   resolutions : int;
@@ -319,9 +298,8 @@ let eval_with_tree ctx tree idx resolution ~(mids : int array) =
   in
   eval 0 ~at_top:true
 
-(* Algorithm 4 over a coverage table annotated with unit leaders: one
-   [eval_with_tree] per resolution, over the leaders of its units
-   ([leaders.(r)], ascending). *)
+(* Algorithm 4: one [eval_with_tree] per resolution, over the leaders of
+   its units ([leaders.(r)], ascending). *)
 let query_tree_cov ctx idx (res : Resolve.t array) ~leaders cov =
   let tree =
     match ctx.tree with
@@ -329,31 +307,29 @@ let query_tree_cov ctx idx (res : Resolve.t array) ~leaders cov =
     | None -> invalid_arg "Ptq.query_tree: context has no block tree"
   in
   Obs.time s_tree (fun () ->
-      let evaluated =
-        List.concat
-          (List.init (Array.length res) (fun r ->
-               let mids = leaders.(r) in
-               if Array.length mids = 0 then []
-               else
-                 let table = eval_with_tree ctx tree idx res.(r) ~mids in
-                 Array.to_list (Array.mapi (fun j l -> (unit_key ctx r l, table.(j))) mids)))
+      let results =
+        Array.mapi
+          (fun r mids ->
+            if Array.length mids = 0 then [||] else eval_with_tree ctx tree idx res.(r) ~mids)
+          leaders
       in
-      answers_of_units ctx evaluated cov)
+      answers_of_units ctx results cov)
 
 (* ------------------------- plan compilation ------------------------ *)
 
 (* A compiled query: the shared resolve/coverage prefix of the logical
-   pipeline, materialized once, plus the physical plan the cost model
-   chose. [execute] replays only the evaluate/merge suffix, so a cached
-   plan (the server catalog keeps them) amortizes resolution and coverage
-   across repeated executions. *)
+   pipeline and its evaluation units, materialized once, plus the physical
+   plan. [execute] replays only the evaluate/merge suffix, so a cached
+   plan (the server catalog keeps them) amortizes resolution, coverage and
+   grouping across repeated executions. *)
 type plan = {
   p_ctx : context;
   p_idx : indexed;
   p_res : Resolve.t array;
   p_cov : (int * (int * int) list) list;
       (* the table handed to the evaluator: each evaluated mapping with its
-         covered resolutions, each paired with its unit's leader there *)
+         covered resolutions, each paired with its unit's position among
+         that resolution's leaders *)
   p_leaders : int array array;  (* per resolution, its units' leaders, ascending *)
   p_phys : Plan.t;
 }
@@ -385,40 +361,47 @@ let prune_topk ctx ~k cov =
    lowest id, answers every member. Without it every mapping leads itself:
    one-mapping units, the paper's literal Algorithms 3 and 4. [cov] is in
    ascending id order, so the first mapping seen with a projection leads.
-   Structurally equal covered lists are interned, so [execute] finds the
-   members of the same units everywhere by physical identity. *)
+   Returns the table with each covered resolution paired with its unit's
+   position among that resolution's leaders, and the leaders themselves,
+   ascending. Structurally equal covered lists are interned, so [execute]
+   finds the members of the same units everywhere by physical identity. *)
 let with_units ctx (res : Resolve.t array) ~group cov =
-  let leaders = Array.map (fun _ -> Hashtbl.create 16) res in
+  let by_projection = Array.map (fun _ -> Hashtbl.create 16) res in
+  let leaders = Array.map (fun _ -> []) res and counts = Array.map (fun _ -> 0) res in
+  (* Mapping [i] leads a new unit of resolution [r], at the next position. *)
+  let lead r i =
+    let j = counts.(r) in
+    leaders.(r) <- i :: leaders.(r);
+    counts.(r) <- j + 1;
+    j
+  in
   let interned = Hashtbl.create 16 in
-  List.map
-    (fun (i, covered) ->
-      let m = Mapping_set.mapping ctx.mset i in
-      let units =
-        List.map
-          (fun r ->
-            if not group then (r, i)
-            else
-              let projection = Array.map (Mapping.source_at m) res.(r) in
-              match Hashtbl.find_opt leaders.(r) projection with
-              | Some l -> (r, l)
-              | None ->
-                Hashtbl.add leaders.(r) projection i;
-                (r, i))
-          covered
-      in
-      match Hashtbl.find_opt interned units with
-      | Some shared -> (i, shared)
-      | None ->
-        Hashtbl.add interned units units;
-        (i, units))
-    cov
-
-(* Per resolution, the leaders of its units, ascending: what Algorithm 4
-   evaluates there. *)
-let leaders_of (res : Resolve.t array) cov =
-  let acc = Array.make (Array.length res) [] in
-  List.iter (fun (i, covered) -> List.iter (fun r -> acc.(r) <- i :: acc.(r)) (led_by i covered)) cov;
-  Array.map (fun l -> Array.of_list (List.rev l)) acc
+  let cov =
+    List.map
+      (fun (i, covered) ->
+        let m = Mapping_set.mapping ctx.mset i in
+        let units =
+          List.map
+            (fun r ->
+              if not group then (r, lead r i)
+              else
+                let projection = Array.map (Mapping.source_at m) res.(r) in
+                match Hashtbl.find_opt by_projection.(r) projection with
+                | Some j -> (r, j)
+                | None ->
+                  let j = lead r i in
+                  Hashtbl.add by_projection.(r) projection j;
+                  (r, j))
+            covered
+        in
+        match Hashtbl.find_opt interned units with
+        | Some shared -> (i, shared)
+        | None ->
+          Hashtbl.add interned units units;
+          (i, units))
+      cov
+  in
+  (cov, Array.map (fun l -> Array.of_list (List.rev l)) leaders)
 
 let compile ?(force = `Auto) ?k ctx pattern =
   (match k with
@@ -430,7 +413,7 @@ let compile ?(force = `Auto) ?k ctx pattern =
   let idx = index_pattern pattern in
   let res = Array.of_list (resolutions_of ctx pattern) in
   (* One resolve and one coverage pass serve the relevance filter, the
-     probability ranking, the cost model and the restricted evaluation. *)
+     probability ranking, the grouping and the restricted evaluation. *)
   let cov = coverage_of ctx res in
   let relevant = List.length cov in
   let cov =
@@ -438,17 +421,13 @@ let compile ?(force = `Auto) ?k ctx pattern =
     | None -> cov
     | Some k -> prune_topk ctx ~k cov
   in
-  (* The cost model prices the literal algorithms (one-mapping units) even
-     when the plan groups: DESIGN.md §12 says why. *)
-  let phys =
-    Plan.choose ?tree:ctx.tree ?k ~force ~n_mappings:(Mapping_set.size ctx.mset)
-      ~pattern ~resolutions:res ~coverage:cov ~relevant ()
-  in
-  let cov = with_units ctx res ~group:(force = `Auto) cov in
-  let leaders = leaders_of res cov in
+  let evaluated = List.length cov in
+  let cov, leaders = with_units ctx res ~group:(force = `Auto) cov in
   let units = Array.fold_left (fun n l -> n + Array.length l) 0 leaders in
-  { p_ctx = ctx; p_idx = idx; p_res = res; p_cov = cov; p_leaders = leaders;
-    p_phys = { phys with Plan.units } }
+  let phys =
+    Plan.choose ?k ~force ~resolutions:(Array.length res) ~relevant ~evaluated ~units ()
+  in
+  { p_ctx = ctx; p_idx = idx; p_res = res; p_cov = cov; p_leaders = leaders; p_phys = phys }
 
 let physical p = p.p_phys
 
@@ -456,7 +435,7 @@ let execute p =
   Obs.incr c_queries;
   Obs.incr c_executions;
   match p.p_phys.Plan.evaluator with
-  | Plan.Per_mapping -> query_basic_cov p.p_ctx p.p_idx p.p_res p.p_cov
+  | Plan.Per_mapping -> query_basic_cov p.p_ctx p.p_idx p.p_res ~leaders:p.p_leaders p.p_cov
   | Plan.Per_block -> query_tree_cov p.p_ctx p.p_idx p.p_res ~leaders:p.p_leaders p.p_cov
 
 let query ?(force = `Auto) ctx pattern = execute (compile ~force ctx pattern)

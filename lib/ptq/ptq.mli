@@ -13,16 +13,17 @@
     relevant mappings (Definition 5).
 
     Every query is compiled to a {!Uxsm_plan.Plan} — the shared
-    resolve/coverage prefix runs once, a cost model fed by block-tree
-    statistics picks the physical evaluator (overridable with [~force]),
-    and {!execute} replays the evaluate/merge suffix. {!compile} exposes
-    the compiled form so callers (the server catalog, the CLI) can cache
-    and re-execute plans without repeating resolution.
+    resolve/coverage prefix runs once, [~force] picks the physical
+    evaluator, and {!execute} replays the evaluate/merge suffix.
+    {!compile} exposes the compiled form so callers (the server catalog,
+    the CLI) can cache and re-execute plans without repeating resolution.
 
-    Under the default [`Auto] plans the evaluator runs once per
+    The default [`Auto] plan runs Algorithm 3 once per
     {e evaluation unit}, not once per mapping: the mappings that send every
     target element of a resolution to the same source elements rewrite the
-    query identically, so one evaluation answers them all. *)
+    query identically, so one evaluation answers them all. With one or two
+    units per query, a block tree has nothing left to share, so only a
+    forced [`Tree] plan reads it. *)
 
 type context
 
@@ -71,14 +72,14 @@ val compile :
   Uxsm_twig.Pattern.t ->
   plan
 (** Resolve the pattern, compute the coverage table (pruned to the [k]
-    most probable relevant mappings when [k] is given), and pick the
-    physical evaluator — the cost model decides under [`Auto] (the
-    default); [`Basic] / [`Tree] force Algorithm 3 / 4. An [`Auto] plan
-    then splits the coverage table into evaluation units, one set per
-    resolution: a unit is the mappings whose [Mapping.source_of] agrees on
-    every target element of that resolution, led by its lowest mapping id.
-    Forced plans keep one-mapping units, so they run the paper's literal
-    algorithms. The plan's [units] field counts the evaluations. Raises
+    most probable relevant mappings when [k] is given), form its
+    evaluation units, and build the plan ({!Uxsm_plan.Plan.choose}). An
+    [`Auto] plan (the default) splits the coverage table into units, one
+    set per resolution: a unit is the mappings whose [Mapping.source_of]
+    agrees on every target element of that resolution, led by its lowest
+    mapping id; Algorithm 3 evaluates each unit's leader once. [`Basic] /
+    [`Tree] keep one-mapping units and run the paper's literal Algorithm 3
+    / 4. The plan's [units] field counts the evaluations. Raises
     [Invalid_argument] for [~force:`Tree] on a context without a block
     tree, or [k <= 0]. *)
 
@@ -92,7 +93,7 @@ val execute : plan -> answer list
     repeats no resolution or coverage work. *)
 
 val physical : plan -> Uxsm_plan.Plan.t
-(** The chosen physical plan (evaluator, cost estimates, pipeline). *)
+(** The chosen physical plan (evaluator, cardinalities, pipeline). *)
 
 val query_basic : context -> Uxsm_twig.Pattern.t -> answer list
 (** Algorithm 3 ([compile ~force:`Basic] + {!execute}). Answers in
@@ -106,12 +107,11 @@ val query_tree : context -> Uxsm_twig.Pattern.t -> answer list
 val query_topk :
   ?force:Uxsm_plan.Plan.force -> context -> k:int -> Uxsm_twig.Pattern.t -> answer list
 (** Top-k PTQ: evaluates only the [k] most probable relevant mappings,
-    with the cost-chosen evaluator (or [force]d one). *)
+    under an [`Auto] plan (or the [force]d evaluator). *)
 
 val query : ?force:Uxsm_plan.Plan.force -> context -> Uxsm_twig.Pattern.t -> answer list
-(** One-shot [compile] + {!execute}. Under the default [`Auto] the cost
-    model picks the evaluator per query; all choices return identical
-    answers. *)
+(** One-shot [compile] + {!execute}. The default [`Auto] runs Algorithm 3
+    over evaluation units; every [force] returns identical answers. *)
 
 val consolidate : answer list -> (Uxsm_twig.Binding.t list * float) list
 (** Merge answers with identical match sets, summing probabilities — the
@@ -139,8 +139,8 @@ type stats = {
   shared_evaluations : int;
       (** twig evaluations executed once per block and reused *)
   direct_evaluations : int;
-      (** per-mapping rewrite+match executions (subqueries included); per
-          unit leader under [`Auto] plans *)
+      (** per-mapping rewrite+match executions (subqueries included); one
+          per unit under [`Auto] plans *)
   decompositions : int;  (** split_query events (no block at the node) *)
   joins : int;  (** stack-join invocations *)
   plan : Uxsm_plan.Plan.t;  (** the physical plan the run executed *)

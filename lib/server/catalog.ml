@@ -207,8 +207,8 @@ let tree_locked t sh name ~h ~tau =
     (s, tr)
 
 (* A compiled plan pins mapping set, tree and documents, so repeated
-   queries skip pattern parsing, resolution, coverage and the cost model,
-   not just artifact construction. The key includes the forced evaluator:
+   queries skip pattern parsing, resolution, coverage and grouping, not
+   just artifact construction. The key includes the forced evaluator:
    a forced plan and the auto plan for the same query are distinct
    artifacts. *)
 let plan_locked t sh name ~pattern ~h ~tau ~k ~force =
@@ -223,6 +223,12 @@ let plan_locked t sh name ~pattern ~h ~tau ~k ~force =
       | Ok q -> q
       | Error e -> failf "bad query %S: %s" pattern e
     in
+    (* Only a forced [`Tree] plan reads the block tree, yet every plan
+       builds it. The serving benchmark's replay pre-builds the (h, tau)
+       tree through [prepared] and requires the server's cache and
+       [blocktree.update*] counters, and the update replies'
+       [trees_patched], to equal its own, so a plan that skipped the build
+       would fail every run. *)
     let mset, tree = tree_locked t sh name ~h ~tau in
     let e = entry_locked sh name in
     let ctx = Ptq.context ~tree ~target_doc:e.target_doc ~mset ~doc:e.doc () in

@@ -132,10 +132,11 @@ val plan :
   (Uxsm_ptq.Ptq.plan, string) result
 (** The compiled plan for one (corpus, pattern, h, τ, k, evaluator) — the
     prepared-statement analogue. Parses the pattern, assembles the
-    evaluation context from the cached artifacts, compiles through the
-    cost model, and caches the result; repeat queries call
-    {!Uxsm_ptq.Ptq.execute} on the cached plan directly. [Error] on
-    unknown corpus, unparsable pattern, or an impossible [force]. *)
+    evaluation context from the cached artifacts (block tree included),
+    compiles it with {!Uxsm_ptq.Ptq.compile}, and caches the result;
+    repeat queries call {!Uxsm_ptq.Ptq.execute} on the cached plan
+    directly. [Error] on unknown corpus, unparsable pattern, or
+    [k <= 0]. *)
 
 val cache_length : t -> int
 (** Total population across all shards (lock-free monitoring read). *)

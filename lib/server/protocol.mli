@@ -41,7 +41,8 @@ type request =
               with a ["k"] field decodes to it too *)
       evaluator : Uxsm_plan.Plan.force;
           (** optional ["evaluator"] field, ["basic"] / ["tree"] /
-              ["auto"]; absent means [`Auto] (cost-based choice) *)
+              ["auto"]; absent means [`Auto] (Algorithm 3 over
+              evaluation units) *)
     }
   | Explain of {
       corpus : string;

@@ -1,6 +1,6 @@
-(* Tests for the query-plan IR: logical/physical op lists, the cost-based
-   evaluator choice and its reasons, plan rendering, and the compile/execute
-   path through Ptq staying equivalent to the direct query API. *)
+(* Tests for the query-plan IR: logical/physical op lists, the evaluator
+   choice and its reasons, plan rendering, and the compile/execute path
+   through Ptq staying equivalent to the direct query API. *)
 
 module Plan = Uxsm_plan.Plan
 module Block_tree = Uxsm_blocktree.Block_tree
@@ -50,38 +50,26 @@ let test_names () =
 
 (* ------------------------------ choose ------------------------------ *)
 
-let choose_no_tree force =
-  Plan.choose ~force
-    ~n_mappings:5
-    ~pattern:(Parser.parse_exn "//IP//ICN")
-    ~resolutions:[||] ~coverage:[] ~relevant:0 ()
-
 let test_choose_reasons () =
-  let p = choose_no_tree `Auto in
-  Alcotest.(check bool) "auto without tree falls back" true (p.Plan.evaluator = Plan.Per_mapping);
-  Alcotest.(check string) "reason no_tree" "no_tree" (Plan.reason_name p.Plan.reason);
-  Alcotest.(check bool) "no per-block cost without a tree" true (p.Plan.cost.Plan.per_block = None);
-  let p = choose_no_tree `Basic in
+  let q = Parser.parse_exn "//IP//ICN" in
+  (* An auto plan runs Algorithm 3 over its units, with or without a block
+     tree in the context. *)
+  let ctx_plain = Ptq.context ~mset:Fixtures.fig3_mset ~doc:Fixtures.fig2_doc () in
+  List.iter
+    (fun (name, ctx) ->
+      let p = Ptq.physical (Ptq.compile ctx q) in
+      Alcotest.(check bool) (name ^ ": auto runs per_mapping") true (p.Plan.evaluator = Plan.Per_mapping);
+      Alcotest.(check string) (name ^ ": reason units") "units" (Plan.reason_name p.Plan.reason))
+    [ ("with a tree", fig_context ()); ("without a tree", ctx_plain) ];
+  let p = Ptq.physical (Ptq.compile ~force:`Basic ctx_plain q) in
   Alcotest.(check string) "forced basic" "forced" (Plan.reason_name p.Plan.reason);
   Alcotest.(check bool) "forced basic evaluator" true (p.Plan.evaluator = Plan.Per_mapping);
+  let p = Ptq.physical (Ptq.compile ~force:`Tree (fig_context ()) q) in
+  Alcotest.(check string) "forced tree" "forced" (Plan.reason_name p.Plan.reason);
+  Alcotest.(check bool) "forced tree evaluator" true (p.Plan.evaluator = Plan.Per_block);
   Alcotest.check_raises "forcing tree without a tree is impossible"
-    (Invalid_argument "Plan.choose: cannot force the per-block evaluator without a block tree")
-    (fun () -> ignore (choose_no_tree `Tree))
-
-let test_fig3_cost_choice () =
-  (* The introduction's example: five mappings sharing c-blocks at IP, so
-     the cost model must pick Algorithm 4 on its own. *)
-  let ctx = fig_context () in
-  let plan = Ptq.compile ctx (Parser.parse_exn "//IP//ICN") in
-  let phys = Ptq.physical plan in
-  Alcotest.(check bool) "auto picks per_block" true (phys.Plan.evaluator = Plan.Per_block);
-  Alcotest.(check string) "chosen by cost" "cost" (Plan.reason_name phys.Plan.reason);
-  (match phys.Plan.cost.Plan.per_block with
-  | None -> Alcotest.fail "expected a per-block estimate"
-  | Some pb -> Alcotest.(check bool) "estimated cheaper" true (pb < phys.Plan.cost.Plan.per_mapping));
-  Alcotest.(check int) "all five mappings relevant" 5 phys.Plan.relevant;
-  let forced = Ptq.physical (Ptq.compile ~force:`Tree ctx (Parser.parse_exn "//IP//ICN")) in
-  Alcotest.(check string) "forcing bumps the reason" "forced" (Plan.reason_name forced.Plan.reason)
+    (Invalid_argument "Ptq.query_tree: context has no block tree")
+    (fun () -> ignore (Ptq.compile ~force:`Tree ctx_plain q))
 
 let test_choose_counters () =
   Obs.reset ();
@@ -90,7 +78,6 @@ let test_choose_counters () =
   ignore (Ptq.compile ~force:`Basic ctx (Parser.parse_exn "//IP"));
   let v name = List.assoc_opt name (Obs.counters ()) in
   Alcotest.(check (option int)) "plan.compiled counts both" (Some 2) (v "plan.compiled");
-  Alcotest.(check (option int)) "one auto per-block pick" (Some 1) (v "plan.auto_per_block");
   Alcotest.(check (option int)) "one forced pick" (Some 1) (v "plan.forced")
 
 (* ----------------------------- rendering ---------------------------- *)
@@ -108,15 +95,14 @@ let test_describe_and_json () =
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "describe mentions %S" needle) true
         (contains text needle))
-    [ "evaluator=per_block"; "(cost)"; "-> resolve"; "per_mapping=" ];
+    [ "evaluator=per_mapping"; "(units)"; "-> resolve" ];
   (* m1 and m2 rewrite //IP//ICN alike, so the auto plan runs four units
      for five mappings; a forced plan keeps one unit per mapping. *)
   Alcotest.(check bool) "describe reports units after evaluated" true
     (contains text "evaluated=5 units=4");
   let forced = Ptq.physical (Ptq.compile ~force:`Tree ctx (Parser.parse_exn "//IP//ICN")) in
   Alcotest.(check int) "forced plans keep one-mapping units" 5 forced.Plan.units;
-  (* Top-k pruning shows up as its own operator (the choice itself is made
-     on the pruned coverage, so the evaluator may differ). *)
+  (* Top-k pruning shows up as its own operator. *)
   let pruned = Ptq.physical (Ptq.compile ~k:2 ctx (Parser.parse_exn "//IP//ICN")) in
   Alcotest.(check bool) "describe mentions the prune" true
     (contains (Plan.describe pruned) "topk_prune(2)");
@@ -141,54 +127,50 @@ let test_describe_and_json () =
       ( "auto",
         Ptq.compile ctx q,
         [
-          "plan: evaluator=per_block (cost)";
-          "  cost: per_mapping=10.0, per_block=8.0";
+          "plan: evaluator=per_mapping (units)";
           "  cardinalities: resolutions=1 relevant=5 evaluated=5 units=4";
         ],
-        "per_block",
+        "per_mapping",
         None,
-        {|{"evaluator":"per_block","reason":"cost","cost":{"per_mapping":10.0,"per_block":8.0},"resolutions":1,"relevant":5,"evaluated":5,"units":4,"ops":["resolve","coverage","relevance_filter","evaluate[per_block]","ordered_merge","sink[answers]"]}|}
+        {|{"evaluator":"per_mapping","reason":"units","resolutions":1,"relevant":5,"evaluated":5,"units":4,"ops":["resolve","coverage","relevance_filter","evaluate[per_mapping]","ordered_merge","sink[answers]"]}|}
       );
       ( "forced basic",
         Ptq.compile ~force:`Basic ctx q,
         [
           "plan: evaluator=per_mapping (forced)";
-          "  cost: per_mapping=10.0, per_block=8.0";
           "  cardinalities: resolutions=1 relevant=5 evaluated=5 units=5";
         ],
         "per_mapping",
         None,
-        {|{"evaluator":"per_mapping","reason":"forced","cost":{"per_mapping":10.0,"per_block":8.0},"resolutions":1,"relevant":5,"evaluated":5,"units":5,"ops":["resolve","coverage","relevance_filter","evaluate[per_mapping]","ordered_merge","sink[answers]"]}|}
+        {|{"evaluator":"per_mapping","reason":"forced","resolutions":1,"relevant":5,"evaluated":5,"units":5,"ops":["resolve","coverage","relevance_filter","evaluate[per_mapping]","ordered_merge","sink[answers]"]}|}
       );
       ( "forced tree",
         Ptq.compile ~force:`Tree ctx q,
         [
           "plan: evaluator=per_block (forced)";
-          "  cost: per_mapping=10.0, per_block=8.0";
           "  cardinalities: resolutions=1 relevant=5 evaluated=5 units=5";
         ],
         "per_block",
         None,
-        {|{"evaluator":"per_block","reason":"forced","cost":{"per_mapping":10.0,"per_block":8.0},"resolutions":1,"relevant":5,"evaluated":5,"units":5,"ops":["resolve","coverage","relevance_filter","evaluate[per_block]","ordered_merge","sink[answers]"]}|}
+        {|{"evaluator":"per_block","reason":"forced","resolutions":1,"relevant":5,"evaluated":5,"units":5,"ops":["resolve","coverage","relevance_filter","evaluate[per_block]","ordered_merge","sink[answers]"]}|}
       );
       ( "k = 2",
         Ptq.compile ~k:2 ctx q,
         [
-          "plan: evaluator=per_mapping (cost)";
-          "  cost: per_mapping=4.0, per_block=4.4";
+          "plan: evaluator=per_mapping (units)";
           "  cardinalities: resolutions=1 relevant=5 evaluated=2 units=1";
         ],
         "per_mapping",
         Some 2,
-        {|{"evaluator":"per_mapping","reason":"cost","cost":{"per_mapping":4.0,"per_block":4.4},"resolutions":1,"relevant":5,"evaluated":2,"units":1,"ops":["resolve","coverage","relevance_filter","topk_prune(2)","evaluate[per_mapping]","ordered_merge","sink[answers]"]}|}
+        {|{"evaluator":"per_mapping","reason":"units","resolutions":1,"relevant":5,"evaluated":2,"units":1,"ops":["resolve","coverage","relevance_filter","topk_prune(2)","evaluate[per_mapping]","ordered_merge","sink[answers]"]}|}
       );
     ];
   match Plan.to_json phys with
   | Uxsm_util.Json.Assoc fields ->
     Alcotest.(check bool) "json carries evaluator" true
-      (List.assoc_opt "evaluator" fields = Some (Uxsm_util.Json.String "per_block"));
+      (List.assoc_opt "evaluator" fields = Some (Uxsm_util.Json.String "per_mapping"));
     Alcotest.(check bool) "json carries reason" true
-      (List.assoc_opt "reason" fields = Some (Uxsm_util.Json.String "cost"));
+      (List.assoc_opt "reason" fields = Some (Uxsm_util.Json.String "units"));
     Alcotest.(check bool) "json carries units" true
       (List.assoc_opt "units" fields = Some (Uxsm_util.Json.Int 4));
     (match List.assoc_opt "ops" fields with
@@ -235,7 +217,6 @@ let suite =
     Alcotest.test_case "logical op lists" `Quick test_logical_ops;
     Alcotest.test_case "names and wire words" `Quick test_names;
     Alcotest.test_case "choose reasons and no-tree fallback" `Quick test_choose_reasons;
-    Alcotest.test_case "fig3 cost-based pick (Algorithm 4)" `Quick test_fig3_cost_choice;
     Alcotest.test_case "plan.* counters" `Quick test_choose_counters;
     Alcotest.test_case "describe and to_json" `Quick test_describe_and_json;
     Alcotest.test_case "compile/execute = query_basic" `Quick test_compile_execute_equals_query;

@@ -224,7 +224,7 @@ let prop_consolidate_vs_oracle =
 let test_explain () =
   let ctx = fig_context () in
   let q = Parser.parse_exn "//IP//ICN" in
-  let stats, answers = Ptq.explain ctx q in
+  let stats, answers = Ptq.explain ~force:`Tree ctx q in
   Alcotest.(check int) "one resolution" 1 stats.Ptq.resolutions;
   Alcotest.(check int) "five relevant" 5 stats.Ptq.relevant_mappings;
   (* IP carries block b5 ({BP~IP, BCN~ICN} for m1, m2): one shared
@@ -270,12 +270,51 @@ let prop_explain_consistent =
              a.mapping_id = b.mapping_id && a.bindings = b.bindings)
            answers plain)
 
+(* Table III query [i]'s plan on the catalog's "d7" corpus, at the served
+   h = 100 and tau = 0.2. *)
+let d7_plan cat ?k ~force i =
+  let pattern = Pattern.to_string (Uxsm_workload.Queries.q i) in
+  match Uxsm_server.Catalog.plan cat "d7" ~pattern ~h:100 ~tau:0.2 ~k ~force with
+  | Ok p -> p
+  | Error e -> Alcotest.fail e
+
+(* An auto plan runs Algorithm 3 once per evaluation unit: one execution
+   of each served Table III plan evaluates exactly its units directly,
+   shares nothing through the block tree, joins nothing, and answers as
+   forced Algorithm 3 does. *)
+let test_auto_runs_units () =
+  let module Obs = Uxsm_obs.Obs in
+  let cat = Uxsm_server.Catalog.create ~exec:Uxsm_exec.Executor.sequential () in
+  (match
+     Uxsm_server.Catalog.register cat ~name:"d7" ~doc_seed:Uxsm_workload.Gen_doc.default_seed
+       (Uxsm_server.Protocol.From_dataset (Uxsm_workload.Dataset.d7, 42))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let direct = Obs.counter "ptq.direct_evaluations"
+  and shared = Obs.counter "ptq.shared_evaluations"
+  and joins = Obs.counter "ptq.joins" in
+  List.iter
+    (fun (i, k) ->
+      let name = Printf.sprintf "Q%d%s" i (if k = None then "" else " k=10") in
+      let plan = d7_plan cat ?k ~force:`Auto i in
+      let d0 = Obs.value direct and s0 = Obs.value shared and j0 = Obs.value joins in
+      let answers = Ptq.execute plan in
+      Alcotest.(check int) (name ^ ": direct = units") (Ptq.physical plan).Uxsm_plan.Plan.units
+        (Obs.value direct - d0);
+      Alcotest.(check int) (name ^ ": no shared evaluation") 0 (Obs.value shared - s0);
+      Alcotest.(check int) (name ^ ": no join") 0 (Obs.value joins - j0);
+      Alcotest.(check bool) (name ^ ": answers = forced basic") true
+        (answers = Ptq.execute (d7_plan cat ?k ~force:`Basic i)))
+    (List.init 10 (fun i -> (i + 1, None)) @ List.init 6 (fun i -> (i + 4, Some 10)))
+
 (* The minor words one warm Table III query (Q4-Q10) may allocate in
    [Ptq.execute] plus [consolidate], on the cached D7 plans a served query
    runs (h = 100, tau = 0.2, the default evaluator). Measured medians, dev
-   build: 5.7-9.8 k words; a hash-memoized matcher building full-width
-   bindings and a per-answer consolidate read 20.8-32.4 k, which this
-   bound rejects. *)
+   build: 4.1-8.9 k words with Algorithm 3 over the units (5.7-9.8 k when
+   auto plans ran Algorithm 4 on Q1-Q9); a hash-memoized matcher building
+   full-width bindings and a per-answer consolidate read 20.8-32.4 k, which
+   this bound rejects. *)
 let max_warm_query_minor_words = 13_000.0
 
 let test_warm_query_allocation () =
@@ -319,6 +358,7 @@ let suite =
     Alcotest.test_case "ambiguous label resolution" `Quick test_resolution_ambiguity;
     Alcotest.test_case "rewrite axis derivation" `Quick test_rewrite_axis_derivation;
     Alcotest.test_case "explain (EXPLAIN of Algorithm 4)" `Quick test_explain;
+    Alcotest.test_case "auto plans run Algorithm 3 once per unit (D7)" `Quick test_auto_runs_units;
     Alcotest.test_case "warm D7 query allocation bound" `Quick test_warm_query_allocation;
     q prop_explain_consistent;
     q prop_tree_equals_basic;
