@@ -50,7 +50,15 @@ let h_arg =
        & info [ "h"; "top-h" ] ~docv:"H" ~doc:"Number of possible mappings to derive.")
 
 let tau_arg =
-  Arg.(value & opt float Protocol.default_tau
+  let tau_conv =
+    let parse s =
+      match float_of_string_opt s with
+      | Some tau when Block_tree.valid_tau tau -> Ok tau
+      | _ -> Error (`Msg "expected a number in (0, 1]")
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
+  Arg.(value & opt tau_conv Protocol.default_tau
        & info [ "tau" ] ~docv:"TAU" ~doc:"c-block confidence threshold.")
 
 let jobs_arg =
@@ -262,9 +270,11 @@ let ptq_cmd name ~doc report =
       Option.value query_str ~default:(Uxsm_twig.Pattern.to_string Queries.q7)
     in
     let cat = open_corpus ?mappings ~exec ~seed d in
-    (* Mapping set and block tree first, so the timed window covers plan
-       compilation and execution only. *)
-    ignore (or_die (Catalog.prepared cat cli_corpus ~h ~tau));
+    (* Build what the plan reads first (the block tree only for forced
+       Algorithm 4), so the timed window covers plan compilation and
+       execution only. *)
+    if evaluator = `Tree then ignore (or_die (Catalog.prepared cat cli_corpus ~h ~tau))
+    else ignore (or_die (Catalog.mapping_set cat cli_corpus ~h));
     let t0 = Uxsm_util.Timing.now_mono () in
     let plan = or_die (Catalog.plan cat cli_corpus ~pattern ~h ~tau ~k ~force:evaluator) in
     let answers = Ptq.execute plan in
@@ -444,9 +454,10 @@ let analyze_cmd =
 let keyword_cmd =
   let run d seed h jobs terms =
     let cat = open_corpus ~exec:(Executor.of_jobs jobs) ~seed d in
-    let mset, tree = or_die (Catalog.prepared cat cli_corpus ~h ~tau:Protocol.default_tau) in
+    let mset = or_die (Catalog.mapping_set cat cli_corpus ~h) in
     let doc = or_die (Catalog.doc cat cli_corpus) in
-    let ctx = Ptq.context ~tree ~mset ~doc () in
+    (* Keyword interpretations run auto plans, which read no block tree. *)
+    let ctx = Ptq.context ~mset ~doc () in
     let hits = Uxsm_ptq.Keyword.search ctx terms in
     if hits = [] then print_endline "no interpretation has answers"
     else

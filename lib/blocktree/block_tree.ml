@@ -12,13 +12,6 @@ let c_max_f_hits = Obs.counter "blocktree.max_f_hits"
 let c_claims = Obs.counter "blocktree.compression_claims"
 let s_build = Obs.span "blocktree.build"
 
-(* Incremental maintenance: how much of an update the subtree reuse buys. *)
-let c_updates = Obs.counter "blocktree.updates"
-let c_nodes_reused = Obs.counter "blocktree.update.nodes_reused"
-let c_nodes_rebuilt = Obs.counter "blocktree.update.nodes_rebuilt"
-let c_full_rebuilds = Obs.counter "blocktree.update.full_rebuilds"
-let s_update = Obs.span "blocktree.update"
-
 type params = {
   tau : float;
   max_b : int;
@@ -31,15 +24,13 @@ type compressed_item = [ `Block of Block.t | `Corr of int * int ]
 
 type t = {
   mset : Mapping_set.t;
-  prms : params;
   threshold : int;
   nodes : Block.t list array;
   hash : (string, Schema.element) Hashtbl.t;
-  caps_hit : bool;
-      (* a MAX_B/MAX_F cap truncated this build; such a tree's node lists
-         depend on global construction order, so [update] rebuilds from
-         scratch instead of splicing subtrees *)
 }
+
+(* NaN compares false both ways, so it fails here. *)
+let valid_tau tau = tau > 0.0 && tau <= 1.0
 
 (* |b.M| >= tau * |M|, computed robustly against float noise. *)
 let threshold_of tau m = max 1 (int_of_float (ceil ((tau *. float_of_int m) -. 1e-9)))
@@ -66,23 +57,18 @@ let intersect ~atleast a b =
   if k < 0 || k < atleast then None else Some (Array.sub out 0 k)
 
 exception Break
-exception Fallback
 
 let corr_compare (s1, t1) (s2, t2) =
   match Int.compare s1 s2 with
   | 0 -> Int.compare t1 t2
   | c -> c
 
-(* Core construction (Algorithms 1 and 2), shared by [build] and
-   [update]. [reuse y = Some blocks] splices a previously built node in
-   unchanged — the incremental path passes clean subtrees here; the full
-   build passes [fun _ -> None]. In strict-caps mode (update), running
-   into MAX_B — or splicing a reused non-leaf node once the global block
-   budget is spent — raises [Fallback]: cap truncation couples every
-   node's list to global construction order, so only a full rebuild
-   reproduces the from-scratch result then. MAX_F stays per-node in both
-   modes and needs no special casing. *)
-let build_core ~params ~strict_caps ~reuse mset =
+(* Construction (Algorithms 1 and 2): a post-order pass over the target
+   schema. *)
+let build ?(params = default_params) mset =
+  if not (valid_tau params.tau) then invalid_arg "Block_tree.build: tau out of (0,1]";
+  Obs.incr c_builds;
+  Obs.time s_build @@ fun () ->
   let target = Mapping_set.target mset in
   let m = Mapping_set.size mset in
   let thr = threshold_of params.tau m in
@@ -90,7 +76,6 @@ let build_core ~params ~strict_caps ~reuse mset =
   let hash = Hashtbl.create 64 in
   let count = ref 0 in
   (* global cap on non-leaf c-blocks (Algorithm 1's [count]) *)
-  let capped = ref false in
 
   (* Group the mappings by their correspondence for target element [y];
      groups of at least [thr] mappings become single-correspondence
@@ -159,14 +144,11 @@ let build_core ~params ~strict_caps ~reuse mset =
           incr count
         | Some _ | None -> incr num_trial);
         if !count >= params.max_b then begin
-          if strict_caps then raise Fallback;
           Obs.incr c_max_b_hits;
-          capped := true;
           raise Break
         end;
         if !num_trial >= params.max_f then begin
           Obs.incr c_max_f_hits;
-          capped := true;
           raise Break
         end
       in
@@ -185,133 +167,22 @@ let build_core ~params ~strict_caps ~reuse mset =
   let rec construct y =
     let kids = Schema.children target y in
     let n_created =
-      match reuse y with
-      | Some blocks ->
-        (* A clean subtree: every descendant is clean too, so the
-           recursion below splices each of their lists as well. Non-leaf
-           blocks were counted towards MAX_B by the build being replayed,
-           so account for them here — and fall back when the budget is
-           spent, since a from-scratch build would truncate. *)
-        List.iter (fun k -> ignore (construct k)) kids;
+      if kids = [] then begin
+        let blocks = init_block y in
         nodes.(y) <- blocks;
-        let n = List.length blocks in
-        if kids <> [] && n > 0 then begin
-          if !count >= params.max_b then raise Fallback;
-          count := !count + n;
-          if !count >= params.max_b then raise Fallback
-        end;
-        n
-      | None ->
-        if kids = [] then begin
-          let blocks = init_block y in
-          nodes.(y) <- blocks;
-          List.length blocks
-        end
-        else begin
-          let kid_counts = List.map construct kids in
-          if List.exists (fun c -> c = 0) kid_counts then 0 else gen_non_leaf y kids
-        end
+        List.length blocks
+      end
+      else begin
+        let kid_counts = List.map construct kids in
+        if List.exists (fun c -> c = 0) kid_counts then 0 else gen_non_leaf y kids
+      end
     in
     if n_created > 0 then Hashtbl.replace hash (Schema.path_string target y) y;
     n_created
   in
   ignore (construct (Schema.root target));
 
-  { mset; prms = params; threshold = thr; nodes; hash; caps_hit = !capped }
-
-let no_reuse _ = None
-let build_impl ~params mset = build_core ~params ~strict_caps:false ~reuse:no_reuse mset
-
-let build ?(params = default_params) mset =
-  if params.tau <= 0.0 || params.tau > 1.0 then invalid_arg "Block_tree.build: tau out of (0,1]";
-  Obs.incr c_builds;
-  Obs.time s_build (fun () -> build_impl ~params mset)
-
-(* ------------------------ incremental update ---------------------- *)
-
-let update ~old mset' =
-  Obs.incr c_updates;
-  Obs.time s_update @@ fun () ->
-  let params = old.prms in
-  let full () =
-    Obs.incr c_full_rebuilds;
-    build_impl ~params mset'
-  in
-  let target' = Mapping_set.target mset' in
-  let target_old = Mapping_set.target old.mset in
-  let m = Mapping_set.size mset' in
-  let n_old = Schema.size target_old and n_new = Schema.size target' in
-  (* Old pre-order ids must survive in the new target: same labels and
-     parents for every old id, new elements only appended. The matching
-     layer's append-only schema growth guarantees this, but [update]
-     re-checks so an arbitrary mapping set degrades to a full rebuild
-     instead of a wrong tree. *)
-  let ids_stable =
-    n_new >= n_old
-    && List.for_all
-         (fun y ->
-           Schema.label target' y = Schema.label target_old y
-           && Schema.parent target' y = Schema.parent target_old y)
-         (List.init n_old Fun.id)
-  in
-  if
-    old.caps_hit
-    || m <> Mapping_set.size old.mset
-    || threshold_of params.tau m <> old.threshold
-    || not ids_stable
-  then full ()
-  else begin
-    (* A target element is dirty when any mapping's choice of source for
-       it changed (its c-blocks lost or gained support), or it is new.
-       Blocks cover exactly their anchor's subtree, so a node is reusable
-       iff its whole subtree is clean — closing the dirty set over
-       ancestors makes "not dirty" mean exactly that. *)
-    let dirty = Array.make n_new false in
-    for y = n_old to n_new - 1 do
-      dirty.(y) <- true
-    done;
-    for y = 0 to n_old - 1 do
-      let i = ref 0 in
-      while (not dirty.(y)) && !i < m do
-        if
-          Mapping.source_at (Mapping_set.mapping old.mset !i) y
-          <> Mapping.source_at (Mapping_set.mapping mset' !i) y
-        then dirty.(y) <- true;
-        incr i
-      done
-    done;
-    let initially_dirty = List.filter (fun y -> dirty.(y)) (List.init n_new Fun.id) in
-    List.iter
-      (fun y ->
-        let rec up y =
-          match Schema.parent target' y with
-          | Some p ->
-            dirty.(p) <- true;
-            up p
-          | None -> ()
-        in
-        up y)
-      initially_dirty;
-    let reused = ref 0 and rebuilt = ref 0 in
-    let reuse y =
-      if y < n_old && not dirty.(y) then begin
-        incr reused;
-        Some old.nodes.(y)
-      end
-      else begin
-        incr rebuilt;
-        None
-      end
-    in
-    match build_core ~params ~strict_caps:true ~reuse mset' with
-    | t ->
-      Obs.add c_nodes_reused !reused;
-      Obs.add c_nodes_rebuilt !rebuilt;
-      t
-    | exception Fallback -> full ()
-  end
-
-let caps_hit t = t.caps_hit
+  { mset; threshold = thr; nodes; hash }
 
 let mapping_set t = t.mset
 let threshold t = t.threshold
@@ -329,7 +200,7 @@ let block_sizes t = List.map Block.n_corrs (all_blocks t)
    replace each mapping's correspondences covered by a block with a pointer
    to that block. Pre-order means the largest (highest-anchored) blocks
    win. A pure function of the node lists and the mapping set, so it runs
-   only when asked: no query or update reads it. *)
+   only when asked: no query reads it. *)
 let compress t =
   let target = Mapping_set.target t.mset in
   let m = Mapping_set.size t.mset in

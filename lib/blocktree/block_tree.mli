@@ -10,9 +10,14 @@
     combination attempts. A hash table [H] maps target paths with at least
     one c-block to their node. The mapping-compression pass (Algorithm 1,
     Step 5), which replaces block correspondences inside mappings by block
-    pointers, is not part of a build: query evaluation and {!update} never
-    read it, so {!compress} runs it on demand for the storage accounting,
-    {!validate} and {!compressed_corrs_of_mapping}. *)
+    pointers, is not part of a build: query evaluation never reads it, so
+    {!compress} runs it on demand for the storage accounting, {!validate}
+    and {!compressed_corrs_of_mapping}.
+
+    A tree is never patched. When a corpus' mapping set changes, the
+    server's catalog keeps an unbuilt tree for the new set, and {!build}
+    runs only when a forced Algorithm 4 plan or a caller of its
+    [prepared] reads the tree. *)
 
 type params = {
   tau : float;  (** confidence threshold τ — a c-block needs [≥ τ·|M|] mappings *)
@@ -23,30 +28,16 @@ type params = {
 val default_params : params
 (** The paper's defaults: [tau = 0.2], [max_b = 500], [max_f = 500]. *)
 
+val valid_tau : float -> bool
+(** [tau] lies in (0, 1]. NaN does not. *)
+
 type t
 
 val build : ?params:params -> Uxsm_mapping.Mapping_set.t -> t
 (** Algorithm 1, Steps 1–4: the node lists and [H]. Step 5 is
     {!compress}; [compress (build mset)] is the whole algorithm, which is
-    what Figures 9(d)/(e) time. *)
-
-val update : old:t -> Uxsm_mapping.Mapping_set.t -> t
-(** [update ~old mset'] — the tree [build ~params:(params old) mset']
-    computed incrementally: target elements whose c-blocks lost or gained
-    support (some mapping's source choice for them changed, or they are
-    new) are rebuilt together with their ancestors, while every other
-    node's block list is spliced in unchanged from [old]. Nothing of
-    the compression is redone: it is computed on demand from the node
-    lists ({!compress}). Falls back to a full rebuild, same result, when subtree
-    reuse cannot reproduce the from-scratch tree: [old] was truncated by
-    a MAX_B/MAX_F cap, the budget runs out during the replay, [|M|] or
-    the threshold changed, or old target ids are not stable in the new
-    target schema. The result is always identical to the from-scratch
-    build, and {!validate} passes on it (tested properties). *)
-
-val caps_hit : t -> bool
-(** A MAX_B/MAX_F cap truncated this build ([update] on such a tree falls
-    back to a full rebuild). *)
+    what Figures 9(d)/(e) time. Raises [Invalid_argument] unless
+    [valid_tau params.tau]. *)
 
 val mapping_set : t -> Uxsm_mapping.Mapping_set.t
 

@@ -53,13 +53,16 @@ let key_string = function
 
 type artifact =
   | A_mset of Mapping_set.t
-  | A_tree of Mapping_set.t * Block_tree.t
+  | A_tree of Mapping_set.t * Block_tree.t Lazy.t
       (** the tree pins its mapping set so a cached tree answers queries
-          even after the standalone mapping-set entry was evicted *)
+          even after the standalone mapping-set entry was evicted. It is
+          forced only under the shard lock (a forced [`Tree] plan, or
+          [prepared]): OCaml 5's [Lazy.force] must not race across domains. *)
   | A_plan of Ptq.plan
       (** a compiled query plan; it pins its whole evaluation context
-          (mapping set, block tree, documents), so executions survive the
-          eviction of the artifacts it was compiled from *)
+          (mapping set, documents, and the block tree of a forced [`Tree]
+          plan), so executions survive the eviction of the artifacts it
+          was compiled from *)
 
 (* A registered corpus: its matching (as maintained by updates), the
    document generated from its source schema and its target schema indexed
@@ -193,22 +196,28 @@ let mset_locked t sh name ~h =
     cache_put sh key (A_mset s);
     s
 
+let lazy_tree s ~tau =
+  lazy
+    (Obs.time s_build (fun () ->
+         Block_tree.build ~params:{ Block_tree.default_params with tau } s))
+
+(* The entry is created with its tree unbuilt. τ is checked here, so an
+   out-of-range τ fails every plan, not only the plans that force the
+   tree. *)
 let tree_locked t sh name ~h ~tau =
   let key = K_tree (name, h, tau) in
   match cache_get sh key with
   | Some (A_tree (s, tr)) -> (s, tr)
   | _ ->
+    if not (Block_tree.valid_tau tau) then failf "tau %g out of (0, 1]" tau;
     let s = mset_locked t sh name ~h in
-    let tr =
-      Obs.time s_build (fun () ->
-          Block_tree.build ~params:{ Block_tree.default_params with tau } s)
-    in
+    let tr = lazy_tree s ~tau in
     cache_put sh key (A_tree (s, tr));
     (s, tr)
 
-(* A compiled plan pins mapping set, tree and documents, so repeated
-   queries skip pattern parsing, resolution, coverage and grouping, not
-   just artifact construction. The key includes the forced evaluator:
+(* A compiled plan pins its mapping set, documents and, when forced to
+   Algorithm 4, its tree, so repeated queries skip pattern parsing,
+   resolution, coverage and grouping, not just artifact construction. The key includes the forced evaluator:
    a forced plan and the auto plan for the same query are distinct
    artifacts. *)
 let plan_locked t sh name ~pattern ~h ~tau ~k ~force =
@@ -223,15 +232,14 @@ let plan_locked t sh name ~pattern ~h ~tau ~k ~force =
       | Ok q -> q
       | Error e -> failf "bad query %S: %s" pattern e
     in
-    (* Only a forced [`Tree] plan reads the block tree, yet every plan
-       builds it. The serving benchmark's replay pre-builds the (h, tau)
-       tree through [prepared] and requires the server's cache and
-       [blocktree.update*] counters, and the update replies'
-       [trees_patched], to equal its own, so a plan that skipped the build
-       would fail every run. *)
+    (* Only a forced [`Tree] plan reads the tree, so only it builds one.
+       Every plan still looks the entry up: the serving benchmark's replay
+       builds the tree through [prepared] and requires the server's cache
+       counters to equal its own. *)
     let mset, tree = tree_locked t sh name ~h ~tau in
+    let tree = if force = `Tree then Some (Lazy.force tree) else None in
     let e = entry_locked sh name in
-    let ctx = Ptq.context ~tree ~target_doc:e.target_doc ~mset ~doc:e.doc () in
+    let ctx = Ptq.context ?tree ~target_doc:e.target_doc ~mset ~doc:e.doc () in
     let p = Obs.time s_build (fun () -> Ptq.compile ~force ?k ctx q) in
     cache_put sh key (A_plan p);
     p
@@ -274,14 +282,15 @@ type update_stats = {
   u_doc_rebuilt : bool;
 }
 
-(* Apply a delta to a registered corpus, patching every cached artifact in
-   place instead of evicting it. Two phases under the shard lock: a patch
-   phase that computes every replacement artifact (raising on a bad delta
-   with the corpus untouched), then a non-raising commit phase that puts
-   the new matching (and document) into the entry, swaps the patched
-   artifacts in and drops the corpus' prepared plans — the only artifacts
-   not worth patching, since compilation is cheap next to the derivations
-   and a plan pins its whole stale context. *)
+(* Apply a delta to a registered corpus, patching its cached mapping sets
+   instead of evicting them. Two phases under the shard lock: a patch
+   phase that re-ranks one mapping set per cached h (raising on a bad
+   delta with the corpus untouched), then a non-raising commit phase that
+   puts the new matching (and document) into the entry, re-points every
+   set and tree entry of that h at the patched set, each tree entry with
+   a fresh unbuilt tree, and drops the corpus' prepared plans: compilation
+   is cheap next to the derivations, and a plan pins its whole stale
+   context. *)
 let update t ~name delta =
   wrap (fun () ->
       with_shard t name (fun sh ->
@@ -294,37 +303,36 @@ let update t ~name delta =
             | Error msg -> failf "update %S: %s" name msg
           in
           let keys = Lru.keys sh.sh_cache in
+          (* One re-rank per cached h, of the most recently used set of
+             that h. Every cached set of one h derives from the entry's
+             matching, so any of them re-ranks to the same set. *)
+          let patched =
+            List.fold_left
+              (fun acc key ->
+                match (key, Lru.peek sh.sh_cache key) with
+                | (K_mset (_, h), Some (A_mset s) | K_tree (_, h, _), Some (A_tree (s, _)))
+                  when not (List.mem_assoc h acc) ->
+                  (h, s) :: acc
+                | _ -> acc)
+              [] keys
+            |> List.map (fun (h, s) ->
+                   (h, Obs.time s_build (fun () -> Mapping_set.update ~exec:t.exec m_new s)))
+          in
           let patched_msets =
             List.filter_map
-              (fun key ->
-                match key with
-                | K_mset (_, h) -> (
-                  match Lru.peek sh.sh_cache key with
-                  | Some (A_mset s) ->
-                    Some
-                      (h, key, Obs.time s_build (fun () -> Mapping_set.update ~exec:t.exec m_new s))
-                  | _ -> None)
+              (function
+                | K_mset (_, h) as key ->
+                  Option.map (fun s' -> (key, A_mset s')) (List.assoc_opt h patched)
                 | _ -> None)
               keys
           in
           let patched_trees =
             List.filter_map
-              (fun key ->
-                match key with
-                | K_tree (_, h, _) -> (
-                  match Lru.peek sh.sh_cache key with
-                  | Some (A_tree (s, tr)) ->
-                    (* Share the standalone mset patch of the same [h] when
-                       there is one (they are the same object after a
-                       cache-warm build); otherwise patch the pinned one. *)
-                    let s' =
-                      match List.find_opt (fun (h', _, _) -> h' = h) patched_msets with
-                      | Some (_, _, s') -> s'
-                      | None ->
-                        Obs.time s_build (fun () -> Mapping_set.update ~exec:t.exec m_new s)
-                    in
-                    Some (key, s', Obs.time s_build (fun () -> Block_tree.update ~old:tr s'))
-                  | _ -> None)
+              (function
+                | K_tree (_, h, tau) as key ->
+                  Option.map
+                    (fun s' -> (key, A_tree (s', lazy_tree s' ~tau)))
+                    (List.assoc_opt h patched)
                 | _ -> None)
               keys
           in
@@ -347,8 +355,7 @@ let update t ~name delta =
           let plan_keys = List.filter (function K_plan _ -> true | _ -> false) keys in
           (* Commit. *)
           Atomic.set sh.sh_entry (Some { e with matching = m_new; doc; target_doc });
-          List.iter (fun (_, key, s') -> cache_put sh key (A_mset s')) patched_msets;
-          List.iter (fun (key, s', tr') -> cache_put sh key (A_tree (s', tr'))) patched_trees;
+          List.iter (fun (key, a) -> cache_put sh key a) (patched_msets @ patched_trees);
           List.iter (fun k -> Lru.remove sh.sh_cache k) plan_keys;
           Obs.incr c_updates;
           Obs.add c_upd_msets (List.length patched_msets);
@@ -381,7 +388,10 @@ let mapping_set t name ~h =
   wrap (fun () -> with_shard t name (fun sh -> mset_locked t sh name ~h))
 
 let prepared t name ~h ~tau =
-  wrap (fun () -> with_shard t name (fun sh -> tree_locked t sh name ~h ~tau))
+  wrap (fun () ->
+      with_shard t name (fun sh ->
+          let s, tr = tree_locked t sh name ~h ~tau in
+          (s, Lazy.force tr)))
 
 let plan t name ~pattern ~h ~tau ~k ~force =
   wrap (fun () ->

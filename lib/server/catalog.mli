@@ -12,7 +12,8 @@
     derived from them — each top-h mapping set, each (h, τ) block tree,
     each compiled plan — lives in the LRU under a structured {!key}, so the
     expensive pipeline runs once per key and repeat queries are served
-    from cache. An evicted artifact is rebuilt deterministically from the
+    from cache. A block tree is built only when something reads it: a
+    forced Algorithm 4 plan or {!prepared}. An evicted artifact is rebuilt deterministically from the
     entry's matching on next use (same algorithms), so eviction affects
     latency, never answers.
 
@@ -77,8 +78,8 @@ type update_stats = {
   u_capacity : int;  (** correspondence count after the delta *)
   u_source_elements : int;
   u_target_elements : int;
-  u_msets_patched : int;  (** cached mapping sets re-ranked incrementally *)
-  u_trees_patched : int;  (** cached block trees rebuilt subtree-wise *)
+  u_msets_patched : int;  (** cached mapping sets re-pointed at their h's patched set *)
+  u_trees_patched : int;  (** cached trees re-pointed at their h's patched set, unbuilt *)
   u_plans_invalidated : int;  (** prepared plans dropped (recompiled on next use) *)
   u_doc_rebuilt : bool;  (** the generated document was regenerated (source schema grew) *)
 }
@@ -86,12 +87,13 @@ type update_stats = {
 val update :
   t -> name:string -> Uxsm_mapping.Matching.delta -> (update_stats, string) result
 (** Apply an incremental delta to a registered corpus. The matching is
-    patched via {!Uxsm_mapping.Matching.apply_delta}; every cached mapping
-    set is re-ranked through {!Uxsm_mapping.Mapping_set.update} (only the
-    connected components the delta touches are re-enumerated), every
-    cached block tree through {!Uxsm_blocktree.Block_tree.update} (only
-    dirty subtrees rebuilt), and the generated document is regenerated
-    only when the delta grew the source schema. Prepared plans of the
+    patched via {!Uxsm_mapping.Matching.apply_delta}; for each h with a
+    cached mapping set or block tree, one set is re-ranked through
+    {!Uxsm_mapping.Mapping_set.update} (only the connected components the
+    delta touches are re-enumerated), and every set and tree entry of that
+    h is re-pointed at it, a tree entry with a tree that is built when it
+    is next read. The generated document is regenerated only when the
+    delta grew the source schema. Prepared plans of the
     corpus are dropped rather than patched — compilation is cheap and a
     plan pins its entire stale context. The patched matching and document
     replace the corpus entry's, so an artifact evicted later rebuilds to
@@ -119,7 +121,8 @@ val prepared :
   (Uxsm_mapping.Mapping_set.t * Uxsm_blocktree.Block_tree.t, string) result
 (** The full pipeline product for one (corpus, h, τ): the top-h mapping set
     and its block tree (built with {!Uxsm_blocktree.Block_tree.default_params}'s
-    MAX_B and MAX_F). *)
+    MAX_B and MAX_F), built here if no plan has built it yet. [Error] when
+    τ is outside (0, 1]. *)
 
 val plan :
   t ->
@@ -132,8 +135,9 @@ val plan :
   (Uxsm_ptq.Ptq.plan, string) result
 (** The compiled plan for one (corpus, pattern, h, τ, k, evaluator) — the
     prepared-statement analogue. Parses the pattern, assembles the
-    evaluation context from the cached artifacts (block tree included),
-    compiles it with {!Uxsm_ptq.Ptq.compile}, and caches the result;
+    evaluation context from the cached artifacts (the block tree only for
+    a forced [`Tree] plan), compiles it with {!Uxsm_ptq.Ptq.compile}, and
+    caches the result;
     repeat queries call {!Uxsm_ptq.Ptq.execute} on the cached plan
     directly. [Error] on unknown corpus, unparsable pattern, or
     [k <= 0]. *)

@@ -106,7 +106,7 @@ let h_of op j = Option.value ~default:default_h (bounded ~limit:max_h op "h" (in
 let tau_of op j =
   match float_opt op "tau" j with
   | None -> default_tau
-  | Some t when t > 0.0 && t <= 1.0 -> t
+  | Some t when Uxsm_blocktree.Block_tree.valid_tau t -> t
   | Some _ -> failf "%s: field \"tau\" must be in (0, 1]" op
 
 let corpus_of op j = str op "corpus" j

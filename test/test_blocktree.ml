@@ -100,6 +100,18 @@ let test_compression_ratio_positive () =
   let r = Block_tree.compression_ratio t in
   Alcotest.(check bool) "storage accounting is sane" true (r > -1.0 && r < 1.0)
 
+(* τ outside (0, 1] is refused, NaN included: NaN compares false both
+   ways, so a guard written as [tau <= 0 || tau > 1] lets it through. *)
+let test_tau_out_of_range_refused () =
+  List.iter
+    (fun tau ->
+      match Block_tree.build ~params:{ Block_tree.default_params with tau } Fixtures.fig3_mset with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "tau %g was accepted" tau)
+    [ Float.nan; 0.0; -0.1; 1.0000001; Float.infinity ];
+  (* The closed end is accepted. *)
+  ignore (Block_tree.build ~params:{ Block_tree.default_params with tau = 1.0 } Fixtures.fig3_mset)
+
 let test_max_b_caps_non_leaf_blocks () =
   let t =
     Block_tree.build ~params:{ Block_tree.tau = 0.4; max_b = 0; max_f = 500 } Fixtures.fig3_mset
@@ -143,116 +155,6 @@ let prop_leaf_blocks_maximal =
           (Block_tree.blocks_at tree y)
       in
       List.for_all leaf_ok (Schema.leaves target))
-
-(* -------------------- incremental rebuild (update) ------------------ *)
-
-module Matching = Uxsm_mapping.Matching
-
-(* Identity of two trees, order included: the update contract is "same tree
-   as a from-scratch build", not merely "equivalent blocks". *)
-let trees_identical a b =
-  let tgt = Mapping_set.target (Block_tree.mapping_set a) in
-  Block_tree.threshold a = Block_tree.threshold b
-  && Block_tree.n_blocks a = Block_tree.n_blocks b
-  && List.for_all
-       (fun y ->
-         List.map block_key (Block_tree.blocks_at a y)
-         = List.map block_key (Block_tree.blocks_at b y))
-       (List.init (Schema.size tgt) Fun.id)
-  && Block_tree.storage_bytes a = Block_tree.storage_bytes b
-
-(* Random re-score/remove/add deltas over a random matching, pushed through
-   the whole incremental stack: Mapping_set.update for the new set, then
-   Block_tree.update against a from-scratch build of the same set. *)
-let gen_update_case =
-  let open QCheck.Gen in
-  let* seed = int_range 1 1000000 in
-  let* h = int_range 2 12 in
-  let* tau_k = int_range 1 8 in
-  let prng = Uxsm_util.Prng.create seed in
-  let u = Fixtures.random_matching prng ~source_n:14 ~target_n:10 ~corrs:12 in
-  let src = Matching.source u and tgt = Matching.target u in
-  let* fates =
-    flatten_l
-      (List.map (fun c -> map (fun f -> (c, f)) (int_range 0 2)) (Matching.correspondences u))
-  in
-  let* scores = flatten_l (List.map (fun _ -> int_range 1 99) fates) in
-  let path_of s e = Schema.path_string s e in
-  let set =
-    List.concat
-      (List.map2
-         (fun ((c : Matching.corr), fate) k ->
-           if fate = 1 then
-             [ (path_of src c.source, path_of tgt c.target, float_of_int k /. 100.0) ]
-           else [])
-         fates scores)
-  in
-  let remove =
-    List.filter_map
-      (fun ((c : Matching.corr), fate) ->
-        if fate = 2 then Some (path_of src c.source, path_of tgt c.target) else None)
-      fates
-  in
-  let delta = { Matching.set_scores = set; remove_corrs = remove; add_source = []; add_target = [] } in
-  return (u, delta, h, 0.1 *. float_of_int tau_k)
-
-let arb_update_case =
-  QCheck.make gen_update_case ~print:(fun (u, (d : Matching.delta), h, tau) ->
-      Printf.sprintf "corrs=%d set=%d remove=%d h=%d tau=%.1f" (Matching.capacity u)
-        (List.length d.Matching.set_scores)
-        (List.length d.Matching.remove_corrs)
-        h tau)
-
-let prop_update_equals_build =
-  QCheck.Test.make ~count:150 ~name:"Block_tree.update = build on the new set; validates"
-    arb_update_case (fun (u, delta, h, tau) ->
-      match Matching.apply_delta delta u with
-      | Error _ -> true
-      | Ok u' ->
-        let params = { Block_tree.tau; max_b = 200; max_f = 200 } in
-        let mset = Mapping_set.generate ~h u in
-        let mset' = Mapping_set.update u' mset in
-        let old = Block_tree.build ~params mset in
-        let incr = Block_tree.update ~old mset' in
-        let fresh = Block_tree.build ~params mset' in
-        (match Block_tree.validate incr with
-        | Error e -> QCheck.Test.fail_report e
-        | Ok () -> trees_identical incr fresh))
-
-let test_update_reuses_untouched_subtrees () =
-  (* Re-score within one component of fig1: the SP subtree of the target
-     never changes support, so the update path must report reused nodes
-     through the Obs counters while producing the from-scratch tree. *)
-  let module Obs = Uxsm_obs.Obs in
-  let u = Fixtures.fig1_matching in
-  let mset = Mapping_set.generate ~h:5 u in
-  let old = Block_tree.build ~params:{ Block_tree.tau = 0.4; max_b = 500; max_f = 500 } mset in
-  let delta =
-    {
-      Matching.set_scores = [ ("Order.BP", "ORDER.IP", 0.9) ];
-      remove_corrs = [];
-      add_source = [];
-      add_target = [];
-    }
-  in
-  let u' = match Matching.apply_delta delta u with Ok u' -> u' | Error e -> Alcotest.fail e in
-  let mset' = Mapping_set.update u' mset in
-  let updates = Obs.counter "blocktree.updates" in
-  let u0 = Obs.value updates in
-  let incr = Block_tree.update ~old mset' in
-  Alcotest.(check int) "went through the update path" 1 (Obs.value updates - u0);
-  Alcotest.(check bool) "identical to from-scratch" true
-    (trees_identical incr
-       (Block_tree.build ~params:{ Block_tree.tau = 0.4; max_b = 500; max_f = 500 } mset'));
-  match Block_tree.validate incr with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
-
-let test_update_falls_back_when_capped () =
-  (* A tree truncated by MAX_B cannot donate subtrees; update must fall
-     back to a full rebuild and still produce the right tree. *)
-  let t = Block_tree.build ~params:{ Block_tree.tau = 0.4; max_b = 0; max_f = 500 } Fixtures.fig3_mset in
-  Alcotest.(check bool) "cap recorded" true (Block_tree.caps_hit t)
 
 (* The block trees of D1–D10's top-100 sets at the default parameters:
    storage accounting, the bits of the compression ratio and the block
@@ -298,14 +200,11 @@ let suite =
     Alcotest.test_case "threshold rounding at tau*|M| integral" `Quick test_threshold_rounding;
     Alcotest.test_case "mapping compression on m1" `Quick test_compression_is_lossless;
     Alcotest.test_case "compression ratio in range" `Quick test_compression_ratio_positive;
+    Alcotest.test_case "tau outside (0,1], NaN included, refused" `Quick
+      test_tau_out_of_range_refused;
     Alcotest.test_case "MAX_B caps non-leaf blocks" `Quick test_max_b_caps_non_leaf_blocks;
     q prop_random_tree_validates;
     q prop_leaf_blocks_maximal;
-    Alcotest.test_case "update reuses untouched subtrees" `Quick
-      test_update_reuses_untouched_subtrees;
-    Alcotest.test_case "capped trees fall back on update" `Quick
-      test_update_falls_back_when_capped;
-    q prop_update_equals_build;
     Alcotest.test_case "D1-D10 h=100 storage, ratio and blocks pinned" `Quick
       test_dataset_trees_pinned;
   ]

@@ -2,8 +2,8 @@
    wire protocol codecs, dispatch against an in-process server (no
    transport), batching through the executor, and the end-to-end
    amortization property the subsystem exists for — the second identical
-   query is served from the prepared-artifact cache without rebuilding
-   the block tree. *)
+   query is served from the prepared-artifact cache, and a block tree is
+   built once, when a forced Algorithm 4 plan first reads it. *)
 
 module Json = Uxsm_util.Json
 module Locks = Uxsm_util.Locks
@@ -464,14 +464,27 @@ let test_query_amortization () =
   Alcotest.(check string) "identical responses" r1 r2;
   let relevant = int_member "relevant" (response_of_line srv q) in
   Alcotest.(check bool) "query matched some mappings" true (relevant > 0);
-  (* ...and the second one is served from the prepared-artifact cache:
-     the block tree was built exactly once. *)
-  Alcotest.(check int) "one block-tree build after first query" 1
+  (* ...and the second one is served from the prepared-artifact cache.
+     An auto plan reads no block tree, so neither query built one. *)
+  Alcotest.(check int) "no block-tree build after first query" 0
     (counter_value stats1 "blocktree.builds");
-  Alcotest.(check int) "still one build after second query" 1
+  Alcotest.(check int) "still none after second query" 0
     (counter_value stats2 "blocktree.builds");
   Alcotest.(check bool) "second query hit the cache" true
     (counter_value stats2 "server.cache.hits" > counter_value stats1 "server.cache.hits");
+  (* A forced Algorithm 4 query builds the tree once; its repeat runs the
+     cached plan. Both answer as the auto plan does. *)
+  let qt = {|{"op":"query","corpus":"fig3","query":"ORDER//ICN","h":5,"tau":0.3,"evaluator":"tree"}|} in
+  let t1 = response_of_line srv qt in
+  let t2 = response_of_line srv qt in
+  Alcotest.(check int) "a repeated forced tree query builds one tree" 1
+    (counter_value (response_of_line srv {|{"op":"stats"}|}) "blocktree.builds");
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) "forced tree answers = auto answers" true
+        (Json.member "answers" t
+        = Option.bind (Result.to_option (Json.of_string r1)) (Json.member "answers")))
+    [ t1; t2 ];
   (* The cache view in stats agrees. *)
   (match Json.member "cache" stats2 with
   | Some cache ->
@@ -499,25 +512,33 @@ let test_cache_eviction_rebuilds () =
   let r1 = Server.handle_line srv q in
   let r2 = Server.handle_line srv q in
   Alcotest.(check string) "answers survive eviction" r1 r2;
-  (* The cached plan pins its context: no rebuild for the repeat. *)
+  (* The cached plan pins its context: the repeat misses nothing. The
+     first query missed its plan, tree entry and mapping set. *)
   let stats_before = response_of_line srv {|{"op":"stats"}|} in
-  Alcotest.(check int) "repeat executed the cached plan, one build"
-    1 (counter_value stats_before "blocktree.builds");
+  let misses0 = counter_value stats_before "server.cache.misses" in
+  Alcotest.(check int) "repeat executed the cached plan" 3 misses0;
   (* A forced evaluator is a different plan key; compiling it must rebuild
-     the evicted tree. *)
+     the evicted tree entry and mapping set. *)
+  let answers_agree what r =
+    Alcotest.(check bool) (what ^ " answers agree") true
+      (Json.member "answers" r
+      = Option.bind (Result.to_option (Json.of_string r1)) (Json.member "answers"))
+  in
   let qb = {|{"op":"query","corpus":"fig3","query":"ORDER//ICN","h":5,"evaluator":"basic"}|} in
-  let r3 = response_of_line srv qb in
-  Alcotest.(check bool) "forced plan answers agree" true
-    (Json.member "answers" r3
-    = Option.bind (Result.to_option (Json.of_string r1)) (Json.member "answers"));
+  answers_agree "forced basic" (response_of_line srv qb);
   let stats = response_of_line srv {|{"op":"stats"}|} in
   (match Json.member "cache" stats with
   | Some cache ->
     Alcotest.(check int) "population bounded" 1 (int_member "entries" cache);
     Alcotest.(check bool) "evictions happened" true (int_member "evictions" cache > 0)
   | None -> Alcotest.fail "stats carries no cache section");
-  Alcotest.(check bool) "tree rebuilt after eviction" true
-    (counter_value stats "blocktree.builds" >= 2)
+  Alcotest.(check int) "plan, tree entry and mapping set rebuilt after eviction" (misses0 + 3)
+    (counter_value stats "server.cache.misses");
+  (* A forced Algorithm 4 plan rebuilds them too, and builds the tree. *)
+  let qt = {|{"op":"query","corpus":"fig3","query":"ORDER//ICN","h":5,"evaluator":"tree"}|} in
+  answers_agree "forced tree" (response_of_line srv qt);
+  Alcotest.(check int) "the forced tree plan built the tree" 1
+    (counter_value (response_of_line srv {|{"op":"stats"}|}) "blocktree.builds")
 
 (* ---------------------- incremental updates ----------------------- *)
 
@@ -1498,7 +1519,117 @@ let test_d7_update_moves_layer_names () =
   List.iter
     (fun name ->
       Alcotest.(check bool) ("span " ^ name ^ " moved") true (moved (count s0) (count s1) name))
-    [ "partition.apply_delta"; "blocktree.update" ]
+    [ "partition.apply_delta" ]
+
+(* ------------------------- lazy block trees ------------------------ *)
+
+let blocktree_builds = Obs.counter "blocktree.builds"
+let delta_applies = Obs.counter "partition.delta_applies"
+
+let catalog_ok what = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e
+
+let d7_catalog ?cache_entries ?(spec = Protocol.From_dataset (Uxsm_workload.Dataset.d7, 42)) () =
+  let cat = Catalog.create ?cache_entries ~exec:Executor.sequential () in
+  ignore
+    (catalog_ok "register d7"
+       (Catalog.register cat ~name:"d7" ~doc_seed:Uxsm_workload.Gen_doc.default_seed spec));
+  cat
+
+(* The answers of Table III query [i] on "d7" at h = 100 and tau = 0.2. *)
+let d7_answers cat ?k ~force i =
+  let pattern = Uxsm_twig.Pattern.to_string (Uxsm_workload.Queries.q i) in
+  Uxsm_ptq.Ptq.execute
+    (catalog_ok pattern (Catalog.plan cat "d7" ~pattern ~h:100 ~tau:0.2 ~k ~force))
+
+(* The stream's first move: one correspondence re-scored by 0.05. *)
+let d7_first_move cat =
+  let module Matching = Uxsm_mapping.Matching in
+  let module Schema = Uxsm_schema.Schema in
+  let m = catalog_ok "matching" (Catalog.matching cat "d7") in
+  let c = List.hd (Matching.correspondences m) in
+  {
+    Matching.empty_delta with
+    set_scores =
+      [
+        ( Schema.path_string (Matching.source m) c.source,
+          Schema.path_string (Matching.target m) c.target,
+          if c.score >= 0.06 then c.score -. 0.05 else c.score +. 0.05 );
+      ];
+  }
+
+(* Only a forced Algorithm 4 plan reads the block tree, so only it builds
+   one: auto plans leave the (h, tau) tree entry unbuilt, every forced
+   [tree] plan of one (h, tau) shares one build, and after an update the
+   next forced [tree] plan builds the tree of the patched set. *)
+let test_tree_built_only_when_read () =
+  let cat = d7_catalog () in
+  let b0 = Obs.value blocktree_builds in
+  List.iter
+    (fun (i, k) -> ignore (d7_answers cat ?k ~force:`Auto i))
+    (List.init 10 (fun i -> (i + 1, None)) @ List.init 6 (fun i -> (i + 4, Some 10)));
+  Alcotest.(check int) "auto plans build no tree" 0 (Obs.value blocktree_builds - b0);
+  Alcotest.(check bool) "the tree entry is cached" true
+    (List.mem (Catalog.K_tree ("d7", 100, 0.2)) (Catalog.cache_keys cat));
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "Q%d: forced tree = forced basic" i) true
+        (d7_answers cat ~force:`Tree i = d7_answers cat ~force:`Basic i))
+    [ 4; 7 ];
+  Alcotest.(check int) "two forced tree plans build one tree" 1 (Obs.value blocktree_builds - b0);
+  let delta = d7_first_move cat in
+  let u = catalog_ok "update" (Catalog.update cat ~name:"d7" delta) in
+  Alcotest.(check int) "the tree entry was re-pointed" 1 u.Catalog.u_trees_patched;
+  Alcotest.(check int) "the update built no tree" 1 (Obs.value blocktree_builds - b0);
+  let tree = d7_answers cat ~force:`Tree 4 in
+  Alcotest.(check int) "the next forced tree plan builds one" 2 (Obs.value blocktree_builds - b0);
+  Alcotest.(check bool) "after the update, forced tree = forced basic" true
+    (tree = d7_answers cat ~force:`Basic 4);
+  let updated = catalog_ok "updated matching" (Catalog.matching cat "d7") in
+  let fresh =
+    d7_catalog ~spec:(Protocol.From_matching_text (Serialize.matching_to_string updated)) ()
+  in
+  Alcotest.(check bool) "after the update, forced tree = a fresh register's" true
+    (tree = d7_answers fresh ~force:`Tree 4)
+
+(* tau outside (0, 1], NaN included, fails every plan when its tree entry
+   is created, although an auto plan never builds the tree. *)
+let test_catalog_refuses_bad_tau () =
+  let cat = Catalog.create ~exec:Executor.sequential () in
+  ignore
+    (catalog_ok "register"
+       (Catalog.register cat ~name:"w" ~doc_seed:3 (Protocol.From_mapping_set_text fig3_text)));
+  List.iter
+    (fun tau ->
+      List.iter
+        (fun force ->
+          match Catalog.plan cat "w" ~pattern:"ORDER//ICN" ~h:5 ~tau ~k:None ~force with
+          | Error _ -> ()
+          | Ok _ ->
+            Alcotest.failf "a %s plan at tau %g was compiled" (Plan.force_to_string force) tau)
+        [ `Auto; `Basic; `Tree ];
+      match Catalog.prepared cat "w" ~h:5 ~tau with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "prepared at tau %g" tau)
+    [ Float.nan; 0.0; -0.5; 1.5 ];
+  Alcotest.(check int) "no entry was created" 0 (Catalog.cache_length cat)
+
+(* An update re-ranks one mapping set per h, even when that h has no set
+   entry left and two tree entries pin its set, and re-points both tree
+   entries at that one set. *)
+let test_update_reranks_once_per_h () =
+  let cat = d7_catalog ~cache_entries:3 () in
+  let prepared tau = catalog_ok "prepared" (Catalog.prepared cat "d7" ~h:100 ~tau) in
+  List.iter (fun tau -> ignore (prepared tau)) [ 0.2; 0.3; 0.2; 0.3 ];
+  (* The plan evicts the least recently used entry: the set entry. *)
+  ignore (d7_answers cat ~force:`Auto 4);
+  Alcotest.(check bool) "the set entry was evicted" false
+    (List.mem (Catalog.K_mset ("d7", 100)) (Catalog.cache_keys cat));
+  let a0 = Obs.value delta_applies in
+  let u = catalog_ok "update" (Catalog.update cat ~name:"d7" (d7_first_move cat)) in
+  Alcotest.(check int) "one re-rank" 1 (Obs.value delta_applies - a0);
+  Alcotest.(check int) "both tree entries re-pointed" 2 u.Catalog.u_trees_patched;
+  Alcotest.(check bool) "both tree entries hold one set" true
+    (fst (prepared 0.2) == fst (prepared 0.3))
 
 (* A register whose matching text carries a non-finite score is refused
    with a structured error, and the corpus already registered under that
@@ -1670,6 +1801,12 @@ let suite =
       test_d7_update_stream_reuses_mappings;
     Alcotest.test_case "D7 update moves the per-layer names perfbench reads" `Quick
       test_d7_update_moves_layer_names;
+    Alcotest.test_case "block trees are built only when a plan reads them" `Quick
+      test_tree_built_only_when_read;
+    Alcotest.test_case "catalog refuses tau outside (0,1], NaN included" `Quick
+      test_catalog_refuses_bad_tau;
+    Alcotest.test_case "an update re-ranks one mapping set per h" `Quick
+      test_update_reranks_once_per_h;
     Alcotest.test_case "register rejects NaN and infinite scores" `Quick
       test_register_rejects_non_finite_scores;
     Alcotest.test_case "mappings: o-ratio once per set, fresh after update" `Quick
