@@ -7,35 +7,54 @@ type t = {
   max_weight : float;
 }
 
+let no_edge = (0, 0.0)
+
+(* Two passes over the edges and no table: the first validates each edge
+   and counts degrees, the second fills arrays of exactly those lengths in
+   edge order. A duplicate pair is then found row by row, with one
+   last-row stamp per right node. So a range or weight fault anywhere in
+   the list fires before any duplicate; among range and weight faults the
+   first faulty edge fires, and for one edge left range before right range
+   before weight. *)
 let create ~n_left ~n_right edge_list =
   if n_left < 0 || n_right < 0 then invalid_arg "Bipartite.create: negative size";
-  let seen = Hashtbl.create (List.length edge_list) in
-  let check (i, j, w) =
-    if i < 0 || i >= n_left then invalid_arg "Bipartite.create: left index out of range";
-    if j < 0 || j >= n_right then invalid_arg "Bipartite.create: right index out of range";
-    if not (w >= 0.0 && Float.is_finite w) then
-      invalid_arg "Bipartite.create: weight must be finite and non-negative";
-    let key = (i * n_right) + j in
-    if Hashtbl.mem seen key then invalid_arg "Bipartite.create: duplicate edge";
-    Hashtbl.add seen key ()
+  let deg = Array.make n_left 0 and rdeg = Array.make n_right 0 in
+  let max_weight = ref 0.0 in
+  List.iter
+    (fun (i, j, w) ->
+      if i < 0 || i >= n_left then invalid_arg "Bipartite.create: left index out of range";
+      if j < 0 || j >= n_right then invalid_arg "Bipartite.create: right index out of range";
+      if not (w >= 0.0 && Float.is_finite w) then
+        invalid_arg "Bipartite.create: weight must be finite and non-negative";
+      deg.(i) <- deg.(i) + 1;
+      rdeg.(j) <- rdeg.(j) + 1;
+      if w > !max_weight then max_weight := w)
+    edge_list;
+  let rows deg =
+    let a = Array.make (Array.length deg) [||] in
+    Array.iteri (fun i d -> if d > 0 then a.(i) <- Array.make d no_edge) deg;
+    a
   in
-  List.iter check edge_list;
-  let adj_l = Array.make n_left [] in
-  let radj_l = Array.make n_right [] in
-  let add (i, j, w) =
-    adj_l.(i) <- (j, w) :: adj_l.(i);
-    radj_l.(j) <- (i, w) :: radj_l.(j)
-  in
-  List.iter add edge_list;
-  let max_weight = List.fold_left (fun acc (_, _, w) -> max acc w) 0.0 edge_list in
-  {
-    n_left;
-    n_right;
-    adj = Array.map (fun l -> Array.of_list (List.rev l)) adj_l;
-    radj = Array.map (fun l -> Array.of_list (List.rev l)) radj_l;
-    edges = edge_list;
-    max_weight;
-  }
+  let adj = rows deg and radj = rows rdeg in
+  (* [deg.(i)] counts the slots of row [i] still to fill, front first. *)
+  List.iter
+    (fun (i, j, w) ->
+      let row = adj.(i) and col = radj.(j) in
+      row.(Array.length row - deg.(i)) <- (j, w);
+      deg.(i) <- deg.(i) - 1;
+      col.(Array.length col - rdeg.(j)) <- (i, w);
+      rdeg.(j) <- rdeg.(j) - 1)
+    edge_list;
+  let last_row = Array.make n_right (-1) in
+  for i = 0 to n_left - 1 do
+    let row = adj.(i) in
+    for k = 0 to Array.length row - 1 do
+      let j = fst row.(k) in
+      if last_row.(j) = i then invalid_arg "Bipartite.create: duplicate edge";
+      last_row.(j) <- i
+    done
+  done;
+  { n_left; n_right; adj; radj; edges = edge_list; max_weight = !max_weight }
 
 (* How a delta rewrites an edge list: the matching layer's path-level
    deltas resolve to this. Edge order matters because Murty's solution

@@ -10,10 +10,13 @@ type t
 
 val create : n_left:int -> n_right:int -> (int * int * float) list -> t
 (** [create ~n_left ~n_right edges] builds a graph from [(left, right,
-    weight)] triples. Raises [Invalid_argument] on out-of-range indices,
+    weight)] triples, in O(edges + n_left + n_right) time and without a
+    hash table. Raises [Invalid_argument] on out-of-range indices,
     weights that are negative, infinite or NaN, or duplicate
-    [(left, right)] pairs (found through a table keyed by the single int
-    [left * n_right + right]). *)
+    [(left, right)] pairs. When the list holds several faults, the first
+    edge in list order with a range or weight fault fires (its left index
+    checked before its right index before its weight); a duplicate fires
+    only when no edge has such a fault. *)
 
 val n_left : t -> int
 val n_right : t -> int

@@ -10,6 +10,7 @@ let c_merges = Obs.counter "partition.merges"
 let c_delta_applies = Obs.counter "partition.delta_applies"
 let c_components_reranked = Obs.counter "partition.components_reranked"
 let c_components_reused = Obs.counter "partition.components_reused"
+let c_fold_cutoffs = Obs.counter "partition.fold_cutoffs"
 let s_top = Obs.span "partition.top"
 let s_apply_delta = Obs.span "partition.apply_delta"
 let s_fold = Obs.span "partition.fold"
@@ -83,21 +84,36 @@ type level = {
   lv_local : int array;
 }
 
+(* The scratch one fold's merges share: the heap the walks run in and the
+   seen-bitmap, grown to the largest grid a level needs. *)
+type walk = { heap : Uxsm_util.Fheap.t; mutable seen : Bytes.t }
+
+let walk () = { heap = Uxsm_util.Fheap.create (); seen = Bytes.empty }
+
+(* A heap payload packs a cell (ix, iy) as [ix lsl 31 lor iy], so a pop
+   decodes it with a shift and a mask. Both indices stay below [h + 1]
+   and the list lengths. *)
+let iy_bits = 31
+let iy_mask = (1 lsl iy_bits) - 1
+
 (* The top-h pairwise sums of two non-increasing score arrays, walked from
    (0, 0) with a heap: a popped cell pushes (ix + 1, iy), then (ix, iy + 1),
    each at most once. Ties pop in the order of that push sequence, so every
    caller — the fold and [merge] — breaks them alike. A popped cell is at
    most [h - 1] steps from (0, 0), so no pushed index exceeds [h] and the
-   seen-bitmap needs at most [(h + 1)^2] bits. The walk runs in [heap],
-   emptied first, so a fold's levels share one heap. *)
-let merge_level ~heap ~h xs ys =
+   seen-bitmap needs at most [(h + 1)^2] bits. The walk runs in [w]'s heap
+   and bitmap, both cleared first, so a fold's levels share them. *)
+let merge_level w ~h xs ys =
   Obs.incr c_merges;
   let nx = Array.length xs and ny = Array.length ys in
   let n = if nx = 0 || ny = 0 || h <= 0 then 0 else min h (nx * ny) in
   let lv = { lv_score = Array.make n 0.0; lv_prev = Array.make n 0; lv_local = Array.make n 0 } in
   if n > 0 then begin
     let rows = if h < nx then h + 1 else nx and cols = if h < ny then h + 1 else ny in
-    let seen = Bytes.make (((rows * cols) + 7) / 8) '\000' in
+    let bytes = ((rows * cols) + 7) / 8 in
+    if Bytes.length w.seen < bytes then w.seen <- Bytes.create (max bytes (2 * Bytes.length w.seen));
+    let seen = w.seen and heap = w.heap in
+    Bytes.fill seen 0 bytes '\000';
     Uxsm_util.Fheap.clear heap;
     let push ix iy =
       if ix < nx && iy < ny then begin
@@ -105,7 +121,7 @@ let merge_level ~heap ~h xs ys =
         let byte = Bytes.get_uint8 seen (k lsr 3) and bit = 1 lsl (k land 7) in
         if byte land bit = 0 then begin
           Bytes.set_uint8 seen (k lsr 3) (byte lor bit);
-          Uxsm_util.Fheap.push heap (-.(xs.(ix) +. ys.(iy))) k
+          Uxsm_util.Fheap.push heap (-.(xs.(ix) +. ys.(iy))) ((ix lsl iy_bits) lor iy)
         end
       end
     in
@@ -115,7 +131,7 @@ let merge_level ~heap ~h xs ys =
          heap holds a cell until all [n <= nx * ny] have been popped. *)
       let neg_s = Uxsm_util.Fheap.min_priority heap in
       let k = Uxsm_util.Fheap.pop_min heap in
-      let ix = k / cols and iy = k mod cols in
+      let ix = k lsr iy_bits and iy = k land iy_mask in
       lv.lv_score.(e) <- -.neg_s;
       lv.lv_prev.(e) <- ix;
       lv.lv_local.(e) <- iy;
@@ -129,7 +145,7 @@ let scores_of (sols : Murty.solution array) = Array.map (fun (s : Murty.solution
 
 let merge ~h xs ys =
   let xa = Array.of_list xs and ya = Array.of_list ys in
-  let lv = merge_level ~heap:(Uxsm_util.Fheap.create ()) ~h (scores_of xa) (scores_of ya) in
+  let lv = merge_level (walk ()) ~h (scores_of xa) (scores_of ya) in
   List.init (Array.length lv.lv_score) (fun e ->
       {
         Murty.pairs =
@@ -137,18 +153,43 @@ let merge ~h xs ys =
         score = lv.lv_score.(e);
       })
 
-(* Merge one level per local list on top of [prev]'s scores, in list
-   order, all in one heap. The fold starts from the single empty
-   solution's scores. *)
-let fold_levels ~h prev locals =
-  let heap = Uxsm_util.Fheap.create () in
-  let rec go prev acc = function
-    | [] -> Array.of_list (List.rev acc)
-    | local :: rest ->
-      let lv = merge_level ~heap ~h prev (scores_of local) in
-      go lv.lv_score (lv :: acc) rest
+let no_level = { lv_score = [||]; lv_prev = [||]; lv_local = [||] }
+
+let same_bits (a : float array) (b : float array) =
+  let n = Array.length a in
+  let rec from i =
+    i >= n || (Int64.equal (Int64.bits_of_float a.(i)) (Int64.bits_of_float b.(i)) && from (i + 1))
   in
-  go prev [] locals
+  n = Array.length b && from 0
+
+(* The fold's levels over [locals], from the single empty solution: level
+   [c] merges level [c - 1]'s scores with local list [c]'s, in one walk
+   scratch. [old_levels] are an earlier fold's. Its first [kept] levels are
+   taken as they are: the caller found their lists unchanged. From [tail]
+   on every list is the earlier fold's at its position, so once a
+   re-merged level [c] with [c + 1 >= tail] has the scores of old level
+   [c], bit for bit, the levels after it are taken too: a merge reads only
+   the previous level's scores and its own list's, so each later merge
+   would repeat the earlier fold's. A fresh fold passes no old levels,
+   [kept = 0] and [tail] = the number of lists. *)
+let fold_levels ~h ~old_levels ~kept ~tail (locals : Murty.solution array array) =
+  let n = Array.length locals in
+  let levels = Array.make n no_level in
+  Array.blit old_levels 0 levels 0 kept;
+  let w = walk () in
+  let rec fold c prev =
+    if c < n then begin
+      let lv = merge_level w ~h prev (scores_of locals.(c)) in
+      levels.(c) <- lv;
+      if c + 1 >= tail && c + 1 < n && same_bits lv.lv_score old_levels.(c).lv_score then begin
+        Obs.incr c_fold_cutoffs;
+        Array.blit old_levels (c + 1) levels (c + 1) (n - c - 1)
+      end
+      else fold (c + 1) lv.lv_score
+    end
+  in
+  fold kept (if kept = 0 then [| empty_solution.score |] else old_levels.(kept - 1).lv_score);
+  levels
 
 (* The final level's solutions as pair lists: follow each entry's
    back-pointers through every level, gather the chosen local pair lists
@@ -173,8 +214,9 @@ let materialize (locals : Murty.solution array array) (levels : level array) =
         })
 
 let merge_fold ~h locals =
-  let locals = List.map Array.of_list locals in
-  materialize (Array.of_list locals) (fold_levels ~h [| empty_solution.score |] locals)
+  let locals = Array.of_list (List.map Array.of_list locals) in
+  materialize locals
+    (fold_levels ~h ~old_levels:[||] ~kept:0 ~tail:(Array.length locals) locals)
 
 (* The reusable per-component state. Plain data throughout — no closures —
    so the catalog can own one per cached mapping set and a future session
@@ -240,22 +282,20 @@ let rank_components ~exec ~h ~old_locals ~old_levels g =
     | _ -> assert false
   in
   let locals = Array.of_list (stitch tagged fresh) in
-  (* The merge fold is left-associative, so any leading run of components
-     whose keys match [old_locals] position by position replays exactly —
-     the same key yields the identical local list, hence the identical
-     level. Resume the fold from the last surviving level. *)
-  let n = Array.length locals in
-  let rec survive c =
-    if c < n && c < Array.length old_locals && fst old_locals.(c) = fst locals.(c) then
-      survive (c + 1)
-    else c
-  in
-  let kept = survive 0 in
-  let start = if kept = 0 then [| empty_solution.score |] else old_levels.(kept - 1).lv_score in
+  (* A list taken from the cache is [old]'s list for the same key, and
+     keys are unique, so a list that is physically [old]'s at the same
+     position is exactly one whose component matches [old]'s there. The
+     fold is left-associative: the leading run of such components keeps
+     [old]'s levels verbatim, and the trailing run lets the fold stop
+     where a re-merged level's scores return to [old]'s. *)
+  let n = Array.length locals and n_old = Array.length old_locals in
+  let same c = c < n_old && snd locals.(c) == snd old_locals.(c) in
+  let rec first_changed c = if c < n && same c then first_changed (c + 1) else c in
+  let rec after_last_changed c = if c > 0 && same (c - 1) then after_last_changed (c - 1) else c in
+  let kept = first_changed 0 in
+  let tail = if n = n_old then after_last_changed n else n in
   let levels =
-    Obs.time s_fold (fun () ->
-        let rest = List.init (n - kept) (fun c -> snd locals.(kept + c)) in
-        Array.append (Array.sub old_levels 0 kept) (fold_levels ~h start rest))
+    Obs.time s_fold (fun () -> fold_levels ~h ~old_levels ~kept ~tail (Array.map snd locals))
   in
   ({ rk_h = h; rk_n_right = Bipartite.n_right g; rk_locals = locals; rk_levels = levels },
    List.length misses)
@@ -286,27 +326,133 @@ let rec write_pairs a = function
     a.(j) <- i;
     write_pairs a rest
 
-(* Each final solution written straight from the back-pointers into one
-   scratch array: clear it, walk the solution's levels from the last down
-   and write every chosen local solution's pairs. Components share no
-   node, so no write overlaps another. *)
+(* Solution [e] of the merged top-h written straight from the
+   back-pointers into [a]: clear it, walk the solution's levels from the
+   last down and write every chosen local solution's pairs. Components
+   share no node, so no write overlaps another. *)
+let write_solution r a e =
+  Array.fill a 0 (Array.length a) (-1);
+  let entry = ref e in
+  for c = Array.length r.rk_levels - 1 downto 0 do
+    let lv = r.rk_levels.(c) in
+    write_pairs a (snd r.rk_locals.(c)).(lv.lv_local.(!entry)).Murty.pairs;
+    entry := lv.lv_prev.(!entry)
+  done
+
+let last_scores r =
+  let k = Array.length r.rk_levels in
+  if k = 0 then [| empty_solution.score |] else r.rk_levels.(k - 1).lv_score
+
 let right_to_left r f =
   Obs.time s_materialize @@ fun () ->
-  let n = r.rk_n_right in
-  let a = Array.make n (-1) in
+  let a = Array.make r.rk_n_right (-1) in
+  Array.mapi
+    (fun e score ->
+      write_solution r a e;
+      f score a)
+    (last_scores r)
+
+(* Where local list [c] of [r] is [old]'s at the same position, equal
+   indices are equal solutions. Otherwise (a re-ranked component) a
+   local index maps to the index of [old]'s solution with equal pairs
+   there, looked up on first use: local solutions are pairwise distinct,
+   so at most one matches. *)
+let local_match r ~old c =
+  let nl = snd r.rk_locals.(c) and ol = snd old.rk_locals.(c) in
+  if nl == ol then Fun.id
+  else begin
+    let memo = Array.make (Array.length nl) (-2) in
+    let find l =
+      let pairs = nl.(l).Murty.pairs in
+      if l < Array.length ol && ol.(l).Murty.pairs = pairs then l
+      else
+        let rec scan j =
+          if j >= Array.length ol then -1 else if ol.(j).Murty.pairs = pairs then j else scan (j + 1)
+        in
+        scan 0
+    in
+    fun l ->
+      if memo.(l) = -2 then memo.(l) <- find l;
+      memo.(l)
+  end
+
+(* For each solution of [r]'s merged top-h, the index of [old]'s solution
+   with exactly its pairs, or -1. Computed level by level: entry [e] of a
+   level matches the entry of [old]'s level at the same position that
+   extends the match of [e]'s previous entry with the match of [e]'s
+   local solution. Components are disjoint, so solutions whose chosen
+   local solutions agree at every position hold the same pairs. Levels
+   the two rankings share (the kept prefix, and the suffix after a fold
+   cutoff) match every entry to itself while the previous level does, at
+   no cost; only the re-merged levels are walked. Rankings with another
+   number of components or another right side match nothing. *)
+let same_entries ~old r =
   let k = Array.length r.rk_levels in
-  if k = 0 then [| f empty_solution.score a |]
-  else
-    let last = r.rk_levels.(k - 1) in
-    Array.init (Array.length last.lv_score) (fun e ->
-        Array.fill a 0 n (-1);
-        let entry = ref e in
-        for c = k - 1 downto 0 do
-          let lv = r.rk_levels.(c) in
-          write_pairs a (snd r.rk_locals.(c)).(lv.lv_local.(!entry)).Murty.pairs;
-          entry := lv.lv_prev.(!entry)
+  let n_last = Array.length (last_scores r) in
+  if k <> Array.length old.rk_levels || r.rk_n_right <> old.rk_n_right then Array.make n_last (-1)
+  else begin
+    (* [matches] holds the current level's matches unless [identity]. *)
+    let identity = ref true and matches = ref [||] in
+    (* Entries of an old level chained by their previous entry or by their
+       local solution, whichever has more values, so a lookup walks a
+       short chain. *)
+    let head = Array.make (old.rk_h + 1) (-1) and next = Array.make old.rk_h (-1) in
+    for c = 0 to k - 1 do
+      let lv = r.rk_levels.(c) and olv = old.rk_levels.(c) in
+      if not (!identity && lv == olv) then begin
+        let local = local_match r ~old c in
+        let prev_match = !matches and prev_identity = !identity in
+        let n = Array.length lv.lv_score and on = Array.length olv.lv_score in
+        let by_prev =
+          (if c = 0 then 1 else Array.length old.rk_levels.(c - 1).lv_score)
+          >= Array.length (snd old.rk_locals.(c))
+        in
+        let keys = if by_prev then olv.lv_prev else olv.lv_local
+        and others = if by_prev then olv.lv_local else olv.lv_prev in
+        let chained = ref false in
+        let find p l =
+          if not !chained then begin
+            chained := true;
+            Array.fill head 0 (Array.length head) (-1);
+            for e = on - 1 downto 0 do
+              next.(e) <- head.(keys.(e));
+              head.(keys.(e)) <- e
+            done
+          end;
+          let key = if by_prev then p else l and other = if by_prev then l else p in
+          let rec walk e = if e < 0 || others.(e) = other then e else walk next.(e) in
+          walk head.(key)
+        in
+        let m = Array.make n (-1) in
+        let all_self = ref true in
+        for e = 0 to n - 1 do
+          let p = lv.lv_prev.(e) in
+          let p' = if prev_identity then p else prev_match.(p) in
+          let l' = if p' < 0 then -1 else local lv.lv_local.(e) in
+          if l' >= 0 then
+            m.(e) <-
+              (if e < on && olv.lv_prev.(e) = p' && olv.lv_local.(e) = l' then e else find p' l');
+          if m.(e) <> e then all_self := false
         done;
-        f last.lv_score.(e) a)
+        identity := !all_self;
+        matches := m
+      end
+    done;
+    if !identity then Array.init n_last Fun.id else !matches
+  end
+
+let right_to_left_reusing ~old r ~same f =
+  Obs.time s_materialize @@ fun () ->
+  let a = Array.make r.rk_n_right (-1) in
+  let found = same_entries ~old r in
+  Array.mapi
+    (fun e score ->
+      if found.(e) >= 0 then same score found.(e)
+      else begin
+        write_solution r a e;
+        f score a
+      end)
+    (last_scores r)
 
 let top ?(exec = Uxsm_exec.Executor.sequential) ~h g =
   if h <= 0 then [] else solutions (rank ~exec ~h g)

@@ -74,16 +74,25 @@ val rerank : ?exec:Uxsm_exec.Executor.t -> old:ranked -> Bipartite.t -> ranked
     cache: recompute the component index of [g], re-rank {e only}
     components whose ordered edge list is not one of [old]'s keys (equal
     membership, order and weights mean the cached ranking is exactly a
-    fresh one), and resume the heap merge from the deepest level whose
-    components all match [old]'s position by position: the fold is
-    left-associative, so an edit confined to component [k] keeps levels
-    [0..k-1] verbatim and re-merges only the score arrays from [k] on.
-    Exact for any [g] — edges permuted, sides shrunk or an unrelated
-    graph simply hit the cache less (a tested property). No solution is
-    built here; the caller reads the new top-h through {!right_to_left}
-    or {!solutions}. Timed by the [partition.apply_delta] span; bumps
-    [partition.components_reranked] / [partition.components_reused];
-    only the re-ranked components run on [exec]. *)
+    fresh one), and re-merge only the fold levels the edit can change.
+    The fold is left-associative and each level's merge reads only the
+    previous level's scores and its own component's list, so:
+    - the {e kept prefix}: the leading run of components that match
+      [old]'s position by position keeps [old]'s levels verbatim (an edit
+      confined to component [k] keeps levels [0..k-1]);
+    - the {e kept suffix}: when every component after some level matches
+      [old]'s at its position, the fold stops at the first re-merged
+      level whose scores equal [old]'s level at the same position, bit
+      for bit, and keeps [old]'s levels after it (bumping
+      [partition.fold_cutoffs]).
+    Both are exact, so the result equals a fresh [rank] for any [g] —
+    edges permuted, sides shrunk or an unrelated graph simply hit the
+    cache less (a tested property). No solution is built here; the
+    caller reads the new top-h through {!right_to_left},
+    {!right_to_left_reusing} or {!solutions}. Timed by the
+    [partition.apply_delta] span; bumps [partition.components_reranked] /
+    [partition.components_reused]; only the re-ranked components run on
+    [exec]. *)
 
 val right_to_left : ranked -> (float -> int array -> 'a) -> 'a array
 (** [right_to_left r f] — [f] applied to each solution of the merged
@@ -94,6 +103,22 @@ val right_to_left : ranked -> (float -> int array -> 'a) -> 'a array
     sorted, so [f] must copy [a] to keep it. Holds exactly the pairs and
     scores of {!solutions} (a tested property). Timed, [f] included, by
     the [partition.materialize] span. *)
+
+val right_to_left_reusing :
+  old:ranked -> ranked -> same:(float -> int -> 'a) -> (float -> int array -> 'a) -> 'a array
+(** [right_to_left_reusing ~old r ~same f] — {!right_to_left} [r f],
+    except that a solution found to hold exactly the pairs of [old]'s
+    [i]-th solution is [same score i], and no array is written for it.
+    Solutions are matched component position by component position,
+    from the back-pointers rather than the arrays: where [r] shares a
+    level or a local list with [old] (physically, as {!rerank} leaves
+    them), equal indices mean equal pairs, and only the pairs of a
+    re-ranked component's chosen solutions are compared by value. [same]
+    never gets a solution whose pairs differ. Every solution with an
+    equal in [old] is found when each position's component spans the
+    same nodes in both rankings (as after re-scores); a ranking with
+    another right side or another number of components finds none. Timed
+    with [f] and [same] by the [partition.materialize] span. *)
 
 val solutions : ranked -> Murty.solution list
 (** The merged global top-h, non-increasing, as pair lists sorted by

@@ -1,10 +1,10 @@
-module Schema = Uxsm_schema.Schema
 module Obs = Uxsm_obs.Obs
 
 let c_updates = Obs.counter "mapping_set.updates"
 let c_reused = Obs.counter "mapping_set.mappings_reused"
 let c_built = Obs.counter "mapping_set.mappings_built"
 let c_o_ratio_pairs = Obs.counter "mapping_set.o_ratio_pairs"
+let s_graph = Obs.span "mapping_set.graph"
 
 type t = {
   matching : Matching.t;
@@ -24,52 +24,27 @@ let normalize scores =
   else Array.map (fun s -> s /. total) scores
 
 (* Each ranked solution arrives as its score and a scratch target→source
-   array that [right_to_left] rewrites for the next one. [reuse] may answer
-   it with an old mapping holding the same array, which then only takes the
-   new score; otherwise a copy of the array becomes a new mapping's own. *)
-let of_ranked ?(reuse = fun _ -> None) u r =
+   array that [right_to_left] rewrites for the next one; a copy of the
+   array becomes a new mapping's own. With [old], a set [r] was re-ranked
+   from, a solution holding exactly the pairs of [old]'s mapping [i] is
+   that mapping under the new score, sharing its array, and no array is
+   written for it. *)
+let of_ranked ?old u r =
   let source = Matching.source u and target = Matching.target u in
+  let build score t2s =
+    Obs.incr c_built;
+    Mapping.of_target_sources ~source ~target ~score (Array.copy t2s)
+  in
   let mappings =
-    Uxsm_assignment.Partition.right_to_left r (fun score t2s ->
-        match reuse t2s with
-        | Some m ->
+    match old with
+    | Some ({ ranked = Some old_r; _ } as t) ->
+      Uxsm_assignment.Partition.right_to_left_reusing ~old:old_r r build ~same:(fun score i ->
           Obs.incr c_reused;
-          Mapping.with_score m score
-        | None ->
-          Obs.incr c_built;
-          Mapping.of_target_sources ~source ~target ~score (Array.copy t2s))
+          Mapping.with_score t.mappings.(i) score)
+    | _ -> Uxsm_assignment.Partition.right_to_left r build
   in
   let probs = normalize (Array.map Mapping.score mappings) in
   { matching = u; mappings; probs; ranked = Some r; o_ratio = Atomic.make None }
-
-(* Mappings keyed by their target→source arrays, read through [get] so an
-   old mapping and a fresh array hash alike. *)
-let hash_sources n get =
-  let acc = ref n in
-  for y = 0 to n - 1 do
-    acc := (!acc * 31) + get y
-  done;
-  !acc land max_int
-
-(* A lookup from target→source arrays to [t]'s mappings, for a set over a
-   target schema of [n_target] elements. Schemas only grow, so an equal
-   size means the same target schema; after target growth an old
-   mapping's array is too short to share, and nothing is reused. A grown
-   source schema keeps every old mapping shareable: no array is indexed
-   by source element. *)
-let reuse_of t ~n_target =
-  if Schema.size (Matching.target t.matching) <> n_target then fun _ -> None
-  else begin
-    let tbl = Hashtbl.create (2 * Array.length t.mappings) in
-    Array.iter
-      (fun m -> Hashtbl.add tbl (hash_sources n_target (Mapping.source_at m)) m)
-      t.mappings;
-    fun t2s ->
-      let rec same m y = y >= n_target || (Mapping.source_at m y = t2s.(y) && same m (y + 1)) in
-      List.find_opt
-        (fun m -> same m 0)
-        (Hashtbl.find_all tbl (hash_sources n_target (Array.get t2s)))
-  end
 
 let generate ?(exec = Uxsm_exec.Executor.sequential) ~h u =
   if h <= 0 then invalid_arg "Mapping_set.generate: h must be positive";
@@ -96,14 +71,13 @@ let update ?(exec = Uxsm_exec.Executor.sequential) u' t =
       "Mapping_set.update: set has no component provenance (build it with generate)"
   | Some r ->
     Obs.incr c_updates;
-    let r' = Uxsm_assignment.Partition.rerank ~exec ~old:r (Matching.to_bipartite u') in
+    let g = Obs.time s_graph (fun () -> Matching.to_bipartite u') in
     (* A re-score re-ranks one component, and most of the top-h keep their
        correspondences with a shifted score: over a 100-update D7
        move/restore stream, 86.8% of the new mappings equal an old one.
-       Those are reused by their target→source arrays, so an array is
-       copied only for the mappings that are new. *)
-    of_ranked ~reuse:(reuse_of t ~n_target:(Schema.size (Matching.target u')))
-      u' r'
+       Those are found from the fold's back-pointers and reused, so an
+       array is copied only for the mappings that are new. *)
+    of_ranked ~old:t u' (Uxsm_assignment.Partition.rerank ~exec ~old:r g)
 
 let matching t = t.matching
 let source t = Matching.source t.matching

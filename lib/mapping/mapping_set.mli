@@ -33,18 +33,26 @@ val ranked : t -> Uxsm_assignment.Partition.ranked option
 val update : ?exec:Uxsm_exec.Executor.t -> Matching.t -> t -> t
 (** [update u' t] — the set [generate ~h u'] computed incrementally from
     [t]'s component provenance: {!Uxsm_assignment.Partition.rerank}
-    ranks [u']'s correspondence graph with [t]'s per-component lists and
-    merge levels as its cache, so only components whose edges changed
-    are re-ranked and the heap merge resumes from the deepest cached
-    level; probabilities renormalize over the new scores. A new mapping
-    whose target→source array equals one of [t]'s mappings reuses that
-    mapping under its new score ({!Mapping.with_score}, sharing its
-    array; bumps [mapping_set.mappings_reused]); only the others copy
-    the scratch array and are built (bumps [mapping_set.mappings_built]).
-    Nothing is reused when [u'] grew the target schema; a grown source
-    schema leaves every old mapping shareable. The result is identical to
-    a from-scratch [generate] for any [u'] (a tested property), whether
-    or not it came from [Matching.apply_delta] on [t]'s matching. Raises
+    ranks [u']'s correspondence graph (built under the
+    [mapping_set.graph] span) with [t]'s per-component lists and merge
+    levels as its cache, so only components whose edges changed are
+    re-ranked and only the fold levels the edit changes are re-merged;
+    probabilities renormalize over the new scores.
+
+    A new mapping holding exactly the correspondences of one of [t]'s
+    mappings reuses that mapping under its new score ({!Mapping.with_score},
+    sharing its array; bumps [mapping_set.mappings_reused]). Which ones do
+    is read from the fold's back-pointers by
+    {!Uxsm_assignment.Partition.right_to_left_reusing}: no array is hashed
+    or compared, and only the re-ranked components' chosen solutions are
+    compared by value. Only the other mappings get an array written and
+    copied (bumps [mapping_set.mappings_built]). Nothing is reused when
+    [u'] grew the target schema or changed the number of connected
+    components of the correspondence graph (the folds then have no
+    levels in common); a grown source schema alone leaves every old
+    mapping shareable. The result is identical to a from-scratch
+    [generate] for any [u'] (a tested property), whether or not it came
+    from [Matching.apply_delta] on [t]'s matching. Raises
     [Invalid_argument] when [t] has no provenance ({!ranked} is
     [None]). *)
 

@@ -25,6 +25,7 @@ let c_upd_trees = Obs.counter "catalog.update.trees_patched"
 let c_upd_plans = Obs.counter "catalog.update.plans_invalidated"
 let c_upd_docs = Obs.counter "catalog.update.docs_rebuilt"
 let s_update = Obs.span "catalog.update"
+let s_apply_delta = Obs.span "matching.apply_delta"
 
 type plan_key = {
   pk_corpus : string;
@@ -298,7 +299,7 @@ let update t ~name delta =
           if Matching.delta_is_empty delta then failf "update %S: empty delta" name;
           let e = entry_locked sh name in
           let m_new =
-            match Matching.apply_delta delta e.matching with
+            match Obs.time s_apply_delta (fun () -> Matching.apply_delta delta e.matching) with
             | Ok m -> m
             | Error msg -> failf "update %S: %s" name msg
           in

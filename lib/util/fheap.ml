@@ -20,48 +20,64 @@ let grow h =
   h.prio <- prio;
   h.data <- data
 
-let swap h i j =
-  let p = h.prio.(i) and d = h.data.(i) in
-  h.prio.(i) <- h.prio.(j);
-  h.data.(i) <- h.data.(j);
-  h.prio.(j) <- p;
-  h.data.(j) <- d
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if h.prio.(p) > h.prio.(i) then begin
-      swap h p i;
-      sift_up h p
-    end
-  end
-
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.len && h.prio.(l) < h.prio.(!smallest) then smallest := l;
-  if r < h.len && h.prio.(r) < h.prio.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap h i !smallest;
-    sift_down h !smallest
-  end
-
+(* Both sifts move a hole instead of swapping: the moving entry is held
+   aside, each entry it passes moves one step into the hole, and the
+   moving entry is written once where the hole stops. Each step makes the
+   comparison a swap-based sift would make against the moving entry, with
+   the same strict inequality, so the heap's shape after every push and
+   pop, hence the order in which equal priorities pop, is the one the swap
+   version gives. The moving priority stays in a local of the function
+   that reads it from the array, never a float argument, so it is not
+   boxed. *)
 let push h prio x =
   if h.len = Array.length h.prio then grow h;
-  h.prio.(h.len) <- prio;
-  h.data.(h.len) <- x;
+  let pa = h.prio and da = h.data in
+  let i = ref h.len in
   h.len <- h.len + 1;
-  sift_up h (h.len - 1)
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let p = (!i - 1) / 2 in
+    if pa.(p) > prio then begin
+      pa.(!i) <- pa.(p);
+      da.(!i) <- da.(p);
+      i := p
+    end
+    else continue := false
+  done;
+  pa.(!i) <- prio;
+  da.(!i) <- x
 
 let min_priority h = h.prio.(0)
 
 let pop_min h =
   if h.len = 0 then invalid_arg "Fheap.pop_min: empty heap";
-  let x = h.data.(0) in
-  h.len <- h.len - 1;
-  h.prio.(0) <- h.prio.(h.len);
-  h.data.(0) <- h.data.(h.len);
-  if h.len > 0 then sift_down h 0;
+  let pa = h.prio and da = h.data in
+  let x = da.(0) in
+  let n = h.len - 1 in
+  h.len <- n;
+  if n > 0 then begin
+    (* Sift the last entry down from the root. *)
+    let mp = pa.(n) and md = da.(n) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let c =
+        if l < n && pa.(l) < mp then if r < n && pa.(r) < pa.(l) then r else l
+        else if r < n && pa.(r) < mp then r
+        else !i
+      in
+      if c = !i then continue := false
+      else begin
+        pa.(!i) <- pa.(c);
+        da.(!i) <- da.(c);
+        i := c
+      end
+    done;
+    pa.(!i) <- mp;
+    da.(!i) <- md
+  end;
   x
 
 let pop h =

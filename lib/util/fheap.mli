@@ -3,9 +3,16 @@
     Used by the Dijkstra augmentation inside the assignment solver and by
     the top-h merge of the partitioning algorithm. Decrease-key is handled
     by lazy deletion: stale entries are skipped at pop time. Both callers
-    pop with {!min_priority} then {!pop_min}, which allocate nothing;
-    {!pop} and {!peek} box their result. Equal priorities pop in an order
-    fixed by the push sequence alone. *)
+    pop with {!min_priority} then {!pop_min}, which allocate nothing once
+    inlined; {!pop} and {!peek} box their result.
+
+    Equal priorities pop in an order fixed by the push sequence alone, and
+    that order is part of the contract: the top-h fold's tie order, hence
+    every pinned mapping set, is the order in which this heap pops equal
+    sums. The sifts move a hole rather than swap entries, but compare
+    exactly as a swap-based binary heap does (strict [<] down, strict [>]
+    up), so they leave the same shape and pop the same sequence; the test
+    suite checks this against a swap-based copy. *)
 
 type t
 

@@ -223,20 +223,21 @@ let test_create_validation () =
 (* The heap merge as it was written over solution lists before the fold
    kept back-pointer levels: every combination's pair list is built with
    [List.merge]. [Partition.merge] and [Partition.merge_fold] must
-   reproduce it exactly — pairs, score bits and order, ties included. *)
+   reproduce it exactly — pairs, score bits and order, ties included. It
+   walks the swap-based reference heap, not the heap under test. *)
 let oracle_merge ~h xs ys =
   match (xs, ys) with
   | [], _ | _, [] -> []
   | _ ->
     let xa = Array.of_list xs and ya = Array.of_list ys in
     let nx = Array.length xa and ny = Array.length ya in
-    let heap = Uxsm_util.Fheap.create () in
+    let heap = Fheap_oracle.create () in
     let seen = Hashtbl.create 64 in
     let push ix iy =
       if ix < nx && iy < ny && not (Hashtbl.mem seen (ix, iy)) then begin
         Hashtbl.add seen (ix, iy) ();
         let s = xa.(ix).Murty.score +. ya.(iy).Murty.score in
-        Uxsm_util.Fheap.push heap (-.s) ((ix * ny) + iy)
+        Fheap_oracle.push heap (-.s) ((ix * ny) + iy)
       end
     in
     push 0 0;
@@ -244,7 +245,7 @@ let oracle_merge ~h xs ys =
     let count = ref 0 in
     let rec drain () =
       if !count < h then
-        match Uxsm_util.Fheap.pop heap with
+        match Fheap_oracle.pop heap with
         | None -> ()
         | Some (neg_s, k) ->
           let ix = k / ny and iy = k mod ny in
@@ -446,6 +447,58 @@ let prop_rerank_equals_rank_domains =
   QCheck.Test.make ~count:120 ~name:"Partition.rerank = rank, Domains executor" arb_graph_and_new
     (rerank_equals_rank ~exec:(Uxsm_exec.Executor.domains 3))
 
+(* Edits that keep every level's leading scores but change later ones:
+   a graph of two to five components on disjoint nodes, and one edge
+   outside the best solution lowered by 0.25. The best combination keeps
+   its score at every level; the combinations that use the lowered edge
+   move. A fold that stopped on a level's first score alone would keep
+   stale levels after the edited component. *)
+let gen_graph_and_quiet_edit =
+  let open QCheck.Gen in
+  let* k = int_range 2 5 in
+  let* comps =
+    flatten_l
+      (List.init k (fun c ->
+           let* kept = list_repeat 9 bool in
+           let* weights = list_repeat 9 (int_range 2 5) in
+           let edges =
+             List.concat
+               (List.mapi
+                  (fun t (b, w) ->
+                    if b || t = 0 then [ ((3 * c) + (t / 3), (3 * c) + (t mod 3), float_of_int w /. 4.0) ]
+                    else [])
+                  (List.combine kept weights))
+           in
+           return edges))
+  in
+  let edges = List.concat comps in
+  let g = Bipartite.create ~n_left:(3 * k) ~n_right:(3 * k) edges in
+  let best = match Murty.top ~h:1 g with [ b ] -> b.pairs | _ -> [] in
+  let quiet = List.filter (fun (i, j, _) -> not (List.mem (i, j) best)) edges in
+  let* h = int_range 4 30 in
+  match quiet with
+  | [] -> return (h, g, g)
+  | _ ->
+    let* i, j, w = oneofl quiet in
+    return
+      ( h,
+        g,
+        Bipartite.create ~n_left:(3 * k) ~n_right:(3 * k)
+          (Bipartite.apply_edge_delta ~set:[ (i, j, w -. 0.25) ] ~remove:[] edges) )
+
+let prop_rerank_quiet_edit =
+  let show g =
+    String.concat "; "
+      (List.map (fun (i, j, w) -> Printf.sprintf "(%d,%d,%.2f)" i j w) (Bipartite.edges g))
+  in
+  QCheck.Test.make ~count:600 ~name:"Partition.rerank = rank after an edit outside the best solution"
+    (QCheck.make gen_graph_and_quiet_edit ~print:(fun (h, g, g') ->
+         Printf.sprintf "h=%d old [%s]; new [%s]" h (show g) (show g')))
+    (fun (h, g, g') ->
+      let bits (s : Murty.solution) = (s.pairs, Int64.bits_of_float s.score) in
+      List.map bits (Partition.solutions (Partition.rerank ~old:(Partition.rank ~h g) g'))
+      = List.map bits (Partition.solutions (Partition.rank ~h g')))
+
 let test_rerank_reuses_untouched_components () =
   (* Three components; re-score an edge in the first and the other two
      Murty lists must be reused, visible through the Obs counters. *)
@@ -516,5 +569,6 @@ let suite =
       test_rerank_reuses_untouched_components;
     q prop_rerank_equals_rank;
     q prop_rerank_equals_rank_domains;
+    q prop_rerank_quiet_edit;
     q prop_right_to_left_equals_solutions;
   ]
