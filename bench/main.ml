@@ -299,7 +299,7 @@ let fig10e () =
       in
       let tp =
         Harness.seconds_per_run ~quota:1.0 ~name:(d.id ^ "-partition")
-          (fun () -> Partition.top ~exec:!exec ~h:100 g)
+          (fun () -> Partition.top ~h:100 g)
       in
       Harness.row "%-4s %10.2fms %10.2fms %12d %10.1f%%" d.id (ms tm) (ms tp) n_parts
         (100.0 *. (tm -. tp) /. tm))
@@ -319,7 +319,7 @@ let fig10f () =
       in
       let tp =
         Harness.seconds_per_run ~quota:0.5 ~name:"tg-partition"
-          (fun () -> Partition.top ~exec:!exec ~h g)
+          (fun () -> Partition.top ~h g)
       in
       Harness.row "%6d %10.2fms %10.2fms %11.1f%%" h (ms tm) (ms tp)
         (100.0 *. (tm -. tp) /. tm))
@@ -356,7 +356,7 @@ let abl_relational () =
   in
   let tp =
     Harness.seconds_per_run ~quota:0.5 ~name:"rel-partition"
-      (fun () -> Partition.top ~exec:!exec ~h:100 g)
+      (fun () -> Partition.top ~h:100 g)
   in
   Harness.row "capacity=%d partitions=%d murty=%.2fms partition=%.2fms improvement=%.1f%%"
     (Matching.capacity m) (List.length comps) (ms tm) (ms tp)
@@ -436,19 +436,19 @@ let abl_update () =
         | Ok u' -> u'
         | Error e -> failwith e
       in
-      let mset = Mapping_set.generate ~exec:!exec ~h:100 u in
+      let mset = Mapping_set.generate ~h:100 u in
       (* How much of the ranking one incremental pass actually redoes. *)
       let reranked_c = Uxsm_obs.Obs.counter "partition.components_reranked" in
       let r0 = Uxsm_obs.Obs.value reranked_c in
-      ignore (Mapping_set.update ~exec:!exec u' mset);
+      ignore (Mapping_set.update u' mset);
       let reranked = Uxsm_obs.Obs.value reranked_c - r0 in
       let t_full =
         Harness.seconds_per_run ~quota:0.5 ~name:(d.id ^ "-full") (fun () ->
-            Mapping_set.generate ~exec:!exec ~h:100 u')
+            Mapping_set.generate ~h:100 u')
       in
       let t_incr =
         Harness.seconds_per_run ~quota:0.5 ~name:(d.id ^ "-incr") (fun () ->
-            Mapping_set.update ~exec:!exec u' mset)
+            Mapping_set.update u' mset)
       in
       Harness.json_param (d.id ^ "_components") (Json.Int (List.length comps));
       Harness.json_param (d.id ^ "_reranked") (Json.Int reranked);

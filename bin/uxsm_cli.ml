@@ -373,7 +373,7 @@ let xsd_match_cmd =
           (Schema.path_string source c.source)
           (Schema.path_string target c.target))
       (Matching.correspondences matching);
-    let mset = Mapping_set.generate ~exec ~h matching in
+    let mset = Mapping_set.generate ~h matching in
     Printf.printf "\ntop-%d mappings, o-ratio %.2f\n" (Mapping_set.size mset)
       (Mapping_set.average_o_ratio mset);
     match query_str with

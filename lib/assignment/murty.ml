@@ -32,32 +32,42 @@ module Q = Set.Make (struct
     | c -> c
 end)
 
+(* The matched real pairs, by left, read off the solver state. *)
 let solution_of g node =
+  let nr = Bipartite.n_right g in
   let pairs = ref [] in
-  let assignment = Solver.assignment g node.st in
-  Array.iteri (fun i j -> if j >= 0 then pairs := (i, j) :: !pairs) assignment;
-  { pairs = List.rev !pairs; score = node.score }
+  for i = Bipartite.n_left g - 1 downto 0 do
+    let extj = Solver.matched_ext node.st i in
+    if extj >= 0 && extj < nr then pairs := (i, extj) :: !pairs
+  done;
+  { pairs = !pairs; score = node.score }
+
+let rec mem_pair i j = function
+  | [] -> false
+  | (i', j') :: rest -> (i' = i && j' = j) || mem_pair i j rest
 
 (* Left nodes whose solution edge is worth excluding, in partition order:
    fewest remaining alternatives first, ties by index. *)
 let partition_candidates g node =
-  let committed = Hashtbl.create 16 in
-  List.iter (fun (i, _) -> Hashtbl.replace committed i ()) node.fixed;
-  let excluded_keys = Hashtbl.create 16 in
-  List.iter (fun (i, extj) -> Hashtbl.replace excluded_keys (Solver.encode g i extj) ()) node.excluded;
-  let nr = Bipartite.n_right g in
+  let nl = Bipartite.n_left g and nr = Bipartite.n_right g in
+  let committed = Array.make nl false in
+  List.iter (fun (i, _) -> committed.(i) <- true) node.fixed;
   let alternatives i extj =
     (* Real edges of [i], other than its current one, not yet excluded. *)
-    Array.to_list (Bipartite.adj g i)
-    |> List.filter (fun (j, _) -> j <> extj && not (Hashtbl.mem excluded_keys (Solver.encode g i j)))
-    |> List.length
+    let adj = Bipartite.adj g i in
+    let alt = ref 0 in
+    for k = 0 to Array.length adj - 1 do
+      let j = fst adj.(k) in
+      if j <> extj && not (mem_pair i j node.excluded) then incr alt
+    done;
+    !alt
   in
   let candidates = ref [] in
   (* Partition on source-side edges only: a real mapping is fully determined
      by the choices of the sources, so branching on padding (mirror) edges
      would enumerate duplicate mappings. *)
-  for i = Bipartite.n_left g - 1 downto 0 do
-    if not (Hashtbl.mem committed i) then begin
+  for i = nl - 1 downto 0 do
+    if not committed.(i) then begin
       let extj = Solver.matched_ext node.st i in
       let is_image = extj >= nr in
       let alt = alternatives i extj in
@@ -69,8 +79,40 @@ let partition_candidates g node =
   done;
   List.stable_sort (fun (_, _, a1) (_, _, a2) -> Int.compare a1 a2) !candidates
 
-let expand g node push =
-  let cs = Solver.no_constraints g in
+(* A ranking stopped between deliveries: the state of the [top] loop,
+   kept. [last] is the node delivered last; while [unexpanded], its
+   children are not yet partitioned off. *)
+type cursor = {
+  g : Bipartite.t;
+  h : int;
+  cs : Solver.constraints;  (* scratch for one expansion, reset by it *)
+  payloads : (int, node) Hashtbl.t;
+  mutable next_uid : int;
+  mutable queue : Q.t;
+  mutable delivered : int;
+  mutable last : node;
+  mutable unexpanded : bool;
+}
+
+let push c node =
+  let uid = c.next_uid in
+  c.next_uid <- uid + 1;
+  Hashtbl.replace c.payloads uid node;
+  c.queue <- Q.add (node.score, uid) c.queue
+
+let trim c cap =
+  while Q.cardinal c.queue > cap do
+    Obs.incr c_queue_trims;
+    let ((_, uid) as worst) = Q.min_elt c.queue in
+    c.queue <- Q.remove worst c.queue;
+    Hashtbl.remove c.payloads uid
+  done
+
+let expand c node =
+  let g = c.g and cs = c.cs in
+  Hashtbl.reset cs.forbidden;
+  Array.fill cs.committed_l 0 (Array.length cs.committed_l) false;
+  Array.fill cs.committed_r 0 (Array.length cs.committed_r) false;
   List.iter
     (fun (i, extj) ->
       cs.committed_l.(i) <- true;
@@ -88,7 +130,7 @@ let expand g node push =
     Solver.unmatch st i;
     if Solver.augment g cs st i then begin
       let score = Solver.score g st in
-      push { fixed = !fixed_prefix; excluded = (i, extj) :: node.excluded; st; score }
+      push c { fixed = !fixed_prefix; excluded = (i, extj) :: node.excluded; st; score }
     end;
     Hashtbl.remove cs.forbidden key;
     (* This solution edge becomes part of the fixed prefix for subsequent
@@ -99,48 +141,58 @@ let expand g node push =
   in
   List.iter emit (partition_candidates g node)
 
+let start ~h g =
+  if h <= 0 then invalid_arg "Murty.start: h must be >= 1";
+  let root_st = Solver.init g and cs = Solver.no_constraints g in
+  Obs.incr c_solves;
+  let solved = Solver.solve g cs root_st in
+  assert solved;
+  (* image edges make the root always feasible *)
+  let root = { fixed = []; excluded = []; st = root_st; score = Solver.score g root_st } in
+  let c =
+    {
+      g;
+      h;
+      cs;
+      payloads = Hashtbl.create 64;
+      next_uid = 0;
+      queue = Q.empty;
+      delivered = 0;
+      last = root;
+      unexpanded = false;
+    }
+  in
+  push c root;
+  c
+
+(* Once k solutions have been delivered, only the best (h - k) queued
+   subproblems can ever be popped, so the trim after an expansion depends
+   on h and k alone: a cursor stopped after k deliveries has taken exactly
+   the first k steps of a ranking that runs on. *)
+let has_next c =
+  if c.unexpanded then begin
+    c.unexpanded <- false;
+    Obs.incr c_expansions;
+    expand c c.last;
+    trim c (c.h - c.delivered)
+  end;
+  c.delivered < c.h && not (Q.is_empty c.queue)
+
+let next c =
+  if not (has_next c) then invalid_arg "Murty.next: the ranking is exhausted";
+  let ((_, uid) as best) = Q.max_elt c.queue in
+  c.queue <- Q.remove best c.queue;
+  let node = Hashtbl.find c.payloads uid in
+  Hashtbl.remove c.payloads uid;
+  c.delivered <- c.delivered + 1;
+  c.last <- node;
+  c.unexpanded <- c.delivered < c.h;
+  solution_of c.g node
+
 let top ~h g =
   if h <= 0 then []
   else
     Obs.time s_top @@ fun () ->
-    let root_st = Solver.init g in
-    let root_cs = Solver.no_constraints g in
-    Obs.incr c_solves;
-    let solved = Solver.solve g root_cs root_st in
-    assert solved;
-    (* image edges make the root always feasible *)
-    let root = { fixed = []; excluded = []; st = root_st; score = Solver.score g root_st } in
-    let payloads : (int, node) Hashtbl.t = Hashtbl.create 64 in
-    let next_uid = ref 0 in
-    let queue = ref Q.empty in
-    let push node =
-      let uid = !next_uid in
-      incr next_uid;
-      Hashtbl.replace payloads uid node;
-      queue := Q.add (node.score, uid) !queue
-    in
-    let trim cap =
-      while Q.cardinal !queue > cap do
-        Obs.incr c_queue_trims;
-        let ((_, uid) as worst) = Q.min_elt !queue in
-        queue := Q.remove worst !queue;
-        Hashtbl.remove payloads uid
-      done
-    in
-    push root;
-    let results = ref [] in
-    let delivered = ref 0 in
-    while !delivered < h && not (Q.is_empty !queue) do
-      let ((_, uid) as best) = Q.max_elt !queue in
-      queue := Q.remove best !queue;
-      let node = Hashtbl.find payloads uid in
-      Hashtbl.remove payloads uid;
-      results := solution_of g node :: !results;
-      incr delivered;
-      if !delivered < h then begin
-        Obs.incr c_expansions;
-        expand g node push;
-        trim (h - !delivered)
-      end
-    done;
-    List.rev !results
+    let c = start ~h g in
+    let rec loop acc = if has_next c then loop (next c :: acc) else List.rev acc in
+    loop []

@@ -11,6 +11,7 @@ let c_delta_applies = Obs.counter "partition.delta_applies"
 let c_components_reranked = Obs.counter "partition.components_reranked"
 let c_components_reused = Obs.counter "partition.components_reused"
 let c_fold_cutoffs = Obs.counter "partition.fold_cutoffs"
+let c_local_extensions = Obs.counter "partition.local_extensions"
 let s_top = Obs.span "partition.top"
 let s_apply_delta = Obs.span "partition.apply_delta"
 let s_fold = Obs.span "partition.fold"
@@ -84,11 +85,137 @@ type level = {
   lv_local : int array;
 }
 
-(* The scratch one fold's merges share: the heap the walks run in and the
-   seen-bitmap, grown to the largest grid a level needs. *)
-type walk = { heap : Uxsm_util.Fheap.t; mutable seen : Bytes.t }
+(* Where a stream's further solutions come from: nowhere (a list given
+   whole, or a stream whose level is merged), a component not yet ranked
+   in this fold, or its running Murty cursor with the maps from the
+   compact sub-graph's indices back to global ones. *)
+type source =
+  | Closed
+  | Unranked of component
+  | Ranking of { cursor : Murty.cursor; l_back : int array; r_back : int array }
 
-let walk () = { heap = Uxsm_util.Fheap.create (); seen = Bytes.empty }
+(* One component's ranking while a fold runs: its first [len] local
+   solutions, in global indices, with their scores apart for the merge.
+   A stream that starts from a cached prefix shares that array until it
+   appends, and appending to a full array copies it, so a cached list is
+   never mutated. [whole] once the prefix is the full list: Murty ran
+   out, or it holds h solutions. *)
+type stream = {
+  mutable sols : Murty.solution array;
+  mutable scores : float array;
+  mutable len : int;
+  mutable whole : bool;
+  mutable source : source;
+}
+
+let given sols =
+  {
+    sols;
+    scores = Array.map (fun (s : Murty.solution) -> s.score) sols;
+    len = Array.length sols;
+    whole = true;
+    source = Closed;
+  }
+
+let append ~h s (sol : Murty.solution) =
+  if s.len = Array.length s.sols then begin
+    let cap = min h (max 8 (2 * s.len)) in
+    let sols = Array.make cap empty_solution and scores = Array.make cap 0.0 in
+    Array.blit s.sols 0 sols 0 s.len;
+    Array.blit s.scores 0 scores 0 s.len;
+    s.sols <- sols;
+    s.scores <- scores
+  end;
+  s.sols.(s.len) <- sol;
+  s.scores.(s.len) <- sol.score;
+  s.len <- s.len + 1;
+  if s.len >= h then s.whole <- true
+
+let rec map_back l_back r_back = function
+  | [] -> []
+  | (i, j) :: rest -> (l_back.(i), r_back.(j)) :: map_back l_back r_back rest
+
+(* A Murty cursor over [comp] re-indexed to a compact sub-graph, with
+   the maps back to global indices. *)
+let start_local ~h comp =
+  let l_of = Hashtbl.create 16 and r_of = Hashtbl.create 16 in
+  let l_back = Array.of_list comp.lefts and r_back = Array.of_list comp.rights in
+  List.iteri (fun k i -> Hashtbl.replace l_of i k) comp.lefts;
+  List.iteri (fun k j -> Hashtbl.replace r_of j k) comp.rights;
+  let edges =
+    List.map (fun (i, j, w) -> (Hashtbl.find l_of i, Hashtbl.find r_of j, w)) comp.edges
+  in
+  let sub =
+    Bipartite.create ~n_left:(Array.length l_back) ~n_right:(Array.length r_back) edges
+  in
+  (Murty.start ~h sub, l_back, r_back)
+
+(* Extend [s] by its next local solution; false when its list is whole.
+   A component first ranked here past a cached prefix skips that prefix:
+   Murty is deterministic, so the skipped solutions are the cached ones
+   (bumps [partition.local_extensions]). *)
+let rec pull ~h s =
+  (not s.whole)
+  &&
+  match s.source with
+  | Ranking r ->
+    if Murty.has_next r.cursor then begin
+      let sol = Murty.next r.cursor in
+      append ~h s { Murty.pairs = map_back r.l_back r.r_back sol.pairs; score = sol.score };
+      true
+    end
+    else begin
+      s.whole <- true;
+      false
+    end
+  | Unranked comp ->
+    let cursor, l_back, r_back = start_local ~h comp in
+    if s.len > 0 then begin
+      Obs.incr c_local_extensions;
+      for _ = 1 to s.len do
+        ignore (Murty.next cursor)
+      done
+    end;
+    s.source <- Ranking { cursor; l_back; r_back };
+    pull ~h s
+  | Closed -> false
+
+(* The scratch one fold's merges share: the heap the walks run in, the
+   seen-bitmap, grown as deep as a level reads, and the arrays a level is
+   written into, grown as long as one gets, before it is copied out at
+   its exact size. [cols] and [cleared] are the current walk's. *)
+type walk = {
+  heap : Uxsm_util.Fheap.t;
+  mutable seen : Bytes.t;
+  mutable cols : int;
+  mutable cleared : int;
+  mutable w_score : float array;
+  mutable w_prev : int array;
+  mutable w_local : int array;
+}
+
+let walk () =
+  {
+    heap = Uxsm_util.Fheap.create ();
+    seen = Bytes.empty;
+    cols = 0;
+    cleared = 0;
+    w_score = [||];
+    w_prev = [||];
+    w_local = [||];
+  }
+
+let grow_entries w ~h =
+  let n = Array.length w.w_score in
+  let cap = min h (max 16 (2 * n)) in
+  let grow a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  w.w_score <- grow w.w_score 0.0;
+  w.w_prev <- grow w.w_prev 0;
+  w.w_local <- grow w.w_local 0
 
 (* A heap payload packs a cell (ix, iy) as [ix lsl 31 lor iy], so a pop
    decodes it with a shift and a mask. Both indices stay below [h + 1]
@@ -96,56 +223,84 @@ let walk () = { heap = Uxsm_util.Fheap.create (); seen = Bytes.empty }
 let iy_bits = 31
 let iy_mask = (1 lsl iy_bits) - 1
 
-(* The top-h pairwise sums of two non-increasing score arrays, walked from
-   (0, 0) with a heap: a popped cell pushes (ix + 1, iy), then (ix, iy + 1),
-   each at most once. Ties pop in the order of that push sequence, so every
-   caller — the fold and [merge] — breaks them alike. A popped cell is at
-   most [h - 1] steps from (0, 0), so no pushed index exceeds [h] and the
-   seen-bitmap needs at most [(h + 1)^2] bits. The walk runs in [w]'s heap
-   and bitmap, both cleared first, so a fold's levels share them. *)
-let merge_level w ~h xs ys =
-  Obs.incr c_merges;
-  let nx = Array.length xs and ny = Array.length ys in
-  let n = if nx = 0 || ny = 0 || h <= 0 then 0 else min h (nx * ny) in
-  let lv = { lv_score = Array.make n 0.0; lv_prev = Array.make n 0; lv_local = Array.make n 0 } in
-  if n > 0 then begin
-    let rows = if h < nx then h + 1 else nx and cols = if h < ny then h + 1 else ny in
-    let bytes = ((rows * cols) + 7) / 8 in
-    if Bytes.length w.seen < bytes then w.seen <- Bytes.create (max bytes (2 * Bytes.length w.seen));
-    let seen = w.seen and heap = w.heap in
-    Bytes.fill seen 0 bytes '\000';
-    Uxsm_util.Fheap.clear heap;
-    let push ix iy =
-      if ix < nx && iy < ny then begin
-        let k = (ix * cols) + iy in
-        let byte = Bytes.get_uint8 seen (k lsr 3) and bit = 1 lsl (k land 7) in
-        if byte land bit = 0 then begin
-          Bytes.set_uint8 seen (k lsr 3) (byte lor bit);
-          Uxsm_util.Fheap.push heap (-.(xs.(ix) +. ys.(iy))) ((ix lsl iy_bits) lor iy)
-        end
-      end
-    in
-    push 0 0;
-    for e = 0 to n - 1 do
-      (* Every cell of the nx × ny grid is reachable from (0, 0), so the
-         heap holds a cell until all [n <= nx * ny] have been popped. *)
-      let neg_s = Uxsm_util.Fheap.min_priority heap in
-      let k = Uxsm_util.Fheap.pop_min heap in
-      let ix = k lsr iy_bits and iy = k land iy_mask in
-      lv.lv_score.(e) <- -.neg_s;
-      lv.lv_prev.(e) <- ix;
-      lv.lv_local.(e) <- iy;
-      push (ix + 1) iy;
-      push ix (iy + 1)
-    done
-  end;
-  lv
+(* Open column [iy = w.cols] of a walk over [nx] rows: pull local
+   solution [iy] from [s] unless it is there, and clear the column's
+   bits. The seen-bitmap holds cell (ix, iy) at bit [iy * nx + ix], so
+   the columns opened so far fill its first bytes; a byte the previous
+   column shares was cleared with that column, before any bit of this
+   one could be set. False when [s] has no solution [iy]. *)
+let open_column w ~h s nx iy =
+  (iy < s.len || pull ~h s)
+  && begin
+       let need = (((iy + 1) * nx) + 7) / 8 in
+       if need > w.cleared then begin
+         if Bytes.length w.seen < need then begin
+           let seen = Bytes.create (max need (2 * Bytes.length w.seen)) in
+           Bytes.blit w.seen 0 seen 0 w.cleared;
+           w.seen <- seen
+         end;
+         Bytes.fill w.seen w.cleared (need - w.cleared) '\000';
+         w.cleared <- need
+       end;
+       w.cols <- iy + 1;
+       true
+     end
 
-let scores_of (sols : Murty.solution array) = Array.map (fun (s : Murty.solution) -> s.score) sols
+(* Push cell (ix, iy), of an opened column, unless it was pushed. *)
+let[@inline] push_cell w xs s nx ix iy =
+  let k = (iy * nx) + ix and seen = w.seen in
+  let byte = Bytes.get_uint8 seen (k lsr 3) and bit = 1 lsl (k land 7) in
+  if byte land bit = 0 then begin
+    Bytes.set_uint8 seen (k lsr 3) (byte lor bit);
+    Uxsm_util.Fheap.push w.heap (-.(xs.(ix) +. s.scores.(iy))) ((ix lsl iy_bits) lor iy)
+  end
+
+(* The top-h pairwise sums of the non-increasing score array [xs] and the
+   stream [s], walked from (0, 0) with a heap: a popped cell pushes
+   (ix + 1, iy), then (ix, iy + 1), each at most once, until h cells are
+   popped or none is left. Ties pop in the order of that push sequence,
+   so every caller — the fold and [merge] — breaks them alike. The walk
+   pulls local solution [iy] from [s] only when it pushes the first cell
+   of column [iy]: a popped cell is at most [h - 1] steps from (0, 0),
+   and nothing is pushed after the h-th pop, so no column past [h - 1] is
+   read, and a column opens only once a cell of the one before it pops.
+   The walk runs in [w]'s scratch, so a fold's levels share it. *)
+let merge_level w ~h xs s =
+  Obs.incr c_merges;
+  let nx = Array.length xs in
+  let heap = w.heap in
+  Uxsm_util.Fheap.clear heap;
+  w.cols <- 0;
+  w.cleared <- 0;
+  if h > 0 && nx > 0 && open_column w ~h s nx 0 then push_cell w xs s nx 0 0;
+  let n = ref 0 in
+  while !n < h && not (Uxsm_util.Fheap.is_empty heap) do
+    let e = !n in
+    let neg_s = Uxsm_util.Fheap.min_priority heap in
+    let k = Uxsm_util.Fheap.pop_min heap in
+    let ix = k lsr iy_bits and iy = k land iy_mask in
+    if e = Array.length w.w_score then grow_entries w ~h;
+    w.w_score.(e) <- -.neg_s;
+    w.w_prev.(e) <- ix;
+    w.w_local.(e) <- iy;
+    n := e + 1;
+    if e + 1 < h then begin
+      if ix + 1 < nx then push_cell w xs s nx (ix + 1) iy;
+      if iy + 1 < w.cols || open_column w ~h s nx (iy + 1) then push_cell w xs s nx ix (iy + 1)
+    end
+  done;
+  let n = !n in
+  {
+    lv_score = Array.sub w.w_score 0 n;
+    lv_prev = Array.sub w.w_prev 0 n;
+    lv_local = Array.sub w.w_local 0 n;
+  }
 
 let merge ~h xs ys =
   let xa = Array.of_list xs and ya = Array.of_list ys in
-  let lv = merge_level (walk ()) ~h (scores_of xa) (scores_of ya) in
+  let lv =
+    merge_level (walk ()) ~h (Array.map (fun (s : Murty.solution) -> s.score) xa) (given ya)
+  in
   List.init (Array.length lv.lv_score) (fun e ->
       {
         Murty.pairs =
@@ -162,24 +317,28 @@ let same_bits (a : float array) (b : float array) =
   in
   n = Array.length b && from 0
 
-(* The fold's levels over [locals], from the single empty solution: level
-   [c] merges level [c - 1]'s scores with local list [c]'s, in one walk
-   scratch. [old_levels] are an earlier fold's. Its first [kept] levels are
-   taken as they are: the caller found their lists unchanged. From [tail]
-   on every list is the earlier fold's at its position, so once a
-   re-merged level [c] with [c + 1 >= tail] has the scores of old level
-   [c], bit for bit, the levels after it are taken too: a merge reads only
-   the previous level's scores and its own list's, so each later merge
-   would repeat the earlier fold's. A fresh fold passes no old levels,
-   [kept = 0] and [tail] = the number of lists. *)
-let fold_levels ~h ~old_levels ~kept ~tail (locals : Murty.solution array array) =
-  let n = Array.length locals in
+(* The fold's [n] levels, from the single empty solution: level [c]
+   merges level [c - 1]'s scores with [stream c], in one walk scratch;
+   [stream c] is asked for only when the fold merges level [c].
+   [old_levels] are an earlier fold's. Its first [kept] levels are taken
+   as they are: the caller found their lists unchanged. From [tail] on
+   every stream starts from the earlier fold's list at its position, so
+   once a re-merged level [c] with [c + 1 >= tail] has the scores of old
+   level [c], bit for bit, the levels after it are taken too: a merge
+   reads only the previous level's scores and its own list's, so each
+   later merge would repeat the earlier fold's. A fresh fold passes no
+   old levels, [kept = 0] and [tail = n]. *)
+let fold_levels ~h ~old_levels ~kept ~tail ~n stream =
   let levels = Array.make n no_level in
   Array.blit old_levels 0 levels 0 kept;
   let w = walk () in
   let rec fold c prev =
     if c < n then begin
-      let lv = merge_level w ~h prev (scores_of locals.(c)) in
+      let s = stream c in
+      let lv = merge_level w ~h prev s in
+      (* A level is its stream's only reader, so the cursor is dropped
+         here and its state dies young. *)
+      s.source <- Closed;
       levels.(c) <- lv;
       if c + 1 >= tail && c + 1 < n && same_bits lv.lv_score old_levels.(c).lv_score then begin
         Obs.incr c_fold_cutoffs;
@@ -215,18 +374,28 @@ let materialize (locals : Murty.solution array array) (levels : level array) =
 
 let merge_fold ~h locals =
   let locals = Array.of_list (List.map Array.of_list locals) in
+  let n = Array.length locals in
   materialize locals
-    (fold_levels ~h ~old_levels:[||] ~kept:0 ~tail:(Array.length locals) locals)
+    (fold_levels ~h ~old_levels:[||] ~kept:0 ~tail:n ~n (fun c -> given locals.(c)))
+
+(* One component's ranking as a fold left it: the component's ordered
+   edge list (the reuse key), the prefix of its local top-h the fold
+   produced, mapped back to global indices, and whether that prefix is
+   the whole list. Plain data: a cursor lives only as long as its fold. *)
+type local = {
+  key : (int * int * float) list;
+  prefix : Murty.solution array;
+  whole : bool;
+}
 
 (* The reusable per-component state. Plain data throughout — no closures —
    so the catalog can own one per cached mapping set and a future session
-   could serialize it. [rk_locals] holds, per component in component
-   order, the component's ordered edge list (the reuse key) and its local
-   top-h solutions mapped back to global indices. *)
+   could serialize it. [rk_locals] holds one [local] per component, in
+   component order. *)
 type ranked = {
   rk_h : int;
   rk_n_right : int;
-  rk_locals : ((int * int * float) list * Murty.solution array) array;
+  rk_locals : local array;
   rk_levels : level array;
       (* rk_levels.(i) = the merge fold's level over locals 0..i, so the
          last level's entries are the merged top-h. The fold is
@@ -235,88 +404,84 @@ type ranked = {
          suffix from k on. *)
 }
 
-let local_top ~h comp =
-  (* Re-index the component to a compact bipartite, rank it, and map the
-     solutions back to global indices. *)
-  let l_of = Hashtbl.create 16 and r_of = Hashtbl.create 16 in
-  let l_back = Array.of_list comp.lefts and r_back = Array.of_list comp.rights in
-  List.iteri (fun k i -> Hashtbl.replace l_of i k) comp.lefts;
-  List.iteri (fun k j -> Hashtbl.replace r_of j k) comp.rights;
-  let edges =
-    List.map (fun (i, j, w) -> (Hashtbl.find l_of i, Hashtbl.find r_of j, w)) comp.edges
-  in
-  let sub =
-    Bipartite.create ~n_left:(Array.length l_back) ~n_right:(Array.length r_back) edges
-  in
-  Murty.top ~h sub
-  |> List.map (fun (s : Murty.solution) ->
-         {
-           Murty.pairs = List.map (fun (i, j) -> (l_back.(i), r_back.(j))) s.pairs;
-           score = s.score;
-         })
-  |> Array.of_list
-
 (* Rank the components of [g] against an [old] ranking at the same [h]
-   (a fresh ranking passes no components and no levels). A component
-   whose ordered edge list is one of [old]'s keys takes [old]'s local
-   list: equal keys mean identical member nodes and weights, so that list
-   is exactly what a fresh Murty run would produce. Misses rank on the
-   executor; the heap merge is order-sensitive, so it folds sequentially
-   over the per-component lists in component order — the same fold
-   Sequential performs. *)
-let rank_components ~exec ~h ~old_locals ~old_levels g =
-  let comps = components g in
+   (a fresh ranking passes no components and no levels), as deep as the
+   fold reads. A component whose ordered edge list is one of [old]'s
+   keys starts from [old]'s prefix: equal keys mean identical member
+   nodes and weights, so that prefix is exactly what a fresh Murty run
+   would produce first. The others start unranked. *)
+let rank_components ~h ~old_locals ~old_levels g =
+  let comps = Array.of_list (components g) in
+  let n = Array.length comps in
   Obs.incr c_runs;
-  Obs.add c_components (List.length comps);
-  List.iter (fun c -> Obs.add c_component_edges (List.length c.edges)) comps;
+  Obs.add c_components n;
+  Array.iter (fun c -> Obs.add c_component_edges (List.length c.edges)) comps;
   let cache = Hashtbl.create (Array.length old_locals + 1) in
-  Array.iter (fun (key, local) -> Hashtbl.replace cache key local) old_locals;
-  let tagged = List.map (fun c -> (c, Hashtbl.find_opt cache c.edges)) comps in
-  let misses = List.filter_map (function c, None -> Some c | _ -> None) tagged in
-  let fresh = Uxsm_exec.Executor.map_list exec (local_top ~h) misses in
-  let rec stitch tagged fresh =
-    match (tagged, fresh) with
-    | [], [] -> []
-    | (c, Some cached) :: rest, _ -> (c.edges, cached) :: stitch rest fresh
-    | (c, None) :: rest, local :: fresh' -> (c.edges, local) :: stitch rest fresh'
-    | _ -> assert false
+  Array.iteri (fun p l -> Hashtbl.replace cache l.key p) old_locals;
+  let from_old =
+    Array.map (fun c -> match Hashtbl.find cache c.edges with p -> p | exception Not_found -> -1) comps
   in
-  let locals = Array.of_list (stitch tagged fresh) in
-  (* A list taken from the cache is [old]'s list for the same key, and
-     keys are unique, so a list that is physically [old]'s at the same
-     position is exactly one whose component matches [old]'s there. The
-     fold is left-associative: the leading run of such components keeps
-     [old]'s levels verbatim, and the trailing run lets the fold stop
-     where a re-merged level's scores return to [old]'s. *)
-  let n = Array.length locals and n_old = Array.length old_locals in
-  let same c = c < n_old && snd locals.(c) == snd old_locals.(c) in
+  let misses = Array.fold_left (fun k p -> if p < 0 then k + 1 else k) 0 from_old in
+  (* Keys are unique, so a component taken from [old]'s position [c] is
+     exactly one that matches [old]'s component there. The fold is
+     left-associative: the leading run of such components keeps [old]'s
+     levels verbatim, and the trailing run lets the fold stop where a
+     re-merged level's scores return to [old]'s. *)
+  let same c = from_old.(c) = c in
   let rec first_changed c = if c < n && same c then first_changed (c + 1) else c in
   let rec after_last_changed c = if c > 0 && same (c - 1) then after_last_changed (c - 1) else c in
   let kept = first_changed 0 in
-  let tail = if n = n_old then after_last_changed n else n in
-  let levels =
-    Obs.time s_fold (fun () -> fold_levels ~h ~old_levels ~kept ~tail (Array.map snd locals))
+  let tail = if n = Array.length old_locals then after_last_changed n else n in
+  let streams = Array.make n None in
+  let stream c =
+    let s =
+      match from_old.(c) with
+      | -1 -> { sols = [||]; scores = [||]; len = 0; whole = false; source = Unranked comps.(c) }
+      | p ->
+        let l = old_locals.(p) in
+        { (given l.prefix) with whole = l.whole; source = Unranked comps.(c) }
+    in
+    streams.(c) <- Some s;
+    s
   in
-  ({ rk_h = h; rk_n_right = Bipartite.n_right g; rk_locals = locals; rk_levels = levels },
-   List.length misses)
+  let levels = Obs.time s_fold (fun () -> fold_levels ~h ~old_levels ~kept ~tail ~n stream) in
+  (* A component the fold did not read keeps [old]'s entry at its
+     position; one it read keeps [old]'s entry while it read no further. *)
+  let locals =
+    Array.mapi
+      (fun c stream ->
+        let p = from_old.(c) in
+        match stream with
+        | None -> old_locals.(p)
+        | Some s when p >= 0 && s.sols == old_locals.(p).prefix && s.whole = old_locals.(p).whole ->
+          old_locals.(p)
+        | Some s ->
+          {
+            key = comps.(c).edges;
+            prefix = (if s.len = Array.length s.sols then s.sols else Array.sub s.sols 0 s.len);
+            whole = s.whole;
+          })
+      streams
+  in
+  ({ rk_h = h; rk_n_right = Bipartite.n_right g; rk_locals = locals; rk_levels = levels }, misses)
 
-let rank ?(exec = Uxsm_exec.Executor.sequential) ~h g =
+let rank ~h g =
   if h <= 0 then invalid_arg "Partition.rank: h must be >= 1";
-  Obs.time s_top @@ fun () ->
-  fst (rank_components ~exec ~h ~old_locals:[||] ~old_levels:[||] g)
+  Obs.time s_top @@ fun () -> fst (rank_components ~h ~old_locals:[||] ~old_levels:[||] g)
 
-let rerank ?(exec = Uxsm_exec.Executor.sequential) ~old g =
+let rerank ~old g =
   Obs.time s_apply_delta @@ fun () ->
   Obs.incr c_delta_applies;
   let r, reranked =
-    rank_components ~exec ~h:old.rk_h ~old_locals:old.rk_locals ~old_levels:old.rk_levels g
+    rank_components ~h:old.rk_h ~old_locals:old.rk_locals ~old_levels:old.rk_levels g
   in
   Obs.add c_components_reranked reranked;
   Obs.add c_components_reused (Array.length r.rk_locals - reranked);
   r
 
 let solutions r =
-  Obs.time s_materialize (fun () -> materialize (Array.map snd r.rk_locals) r.rk_levels)
+  Obs.time s_materialize (fun () ->
+      materialize (Array.map (fun l -> l.prefix) r.rk_locals) r.rk_levels)
 
 (* Store every pair (i, j) of a local solution as [a.(j) <- i], by plain
    recursion: no closure per solution and level. *)
@@ -335,7 +500,7 @@ let write_solution r a e =
   let entry = ref e in
   for c = Array.length r.rk_levels - 1 downto 0 do
     let lv = r.rk_levels.(c) in
-    write_pairs a (snd r.rk_locals.(c)).(lv.lv_local.(!entry)).Murty.pairs;
+    write_pairs a r.rk_locals.(c).prefix.(lv.lv_local.(!entry)).Murty.pairs;
     entry := lv.lv_prev.(!entry)
   done
 
@@ -358,7 +523,7 @@ let right_to_left r f =
    there, looked up on first use: local solutions are pairwise distinct,
    so at most one matches. *)
 let local_match r ~old c =
-  let nl = snd r.rk_locals.(c) and ol = snd old.rk_locals.(c) in
+  let nl = r.rk_locals.(c).prefix and ol = old.rk_locals.(c).prefix in
   if nl == ol then Fun.id
   else begin
     let memo = Array.make (Array.length nl) (-2) in
@@ -405,7 +570,7 @@ let same_entries ~old r =
         let n = Array.length lv.lv_score and on = Array.length olv.lv_score in
         let by_prev =
           (if c = 0 then 1 else Array.length old.rk_levels.(c - 1).lv_score)
-          >= Array.length (snd old.rk_locals.(c))
+          >= Array.length old.rk_locals.(c).prefix
         in
         let keys = if by_prev then olv.lv_prev else olv.lv_local
         and others = if by_prev then olv.lv_local else olv.lv_prev in
@@ -454,5 +619,4 @@ let right_to_left_reusing ~old r ~same f =
       end)
     (last_scores r)
 
-let top ?(exec = Uxsm_exec.Executor.sequential) ~h g =
-  if h <= 0 then [] else solutions (rank ~exec ~h g)
+let top ~h g = if h <= 0 then [] else solutions (rank ~h g)

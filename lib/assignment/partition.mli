@@ -3,9 +3,11 @@
     A schema matching's bipartite graph is typically sparse, so it splits
     into many small connected components ("partitions"). The top-h
     assignments of the whole graph are obtained by ranking each component
-    independently ({!Murty.top}) and merging the per-component lists with a
+    independently ({!Murty}) and merging the per-component lists with a
     heap — per-component rank beyond [h] can never contribute to the global
-    top-h, which is what makes the merge sound. *)
+    top-h, which is what makes the merge sound. The merge asks a component
+    for its next local solution only when its heap walk reaches it, so each
+    component is ranked only as deep as the merge reads. *)
 
 type component = {
   lefts : int list;  (** left nodes of the component, ascending *)
@@ -34,15 +36,9 @@ val merge_fold : h:int -> Murty.solution list list -> Murty.solution list
     order) whenever the lists use disjoint left nodes and keep their pairs
     sorted by left — true of component rankings. Exposed for testing. *)
 
-val top :
-  ?exec:Uxsm_exec.Executor.t ->
-  h:int ->
-  Bipartite.t ->
-  Murty.solution list
+val top : h:int -> Bipartite.t -> Murty.solution list
 (** Same contract as {!Murty.top} — identical score sequence — but computed
-    component-wise. [exec] (default [Sequential]) ranks the components on a
-    pool of domains; the heap merge runs sequentially in component order,
-    so the result is identical for every backend (a tested property). *)
+    component-wise: [solutions (rank ~h g)], or [[]] when [h <= 0]. *)
 
 (** {1 Incremental maintenance}
 
@@ -51,32 +47,38 @@ val top :
     cached per-component lists. *)
 
 type ranked
-(** Reusable ranking state: per-component Murty lists (keyed by the
-    component's ordered edge list) and one merge-fold level per
-    component. A level holds, for each of its (at most [h]) entries, the
-    combined score, the entry of the previous level it extends and the
-    local solution it adds — back-pointers, not pair lists. The merged
-    top-h is the last level; it is read on demand, by {!right_to_left} or
-    {!solutions}, and never stored. Plain data — no closures — so a
-    catalog can own one per cached mapping set. *)
+(** Reusable ranking state: per component, its ordered edge list (the
+    cache key), the prefix of its Murty list that the fold read — in
+    order, at most [h] solutions — and whether that prefix is the whole
+    list (Murty ran out, or it holds [h] solutions); and one merge-fold
+    level per component. A level holds, for each of its (at most [h])
+    entries, the combined score, the entry of the previous level it
+    extends and the local solution it adds — back-pointers, not pair
+    lists; every local solution a level points at lies in the stored
+    prefix. The merged top-h is the last level; it is read on demand, by
+    {!right_to_left} or {!solutions}, and never stored. Plain data — no
+    closures and no Murty cursor — so a catalog can own one per cached
+    mapping set. *)
 
-val rank :
-  ?exec:Uxsm_exec.Executor.t ->
-  h:int ->
-  Bipartite.t ->
-  ranked
-(** Rank every component and merge, keeping the per-component lists for
-    later {!rerank} calls. [solutions (rank ~h g) = top ~h g] always.
-    Raises [Invalid_argument] when [h <= 0]. *)
+val rank : h:int -> Bipartite.t -> ranked
+(** Rank every component as deep as the merge reads and merge, keeping
+    the per-component prefixes for later {!rerank} calls.
+    [solutions (rank ~h g) = top ~h g] always, and equals ranking each
+    component to depth [h] with {!Murty.top} and folding the lists with
+    {!merge} (pairs, score bits and order; a tested property). While the
+    fold runs each component is a stream: its prefix so far and a
+    {!Murty.cursor} that the merge resumes when its walk pushes the first
+    cell of a column past that prefix. Murty's time is timed by the
+    [partition.fold] span. Raises [Invalid_argument] when [h <= 0]. *)
 
-val rerank : ?exec:Uxsm_exec.Executor.t -> old:ranked -> Bipartite.t -> ranked
+val rerank : old:ranked -> Bipartite.t -> ranked
 (** [rerank ~old g] — [rank ~h g] at [old]'s [h], with [old] as the
-    cache: recompute the component index of [g], re-rank {e only}
+    cache: recompute the component index of [g], rank afresh {e only}
     components whose ordered edge list is not one of [old]'s keys (equal
-    membership, order and weights mean the cached ranking is exactly a
-    fresh one), and re-merge only the fold levels the edit can change.
-    The fold is left-associative and each level's merge reads only the
-    previous level's scores and its own component's list, so:
+    membership, order and weights mean the cached prefix is exactly a
+    fresh ranking's), and re-merge only the fold levels the edit can
+    change. The fold is left-associative and each level's merge reads
+    only the previous level's scores and its own component's list, so:
     - the {e kept prefix}: the leading run of components that match
       [old]'s position by position keeps [old]'s levels verbatim (an edit
       confined to component [k] keeps levels [0..k-1]);
@@ -85,14 +87,19 @@ val rerank : ?exec:Uxsm_exec.Executor.t -> old:ranked -> Bipartite.t -> ranked
       level whose scores equal [old]'s level at the same position, bit
       for bit, and keeps [old]'s levels after it (bumping
       [partition.fold_cutoffs]).
-    Both are exact, so the result equals a fresh [rank] for any [g] —
-    edges permuted, sides shrunk or an unrelated graph simply hit the
+    A re-merged level can read a cached component deeper than its stored
+    prefix, when an earlier edit changed the previous level's scores.
+    That component is then ranked again up to the new depth, skipping
+    the cached prefix (Murty is deterministic), into the {e new}
+    ranking; [old] is never mutated. Each such re-ranking bumps
+    [partition.local_extensions] (and [murty.solves]).
+    All of this is exact, so the result equals a fresh [rank] for any [g]
+    — edges permuted, sides shrunk or an unrelated graph simply hit the
     cache less (a tested property). No solution is built here; the
     caller reads the new top-h through {!right_to_left},
     {!right_to_left_reusing} or {!solutions}. Timed by the
-    [partition.apply_delta] span; bumps [partition.components_reranked] /
-    [partition.components_reused]; only the re-ranked components run on
-    [exec]. *)
+    [partition.apply_delta] span; bumps [partition.components_reranked]
+    (components not in [old]) / [partition.components_reused]. *)
 
 val right_to_left : ranked -> (float -> int array -> 'a) -> 'a array
 (** [right_to_left r f] — [f] applied to each solution of the merged

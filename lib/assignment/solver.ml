@@ -161,13 +161,6 @@ let solve g cs st =
 
 let matched_ext st i = st.match_l.(i)
 
-let assignment g st =
-  let nl = Bipartite.n_left g in
-  let nr = Bipartite.n_right g in
-  Array.init nl (fun i ->
-      let extj = st.match_l.(i) in
-      if extj >= 0 && extj < nr then extj else -1)
-
 let score g st =
   let nl = Bipartite.n_left g in
   let nr = Bipartite.n_right g in

@@ -59,8 +59,5 @@ val solve : Bipartite.t -> constraints -> state -> bool
 val matched_ext : state -> int -> int
 (** Extended-right partner of extended left [i], or [-1]. *)
 
-val assignment : Bipartite.t -> state -> int array
-(** Per source node, the matched {e real} target or [-1] (image). *)
-
 val score : Bipartite.t -> state -> float
 (** Total weight of matched real edges. *)

@@ -46,9 +46,9 @@ let of_ranked ?old u r =
   let probs = normalize (Array.map Mapping.score mappings) in
   { matching = u; mappings; probs; ranked = Some r; o_ratio = Atomic.make None }
 
-let generate ?(exec = Uxsm_exec.Executor.sequential) ~h u =
+let generate ~h u =
   if h <= 0 then invalid_arg "Mapping_set.generate: h must be positive";
-  of_ranked u (Uxsm_assignment.Partition.rank ~exec ~h (Matching.to_bipartite u))
+  of_ranked u (Uxsm_assignment.Partition.rank ~h (Matching.to_bipartite u))
 
 let of_mappings u entries =
   if entries = [] then invalid_arg "Mapping_set.of_mappings: empty set";
@@ -64,7 +64,7 @@ let of_mappings u entries =
 
 let ranked t = t.ranked
 
-let update ?(exec = Uxsm_exec.Executor.sequential) u' t =
+let update u' t =
   match t.ranked with
   | None ->
     invalid_arg
@@ -77,7 +77,7 @@ let update ?(exec = Uxsm_exec.Executor.sequential) u' t =
        move/restore stream, 86.8% of the new mappings equal an old one.
        Those are found from the fold's back-pointers and reused, so an
        array is copied only for the mappings that are new. *)
-    of_ranked ~old:t u' (Uxsm_assignment.Partition.rerank ~exec ~old:r g)
+    of_ranked ~old:t u' (Uxsm_assignment.Partition.rerank ~old:r g)
 
 let matching t = t.matching
 let source t = Matching.source t.matching

@@ -9,15 +9,15 @@
 
 type t
 
-val generate : ?exec:Uxsm_exec.Executor.t -> h:int -> Matching.t -> t
+val generate : h:int -> Matching.t -> t
 (** [generate ~h u] — the top-h possible mappings of matching [u] (fewer if
     the space is smaller), probabilities normalized over the set, ranked by
     {!Uxsm_assignment.Partition.rank}. Each mapping is built from a copy
     of the target→source scratch array
     {!Uxsm_assignment.Partition.right_to_left} hands over, through
     {!Mapping.of_target_sources} (bumping [mapping_set.mappings_built]).
-    [exec] (default sequential) parallelizes the per-component ranking.
-    The resulting set is identical for every backend. *)
+    Each component is ranked only as deep as the merge reads, so the set
+    keeps those prefixes as its provenance, not full top-h lists. *)
 
 val of_mappings : Matching.t -> (Mapping.t * float) list -> t
 (** Build from explicit mappings and probabilities (e.g. the paper's
@@ -30,14 +30,16 @@ val ranked : t -> Uxsm_assignment.Partition.ranked option
     {!generate}d set. [None] for {!of_mappings} sets, which {!update}
     therefore rejects. *)
 
-val update : ?exec:Uxsm_exec.Executor.t -> Matching.t -> t -> t
+val update : Matching.t -> t -> t
 (** [update u' t] — the set [generate ~h u'] computed incrementally from
     [t]'s component provenance: {!Uxsm_assignment.Partition.rerank}
     ranks [u']'s correspondence graph (built under the
     [mapping_set.graph] span) with [t]'s per-component lists and merge
     levels as its cache, so only components whose edges changed are
-    re-ranked and only the fold levels the edit changes are re-merged;
-    probabilities renormalize over the new scores.
+    ranked afresh, a cached component is ranked again only when the new
+    fold reads it deeper than its stored prefix, and only the fold levels
+    the edit changes are re-merged; probabilities renormalize over the
+    new scores.
 
     A new mapping holding exactly the correspondences of one of [t]'s
     mappings reuses that mapping under its new score ({!Mapping.with_score},

@@ -351,28 +351,31 @@ let check_loadgen lg =
   if lg.lg_completed > lg.lg_sent then failf "loadgen: completed exceeds sent";
   List.iter (fun (n, v) -> check_hist n v) lg.lg_latency
 
+(* Every measurement [<ID><fast>] of [e] must have a matching
+   [<ID><slow>] and take less time per run than it. *)
+let check_faster e ~fast ~slow ~what =
+  let k = String.length fast in
+  List.iter
+    (fun meas ->
+      let n = String.length meas.m_name in
+      if n > k && String.sub meas.m_name (n - k) k = fast then begin
+        let id = String.sub meas.m_name 0 (n - k) in
+        match List.find_opt (fun m -> m.m_name = id ^ slow) e.e_measurements with
+        | None -> failf "%s: %S has no matching %S" e.e_id meas.m_name (id ^ slow)
+        | Some s ->
+          if meas.m_seconds_per_run >= s.m_seconds_per_run then
+            failf "%s: %s %S (%g s) not faster than %s (%g s)" e.e_id (fst what) id
+              meas.m_seconds_per_run (snd what) s.m_seconds_per_run
+      end)
+    e.e_measurements
+
 (* The incremental-maintenance ablation carries its own invariants: the
    whole point of the delta path is that it beats a full rebuild while
    re-ranking fewer components than exist, so a record claiming otherwise
    is evidence of a broken run (or a regression) and must not land as a
    baseline. *)
 let check_abl_update e =
-  let m name =
-    List.find_opt (fun m -> m.m_name = name) e.e_measurements
-  in
-  List.iter
-    (fun meas ->
-      match String.index_opt meas.m_name '-' with
-      | Some i when String.sub meas.m_name i (String.length meas.m_name - i) = "-incr" -> (
-        let id = String.sub meas.m_name 0 i in
-        match m (id ^ "-full") with
-        | None -> failf "abl_update: %S has no matching %S" meas.m_name (id ^ "-full")
-        | Some full ->
-          if meas.m_seconds_per_run >= full.m_seconds_per_run then
-            failf "abl_update: incremental %S (%g s) not faster than full rebuild (%g s)" id
-              meas.m_seconds_per_run full.m_seconds_per_run)
-      | _ -> ())
-    e.e_measurements;
+  check_faster e ~fast:"-incr" ~slow:"-full" ~what:("incremental", "full rebuild");
   List.iter
     (fun (name, v) ->
       match String.index_opt name '_' with
@@ -392,6 +395,10 @@ let check_abl_update e =
       | _ -> ())
     e.e_params
 
+(* Figure 10(e)'s shape: the paper has the partitioned top-h win on every
+   dataset, so a record where one loses to plain Murty is a regression. *)
+let check_fig10e e = check_faster e ~fast:"-partition" ~slow:"-murty" ~what:("partition", "murty")
+
 let check_run r =
   try
     (match (r.r_kind, r.r_loadgen) with
@@ -399,7 +406,13 @@ let check_run r =
     | "loadgen", Some lg -> check_loadgen lg
     | "bench", Some _ -> failf "bench record with a \"loadgen\" payload"
     | "bench", None ->
-      List.iter (fun e -> if e.e_id = "abl_update" then check_abl_update e) r.r_experiments
+      List.iter
+        (fun e ->
+          match e.e_id with
+          | "abl_update" -> check_abl_update e
+          | "fig10e" -> check_fig10e e
+          | _ -> ())
+        r.r_experiments
     | k, _ -> failf "unknown record kind %S" k);
     Ok ()
   with Fail msg -> Error msg

@@ -91,7 +91,10 @@ val check_run : run -> (unit, string) result
     at least one client, non-negative counts and rates, a positive
     measurement window, and well-formed latency histograms (strictly
     ascending bucket bounds on the shared 41-bucket scale, non-negative
-    counts, bucket mass covering the total count). *)
+    counts, bucket mass covering the total count). In a ["bench"] record,
+    an [abl_update] experiment must time every [<ID>-incr] below its
+    [<ID>-full] and re-rank fewer components than exist, and a [fig10e]
+    experiment must time every [<ID>-partition] below its [<ID>-murty]. *)
 
 val run_to_string : run -> string
 (** Single line, no trailing newline. *)

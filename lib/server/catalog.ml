@@ -187,13 +187,13 @@ let generate_doc ~doc_seed ~doc_nodes m =
   Obs.time s_build (fun () ->
       Gen_doc.generate ~seed:doc_seed ?target_nodes:doc_nodes (Matching.source m))
 
-let mset_locked t sh name ~h =
+let mset_locked sh name ~h =
   let key = K_mset (name, h) in
   match cache_get sh key with
   | Some (A_mset s) -> s
   | _ ->
     let m = (entry_locked sh name).matching in
-    let s = Obs.time s_build (fun () -> Mapping_set.generate ~exec:t.exec ~h m) in
+    let s = Obs.time s_build (fun () -> Mapping_set.generate ~h m) in
     cache_put sh key (A_mset s);
     s
 
@@ -205,13 +205,13 @@ let lazy_tree s ~tau =
 (* The entry is created with its tree unbuilt. τ is checked here, so an
    out-of-range τ fails every plan, not only the plans that force the
    tree. *)
-let tree_locked t sh name ~h ~tau =
+let tree_locked sh name ~h ~tau =
   let key = K_tree (name, h, tau) in
   match cache_get sh key with
   | Some (A_tree (s, tr)) -> (s, tr)
   | _ ->
     if not (Block_tree.valid_tau tau) then failf "tau %g out of (0, 1]" tau;
-    let s = mset_locked t sh name ~h in
+    let s = mset_locked sh name ~h in
     let tr = lazy_tree s ~tau in
     cache_put sh key (A_tree (s, tr));
     (s, tr)
@@ -221,7 +221,7 @@ let tree_locked t sh name ~h ~tau =
    resolution, coverage and grouping, not just artifact construction. The key includes the forced evaluator:
    a forced plan and the auto plan for the same query are distinct
    artifacts. *)
-let plan_locked t sh name ~pattern ~h ~tau ~k ~force =
+let plan_locked sh name ~pattern ~h ~tau ~k ~force =
   let key = K_plan { pk_corpus = name; pk_pattern = pattern; pk_h = h; pk_tau = tau;
                      pk_k = k; pk_force = force }
   in
@@ -237,7 +237,7 @@ let plan_locked t sh name ~pattern ~h ~tau ~k ~force =
        Every plan still looks the entry up: the serving benchmark's replay
        builds the tree through [prepared] and requires the server's cache
        counters to equal its own. *)
-    let mset, tree = tree_locked t sh name ~h ~tau in
+    let mset, tree = tree_locked sh name ~h ~tau in
     let tree = if force = `Tree then Some (Lazy.force tree) else None in
     let e = entry_locked sh name in
     let ctx = Ptq.context ?tree ~target_doc:e.target_doc ~mset ~doc:e.doc () in
@@ -317,7 +317,7 @@ let update t ~name delta =
                 | _ -> acc)
               [] keys
             |> List.map (fun (h, s) ->
-                   (h, Obs.time s_build (fun () -> Mapping_set.update ~exec:t.exec m_new s)))
+                   (h, Obs.time s_build (fun () -> Mapping_set.update m_new s)))
           in
           let patched_msets =
             List.filter_map
@@ -386,17 +386,17 @@ let matching t name = wrap (fun () -> with_shard t name (fun sh -> (entry_locked
 let doc t name = wrap (fun () -> with_shard t name (fun sh -> (entry_locked sh name).doc))
 
 let mapping_set t name ~h =
-  wrap (fun () -> with_shard t name (fun sh -> mset_locked t sh name ~h))
+  wrap (fun () -> with_shard t name (fun sh -> mset_locked sh name ~h))
 
 let prepared t name ~h ~tau =
   wrap (fun () ->
       with_shard t name (fun sh ->
-          let s, tr = tree_locked t sh name ~h ~tau in
+          let s, tr = tree_locked sh name ~h ~tau in
           (s, Lazy.force tr)))
 
 let plan t name ~pattern ~h ~tau ~k ~force =
   wrap (fun () ->
-      with_shard t name (fun sh -> plan_locked t sh name ~pattern ~h ~tau ~k ~force))
+      with_shard t name (fun sh -> plan_locked sh name ~pattern ~h ~tau ~k ~force))
 
 (* Monitoring reads. Stats are atomic counter sums; length is a per-shard
    O(1) population read. Neither takes shard locks, so the stats endpoint

@@ -29,7 +29,7 @@ let grow h =
    version gives. The moving priority stays in a local of the function
    that reads it from the array, never a float argument, so it is not
    boxed. *)
-let push h prio x =
+let[@inline] push h prio x =
   if h.len = Array.length h.prio then grow h;
   let pa = h.prio and da = h.data in
   let i = ref h.len in

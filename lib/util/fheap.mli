@@ -4,7 +4,9 @@
     the top-h merge of the partitioning algorithm. Decrease-key is handled
     by lazy deletion: stale entries are skipped at pop time. Both callers
     pop with {!min_priority} then {!pop_min}, which allocate nothing once
-    inlined; {!pop} and {!peek} box their result.
+    inlined; {!push} is marked for inlining, so where it inlines (a
+    release build) its float priority is not boxed; {!pop} and {!peek}
+    box their result.
 
     Equal priorities pop in an order fixed by the push sequence alone, and
     that order is part of the contract: the top-h fold's tie order, hence

@@ -433,19 +433,15 @@ let arb_graph_and_new =
   QCheck.make gen_graph_and_new ~print:(fun (g, g') ->
       Printf.sprintf "old %s; new %s" (show g) (show g'))
 
-let rerank_equals_rank ?exec (g, g') =
+let rerank_equals_rank (g, g') =
   let h = 15 in
-  let incr = Partition.rerank ?exec ~old:(Partition.rank ?exec ~h g) g' in
+  let incr = Partition.rerank ~old:(Partition.rank ~h g) g' in
   (* Exact equality, order included: scores are dyadic so [=] is sound. *)
   Partition.solutions incr = Partition.solutions (Partition.rank ~h g')
 
 let prop_rerank_equals_rank =
   QCheck.Test.make ~count:600 ~name:"Partition.rerank = rank of the new graph"
     arb_graph_and_new rerank_equals_rank
-
-let prop_rerank_equals_rank_domains =
-  QCheck.Test.make ~count:120 ~name:"Partition.rerank = rank, Domains executor" arb_graph_and_new
-    (rerank_equals_rank ~exec:(Uxsm_exec.Executor.domains 3))
 
 (* Edits that keep every level's leading scores but change later ones:
    a graph of two to five components on disjoint nodes, and one edge
@@ -546,6 +542,240 @@ let prop_right_to_left_equals_solutions =
              && pairs_of a = s.pairs)
            sols arrays)
 
+(* ----------------------- ranking on demand ------------------------ *)
+
+module Obs = Uxsm_obs.Obs
+
+let c_expansions = Obs.counter "murty.expansions"
+let c_solves = Obs.counter "murty.solves"
+let c_local_extensions = Obs.counter "partition.local_extensions"
+
+(* [f ()] with how far it moved counter [c]. *)
+let moving c f =
+  let v0 = Obs.value c in
+  let x = f () in
+  (x, Obs.value c - v0)
+
+let show_edges g =
+  String.concat "; "
+    (List.map (fun (i, j, w) -> Printf.sprintf "(%d,%d,%.2f)" i j w) (Bipartite.edges g))
+
+(* Small graphs, about two thirds of the pairs present, whose weights take
+   four dyadic values: many solutions tie, and every sum is exact. *)
+let gen_tied_graph =
+  let open QCheck.Gen in
+  let* nl = int_range 1 5 in
+  let* nr = int_range 1 5 in
+  let all_pairs = List.concat_map (fun i -> List.init nr (fun j -> (i, j))) (List.init nl Fun.id) in
+  let* kept = flatten_l (List.map (fun p -> map (fun k -> (p, k > 0)) (int_bound 2)) all_pairs) in
+  let chosen = List.filter_map (fun (p, b) -> if b then Some p else None) kept in
+  let* weights = flatten_l (List.map (fun _ -> int_range 1 4) chosen) in
+  return
+    (Bipartite.create ~n_left:nl ~n_right:nr
+       (List.map2 (fun (i, j) k -> (i, j, float_of_int k /. 4.0)) chosen weights))
+
+(* A cursor stopped after d deliveries has taken exactly the first d steps
+   of [top ~h]: it returned that list's prefix (pairs and score bits) and
+   expanded d - 1 nodes, the node delivered last still pending (all of
+   them when the list ran out first). Resumed, it returns the rest of the
+   list with [top]'s expansions in all. The whole list's scores are the
+   brute-force top-h's, a reference that shares no code with Murty. *)
+let prop_cursor_prefix =
+  QCheck.Test.make ~count:300 ~name:"Murty cursor stopped after d deliveries = prefix of Murty.top"
+    (QCheck.make
+       ~print:(fun (h, d, g) -> Printf.sprintf "h=%d d=%d [%s]" h d (show_edges g))
+       QCheck.Gen.(
+         let* h = int_range 1 300 in
+         let* d = int_range 0 h in
+         let* g = gen_tied_graph in
+         return (h, d, g)))
+    (fun (h, d, g) ->
+      let full, full_expansions = moving c_expansions (fun () -> Murty.top ~h g) in
+      let c = Murty.start ~h g in
+      let rec take k acc =
+        if k < d && Murty.has_next c then take (k + 1) (Murty.next c :: acc) else List.rev acc
+      in
+      let prefix, stopped = moving c_expansions (fun () -> take 0 []) in
+      let k = List.length prefix in
+      let rec drain acc = if Murty.has_next c then drain (Murty.next c :: acc) else List.rev acc in
+      let rest, resumed = moving c_expansions (fun () -> drain []) in
+      let brute = List.filteri (fun i _ -> i < h) (brute_force_scores g) in
+      same_solutions prefix (List.filteri (fun i _ -> i < k) full)
+      && stopped = (if k = d then max 0 (d - 1) else k)
+      && same_solutions (prefix @ rest) full
+      && stopped + resumed = full_expansions
+      && List.equal Float.equal (List.map (fun (s : Murty.solution) -> s.score) full) brute)
+
+(* Graphs of one to six components on interleaved node indices (component
+   c owns lefts and rights c, c + k, c + 2k), each drawn on a 3 x 3 block
+   with the weights of [gen_tied_graph]. *)
+let gen_blocks ~k =
+  let open QCheck.Gen in
+  let* blocks =
+    flatten_l
+      (List.init k (fun c ->
+           let* kept = list_repeat 9 (int_bound 2) in
+           let* weights = list_repeat 9 (int_range 1 4) in
+           return
+             (List.concat
+                (List.mapi
+                   (fun t (b, w) ->
+                     if b > 0 || t = 0 then
+                       [ (c + (k * (t / 3)), c + (k * (t mod 3)), float_of_int w /. 4.0) ]
+                     else [])
+                   (List.combine kept weights)))))
+  in
+  return (Bipartite.create ~n_left:(3 * k) ~n_right:(3 * k) (List.concat blocks))
+
+(* A component ranked eagerly to depth h, as the fold ranked it before it
+   pulled on demand: Murty on the component re-indexed to a compact
+   sub-graph (nodes ascending, edges in component order), mapped back. *)
+let eager_local ~h (comp : Partition.component) =
+  let index l = List.mapi (fun k x -> (x, k)) l in
+  let l_of = index comp.lefts and r_of = index comp.rights in
+  let l_back = Array.of_list comp.lefts and r_back = Array.of_list comp.rights in
+  let sub =
+    Bipartite.create ~n_left:(Array.length l_back) ~n_right:(Array.length r_back)
+      (List.map (fun (i, j, w) -> (List.assoc i l_of, List.assoc j r_of, w)) comp.edges)
+  in
+  List.map
+    (fun (s : Murty.solution) ->
+      { s with pairs = List.map (fun (i, j) -> (l_back.(i), r_back.(j))) s.pairs })
+    (Murty.top ~h sub)
+
+(* How much of a list of [ny] local scores one fold level reads: the
+   level's heap walk over (previous level) x (local list), popping until h
+   cells or none are left, asks for column 0 first and for column iy + 1
+   when it pushes (ix, iy + 1) after a pop that is not the h-th. Returns
+   the solutions read and whether the walk asked past the list's end. *)
+let demand ~h xs ys =
+  let xa = Array.of_list xs and ya = Array.of_list ys in
+  let nx = Array.length xa and ny = Array.length ya in
+  let heap = Fheap_oracle.create () and seen = Hashtbl.create 64 in
+  let push ix iy =
+    if ix < nx && iy < ny && not (Hashtbl.mem seen (ix, iy)) then begin
+      Hashtbl.add seen (ix, iy) ();
+      Fheap_oracle.push heap (-.(xa.(ix) +. ya.(iy))) ((ix * ny) + iy)
+    end
+  in
+  let asked = ref 1 in
+  push 0 0;
+  let rec walk popped =
+    if popped < h then
+      match Fheap_oracle.pop heap with
+      | None -> ()
+      | Some (_, k) ->
+        let ix = k / ny and iy = k mod ny in
+        if popped + 1 < h then begin
+          push (ix + 1) iy;
+          asked := max !asked (iy + 2);
+          push ix (iy + 1)
+        end;
+        walk (popped + 1)
+  in
+  if nx > 0 then walk 0;
+  (min !asked ny, !asked > ny)
+
+(* [Partition.rank] against the eager reference: every component ranked
+   to depth h with [Murty.top] and the lists folded with [oracle_merge].
+   The solutions must agree in pairs, score bits and order. The Murty work
+   must be exactly what the fold reads: one solve per component, and for
+   a component whose level reads d solutions, d - 1 expansions, plus one
+   when the level asks past the list's end. The scores must also equal
+   the top-h sums of each component's brute-force scores, a reference
+   that shares no code with Murty. *)
+let prop_rank_equals_eager =
+  QCheck.Test.make ~count:300 ~name:"Partition.rank = eager Murty.top lists folded by oracle_merge"
+    (QCheck.make
+       ~print:(fun (h, g) -> Printf.sprintf "h=%d [%s]" h (show_edges g))
+       QCheck.Gen.(
+         let* h = int_range 1 300 in
+         let* k = int_range 1 6 in
+         let* g = gen_blocks ~k in
+         return (h, g)))
+    (fun (h, g) ->
+      let comps = Partition.components g in
+      let locals = List.map (eager_local ~h) comps in
+      let scores l = List.map (fun (s : Murty.solution) -> s.score) l in
+      let reference, expected_expansions =
+        List.fold_left
+          (fun (level, e) local ->
+            let read, past = demand ~h (scores level) (scores local) in
+            (oracle_merge ~h level local, e + read - 1 + if past then 1 else 0))
+          ([ { Murty.pairs = []; score = 0.0 } ], 0)
+          locals
+      in
+      let (r, expansions), solves =
+        moving c_solves (fun () -> moving c_expansions (fun () -> Partition.rank ~h g))
+      in
+      let brute =
+        List.fold_left
+          (fun acc (comp : Partition.component) ->
+            let local =
+              brute_force_scores
+                (Bipartite.create ~n_left:(Bipartite.n_left g) ~n_right:(Bipartite.n_right g)
+                   comp.edges)
+            in
+            List.concat_map (fun a -> List.map (fun b -> a +. b) local) acc
+            |> List.stable_sort (fun a b -> Float.compare b a)
+            |> List.filteri (fun i _ -> i < h))
+          [ 0.0 ] comps
+      in
+      let got = Partition.solutions r in
+      same_solutions got reference
+      && expansions = expected_expansions
+      && solves = List.length comps
+      && List.equal Float.equal (scores got) brute)
+
+(* An edit that makes the fold read a cached component deeper than its
+   stored prefix: component 0 (the first in fold order) of a block graph
+   gets new weights, so level 0's scores change and every later level is
+   re-merged over cached lists. The new weights are drawn from a wider
+   range than the old, so level 0 often spreads out and a later level has
+   to read further into its component. *)
+let gen_deeper_edit =
+  let open QCheck.Gen in
+  let* k = int_range 2 6 in
+  let* h = int_range 4 60 in
+  let* g = gen_blocks ~k in
+  let edges = Bipartite.edges g in
+  let* weights = list_repeat (List.length edges) (int_range 1 8) in
+  let edited =
+    List.map2
+      (fun (i, j, w) k' -> if i mod k = 0 then (i, j, float_of_int k' /. 4.0) else (i, j, w))
+      edges weights
+  in
+  return (h, g, Bipartite.create ~n_left:(Bipartite.n_left g) ~n_right:(Bipartite.n_right g) edited)
+
+let rerank_deeper_equals_rank (h, g, g') =
+  let old = Partition.rank ~h g in
+  let r, extended = moving c_local_extensions (fun () -> Partition.rerank ~old g') in
+  (same_solutions (Partition.solutions r) (Partition.solutions (Partition.rank ~h g')), extended)
+
+let prop_rerank_deeper =
+  QCheck.Test.make ~count:300 ~name:"Partition.rerank = rank when a cached component is read deeper"
+    (QCheck.make
+       ~print:(fun (h, g, g') -> Printf.sprintf "h=%d old [%s]; new [%s]" h (show_edges g) (show_edges g'))
+       gen_deeper_edit)
+    (fun case -> fst (rerank_deeper_equals_rank case))
+
+(* The generator reaches the re-ranking of cached components: over a fixed
+   sample of 200 edits, [partition.local_extensions] moves in at least
+   half (158 at the time of writing), and every one of them still gives
+   [rank]'s solutions. *)
+let test_rerank_deeper_reached () =
+  let cases = QCheck.Gen.generate ~rand:(Random.State.make [| 34 |]) ~n:200 gen_deeper_edit in
+  let extended =
+    List.fold_left
+      (fun n case ->
+        let equal, moved = rerank_deeper_equals_rank case in
+        if not equal then Alcotest.fail "rerank differs from rank";
+        if moved > 0 then n + 1 else n)
+      0 cases
+  in
+  if extended < 100 then
+    Alcotest.failf "only %d of 200 edits re-ranked a cached component" extended
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -568,7 +798,11 @@ let suite =
     Alcotest.test_case "rerank reuses untouched components" `Quick
       test_rerank_reuses_untouched_components;
     q prop_rerank_equals_rank;
-    q prop_rerank_equals_rank_domains;
     q prop_rerank_quiet_edit;
     q prop_right_to_left_equals_solutions;
+    q prop_cursor_prefix;
+    q prop_rank_equals_eager;
+    q prop_rerank_deeper;
+    Alcotest.test_case "rerank re-ranks cached components, reached" `Quick
+      test_rerank_deeper_reached;
   ]

@@ -1,8 +1,7 @@
 (* Tests for the execution layer: Executor semantics (ordering, nesting,
    exceptions), domain-safety of the Obs sinks under parallel fan-out, and
-   the differential properties the refactor promises — the Domains backend
-   returns bit-identical results to Sequential on both parallelized sites
-   (per-component top-h ranking, matcher scoring). *)
+   the differential property of the one parallelized site — the Domains
+   backend returns bit-identical matcher scores to Sequential. *)
 
 module Executor = Uxsm_exec.Executor
 module Obs = Uxsm_obs.Obs
@@ -10,8 +9,6 @@ module Schema = Uxsm_schema.Schema
 module Matching = Uxsm_mapping.Matching
 module Mapping_set = Uxsm_mapping.Mapping_set
 module Block_tree = Uxsm_blocktree.Block_tree
-module Partition = Uxsm_assignment.Partition
-module Murty = Uxsm_assignment.Murty
 module Coma = Uxsm_matcher.Coma
 module Ptq = Uxsm_ptq.Ptq
 
@@ -246,22 +243,6 @@ let test_parallel_counter_totals () =
   Alcotest.(check int) "span count = sequential count" seq_spans (Obs.span_count s);
   Alcotest.(check int) "3 bumps per item" (3 * Array.length items) (Obs.value c)
 
-(* --------------------- differential: Partition -------------------- *)
-
-let solutions_identical xs ys =
-  List.length xs = List.length ys
-  && List.for_all2
-       (fun (a : Murty.solution) (b : Murty.solution) ->
-         a.pairs = b.pairs && Float.equal a.score b.score)
-       xs ys
-
-let prop_partition_domains_eq_sequential =
-  QCheck.Test.make ~count:150 ~name:"Partition.top Domains = Sequential (scores and pairs)"
-    Test_assignment.arb_graph (fun g ->
-      solutions_identical
-        (Partition.top ~h:25 g)
-        (Partition.top ~exec:par ~h:25 g))
-
 (* ----------------------- PTQ plan execution ----------------------- *)
 
 let answers_identical (xs : Ptq.answer list) (ys : Ptq.answer list) =
@@ -333,7 +314,6 @@ let suite =
     Alcotest.test_case "shutdown joins and the pool re-warms" `Quick test_shutdown_and_rewarm;
     Alcotest.test_case "Obs totals under parallel fan-out" `Quick test_parallel_counter_totals;
     q prop_chunked_map_eq_sequential;
-    q prop_partition_domains_eq_sequential;
     q prop_plan_execution_eq_query_basic;
     q prop_coma_domains_eq_sequential;
   ]

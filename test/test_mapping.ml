@@ -266,23 +266,18 @@ let msets_identical a b =
          && Float.equal p1 p2)
        (Mapping_set.mappings a) (Mapping_set.mappings b)
 
-let update_equals_generate ?exec (u, delta) =
+let update_equals_generate (u, delta) =
   match Matching.apply_delta delta u with
   | Error _ -> true (* e.g. the delta removed every correspondence of a node both sides *)
   | Ok u' ->
     let h = 10 in
-    let t = Mapping_set.generate ?exec ~h u in
-    let incr = Mapping_set.update ?exec u' t in
+    let t = Mapping_set.generate ~h u in
+    let incr = Mapping_set.update u' t in
     msets_identical incr (Mapping_set.generate ~h u')
 
 let prop_update_equals_generate =
   QCheck.Test.make ~count:200 ~name:"Mapping_set.update = generate on the patched matching"
     arb_matching_and_delta update_equals_generate
-
-let prop_update_equals_generate_domains =
-  QCheck.Test.make ~count:50 ~name:"Mapping_set.update = generate, Domains executor"
-    arb_matching_and_delta
-    (update_equals_generate ~exec:(Uxsm_exec.Executor.domains 3))
 
 let test_apply_delta_grows_schemas () =
   (* r(a, b): the rightmost root-to-leaf spine is r -> b, so both r and b
@@ -529,6 +524,13 @@ let generate_pins =
    and the o-ratio counted over it. *)
 let generate_pin_max_h = ("D9", "78879411c4847d853b8cfd8ad0a9ac86", 0x3fed5c096a6c8211L)
 
+(* The words D9's set at h = 1000 may reach, matching and ranked
+   provenance included: 567,020 (4.33 MiB) at the time of writing, with
+   each component's Murty list kept only as deep as the fold read it,
+   against 918,364 (7.01 MiB) when every list was kept to depth h. The
+   bound allows about 6% over it. *)
+let max_h_set_words = 600_000
+
 let test_generate_pinned () =
   List.iter
     (fun (id, digest, o_ratio_bits) ->
@@ -545,6 +547,9 @@ let test_generate_pinned_max_h () =
   let id, digest, o_ratio_bits = generate_pin_max_h in
   let d = Option.get (Uxsm_workload.Dataset.find id) in
   let mset = Mapping_set.generate ~h:1000 (Uxsm_workload.Dataset.matching d) in
+  let words = Obj.reachable_words (Obj.repr mset) in
+  if words > max_h_set_words then
+    Alcotest.failf "%s h=1000 set reaches %d words, above %d" id words max_h_set_words;
   Alcotest.(check string)
     (id ^ " h=1000 set digest") digest
     (Digest.to_hex (Digest.string (Uxsm_mapping.Serialize.mapping_set_to_string mset)));
@@ -647,7 +652,6 @@ let suite =
     Alcotest.test_case "update rejects provenance-free sets" `Quick
       test_update_requires_provenance;
     QCheck_alcotest.to_alcotest prop_update_equals_generate;
-    QCheck_alcotest.to_alcotest prop_update_equals_generate_domains;
     QCheck_alcotest.to_alcotest prop_inter_size_reference;
     Alcotest.test_case "generate h=100 pinned on D1-D10" `Quick test_generate_pinned;
     Alcotest.test_case "generate h=1000 pinned on D9" `Quick test_generate_pinned_max_h;

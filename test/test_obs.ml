@@ -597,7 +597,28 @@ let test_bench_json_check_run_invariants () =
     }
   in
   rejected "histogram bucket arity"
-    (lg_run { lg with Bench_json.lg_latency = [ ("all", too_many) ] })
+    (lg_run { lg with Bench_json.lg_latency = [ ("all", too_many) ] });
+  (* Figure 10(e): every dataset's partitioned top-h must beat Murty's. *)
+  let fig10e timings =
+    {
+      run with
+      Bench_json.r_experiments =
+        [
+          Bench_json.experiment ~id:"fig10e" ~title:"Tg per dataset" ~wall_seconds:1.0
+            ~measurements:
+              (List.map
+                 (fun (m_name, m_seconds_per_run) -> { Bench_json.m_name; m_seconds_per_run })
+                 timings)
+            ();
+        ];
+    }
+  in
+  (match Bench_json.check_run (fig10e [ ("D1-murty", 0.004); ("D1-partition", 0.001) ]) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "fig10e record with partition winning rejected: %s" e);
+  rejected "fig10e partition slower than murty"
+    (fig10e
+       [ ("D1-murty", 0.004); ("D1-partition", 0.001); ("D2-murty", 0.002); ("D2-partition", 0.003) ])
 
 let suite =
   [

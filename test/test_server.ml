@@ -1400,20 +1400,28 @@ let test_d7_update_stream_pinned () =
     d7_moved
 
 (* The median minor-heap words one warm D7 update may allocate. The stream
-   below measures 104,542 words in a dev build (107,925 before the fold
-   kept the cached suffix and reuse read the back-pointers); the bound
-   allows about 5% over that. A per-solution fresh array with a closure
-   per level, a diffed second graph and set-based components allocated
-   258,086, which this bound rejects. *)
-let max_update_minor_words = 110_000.0
+   below measures 64,278 words in a dev build (104,542 before each
+   component was ranked only as deep as the fold reads, 107,925 before
+   the fold kept the cached suffix and reuse read the back-pointers); the
+   bound allows about 5% over that. A per-solution fresh array with a
+   closure per level, a diffed second graph and set-based components
+   allocated 258,086, which this bound rejects. *)
+let max_update_minor_words = 67_500.0
+
+(* The Murty expansions the whole 40-update stream below may make. The
+   count is deterministic: 470 at the time of writing (11.75 an update),
+   against 1,582 when every touched component was ranked to depth h; the
+   bound allows about 4% over it. *)
+let max_stream_expansions = 490
 
 (* The D7 move/restore stream again, with the block tree warm too: each
    update builds or reuses every one of the 100 mappings, the stream as a
    whole reuses some (a move that changes a component's best solution can
    change all 100), the median update allocates at most
-   [max_update_minor_words], and the patched tree validates — on-demand
-   compression included — and accounts the same storage as a fresh build
-   of the patched set. *)
+   [max_update_minor_words], the stream makes at most
+   [max_stream_expansions] Murty expansions, and the patched tree
+   validates — on-demand compression included — and accounts the same
+   storage as a fresh build of the patched set. *)
 let test_d7_update_stream_reuses_mappings () =
   let module Matching = Uxsm_mapping.Matching in
   let module Schema = Uxsm_schema.Schema in
@@ -1432,12 +1440,14 @@ let test_d7_update_stream_reuses_mappings () =
   in
   ignore (prepared ());
   let reused = Obs.counter "mapping_set.mappings_reused"
-  and built = Obs.counter "mapping_set.mappings_built" in
+  and built = Obs.counter "mapping_set.mappings_built"
+  and expansions = Obs.counter "murty.expansions" in
   let m = match Catalog.matching cat "d7" with Ok m -> m | Error e -> Alcotest.fail e in
   let corrs = Array.of_list (Matching.correspondences m) in
   let n = Array.length corrs in
   let round3 x = float_of_string (Printf.sprintf "%.3f" x) in
   let total_reused = ref 0 and words = ref [] in
+  let e0 = Obs.value expansions in
   for k = 0 to 19 do
     let c = corrs.(k * n / 20) in
     let sp = Schema.path_string (Matching.source m) c.source
@@ -1460,6 +1470,10 @@ let test_d7_update_stream_reuses_mappings () =
     step "restore" c.score
   done;
   Alcotest.(check bool) "the stream reused mappings" true (!total_reused > 0);
+  let stream_expansions = Obs.value expansions - e0 in
+  if stream_expansions > max_stream_expansions then
+    Alcotest.failf "the stream made %d Murty expansions, above %d" stream_expansions
+      max_stream_expansions;
   let median = List.nth (List.sort Float.compare !words) (List.length !words / 2) in
   if median > max_update_minor_words then
     Alcotest.failf "the median update allocated %.0f minor words, above %.0f" median
