@@ -21,8 +21,9 @@ module Executor = Uxsm_exec.Executor
 module Protocol = Uxsm_server.Protocol
 module Catalog = Uxsm_server.Catalog
 
-(* Execution backend for the parallelized sites (the matcher, partitioned
-   ranking), set once from --jobs before any experiment runs. *)
+(* Execution backend for the parallelized sites (the matcher's name-table
+   rows, the server's runs of pure requests), set once from --jobs before
+   any experiment runs. *)
 (* lint: allow domain-unsafe — set once from --jobs before any experiment runs *)
 let exec = ref Executor.sequential
 
@@ -586,7 +587,7 @@ let experiments =
 let () =
   let argv = List.tl (Array.to_list Sys.argv) in
   let json_path = ref None in
-  let jobs = ref (Executor.jobs_of_env ()) in
+  let jobs = ref 1 in
   let ids = ref [] in
   let rec parse = function
     | [] -> ()

@@ -70,13 +70,10 @@ let jobs_arg =
     in
     Arg.conv (parse, Format.pp_print_int)
   in
-  (* The default comes from UXSM_JOBS so every subcommand honors the
-     variable; an explicit --jobs always wins. *)
-  Arg.(value & opt jobs_conv (Executor.jobs_of_env ()) & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains for the matcher's name-table rows, per-component ranking of \
-               the top-h mappings and, under $(b,serve), runs of pure requests (1 = \
-               sequential; results are identical for every N). Defaults to the \
-               $(b,UXSM_JOBS) environment variable when set.")
+  Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N"
+         ~doc:"Worker domains for the matcher's name-table rows and, under $(b,serve), \
+               runs of pure requests (1 = sequential; results are identical for every \
+               N).")
 
 (* ------------------------------- schema --------------------------- *)
 
@@ -766,9 +763,10 @@ let update_cmd =
     (Cmd.info "update"
        ~doc:"Apply an incremental delta to a corpus on a running $(b,uxsm serve): \
              re-score, add or remove correspondences, or append schema elements. The \
-             server patches its cached artifacts in place (delta re-ranking, subtree \
-             block rebuilds) instead of rebuilding the corpus. Prints the server's \
-             JSON reply; exits non-zero on error.")
+             server re-ranks each cached mapping set from its cached components \
+             instead of rebuilding the corpus, and builds a block tree again only \
+             when a plan reads one. Prints the server's JSON reply; exits non-zero \
+             on error.")
     Term.(const run $ endpoint_arg $ corpus $ set $ remove $ add_source $ add_target)
 
 (* ------------------------------ loadgen --------------------------- *)

@@ -74,16 +74,26 @@ let pair_compare (i1, j1) (i2, j2) =
   | c -> c
 
 (* One step of the merge fold, kept as back-pointers: entry [e] is the
-   [e]-th best combination, scoring [lv_score.(e)], of entry [lv_prev.(e)]
-   of the previous level with solution [lv_local.(e)] of one component's
-   local list. The final level's solutions are read from these on demand,
-   as right→left arrays ([right_to_left]) or as pair lists
-   ([materialize]). *)
+   [e]-th best combination, scoring [lv_score.(e)], of entry
+   [prev_of lv_cell.(e)] of the previous level with solution
+   [local_of lv_cell.(e)] of one component's local list; [lv_cell.(e)] is
+   the heap payload the merge popped for it, kept packed. The final
+   level's solutions are read from these on demand, as right→left arrays
+   ([right_to_left]) or as pair lists ([materialize]). *)
 type level = {
   lv_score : float array;
-  lv_prev : int array;
-  lv_local : int array;
+  lv_cell : int array;
 }
+
+(* A cell (ix, iy) — entry [ix] of the previous level with local solution
+   [iy] — is packed as [ix lsl 31 lor iy], in the heap and in a level, so
+   reading it back is a shift and a mask. Both indices stay below
+   [h + 1] and the list lengths. *)
+let iy_bits = 31
+let iy_mask = (1 lsl iy_bits) - 1
+let[@inline] cell ix iy = (ix lsl iy_bits) lor iy
+let[@inline] prev_of c = c lsr iy_bits
+let[@inline] local_of c = c land iy_mask
 
 (* Where a stream's further solutions come from: nowhere (a list given
    whole, or a stream whose level is merged), a component not yet ranked
@@ -190,8 +200,7 @@ type walk = {
   mutable cols : int;
   mutable cleared : int;
   mutable w_score : float array;
-  mutable w_prev : int array;
-  mutable w_local : int array;
+  mutable w_cell : int array;
 }
 
 let walk () =
@@ -201,8 +210,7 @@ let walk () =
     cols = 0;
     cleared = 0;
     w_score = [||];
-    w_prev = [||];
-    w_local = [||];
+    w_cell = [||];
   }
 
 let grow_entries w ~h =
@@ -214,14 +222,7 @@ let grow_entries w ~h =
     b
   in
   w.w_score <- grow w.w_score 0.0;
-  w.w_prev <- grow w.w_prev 0;
-  w.w_local <- grow w.w_local 0
-
-(* A heap payload packs a cell (ix, iy) as [ix lsl 31 lor iy], so a pop
-   decodes it with a shift and a mask. Both indices stay below [h + 1]
-   and the list lengths. *)
-let iy_bits = 31
-let iy_mask = (1 lsl iy_bits) - 1
+  w.w_cell <- grow w.w_cell 0
 
 (* Open column [iy = w.cols] of a walk over [nx] rows: pull local
    solution [iy] from [s] unless it is there, and clear the column's
@@ -252,7 +253,7 @@ let[@inline] push_cell w xs s nx ix iy =
   let byte = Bytes.get_uint8 seen (k lsr 3) and bit = 1 lsl (k land 7) in
   if byte land bit = 0 then begin
     Bytes.set_uint8 seen (k lsr 3) (byte lor bit);
-    Uxsm_util.Fheap.push w.heap (-.(xs.(ix) +. s.scores.(iy))) ((ix lsl iy_bits) lor iy)
+    Uxsm_util.Fheap.push w.heap (-.(xs.(ix) +. s.scores.(iy))) (cell ix iy)
   end
 
 (* The top-h pairwise sums of the non-increasing score array [xs] and the
@@ -278,11 +279,10 @@ let merge_level w ~h xs s =
     let e = !n in
     let neg_s = Uxsm_util.Fheap.min_priority heap in
     let k = Uxsm_util.Fheap.pop_min heap in
-    let ix = k lsr iy_bits and iy = k land iy_mask in
+    let ix = prev_of k and iy = local_of k in
     if e = Array.length w.w_score then grow_entries w ~h;
     w.w_score.(e) <- -.neg_s;
-    w.w_prev.(e) <- ix;
-    w.w_local.(e) <- iy;
+    w.w_cell.(e) <- k;
     n := e + 1;
     if e + 1 < h then begin
       if ix + 1 < nx then push_cell w xs s nx (ix + 1) iy;
@@ -290,11 +290,7 @@ let merge_level w ~h xs s =
     end
   done;
   let n = !n in
-  {
-    lv_score = Array.sub w.w_score 0 n;
-    lv_prev = Array.sub w.w_prev 0 n;
-    lv_local = Array.sub w.w_local 0 n;
-  }
+  { lv_score = Array.sub w.w_score 0 n; lv_cell = Array.sub w.w_cell 0 n }
 
 let merge ~h xs ys =
   let xa = Array.of_list xs and ya = Array.of_list ys in
@@ -302,13 +298,14 @@ let merge ~h xs ys =
     merge_level (walk ()) ~h (Array.map (fun (s : Murty.solution) -> s.score) xa) (given ya)
   in
   List.init (Array.length lv.lv_score) (fun e ->
+      let c = lv.lv_cell.(e) in
       {
         Murty.pairs =
-          List.merge pair_compare xa.(lv.lv_prev.(e)).Murty.pairs ya.(lv.lv_local.(e)).Murty.pairs;
+          List.merge pair_compare xa.(prev_of c).Murty.pairs ya.(local_of c).Murty.pairs;
         score = lv.lv_score.(e);
       })
 
-let no_level = { lv_score = [||]; lv_prev = [||]; lv_local = [||] }
+let no_level = { lv_score = [||]; lv_cell = [||] }
 
 let same_bits (a : float array) (b : float array) =
   let n = Array.length a in
@@ -363,8 +360,8 @@ let materialize (locals : Murty.solution array array) (levels : level array) =
     let rec walk c e acc =
       if c < 0 then acc
       else
-        let lv = levels.(c) in
-        walk (c - 1) lv.lv_prev.(e) (locals.(c).(lv.lv_local.(e)).Murty.pairs :: acc)
+        let cl = levels.(c).lv_cell.(e) in
+        walk (c - 1) (prev_of cl) (locals.(c).(local_of cl).Murty.pairs :: acc)
     in
     List.init (Array.length last.lv_score) (fun e ->
         {
@@ -499,9 +496,9 @@ let write_solution r a e =
   Array.fill a 0 (Array.length a) (-1);
   let entry = ref e in
   for c = Array.length r.rk_levels - 1 downto 0 do
-    let lv = r.rk_levels.(c) in
-    write_pairs a r.rk_locals.(c).prefix.(lv.lv_local.(!entry)).Murty.pairs;
-    entry := lv.lv_prev.(!entry)
+    let cl = r.rk_levels.(c).lv_cell.(!entry) in
+    write_pairs a r.rk_locals.(c).prefix.(local_of cl).Murty.pairs;
+    entry := prev_of cl
   done
 
 let last_scores r =
@@ -572,31 +569,35 @@ let same_entries ~old r =
           (if c = 0 then 1 else Array.length old.rk_levels.(c - 1).lv_score)
           >= Array.length old.rk_locals.(c).prefix
         in
-        let keys = if by_prev then olv.lv_prev else olv.lv_local
-        and others = if by_prev then olv.lv_local else olv.lv_prev in
+        let cells = olv.lv_cell in
+        let key cl = if by_prev then prev_of cl else local_of cl in
         let chained = ref false in
-        let find p l =
+        (* The entry of [olv] whose cell is [cl], walking the chain of
+           [cl]'s key: every entry on it shares the key, so comparing cells
+           compares the other index. *)
+        let find cl =
           if not !chained then begin
             chained := true;
             Array.fill head 0 (Array.length head) (-1);
             for e = on - 1 downto 0 do
-              next.(e) <- head.(keys.(e));
-              head.(keys.(e)) <- e
+              let ke = key cells.(e) in
+              next.(e) <- head.(ke);
+              head.(ke) <- e
             done
           end;
-          let key = if by_prev then p else l and other = if by_prev then l else p in
-          let rec walk e = if e < 0 || others.(e) = other then e else walk next.(e) in
-          walk head.(key)
+          let rec walk e = if e < 0 || cells.(e) = cl then e else walk next.(e) in
+          walk head.(key cl)
         in
         let m = Array.make n (-1) in
         let all_self = ref true in
         for e = 0 to n - 1 do
-          let p = lv.lv_prev.(e) in
-          let p' = if prev_identity then p else prev_match.(p) in
-          let l' = if p' < 0 then -1 else local lv.lv_local.(e) in
-          if l' >= 0 then
-            m.(e) <-
-              (if e < on && olv.lv_prev.(e) = p' && olv.lv_local.(e) = l' then e else find p' l');
+          let cl = lv.lv_cell.(e) in
+          let p' = if prev_identity then prev_of cl else prev_match.(prev_of cl) in
+          let l' = if p' < 0 then -1 else local (local_of cl) in
+          if l' >= 0 then begin
+            let cl' = cell p' l' in
+            m.(e) <- (if e < on && cells.(e) = cl' then e else find cl')
+          end;
           if m.(e) <> e then all_self := false
         done;
         identity := !all_self;

@@ -27,21 +27,6 @@ let of_jobs n =
   if n < 1 then invalid_arg "Executor.of_jobs: jobs must be >= 1";
   if n = 1 then Sequential else Domains n
 
-let jobs_of_env ?(default = 1) ?(warn = prerr_endline) () =
-  match Sys.getenv_opt "UXSM_JOBS" with
-  | None -> default
-  | Some s when String.trim s = "" -> default
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ ->
-      (* A typo'd UXSM_JOBS silently running sequential is how operators
-         lose an afternoon; keep the safe fallback but say so. *)
-      warn
-        (Printf.sprintf "uxsm: ignoring UXSM_JOBS=%S (expected an integer >= 1), using %d" s
-           default);
-      default)
-
 let jobs = function
   | Sequential -> 1
   | Domains n -> n

@@ -1,7 +1,7 @@
 (** Pluggable execution backend for the embarrassingly-parallel loops of
-    the pipeline: the matcher's name-table rows, per-component top-h
-    ranking, and the server's runs of pure requests. Query evaluation
-    does not fan out: a PTQ runs on the domain that asked for it.
+    the pipeline: the matcher's name-table rows and the server's runs of
+    pure requests. Top-h ranking and query evaluation do not fan out: a
+    ranking or a PTQ runs on the domain that asked for it.
 
     A value of type {!t} names a scheduling policy, not live state:
     [Sequential] runs bulk operations in the calling domain; [Domains n]
@@ -53,15 +53,6 @@ val domains : int -> t
 val of_jobs : int -> t
 (** Map a CLI [--jobs N] value to a backend: [1] is [Sequential], [N > 1]
     is [Domains N]. Raises [Invalid_argument] when [n < 1]. *)
-
-val jobs_of_env : ?default:int -> ?warn:(string -> unit) -> unit -> int
-(** The [UXSM_JOBS] environment variable as an integer, or [default]
-    (itself defaulting to 1) when it is unset or empty. A malformed or
-    out-of-range value (["four"], ["0"], ["-2"]) also falls back to
-    [default], but additionally reports the rejected value through [warn]
-    (default: one line on stderr) so operator typos don't silently run
-    sequential. The CLI and bench harness use this as the default of their
-    [--jobs] option — an explicit flag always wins. *)
 
 val jobs : t -> int
 (** [Sequential] is [1]; [Domains n] is [n]. *)

@@ -4,7 +4,6 @@ let c_updates = Obs.counter "mapping_set.updates"
 let c_reused = Obs.counter "mapping_set.mappings_reused"
 let c_built = Obs.counter "mapping_set.mappings_built"
 let c_o_ratio_pairs = Obs.counter "mapping_set.o_ratio_pairs"
-let s_graph = Obs.span "mapping_set.graph"
 
 type t = {
   matching : Matching.t;
@@ -71,13 +70,12 @@ let update u' t =
       "Mapping_set.update: set has no component provenance (build it with generate)"
   | Some r ->
     Obs.incr c_updates;
-    let g = Obs.time s_graph (fun () -> Matching.to_bipartite u') in
     (* A re-score re-ranks one component, and most of the top-h keep their
        correspondences with a shifted score: over a 100-update D7
        move/restore stream, 86.8% of the new mappings equal an old one.
        Those are found from the fold's back-pointers and reused, so an
        array is copied only for the mappings that are new. *)
-    of_ranked ~old:t u' (Uxsm_assignment.Partition.rerank ~old:r g)
+    of_ranked ~old:t u' (Uxsm_assignment.Partition.rerank ~old:r (Matching.to_bipartite u'))
 
 let matching t = t.matching
 let source t = Matching.source t.matching

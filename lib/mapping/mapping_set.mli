@@ -12,7 +12,8 @@ type t
 val generate : h:int -> Matching.t -> t
 (** [generate ~h u] — the top-h possible mappings of matching [u] (fewer if
     the space is smaller), probabilities normalized over the set, ranked by
-    {!Uxsm_assignment.Partition.rank}. Each mapping is built from a copy
+    {!Uxsm_assignment.Partition.rank} over [u]'s own graph
+    ({!Matching.to_bipartite}). Each mapping is built from a copy
     of the target→source scratch array
     {!Uxsm_assignment.Partition.right_to_left} hands over, through
     {!Mapping.of_target_sources} (bumping [mapping_set.mappings_built]).
@@ -33,13 +34,13 @@ val ranked : t -> Uxsm_assignment.Partition.ranked option
 val update : Matching.t -> t -> t
 (** [update u' t] — the set [generate ~h u'] computed incrementally from
     [t]'s component provenance: {!Uxsm_assignment.Partition.rerank}
-    ranks [u']'s correspondence graph (built under the
-    [mapping_set.graph] span) with [t]'s per-component lists and merge
-    levels as its cache, so only components whose edges changed are
-    ranked afresh, a cached component is ranked again only when the new
-    fold reads it deeper than its stored prefix, and only the fold levels
-    the edit changes are re-merged; probabilities renormalize over the
-    new scores.
+    ranks [u']'s correspondence graph ({!Matching.to_bipartite}, the
+    graph [u'] was built with: no second graph is built here) with [t]'s
+    per-component lists and merge levels as its cache, so only
+    components whose edges changed are ranked afresh, a cached component
+    is ranked again only when the new fold reads it deeper than its
+    stored prefix, and only the fold levels the edit changes are
+    re-merged; probabilities renormalize over the new scores.
 
     A new mapping holding exactly the correspondences of one of [t]'s
     mappings reuses that mapping under its new score ({!Mapping.with_score},

@@ -1,4 +1,5 @@
 module Schema = Uxsm_schema.Schema
+module Bipartite = Uxsm_assignment.Bipartite
 
 type corr = {
   source : Schema.element;
@@ -9,46 +10,47 @@ type corr = {
 type t = {
   source : Schema.t;
   target : Schema.t;
-  corrs : corr list;
-  by_pair : (int, float) Hashtbl.t;  (* source * |target| + target -> score *)
+  graph : Bipartite.t;
+      (* left = source elements, right = target elements, one edge per
+         correspondence in creation order *)
 }
 
+let of_edges ~source ~target edges =
+  {
+    source;
+    target;
+    graph = Bipartite.create ~n_left:(Schema.size source) ~n_right:(Schema.size target) edges;
+  }
+
+(* The score and range checks guard outside input; the graph rejects a
+   duplicate pair as it is built. *)
 let create ~source ~target corrs =
-  let n_target = Schema.size target in
-  let by_pair = Hashtbl.create (List.length corrs) in
-  let check_and_index (c : corr) =
-    if c.source < 0 || c.source >= Schema.size source then
+  let n_source = Schema.size source and n_target = Schema.size target in
+  let edge (c : corr) =
+    if c.source < 0 || c.source >= n_source then
       invalid_arg "Matching.create: source element out of range";
     if c.target < 0 || c.target >= n_target then
       invalid_arg "Matching.create: target element out of range";
     (* Written so that NaN fails it: every comparison with NaN is false. *)
     if not (c.score > 0.0 && c.score <= 1.0) then
       invalid_arg "Matching.create: score must be in (0, 1]";
-    let key = (c.source * n_target) + c.target in
-    if Hashtbl.mem by_pair key then invalid_arg "Matching.create: duplicate correspondence";
-    Hashtbl.add by_pair key c.score
+    (c.source, c.target, c.score)
   in
-  List.iter check_and_index corrs;
-  { source; target; corrs; by_pair }
+  of_edges ~source ~target (List.map edge corrs)
 
 let source t = t.source
 let target t = t.target
-let correspondences t = t.corrs
-let capacity t = List.length t.corrs
+
+let correspondences t =
+  List.map (fun (x, y, w) -> { source = x; target = y; score = w }) (Bipartite.edges t.graph)
+
+let capacity t = List.length (Bipartite.edges t.graph)
 
 let score t x y =
-  let n_target = Schema.size t.target in
-  if x < 0 || x >= Schema.size t.source || y < 0 || y >= n_target then None
-  else Hashtbl.find_opt t.by_pair ((x * n_target) + y)
+  if x < 0 || x >= Schema.size t.source || y < 0 || y >= Schema.size t.target then None
+  else Bipartite.weight t.graph x y
 
-let corrs_of_target t y = List.filter (fun (c : corr) -> c.target = y) t.corrs
-let corrs_of_source t x = List.filter (fun (c : corr) -> c.source = x) t.corrs
-
-let to_bipartite t =
-  Uxsm_assignment.Bipartite.create
-    ~n_left:(Schema.size t.source)
-    ~n_right:(Schema.size t.target)
-    (List.map (fun (c : corr) -> (c.source, c.target, c.score)) t.corrs)
+let to_bipartite t = t.graph
 
 (* --------------------------- incremental deltas -------------------- *)
 
@@ -127,10 +129,10 @@ let apply_delta d t =
           (x, y))
         d.remove_corrs
     in
-    let triples = List.map (fun (c : corr) -> (c.source, c.target, c.score)) t.corrs in
-    let triples' = Uxsm_assignment.Bipartite.apply_edge_delta ~set ~remove triples in
-    let corrs = List.map (fun (x, y, w) -> { source = x; target = y; score = w }) triples' in
-    Ok (create ~source ~target corrs)
+    (* Every set score was checked above and every edge lies within the
+       grown schemas, so only the graph is built. *)
+    let edges = Bipartite.apply_edge_delta ~set ~remove (Bipartite.edges t.graph) in
+    Ok (of_edges ~source ~target edges)
   with
   | Delta_error msg -> Error msg
   | Invalid_argument msg -> Error msg

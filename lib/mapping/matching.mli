@@ -15,33 +15,31 @@ type t
 
 val create :
   source:Uxsm_schema.Schema.t -> target:Uxsm_schema.Schema.t -> corr list -> t
-(** Validates element ranges, scores in [(0, 1]] (NaN is rejected), and
-    uniqueness of [(source, target)] pairs; raises [Invalid_argument]
-    otherwise. Keeps one score table, keyed by the single int
-    [source * |target| + target], behind {!score}. *)
+(** Validates element ranges and scores in [(0, 1]] (NaN is rejected),
+    then builds the correspondence graph ({!to_bipartite}) once, which
+    rejects a duplicated [(source, target)] pair; raises
+    [Invalid_argument] otherwise. The graph is the matching's only copy
+    of its correspondences: every reader below reads it. *)
 
 val source : t -> Uxsm_schema.Schema.t
 val target : t -> Uxsm_schema.Schema.t
 
 val correspondences : t -> corr list
-(** In creation order. *)
+(** In creation order, as records built from the graph's edges on each
+    call. *)
 
 val capacity : t -> int
 (** Number of correspondences (Table II's "Cap."). *)
 
 val score : t -> Uxsm_schema.Schema.element -> Uxsm_schema.Schema.element -> float option
-(** [score m x y] — similarity of the [(x, y)] correspondence, if present. *)
-
-val corrs_of_target : t -> Uxsm_schema.Schema.element -> corr list
-(** All correspondences whose target is the given element, in creation
-    order: a filter over {!correspondences}, linear in the capacity. *)
-
-val corrs_of_source : t -> Uxsm_schema.Schema.element -> corr list
-(** As {!corrs_of_target}, by source element. *)
+(** [score m x y] — similarity of the [(x, y)] correspondence, if present:
+    a scan of source [x]'s out-edges in the graph. *)
 
 val to_bipartite : t -> Uxsm_assignment.Bipartite.t
 (** The correspondence graph: left = source elements, right = target
-    elements, one weighted edge per correspondence. *)
+    elements, one weighted edge per correspondence, in creation order.
+    Built once by {!create} or {!apply_delta} and returned as is, so
+    ranking a matching twice builds no second graph. *)
 
 (** {1 Incremental deltas}
 
@@ -71,9 +69,10 @@ val delta_is_empty : delta -> bool
 val apply_delta : delta -> t -> (t, string) result
 (** Apply a delta: extend the schemas (append-only), resolve paths
     against the extended schemas (so a delta may add an element and a
-    correspondence to it in one step), and rewrite the correspondence
-    list in the {!Uxsm_assignment.Bipartite.apply_edge_delta} algebra —
-    re-scores keep their position, additions append. [Error] (and no
+    correspondence to it in one step), and rewrite the graph's edge list
+    in the {!Uxsm_assignment.Bipartite.apply_edge_delta} algebra —
+    re-scores keep their position, additions append — into the new
+    matching's graph, built once. [Error] (and no
     change) on unknown paths, scores outside [(0, 1]] (NaN included),
     removals of absent
     correspondences, or element additions that would renumber existing

@@ -54,9 +54,9 @@ type t
 val create : ?cache_entries:int -> exec:Uxsm_exec.Executor.t -> unit -> t
 (** [cache_entries] (default 64) bounds each corpus shard's artifact LRU
     (a per-corpus budget: total population is bounded by
-    [corpora × cache_entries]). [exec] schedules the two fan-outs of
-    artifact builds: the matcher's name-table rows and top-h ranking.
-    Query evaluation never fans out; a plan executes on the domain that
+    [corpora × cache_entries]). [exec] schedules the one fan-out of
+    artifact builds: the matcher's name-table rows. Top-h ranking and
+    query evaluation never fan out; a plan executes on the domain that
     calls {!Uxsm_ptq.Ptq.execute}. *)
 
 val register :

@@ -299,7 +299,7 @@ let pure_parsed = function
    identical to sequential handling). A run of one request stays on the
    calling domain, as [map_list] never fans out a single item: inside a
    pool worker the nested-fanout guard would rob it of its own
-   parallelism (the matcher's and top-h ranking's fan-outs). *)
+   parallelism (the matcher's name-table rows). *)
 let answer_runs t items ~deliver =
   let pure (_, p) = pure_parsed p in
   let rec pure_prefix acc = function

@@ -16,9 +16,9 @@
       Barriers ([Register], [Update], [Explain], [Stats_reset],
       [Shutdown]) run alone. Responses are returned
       in request order regardless of backend. A lone request runs on the
-      calling domain, so the pool stays free for its own fan-outs: the
-      matcher's name-table rows and top-h ranking, the only parallelism
-      one request has (query evaluation runs on one domain). The socket
+      calling domain, so the pool stays free for its own fan-out: the
+      matcher's name-table rows, the only parallelism one request has
+      (top-h ranking and query evaluation run on one domain). The socket
       service answers each batch it pops from its queue the same way,
       writing each run's replies as soon as the run is answered.
     - {!serve_channels}: the stdio transport (line-delimited JSON both

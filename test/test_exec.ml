@@ -38,64 +38,6 @@ let test_construction () =
     (Invalid_argument "Executor.domains: pool size must be >= 1") (fun () ->
       ignore (Executor.domains 0))
 
-let test_jobs_of_env () =
-  (* UXSM_JOBS is the --jobs default across the CLI and bench; an unset,
-     malformed or out-of-range value falls back to the given default. *)
-  let with_env v f =
-    (match v with Some s -> Unix.putenv "UXSM_JOBS" s | None -> Unix.putenv "UXSM_JOBS" "");
-    Fun.protect ~finally:(fun () -> Unix.putenv "UXSM_JOBS" "") f
-  in
-  with_env (Some "4") (fun () ->
-      Alcotest.(check int) "UXSM_JOBS=4" 4 (Executor.jobs_of_env ()));
-  with_env (Some " 3 ") (fun () ->
-      Alcotest.(check int) "whitespace tolerated" 3 (Executor.jobs_of_env ()));
-  with_env (Some "0") (fun () ->
-      Alcotest.(check int) "zero rejected" 1 (Executor.jobs_of_env ()));
-  with_env (Some "-2") (fun () ->
-      Alcotest.(check int) "negative rejected" 1 (Executor.jobs_of_env ()));
-  with_env (Some "many") (fun () ->
-      Alcotest.(check int) "garbage rejected" 5 (Executor.jobs_of_env ~default:5 ()));
-  with_env None (fun () ->
-      Alcotest.(check int) "empty value falls back" 2 (Executor.jobs_of_env ~default:2 ()))
-
-let test_jobs_of_env_warns () =
-  (* A rejected UXSM_JOBS must not be silently coerced: the fallback stays,
-     but one warning names the offending value so operator typos surface. *)
-  let with_env v f =
-    Unix.putenv "UXSM_JOBS" v;
-    Fun.protect ~finally:(fun () -> Unix.putenv "UXSM_JOBS" "") f
-  in
-  let warnings = ref [] in
-  let warn m = warnings := m :: !warnings in
-  with_env "four" (fun () ->
-      Alcotest.(check int) "typo falls back to default" 3
-        (Executor.jobs_of_env ~default:3 ~warn ());
-      Alcotest.(check int) "exactly one warning" 1 (List.length !warnings);
-      Alcotest.(check bool) "warning names the rejected value" true
-        (contains (List.hd !warnings) "\"four\""));
-  with_env "0" (fun () ->
-      Alcotest.(check int) "zero falls back" 1 (Executor.jobs_of_env ~warn ());
-      Alcotest.(check bool) "zero is warned about too" true
-        (contains (List.hd !warnings) "\"0\""));
-  with_env "-2" (fun () ->
-      ignore (Executor.jobs_of_env ~warn ());
-      Alcotest.(check int) "three warnings so far" 3 (List.length !warnings));
-  let before = List.length !warnings in
-  with_env "4" (fun () ->
-      Alcotest.(check int) "valid value accepted" 4 (Executor.jobs_of_env ~warn ()));
-  with_env "" (fun () ->
-      Alcotest.(check int) "unset stays silent" 1 (Executor.jobs_of_env ~warn ()));
-  Alcotest.(check int) "no warning for valid or unset values" before (List.length !warnings);
-  (* CLI precedence: the env var only seeds the --jobs default (the bench
-     and every subcommand initialize the option with [jobs_of_env]); an
-     explicit flag overwrites it even when the env var is valid. *)
-  with_env "2" (fun () ->
-      let jobs = ref (Executor.jobs_of_env ~warn ()) in
-      Alcotest.(check int) "env seeds the default" 2 !jobs;
-      jobs := 4 (* --jobs 4 parsed *);
-      Alcotest.(check int) "explicit flag beats the env var" 4
-        (Executor.jobs (Executor.of_jobs !jobs)))
-
 let test_map_ordering () =
   let input = Array.init 500 Fun.id in
   let f i = (i * i) - (3 * i) in
@@ -302,8 +244,6 @@ let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
     Alcotest.test_case "executor construction" `Quick test_construction;
-    Alcotest.test_case "UXSM_JOBS default" `Quick test_jobs_of_env;
-    Alcotest.test_case "UXSM_JOBS rejection warns" `Quick test_jobs_of_env_warns;
     Alcotest.test_case "map ordering across backends" `Quick test_map_ordering;
     Alcotest.test_case "worker exceptions propagate" `Quick test_exceptions_propagate;
     Alcotest.test_case "worker backtrace survives re-raise" `Quick

@@ -83,21 +83,38 @@ let test_matching_validation () =
   in
   fails [ { Matching.source = 0; target = 0; score = 0.0 } ];
   fails [ { Matching.source = 0; target = 0; score = 1.5 } ];
+  fails [ { Matching.source = 0; target = 0; score = Float.nan } ];
   fails
     [
       { Matching.source = 0; target = 0; score = 0.5 };
       { Matching.source = 0; target = 0; score = 0.6 };
-    ]
+    ];
+  fails [ { Matching.source = -1; target = 0; score = 0.5 } ];
+  fails [ { Matching.source = Schema.size source; target = 0; score = 0.5 } ];
+  fails [ { Matching.source = 0; target = -1; score = 0.5 } ];
+  fails [ { Matching.source = 0; target = Schema.size target; score = 0.5 } ]
 
 let test_matching_lookups () =
   let m = Fixtures.fig1_matching in
   Alcotest.(check int) "capacity" 10 (Matching.capacity m);
   Alcotest.(check (option (float 1e-9))) "score" (Some 0.84)
     (Matching.score m Fixtures.s_bcn Fixtures.t_icn);
+  let corrs = Matching.correspondences m in
   Alcotest.(check int) "three candidates for ICN" 3
-    (List.length (Matching.corrs_of_target m Fixtures.t_icn));
+    (List.length (List.filter (fun (c : Matching.corr) -> c.target = Fixtures.t_icn) corrs));
   Alcotest.(check int) "BP has two targets" 2
-    (List.length (Matching.corrs_of_source m Fixtures.s_bp))
+    (List.length (List.filter (fun (c : Matching.corr) -> c.source = Fixtures.s_bp) corrs))
+
+(* A matching keeps one copy of its correspondences, its graph: reading
+   the graph twice returns that graph, and the correspondences read back
+   from it are the list it was created from, in order. *)
+let test_matching_is_its_graph () =
+  let cs = Matching.correspondences Fixtures.fig1_matching in
+  let m = Matching.create ~source ~target cs in
+  Alcotest.(check bool) "to_bipartite returns the stored graph" true
+    (Matching.to_bipartite m == Matching.to_bipartite m);
+  Alcotest.(check bool) "correspondences round-trip in creation order" true
+    (Matching.correspondences m = cs)
 
 let test_mapping_set_of_mappings () =
   let mset = Fixtures.fig3_mset in
@@ -525,11 +542,14 @@ let generate_pins =
 let generate_pin_max_h = ("D9", "78879411c4847d853b8cfd8ad0a9ac86", 0x3fed5c096a6c8211L)
 
 (* The words D9's set at h = 1000 may reach, matching and ranked
-   provenance included: 567,020 (4.33 MiB) at the time of writing, with
-   each component's Murty list kept only as deep as the fold read it,
-   against 918,364 (7.01 MiB) when every list was kept to depth h. The
-   bound allows about 6% over it. *)
-let max_h_set_words = 600_000
+   provenance included: 509,210 (3.88 MiB) at the time of writing, with
+   each fold level's back-pointers packed in one int array and the
+   matching keeping its graph as its only copy of the correspondences,
+   against 567,020 (4.33 MiB) with two back-pointer arrays per level and
+   a correspondence list with a score table, and 918,364 (7.01 MiB) when
+   every component's Murty list was kept to depth h. The bound allows
+   about 6% over it. *)
+let max_h_set_words = 540_000
 
 let test_generate_pinned () =
   List.iter
@@ -640,6 +660,7 @@ let suite =
     Alcotest.test_case "mapping equality" `Quick test_equal;
     Alcotest.test_case "matching validation" `Quick test_matching_validation;
     Alcotest.test_case "matching lookups" `Quick test_matching_lookups;
+    Alcotest.test_case "matching is its graph" `Quick test_matching_is_its_graph;
     Alcotest.test_case "mapping set from explicit mappings" `Quick test_mapping_set_of_mappings;
     Alcotest.test_case "generate from matching" `Quick test_generate_from_matching;
     Alcotest.test_case "storage accounting" `Quick test_storage_accounting;
