@@ -153,12 +153,8 @@ let synonyms ?(extra = []) () =
     members;
   tbl
 
-let are_synonyms tbl a b =
-  String.equal a b
-  ||
-  match Hashtbl.find_opt tbl a with
-  | Some l -> List.mem b l
-  | None -> false
+let synonyms_of tbl w = Option.value ~default:[] (Hashtbl.find_opt tbl w)
+let are_synonyms tbl a b = String.equal a b || List.mem b (synonyms_of tbl a)
 
 let token_pair_score syn a b =
   match syn with

@@ -29,10 +29,11 @@ val synonyms : ?extra:(string * string) list -> unit -> synonyms
     (buyer/customer, seller/supplier/vendor, order/purchase, id/identifier,
     ...) plus [extra] pairs. Symmetric and reflexive. *)
 
-val are_synonyms : synonyms -> string -> string -> bool
-(** [are_synonyms tbl a b]: [a] and [b] are equal or in one synonym class
-    of [tbl]. The table holds lowercase words, as {!tokenize} yields them.
-    Symmetric. *)
+val synonyms_of : synonyms -> string -> string list
+(** [synonyms_of tbl w]: the other words of [w]'s synonym class in [tbl],
+    [\[\]] when [w] is in none. Two tokens are synonyms when they are
+    equal or one is in the other's list. The table holds lowercase words,
+    as {!tokenize} yields them, and is symmetric. *)
 
 val token_similarity : ?synonyms:synonyms -> string -> string -> float
 (** Soft token-set similarity: average over each side's tokens of the best

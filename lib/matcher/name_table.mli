@@ -2,11 +2,14 @@
 
     [create sources targets] interns both label arrays: per distinct label
     its lowercase form, its token ids after {!Name_sim}'s noise rule and
-    its sorted trigram codes. It fills a dense token-pair table once, then
+    its distinct trigram codes. It fills a dense token-pair table once, then
     scores every distinct (source, target) label pair once into a dense
-    label-pair table. Edit distances run Myers' bit-parallel algorithm
-    (Hyyrö's formulation) for patterns of up to 63 bytes and
-    {!Name_sim.levenshtein} beyond.
+    label-pair table. A row of either table scores one source word against
+    every target word in three passes: common trigram counts from an
+    inverted index of the target words' trigram codes, edit distances from
+    one Myers loop over the target texts (Hyyrö's bit-parallel formulation
+    for patterns of up to 63 bytes, {!Name_sim.levenshtein} beyond), then
+    the scores into a flat float row.
 
     {b Exactness.} Distances and trigram counts are integers, and every
     float expression repeats {!Name_sim}'s operands in its order, so

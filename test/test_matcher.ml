@@ -203,6 +203,70 @@ let prop_name_table_exact =
           !ok)
         [ Some (Name_sim.synonyms ()); None ])
 
+(* At realistic table widths: 20-80 labels per side from a pool of up to 30,
+   so the trigram index's buckets fill, labels repeat on both sides, and
+   the label rows fan out on the domain pool. Rows that shared scratch
+   would disagree here. *)
+let prop_name_table_exact_wide =
+  QCheck.Test.make ~count:20
+    ~name:"name table = Name_sim.combined at table widths (bitwise, both backends)"
+    QCheck.(int_range 1 1000000)
+    (fun seed ->
+      let prng = Prng.create seed in
+      let pool = Array.init (1 + Prng.int prng 30) (fun _ -> random_label prng) in
+      let sources = random_labels prng pool (20 + Prng.int prng 61) in
+      let targets = random_labels prng pool (20 + Prng.int prng 61) in
+      List.for_all
+        (fun synonyms ->
+          let reference = Hashtbl.create 256 in
+          let combined a b =
+            match Hashtbl.find_opt reference (a, b) with
+            | Some v -> v
+            | None ->
+              let v = Name_sim.combined ?synonyms a b in
+              Hashtbl.add reference (a, b) v;
+              v
+          in
+          List.for_all
+            (fun exec ->
+              let t = Name_table.create ~exec ?synonyms sources targets in
+              let ok = ref true in
+              Array.iteri
+                (fun i a ->
+                  Array.iteri
+                    (fun j b ->
+                      let v =
+                        Name_table.score t (Name_table.source_id t i) (Name_table.target_id t j)
+                      in
+                      if not (same_bits v (combined a b)) then ok := false)
+                    targets)
+                sources;
+              !ok)
+            [ Executor.sequential; Executor.domains 2 ])
+        [ Some (Name_sim.synonyms ()); None ])
+
+(* The minor words one D7 name table (seed 42, default synonyms,
+   sequential) may allocate. Measured, dev build: 2,035 k words with a
+   closure, a partial application and boxed floats per label pair; 837 k
+   with each row's three passes over int and float scratch rows. *)
+let max_d7_name_table_minor_words = 877_000.0
+
+let test_name_table_allocation () =
+  let d = Uxsm_workload.Dataset.d7 in
+  let labels style =
+    let s = Uxsm_workload.Standards.generate ~seed:42 style in
+    Array.init (Schema.size s) (Schema.label s)
+  in
+  let sources = labels d.Uxsm_workload.Dataset.source and targets = labels d.target in
+  let synonyms = Name_sim.synonyms () in
+  ignore (Name_table.create ~synonyms sources targets);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Name_table.create ~synonyms sources targets));
+  let words = Gc.minor_words () -. w0 in
+  if words > max_d7_name_table_minor_words then
+    Alcotest.failf "a D7 name table allocated %.0f minor words, above %.0f" words
+      max_d7_name_table_minor_words
+
 (* A random tree whose labels come from a small vocabulary, so labels
    repeat within and across schemas (and among siblings). *)
 let vocabulary =
@@ -276,6 +340,8 @@ let suite =
     Alcotest.test_case "capacity tuning" `Quick test_capacity_tuning;
     Alcotest.test_case "both-direction delta selection" `Quick test_both_direction_selection;
     Alcotest.test_case "D1-D10 matchings pinned" `Quick test_dataset_matchings_pinned;
+    Alcotest.test_case "D7 name table allocation bound" `Quick test_name_table_allocation;
     q prop_name_table_exact;
+    q prop_name_table_exact_wide;
     q prop_matrix_exact;
   ]
